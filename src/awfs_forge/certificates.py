@@ -7,7 +7,6 @@ the independent verifier can recheck every claim without engine state.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -159,7 +158,6 @@ def soa_certificate(
     variant: str,
     max_steps: int,
     arrows=None,
-    threads: int = 1,
 ) -> dict:
     """Run the small object argument over named instance arrows and emit the
     full provenance certificate, including the verify_awfs law report."""
@@ -170,20 +168,11 @@ def soa_certificate(
     base = next(iter(diagram.arrow_of.values())).base
     requested = _requested_arrows(instance, base, arrows)
 
-    def work(item):
-        name, arr = item
+    for _, arr in requested:
         gen.record(arr)
         if variant == "monic":
             gen.delta(arr)
             gen.mu(arr)
-        return name
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            list(pool_exec.map(work, requested))
-    else:
-        for item in requested:
-            work(item)
     for jname in diagram.objects():
         gen.lam(jname)
 
@@ -202,17 +191,15 @@ def soa_certificate(
         "stage_tables": {},
     }
     requested_keys = {arr.key for _, arr in requested}
-    with gen._lock:
-        cached = dict(gen._records)
-    for key in sorted(cached, key=lambda k: cached[k].f.key):
-        rec = cached[key]
+    for key in sorted(gen.records):
+        rec = gen.records[key]
         with_structure = variant == "monic" and rec.f.key in requested_keys
         payload["arrows"][pool.add_map(rec.f.f)] = _arrow_entry(
             pool, gen, rec, with_structure
         )
     for name, arr in requested:
         payload["named"][name] = pool.add_map(arr.f)
-        payload["stage_tables"][name] = cached[arr.key].trace
+        payload["stage_tables"][name] = gen.records[arr.key].trace
     for jname in diagram.objects():
         lam = gen.lam(jname)
         payload["lambdas"][jname] = pool.add_map(lam.s)
@@ -228,7 +215,6 @@ def lift_certificate(
     variant: str,
     max_steps: int,
     arrows=None,
-    threads: int = 1,
 ) -> dict:
     """Free lifting-function certificate: fills in canonical square order."""
     from .soa import run_soa
@@ -278,7 +264,6 @@ def model_certificate(
     tau_name: str,
     variant: str,
     max_steps: int,
-    threads: int = 1,
 ) -> dict:
     """Comparison map, morphism-law report, replacement tables, and χ tables."""
     from .model import build_model_structure
@@ -336,14 +321,11 @@ def model_certificate(
             "comult": pool.add_map(rep.comult(x)),
         }
         payload["chi"][n] = pool.add_map(chi(amstr, x))
-    for key, g, structural in (("arrows_j", gen_t, True), ("arrows_i", gen, True)):
-        block = {}
-        with g._lock:
-            cached = dict(g._records)
-        for k in sorted(cached, key=lambda k: cached[k].f.key):
-            rec = cached[k]
-            block[pool.add_map(rec.f.f)] = _arrow_entry(pool, g, rec, False)
-        payload[key] = block
+    for key, g in (("arrows_j", gen_t), ("arrows_i", gen)):
+        payload[key] = {
+            pool.add_map(g.records[k].f.f): _arrow_entry(pool, g, g.records[k], False)
+            for k in sorted(g.records)
+        }
     payload["presheaves"] = pool.presheaves
     payload["maps"] = pool.maps
     payload["law_report"] = report.to_json()
@@ -356,7 +338,6 @@ def transport_certificate(
     generators: str,
     variant: str,
     max_steps: int,
-    threads: int = 1,
 ) -> dict:
     """Transported generators, mates, and the lax/colax/naturality report."""
     from .soa import run_soa
@@ -412,7 +393,6 @@ def quillen_certificate(
     tau_name: str,
     variant: str,
     max_steps: int,
-    threads: int = 1,
 ) -> dict:
     """Full algebraic Quillen adjunction check across both model structures."""
     from .model import TauData, build_model_structure

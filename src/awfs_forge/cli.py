@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .core import ValidationError, canonical_dumps
@@ -44,7 +43,9 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", choices=("monic", "standard"), default=None)
     parser.add_argument("--max-steps", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument(
+        "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
+    )
     parser.add_argument("--out", help="write the certificate to a file instead of stdout")
     parser.add_argument("--arrows", help="comma-separated named arrows (default: all)")
 
@@ -57,16 +58,15 @@ def _resolve_instance(args) -> InstanceFile:
     return load(args.instance)
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("AWFS_FORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _entry(mapping: dict, name: str | None, path: str) -> str:
+    """`name` when the instance declares it; the first entry when no name is given."""
+    if name is None:
+        if not mapping:
+            raise ValidationError(path, "the instance declares none")
+        return next(iter(mapping))
+    if name not in mapping:
+        raise ValidationError(f"{path}.{name}", "unknown name")
+    return name
 
 
 def _emit(cert: dict, args) -> None:
@@ -106,12 +106,10 @@ def cmd_validate(args) -> int:
 
 def cmd_soa(args) -> int:
     instance = _resolve_instance(args)
-    gname = args.generators or next(iter(instance.generators))
+    gname = _entry(instance.generators, args.generators, "generators")
     arrows = args.arrows.split(",") if args.arrows else None
     variant, max_steps = _run_options(instance, args)
-    payload = soa_certificate(
-        instance, gname, variant, max_steps, arrows, _threads(args)
-    )
+    payload = soa_certificate(instance, gname, variant, max_steps, arrows)
     cert = envelope("soa", instance, _options(args, variant, max_steps, {"generators": gname}), payload)
     _emit(cert, args)
     return EXIT_LAW_FAILURE if _report_failed(payload) else EXIT_OK
@@ -119,12 +117,10 @@ def cmd_soa(args) -> int:
 
 def cmd_lift(args) -> int:
     instance = _resolve_instance(args)
-    gname = args.generators or next(iter(instance.generators))
+    gname = _entry(instance.generators, args.generators, "generators")
     arrows = args.arrows.split(",") if args.arrows else None
     variant, max_steps = _run_options(instance, args)
-    payload = lift_certificate(
-        instance, gname, variant, max_steps, arrows, _threads(args)
-    )
+    payload = lift_certificate(instance, gname, variant, max_steps, arrows)
     cert = envelope("lift", instance, _options(args, variant, max_steps, {"generators": gname}), payload)
     _emit(cert, args)
     return EXIT_OK
@@ -132,13 +128,11 @@ def cmd_lift(args) -> int:
 
 def cmd_model(args) -> int:
     instance = _resolve_instance(args)
-    gen_j = args.generators_j or "J"
-    gen_i = args.generators_i or "I"
-    tau = args.tau or next(iter(instance.taus))
+    gen_j = _entry(instance.generators, args.generators_j or "J", "generators")
+    gen_i = _entry(instance.generators, args.generators_i or "I", "generators")
+    tau = _entry(instance.taus, args.tau, "taus")
     variant, max_steps = _run_options(instance, args)
-    payload = model_certificate(
-        instance, gen_j, gen_i, tau, variant, max_steps, _threads(args)
-    )
+    payload = model_certificate(instance, gen_j, gen_i, tau, variant, max_steps)
     cert = envelope(
         "model",
         instance,
@@ -151,12 +145,10 @@ def cmd_model(args) -> int:
 
 def cmd_transport(args) -> int:
     instance = _resolve_instance(args)
-    adjunction = args.adjunction or next(iter(instance.adjunctions))
-    gname = args.generators or next(iter(instance.generators))
+    adjunction = _entry(instance.adjunctions, args.adjunction, "adjunctions")
+    gname = _entry(instance.generators, args.generators, "generators")
     variant, max_steps = _run_options(instance, args)
-    payload = transport_certificate(
-        instance, adjunction, gname, variant, max_steps, _threads(args)
-    )
+    payload = transport_certificate(instance, adjunction, gname, variant, max_steps)
     cert = envelope(
         "transport",
         instance,
@@ -169,13 +161,13 @@ def cmd_transport(args) -> int:
 
 def cmd_quillen_check(args) -> int:
     instance = _resolve_instance(args)
-    adjunction = args.adjunction or next(iter(instance.adjunctions))
-    gen_j = args.generators_j or "J"
-    gen_i = args.generators_i or "I"
-    tau = args.tau or next(iter(instance.taus))
+    adjunction = _entry(instance.adjunctions, args.adjunction, "adjunctions")
+    gen_j = _entry(instance.generators, args.generators_j or "J", "generators")
+    gen_i = _entry(instance.generators, args.generators_i or "I", "generators")
+    tau = _entry(instance.taus, args.tau, "taus")
     variant, max_steps = _run_options(instance, args)
     payload = quillen_certificate(
-        instance, adjunction, gen_j, gen_i, tau, variant, max_steps, _threads(args)
+        instance, adjunction, gen_j, gen_i, tau, variant, max_steps
     )
     cert = envelope(
         "quillen-check",

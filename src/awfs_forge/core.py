@@ -90,9 +90,6 @@ class FinFunction:
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
-    def is_surjective(self) -> bool:
-        return set(self.table) == set(range(self.dst.size))
-
     def is_bijective(self) -> bool:
         return self.src.size == self.dst.size and self.is_injective()
 
@@ -151,9 +148,6 @@ class FiniteCategory:
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return self._homs.get((a, b), ())
-
-    def morphism_names(self) -> tuple[str, ...]:
-        return tuple(self.morphisms.keys())
 
     def nonidentity_morphisms(self) -> tuple[str, ...]:
         idset = set(self.identities.values())
@@ -514,6 +508,26 @@ def eq_witness(m1: PresheafMap, m2: PresheafMap):
             if v1 != v2:
                 return {"object": o, "element": x, "lhs": v1, "rhs": v2}
     return None
+
+
+def factor_through(u: PresheafMap, incl: PresheafMap) -> PresheafMap | None:
+    """The unique u' with incl ∘ u' = u, when it exists (incl injective)."""
+    lookup = {}
+    for o in incl.base.objects:
+        lookup[o] = {}
+        for x, v in enumerate(incl.components[o].table):
+            if v in lookup[o]:
+                raise ValidationError("factor_through", "inclusion is not injective")
+            lookup[o][v] = x
+    tables = {}
+    for o in u.base.objects:
+        t = []
+        for v in u.components[o].table:
+            if v not in lookup[o]:
+                return None
+            t.append(lookup[o][v])
+        tables[o] = t
+    return PresheafMap.from_tables(u.src, incl.src, tables)
 
 
 # ---------------------------------------------------------------------------

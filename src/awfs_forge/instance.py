@@ -37,10 +37,6 @@ class InstanceFile:
     options: dict
     raw: dict
 
-    @property
-    def main_base(self) -> FiniteCategory:
-        return self.bases["main"]
-
     def canonical_json(self) -> str:
         return canonical_dumps(self.raw)
 
@@ -51,12 +47,6 @@ class InstanceFile:
         if name not in self.maps:
             raise ValidationError(f"maps.{name}", "unknown map name")
         return ArrowObject(self.maps[name])
-
-    def arrows_over(self, base_name: str) -> dict[str, ArrowObject]:
-        base = self.bases[base_name]
-        return {
-            n: ArrowObject(m) for n, m in self.maps.items() if m.base == base
-        }
 
     def adjunction(self, name: str) -> AdjunctionData:
         if name not in self.adjunctions:

@@ -14,7 +14,7 @@ from .arrows import (
     Square,
     verify_awfs_morphism,
 )
-from .core import Presheaf, PresheafMap, ValidationError, eq_witness
+from .core import Presheaf, PresheafMap, ValidationError, eq_witness, factor_through
 from .lifting import (
     AlgebraStructure,
     CoalgebraStructure,
@@ -26,7 +26,7 @@ from .lifting import (
     solve_lift,
     square_key,
 )
-from .soa import ArrowRecord, GeneratedAwfs, factor_through
+from .soa import ArrowRecord, GeneratedAwfs
 
 
 @dataclass

@@ -10,8 +10,7 @@ monic instances.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arrows import ArrowObject, Awfs, Factored, FunctorialFactorization, Square
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     ValidationError,
     coproduct,
     check_cocone_factor,
+    factor_through,
     pushout,
     quotient_presheaf,
 )
@@ -54,26 +54,6 @@ class UnconvergedArrow(Exception):
     def __init__(self, arrow_key: str):
         self.arrow_key = arrow_key
         super().__init__(f"arrow {arrow_key[:16]} has no converged factorization")
-
-
-def factor_through(u: PresheafMap, incl: PresheafMap) -> PresheafMap | None:
-    """The unique u' with incl ∘ u' = u, when it exists (incl injective)."""
-    lookup = {}
-    for o in incl.base.objects:
-        lookup[o] = {}
-        for x, v in enumerate(incl.components[o].table):
-            if v in lookup[o]:
-                raise ValidationError("factor_through", "inclusion is not injective")
-            lookup[o][v] = x
-    tables = {}
-    for o in u.base.objects:
-        t = []
-        for v in u.components[o].table:
-            if v not in lookup[o]:
-                return None
-            t.append(lookup[o][v])
-        tables[o] = t
-    return PresheafMap.from_tables(u.src, incl.src, tables)
 
 
 def induce_through(q: PresheafMap, value: PresheafMap) -> PresheafMap:
@@ -214,12 +194,11 @@ class GeneratedAwfs:
         self.diagram = diagram
         self.variant = variant
         self.max_steps = max_steps
-        self._records: dict[str, ArrowRecord] = {}
+        self.records: dict[str, ArrowRecord] = {}
         self._failures: dict[str, Exception] = {}
         self._esquares: dict[str, PresheafMap] = {}
         self._deltas: dict[str, PresheafMap] = {}
         self._mus: dict[str, PresheafMap] = {}
-        self._lock = threading.RLock()
         if variant == "monic":
             for jname in diagram.objects():
                 if not diagram.arrow_of[jname].f.is_injective():
@@ -229,23 +208,17 @@ class GeneratedAwfs:
 
     def record(self, f) -> ArrowRecord:
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        with self._lock:
-            if farr.key in self._records:
-                return self._records[farr.key]
-            if farr.key in self._failures:
-                raise self._failures[farr.key]
-            try:
-                rec = self._compute_record(farr)
-            except (NonConvergence, MonicityViolation) as exc:
-                self._failures[farr.key] = exc
-                raise
-            self._records[farr.key] = rec
-            return rec
-
-    def cached_records(self) -> dict[str, ArrowRecord]:
-        """Snapshot of every factorization computed so far, keyed by arrow."""
-        with self._lock:
-            return dict(self._records)
+        if farr.key in self.records:
+            return self.records[farr.key]
+        if farr.key in self._failures:
+            raise self._failures[farr.key]
+        try:
+            rec = self._compute_record(farr)
+        except (NonConvergence, MonicityViolation) as exc:
+            self._failures[farr.key] = exc
+            raise
+        self.records[farr.key] = rec
+        return rec
 
     def _compute_record(self, farr: ArrowObject) -> ArrowRecord:
         stages = [farr.dom]
@@ -394,71 +367,37 @@ class GeneratedAwfs:
     def e_on_square(self, sq: Square) -> PresheafMap:
         """E(u, v) by cell reindexing: each cell of f maps to the minimal-stage
         fill of its composed square in g's factorization."""
-        key = sq.key
-        with self._lock:
-            if key in self._esquares:
-                return self._esquares[key]
-        recf = self.record(sq.src)
-        recg = self.record(sq.dst)
-        rg = ArrowObject(recg.right())
-        current = sq.u.then(recg.left())  # E^0 f -> Eg
-        for stage in range(1, len(recf.stages)):
-            prev_map = current
-            target = recf.stages[stage]
-            tables = {o: [-1] * target.at[o].size for o in target.base.objects}
-            iota = recf.inclusions[stage - 1]
+        if sq.key not in self._esquares:
+            recf = self.record(sq.src)
+            recg = self.record(sq.dst)
+            rg = ArrowObject(recg.right())
 
-            def put(o, idx, val):
-                if tables[o][idx] == -1:
-                    tables[o][idx] = val
-                elif tables[o][idx] != val:
-                    raise ValidationError("e_on_square", f"inconsistent reindexing at {o}")
-
-            for o in target.base.objects:
-                it = iota.components[o].table
-                pt = prev_map.components[o].table
-                for x, v in enumerate(it):
-                    put(o, v, pt[x])
-            for cell in recf.cells:
-                if cell.stage != stage:
-                    continue
+            def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
                 j = self.diagram.arrow_of[cell.jname]
                 top = cell.square.u.then(prev_map)
                 bottom = cell.square.v.then(sq.v)
-                fill = self.free_fill(sq.dst, cell.jname, Square(j, rg, top, bottom))
-                for o in target.base.objects:
-                    ct = cell.injection.components[o].table
-                    ft = fill.components[o].table
-                    for y, idx in enumerate(ct):
-                        put(o, idx, ft[y])
-            current = PresheafMap.from_tables(target, recg.mid(), tables)
-        with self._lock:
-            self._esquares[key] = current
-        return current
+                return self.free_fill(sq.dst, cell.jname, Square(j, rg, top, bottom))
+
+            self._esquares[sq.key] = _walk_stages(
+                recf, sq.u.then(recg.left()), recg.mid(), fill,
+                "e_on_square", "inconsistent reindexing",
+            )
+        return self._esquares[sq.key]
 
     def mu(self, f) -> PresheafMap:
         """Multiplication by stage collapse: re-attach every cell of R f at its
         minimal stage in Ef."""
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        with self._lock:
-            if farr.key in self._mus:
-                return self._mus[farr.key]
-        rec = self.record(farr)
-        lf = self.free_lifting_function(farr)
-        alg = lifting_function_to_algebra(self, lf)
-        with self._lock:
-            self._mus[farr.key] = alg.t
-        return alg.t
+        if farr.key not in self._mus:
+            lf = self.free_lifting_function(farr)
+            self._mus[farr.key] = lifting_function_to_algebra(self, lf).t
+        return self._mus[farr.key]
 
     def delta(self, f) -> PresheafMap:
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        with self._lock:
-            if farr.key in self._deltas:
-                return self._deltas[farr.key]
-        out = delta_from_composition(self, farr)
-        with self._lock:
-            self._deltas[farr.key] = out
-        return out
+        if farr.key not in self._deltas:
+            self._deltas[farr.key] = delta_from_composition(self, farr)
+        return self._deltas[farr.key]
 
     def free_algebra(self, f) -> AlgebraStructure:
         rec = self.record(f)
@@ -481,44 +420,48 @@ def run_soa(diagram: GeneratorDiagram, variant: str = "monic", max_steps: int = 
     return GeneratedAwfs(diagram, variant=variant, max_steps=max_steps)
 
 
+def _walk_stages(
+    rec: ArrowRecord, start: PresheafMap, dst: Presheaf, fill, where: str, problem: str
+) -> PresheafMap:
+    """Extend `start` (out of E^0) stage by stage to a map E^N -> dst: each
+    stage agrees with the previous map along the inclusion and with
+    `fill(cell, prev_map)` on every cell attached at that stage."""
+    current = start
+    for stage in range(1, len(rec.stages)):
+        target = rec.stages[stage]
+        tables = {o: [-1] * target.at[o].size for o in target.base.objects}
+
+        def put(into: PresheafMap, values: PresheafMap) -> None:
+            for o in target.base.objects:
+                t, vt = tables[o], values.components[o].table
+                for x, idx in enumerate(into.components[o].table):
+                    if t[idx] == -1:
+                        t[idx] = vt[x]
+                    elif t[idx] != vt[x]:
+                        raise ValidationError(where, f"{problem} at {o}")
+
+        put(rec.inclusions[stage - 1], current)
+        for cell in rec.cells:
+            if cell.stage == stage:
+                put(cell.injection, fill(cell, current))
+        current = PresheafMap.from_tables(target, dst, tables)
+    return current
+
+
 def lifting_function_to_algebra(gen: GeneratedAwfs, lf: LiftingFunction) -> AlgebraStructure:
     """Dictionary direction J^⧄ -> algebras: each cell of E(h) lands at the
     fill of its attaching square, transported through the stages."""
     h = lf.g
-    rec = gen.record(h)
-    current = PresheafMap.identity(h.dom)
-    for stage in range(1, len(rec.stages)):
-        prev_map = current
-        target = rec.stages[stage]
-        tables = {o: [-1] * target.at[o].size for o in target.base.objects}
 
-        def put(o, idx, val):
-            if tables[o][idx] == -1:
-                tables[o][idx] = val
-            elif tables[o][idx] != val:
-                raise ValidationError(
-                    "lifting_function_to_algebra", f"incoherent lifting function at {o}"
-                )
+    def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
+        j = gen.diagram.arrow_of[cell.jname]
+        return lf.phi(cell.jname, Square(j, h, cell.square.u.then(prev_map), cell.square.v))
 
-        iota = rec.inclusions[stage - 1]
-        for o in target.base.objects:
-            it = iota.components[o].table
-            pt = prev_map.components[o].table
-            for x, v in enumerate(it):
-                put(o, v, pt[x])
-        for cell in rec.cells:
-            if cell.stage != stage:
-                continue
-            j = gen.diagram.arrow_of[cell.jname]
-            top = cell.square.u.then(prev_map)
-            fill = lf.phi(cell.jname, Square(j, h, top, cell.square.v))
-            for o in target.base.objects:
-                ct = cell.injection.components[o].table
-                ft = fill.components[o].table
-                for y, idx in enumerate(ct):
-                    put(o, idx, ft[y])
-        current = PresheafMap.from_tables(target, h.dom, tables)
-    return AlgebraStructure(h, current)
+    t = _walk_stages(
+        gen.record(h), PresheafMap.identity(h.dom), h.dom, fill,
+        "lifting_function_to_algebra", "incoherent lifting function",
+    )
+    return AlgebraStructure(h, t)
 
 
 def delta_from_composition(gen: GeneratedAwfs, f) -> PresheafMap:

@@ -20,6 +20,7 @@ from .core import (
     ValidationError,
     canonical_dumps,
     eq_witness,
+    factor_through,
     sha256_hex,
 )
 from .instance import InstanceFile
@@ -68,32 +69,6 @@ class _Pools:
         _require(key in self.presheaves, where, f"dangling presheaf reference {key}")
         return self.presheaves[key]
 
-    def map_key(self, m: PresheafMap) -> str:
-        """Content key a map WOULD have in this certificate's pool."""
-        for key, mm in self.maps.items():
-            if mm == m:
-                return key
-        raise CertificateError("pool", "map not present in pool")
-
-
-def _factor_through(u: PresheafMap, incl: PresheafMap):
-    lookup = {}
-    for o in incl.base.objects:
-        lookup[o] = {}
-        for x, v in enumerate(incl.components[o].table):
-            if v in lookup[o]:
-                return None
-            lookup[o][v] = x
-    tables = {}
-    for o in u.base.objects:
-        t = []
-        for v in u.components[o].table:
-            if v not in lookup[o]:
-                return None
-            t.append(lookup[o][v])
-        tables[o] = t
-    return PresheafMap.from_tables(u.src, incl.src, tables)
-
 
 @dataclass
 class _Record:
@@ -115,6 +90,34 @@ class _Record:
         return out
 
 
+def _walk_stages(
+    rec: _Record, start: PresheafMap, dst: Presheaf, fill, where: str, problem: str
+) -> PresheafMap:
+    """Extend `start` (out of stage 0) stage by stage to a map out of the last
+    stage: along each inclusion it is the previous map, on each cell
+    `fill(cell, prev_map)`."""
+    current = start
+    for stage in range(1, len(rec.stages)):
+        target = rec.stages[stage]
+        tables = {o: [-1] * target.at[o].size for o in target.base.objects}
+
+        def put(into: PresheafMap, values: PresheafMap) -> None:
+            for o in target.base.objects:
+                t, vt = tables[o], values.components[o].table
+                for x, idx in enumerate(into.components[o].table):
+                    if t[idx] == -1:
+                        t[idx] = vt[x]
+                    elif t[idx] != vt[x]:
+                        raise CertificateError(where, problem)
+
+        put(rec.inclusions[stage - 1], current)
+        for c in rec.cells:
+            if c["stage"] == stage:
+                put(c["injection"], fill(c, current))
+        current = PresheafMap.from_tables(target, dst, tables)
+    return current
+
+
 class CertifiedEngine:
     """Replay of the deterministic extraction rules over certified records."""
 
@@ -123,6 +126,7 @@ class CertifiedEngine:
         self.diagram = diagram
         self.where = where
         self.records: dict[str, _Record] = {}
+        self._by_arrow: dict[PresheafMap, _Record] = {}
         for fkey, entry in block.items():
             w = f"{where}.{fkey}"
             f = pools.m(entry["f"], w)
@@ -157,12 +161,12 @@ class CertifiedEngine:
                 pools.m(entry["delta"], w) if "delta" in entry else None,
                 pools.m(entry["mu"], w) if "mu" in entry else None,
             )
+            self._by_arrow.setdefault(f, self.records[fkey])
 
     def record_of(self, f: PresheafMap, where: str) -> _Record:
-        for rec in self.records.values():
-            if rec.f == f:
-                return rec
-        raise CertificateError(where, "no record for a required arrow")
+        rec = self._by_arrow.get(f)
+        _require(rec is not None, where, "no record for a required arrow")
+        return rec
 
     # -- structural checks -------------------------------------------------
 
@@ -196,7 +200,7 @@ class CertifiedEngine:
             _require(sq.commutes(), w, "cell attaching square does not commute")
             if stage >= 2:
                 _require(
-                    _factor_through(c["top"], rec.inclusions[stage - 2]) is None,
+                    factor_through(c["top"], rec.inclusions[stage - 2]) is None,
                     w,
                     "cell top factors through the previous stage",
                 )
@@ -221,7 +225,7 @@ class CertifiedEngine:
             for jname in self.diagram.objects():
                 j = self.diagram.arrow_of[jname]
                 for sq in enumerate_squares(j, r_prev):
-                    if stage >= 2 and _factor_through(sq.u, rec.inclusions[stage - 2]) is not None:
+                    if stage >= 2 and factor_through(sq.u, rec.inclusions[stage - 2]) is not None:
                         continue
                     expected[(jname, square_key(sq.u, sq.v))] = sq
             got = by_stage.get(stage, {})
@@ -237,7 +241,7 @@ class CertifiedEngine:
                 if len(rec.inclusions) == 0:
                     raise CertificateError(w, "unconverged: squares remain at stage 0")
                 _require(
-                    _factor_through(sq.u, rec.inclusions[-1]) is not None,
+                    factor_through(sq.u, rec.inclusions[-1]) is not None,
                     w,
                     "not converged: a square does not factor through the last stage",
                 )
@@ -290,7 +294,7 @@ class CertifiedEngine:
         gamma = len(rec.stages) - 1
         reduced = [u]
         while gamma >= 1:
-            down = _factor_through(reduced[-1], rec.inclusions[gamma - 1])
+            down = factor_through(reduced[-1], rec.inclusions[gamma - 1])
             if down is None:
                 break
             reduced.append(down)
@@ -312,73 +316,29 @@ class CertifiedEngine:
         recf = self.record_of(sq.src.f, where)
         recg = self.record_of(sq.dst.f, where)
         rg = ArrowObject(recg.right)
-        current = sq.u.then(recg.left)
-        for stage in range(1, len(recf.stages)):
-            prev_map = current
-            target = recf.stages[stage]
-            tables = {o: [-1] * target.at[o].size for o in target.base.objects}
 
-            def put(o, idx, val):
-                if tables[o][idx] == -1:
-                    tables[o][idx] = val
-                elif tables[o][idx] != val:
-                    raise CertificateError(where, "inconsistent E reindexing")
+        def fill(c: dict, prev_map: PresheafMap) -> PresheafMap:
+            j = self.diagram.arrow_of[c["j"]]
+            top = c["top"].then(prev_map)
+            bottom = c["bottom"].then(sq.v)
+            return self.fill_rule(recg, c["j"], Square(j, rg, top, bottom), where)
 
-            iota = recf.inclusions[stage - 1]
-            for o in target.base.objects:
-                for x, v in enumerate(iota.components[o].table):
-                    put(o, v, prev_map.components[o].table[x])
-            for c in recf.cells:
-                if c["stage"] != stage:
-                    continue
-                j = self.diagram.arrow_of[c["j"]]
-                top = c["top"].then(prev_map)
-                bottom = c["bottom"].then(sq.v)
-                fill = self.fill_rule(recg, c["j"], Square(j, rg, top, bottom), where)
-                for o in target.base.objects:
-                    for y, idx in enumerate(c["injection"].components[o].table):
-                        put(o, idx, fill.components[o].table[y])
-            current = PresheafMap.from_tables(target, recg.stages[-1], tables)
-        return current
-
-    def t_walk(self, rec: _Record, phi, where: str) -> PresheafMap:
-        """Algebra structure from a lifting function: phi(jname, square) -> map."""
-        h = rec.f
-        current = PresheafMap.identity(h.src)
-        for stage in range(1, len(rec.stages)):
-            prev_map = current
-            target = rec.stages[stage]
-            tables = {o: [-1] * target.at[o].size for o in target.base.objects}
-
-            def put(o, idx, val):
-                if tables[o][idx] == -1:
-                    tables[o][idx] = val
-                elif tables[o][idx] != val:
-                    raise CertificateError(where, "incoherent algebra assembly")
-
-            iota = rec.inclusions[stage - 1]
-            for o in target.base.objects:
-                for x, v in enumerate(iota.components[o].table):
-                    put(o, v, prev_map.components[o].table[x])
-            for c in rec.cells:
-                if c["stage"] != stage:
-                    continue
-                j = self.diagram.arrow_of[c["j"]]
-                top = c["top"].then(prev_map)
-                fill = phi(c["j"], Square(j, ArrowObject(h), top, c["bottom"]))
-                for o in target.base.objects:
-                    for y, idx in enumerate(c["injection"].components[o].table):
-                        put(o, idx, fill.components[o].table[y])
-            current = PresheafMap.from_tables(target, h.src, tables)
-        return current
+        return _walk_stages(
+            recf, sq.u.then(recg.left), recg.stages[-1], fill, where, "inconsistent E reindexing"
+        )
 
     def mu_replay(self, f: PresheafMap, where: str) -> PresheafMap:
+        """Algebra structure of R f: each cell of E(R f) goes to f's certified
+        fill of its attaching square."""
         rec = self.record_of(f, where)
         rec_r = self.record_of(rec.right, where)
-        return self.t_walk(
-            rec_r,
-            lambda jname, sq: rec.fills[(jname, square_key(sq.u, sq.v))],
-            where,
+
+        def fill(c: dict, prev_map: PresheafMap) -> PresheafMap:
+            return rec.fills[(c["j"], square_key(c["top"].then(prev_map), c["bottom"]))]
+
+        e_rf = rec_r.f.src
+        return _walk_stages(
+            rec_r, PresheafMap.identity(e_rf), e_rf, fill, where, "incoherent algebra assembly"
         )
 
     def delta_replay(self, f: PresheafMap, where: str) -> PresheafMap:
@@ -388,12 +348,16 @@ class CertifiedEngine:
         comp = rlf.then(rf)
         rec_comp = self.record_of(comp, where)
 
-        def comp_phi(jname: str, sq: Square) -> PresheafMap:
-            j = self.diagram.arrow_of[jname]
-            mid = rec.fills[(jname, square_key(sq.u.then(rlf), sq.v))]
-            return rec_l.fills[(jname, square_key(sq.u, mid))]
+        def fill(c: dict, prev_map: PresheafMap) -> PresheafMap:
+            """Composite lifting function: fill against R f, then against R L f."""
+            top = c["top"].then(prev_map)
+            mid = rec.fills[(c["j"], square_key(top.then(rlf), c["bottom"]))]
+            return rec_l.fills[(c["j"], square_key(top, mid))]
 
-        t_comp = self.t_walk(rec_comp, comp_phi, where)
+        t_comp = _walk_stages(
+            rec_comp, PresheafMap.identity(comp.src), comp.src, fill, where,
+            "incoherent algebra assembly",
+        )
         e_map = self.e_walk(
             Square(
                 ArrowObject(f), ArrowObject(comp), rec_l.left, PresheafMap.identity(f.dst)
@@ -545,6 +509,10 @@ def _verify_lift_payload(instance: InstanceFile, payload: dict) -> None:
 
 
 def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
+    for entry in payload.get("law_report", []):
+        _require(
+            entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
+        )
     pools = _Pools(instance, payload)
     diagram_j = _load_diagram(pools, payload["generators_j"], "generators_j")
     diagram_i = _load_diagram(pools, payload["generators_i"], "generators_i")
@@ -554,10 +522,6 @@ def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
         engine_j.check_record(fkey, "monic")
     for fkey in payload["arrows_i"]:
         engine_i.check_record(fkey, "monic")
-    for entry in payload.get("law_report", []):
-        _require(
-            entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
-        )
     probes = []
     for name, key in payload.get("xi", {}).items():
         where = f"xi.{name}"

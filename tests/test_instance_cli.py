@@ -162,9 +162,33 @@ def test_model_command(tmp_path):
     assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 0
 
 
-def test_model_command_reports_failed_axiom_graph(tmp_path):
+def test_model_command_reports_failed_axiom_graph(tmp_path, capsys):
     out = tmp_path / "modelg.json"
     assert main(["model", "--fixture", "FIX-G", "--out", str(out)]) == 3
+    capsys.readouterr()
+    assert main(["verify-cert", "--fixture", "FIX-G", str(out)]) == 3
+    assert "law_report.weq.fib-cap: embedded law failure" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        ("model --fixture FIX-DIV", "generators.I"),
+        ("model --fixture FIX-PW", "generators.J"),
+        ("quillen-check --fixture FIX-DIV", "adjunctions"),
+        ("quillen-check --fixture FIX-PW", "adjunctions"),
+        ("transport --fixture FIX-DIV", "adjunctions"),
+        ("soa --fixture FIX-M --generators nope", "generators.nope"),
+        ("model --fixture FIX-M --generators-j nope", "generators.nope"),
+        ("quillen-check --fixture FIX-M --generators-i nope", "generators.nope"),
+        ("model --fixture FIX-M --tau nope", "taus.nope"),
+        ("lift --fixture FIX-M --generators nope", "generators.nope"),
+    ],
+)
+def test_unresolvable_names_are_validation_errors(argv, path, capsys):
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
 
 
 def test_transport_and_quillen_commands(tmp_path):
