@@ -21,18 +21,11 @@ class ArrowObject:
 
     f: PresheafMap
 
-    def __post_init__(self):
-        self._key = self.f.key
-
-    @property
-    def key(self) -> str:
-        return self._key
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, ArrowObject) and self._key == other._key
+        return isinstance(other, ArrowObject) and self.f == other.f
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.f)
 
     @property
     def dom(self) -> Presheaf:
@@ -59,18 +52,11 @@ class Square:
     u: PresheafMap
     v: PresheafMap
 
-    def __post_init__(self):
-        self._key = self.u.key + "|" + self.v.key
-
-    @property
-    def key(self) -> str:
-        return self._key
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Square) and self._key == other._key
+        return isinstance(other, Square) and self.u == other.u and self.v == other.v
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.u, self.v))
 
     def validate(self, path: str = "square") -> None:
         if self.u.src != self.src.dom or self.u.dst != self.dst.dom:

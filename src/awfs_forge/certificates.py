@@ -7,10 +7,8 @@ the independent verifier can recheck every claim without engine state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import __version__
-from .arrows import ArrowObject, LawReport, Square, verify_awfs, verify_awfs_morphism
+from .arrows import ArrowObject, LawReport, verify_awfs
 from .core import (
     FiniteCategory,
     Presheaf,
@@ -21,19 +19,14 @@ from .core import (
 from .instance import InstanceFile
 from .lifting import enumerate_squares, square_key
 from .model import (
-    AlgebraicModelStructure,
     ReplacementMonad,
-    bang,
     chi,
     check_replacement_laws,
-    cobang,
     validate_model_axioms,
     verify_comparison,
 )
 from .soa import GeneratedAwfs, NonConvergence
 from .transport import (
-    AdjunctionData,
-    MateData,
     build_mates,
     transport_generators,
     verify_algebraic_quillen,
@@ -45,33 +38,33 @@ class CertPool:
     """Content-addressed pools for presheaves and maps within one certificate."""
 
     def __init__(self, bases: dict[str, FiniteCategory]):
-        self.base_names = {cat.key: name for name, cat in bases.items()}
+        self.base_names = {cat: name for name, cat in bases.items()}
         self.presheaves: dict[str, dict] = {}
         self.maps: dict[str, dict] = {}
-        self._pkeys: dict[str, str] = {}
-        self._mkeys: dict[str, str] = {}
+        self._pkeys: dict[Presheaf, str] = {}
+        self._mkeys: dict[PresheafMap, str] = {}
 
     def add_presheaf(self, p: Presheaf) -> str:
-        if p.key in self._pkeys:
-            return self._pkeys[p.key]
-        if p.base.key not in self.base_names:
+        if p in self._pkeys:
+            return self._pkeys[p]
+        if p.base not in self.base_names:
             raise KeyError("presheaf over a base not declared in the instance")
-        content = {"base": self.base_names[p.base.key], **p.to_json()}
+        content = {"base": self.base_names[p.base], **p.to_json()}
         key = "p" + sha256_hex(canonical_dumps(content))[:16]
-        self._pkeys[p.key] = key
+        self._pkeys[p] = key
         self.presheaves[key] = content
         return key
 
     def add_map(self, m: PresheafMap) -> str:
-        if m.key in self._mkeys:
-            return self._mkeys[m.key]
+        if m in self._mkeys:
+            return self._mkeys[m]
         content = {
             "src": self.add_presheaf(m.src),
             "dst": self.add_presheaf(m.dst),
             "components": m.table_json(),
         }
         key = "m" + sha256_hex(canonical_dumps(content))[:16]
-        self._mkeys[m.key] = key
+        self._mkeys[m] = key
         self.maps[key] = content
         return key
 
@@ -190,16 +183,15 @@ def soa_certificate(
         "lambdas": {},
         "stage_tables": {},
     }
-    requested_keys = {arr.key for _, arr in requested}
-    for key in sorted(gen.records):
-        rec = gen.records[key]
-        with_structure = variant == "monic" and rec.f.key in requested_keys
+    requested_arrows = {arr for _, arr in requested}
+    for rec in list(gen.records.values()):
+        with_structure = variant == "monic" and rec.f in requested_arrows
         payload["arrows"][pool.add_map(rec.f.f)] = _arrow_entry(
             pool, gen, rec, with_structure
         )
     for name, arr in requested:
         payload["named"][name] = pool.add_map(arr.f)
-        payload["stage_tables"][name] = gen.records[arr.key].trace
+        payload["stage_tables"][name] = gen.records[arr].trace
     for jname in diagram.objects():
         lam = gen.lam(jname)
         payload["lambdas"][jname] = pool.add_map(lam.s)
@@ -323,8 +315,8 @@ def model_certificate(
         payload["chi"][n] = pool.add_map(chi(amstr, x))
     for key, g in (("arrows_j", gen_t), ("arrows_i", gen)):
         payload[key] = {
-            pool.add_map(g.records[k].f.f): _arrow_entry(pool, g, g.records[k], False)
-            for k in sorted(g.records)
+            pool.add_map(rec.f.f): _arrow_entry(pool, g, rec, False)
+            for rec in list(g.records.values())
         }
     payload["presheaves"] = pool.presheaves
     payload["maps"] = pool.maps

@@ -191,9 +191,13 @@ def cmd_quillen_check(args) -> int:
 
 def cmd_verify_cert(args) -> int:
     instance = _resolve_instance(args)
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        cert = json.load(handle)
-    ok, message = verify_certificate(instance, cert)
+    try:
+        with open(args.certificate, "r", encoding="utf-8") as handle:
+            cert = json.load(handle)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        ok, message = False, f"malformed certificate: {exc}"
+    else:
+        ok, message = verify_certificate(instance, cert)
     if ok:
         sys.stdout.write("certificate ok\n")
         return EXIT_OK

@@ -2,14 +2,16 @@
 and pointwise finite colimits with deterministic quotient labeling.
 
 Everything here is immutable after construction and every operation is a pure
-function, so all of it is safe to call concurrently.
+function.  Presheaves and maps compare and hash by their tables (a tuple
+built once per value); canonical JSON and sha256 appear only at the
+certificate boundary, where content is written or checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -30,6 +32,13 @@ class ValidationError(Exception):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+def expect_object(value, path: str) -> dict:
+    """`value` if it is a JSON object, else a ValidationError at `path`."""
+    if not isinstance(value, dict):
+        raise ValidationError(path, "must be a JSON object")
+    return value
 
 
 class NonCommutingCocone(Exception):
@@ -310,23 +319,14 @@ class Presheaf:
         for o, i in self.base.identities.items():
             act.setdefault(i, FinFunction.identity(self.at[o]))
         self.act = act
-        self._key = canonical_dumps(
-            {
-                "base": sha256_hex(self.base.key),
-                "at": {o: self.at[o].size for o in self.base.objects},
-                "act": {m: list(fn.table) for m, fn in sorted(self.act.items())},
-            }
-        )
-
-    @property
-    def key(self) -> str:
-        return self._key
+        sizes = tuple(self.at[o].size for o in self.base.objects)
+        self._id = (self.base, sizes, tuple(sorted((m, fn.table) for m, fn in act.items())))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Presheaf) and self._key == other._key
+        return self is other or (type(other) is Presheaf and self._id == other._id)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._id)
 
     def size_at(self, obj: str) -> int:
         return self.at[obj].size
@@ -364,12 +364,12 @@ class Presheaf:
 
     @staticmethod
     def from_json(base: FiniteCategory, data: dict, path: str = "presheaf") -> "Presheaf":
-        at = {o: FinSet(int(n)) for o, n in data["at"].items()}
+        at = {o: FinSet(int(n)) for o, n in expect_object(data.get("at"), f"{path}.at").items()}
         for o in base.objects:
             if o not in at:
                 raise ValidationError(f"{path}.at.{o}", "missing object")
         act = {}
-        for m, table in data.get("act", {}).items():
+        for m, table in expect_object(data.get("act", {}), f"{path}.act").items():
             if m not in base.morphisms:
                 raise ValidationError(f"{path}.act.{m}", "unknown base morphism")
             a, b = base.morphisms[m]
@@ -409,25 +409,14 @@ class PresheafMap:
     components: dict[str, FinFunction]
 
     def __post_init__(self):
-        self._key = canonical_dumps(
-            {
-                "src": sha256_hex(self.src.key),
-                "dst": sha256_hex(self.dst.key),
-                "components": {
-                    o: list(self.components[o].table) for o in self.src.base.objects
-                },
-            }
-        )
-
-    @property
-    def key(self) -> str:
-        return self._key
+        tables = tuple(self.components[o].table for o in self.src.base.objects)
+        self._id = (self.src, self.dst, tables)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PresheafMap) and self._key == other._key
+        return self is other or (type(other) is PresheafMap and self._id == other._id)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._id)
 
     @property
     def base(self) -> FiniteCategory:
@@ -498,10 +487,23 @@ class PresheafMap:
         return PresheafMap(src, dst, comps)
 
 
+def _identity_json(m: PresheafMap) -> str:
+    """Canonical JSON of a map's tables with sha256-named endpoints: the bytes
+    that the type-mismatch witness of `eq_witness` carries into law reports."""
+
+    def digest(p: Presheaf) -> str:
+        at = {o: p.at[o].size for o in p.base.objects}
+        act = {n: list(fn.table) for n, fn in p.act.items()}
+        return sha256_hex(canonical_dumps({"base": sha256_hex(p.base.key), "at": at, "act": act}))
+
+    return canonical_dumps({"src": digest(m.src), "dst": digest(m.dst), "components": m.table_json()})
+
+
 def eq_witness(m1: PresheafMap, m2: PresheafMap):
     """None when the maps agree; otherwise a (object, element, lhs, rhs) witness."""
     if m1.src != m2.src or m1.dst != m2.dst:
-        return {"object": "<type>", "element": -1, "lhs": m1.key, "rhs": m2.key}
+        lhs, rhs = _identity_json(m1), _identity_json(m2)
+        return {"object": "<type>", "element": -1, "lhs": lhs, "rhs": rhs}
     for o in m1.base.objects:
         t1, t2 = m1.components[o].table, m2.components[o].table
         for x, (v1, v2) in enumerate(zip(t1, t2)):

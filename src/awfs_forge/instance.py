@@ -8,7 +8,7 @@ between generator diagrams, and adjunction descriptors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arrows import ArrowObject, Square
 from .core import (
@@ -17,6 +17,7 @@ from .core import (
     PresheafMap,
     ValidationError,
     canonical_dumps,
+    expect_object,
     sha256_hex,
 )
 from .lifting import GeneratorDiagram
@@ -93,32 +94,32 @@ class InstanceFile:
         unit_tab, counit_tab = dict(desc.get("unit", {})), dict(desc.get("counit", {}))
 
         def by_obj(tab, registry, label):
-            lookup = {self.presheaves[a].key: registry[b] for a, b in tab.items()}
+            lookup = {self.presheaves[a]: registry[b] for a, b in tab.items()}
 
             def fn(x):
-                if x.key not in lookup:
+                if x not in lookup:
                     raise ValidationError(where, f"explicit adjunction {label} table does not cover an object")
-                return lookup[x.key]
+                return lookup[x]
 
             return fn
 
         def by_map(tab, label):
-            lookup = {self.maps[a].key: self.maps[b] for a, b in tab.items()}
+            lookup = {self.maps[a]: self.maps[b] for a, b in tab.items()}
 
             def fn(m):
-                if m.key not in lookup:
+                if m not in lookup:
                     raise ValidationError(where, f"explicit adjunction {label} table does not cover a map")
-                return lookup[m.key]
+                return lookup[m]
 
             return fn
 
         def nat(tab, label):
-            lookup = {self.presheaves[a].key: self.maps[b] for a, b in tab.items()}
+            lookup = {self.presheaves[a]: self.maps[b] for a, b in tab.items()}
 
             def fn(x):
-                if x.key not in lookup:
+                if x not in lookup:
                     raise ValidationError(where, f"explicit adjunction {label} table does not cover an object")
-                return lookup[x.key]
+                return lookup[x]
 
             return fn
 
@@ -170,6 +171,7 @@ def _parse_generators(name: str, data: dict, maps: dict[str, PresheafMap]) -> Ge
 
 def from_json(data: dict) -> InstanceFile:
     """Parse and exhaustively validate an instance document."""
+    expect_object(data, "instance")
     bases: dict[str, FiniteCategory] = {}
     base_field = data.get("base")
     if base_field is not None:
@@ -187,23 +189,28 @@ def from_json(data: dict) -> InstanceFile:
     presheaves: dict[str, Presheaf] = {}
     presheaf_base: dict[str, str] = {}
     for pname, pdata in data.get("presheaves", {}).items():
-        bname = pdata.get("base", "main")
+        bname = expect_object(pdata, f"presheaves.{pname}").get("base", "main")
         if bname not in bases:
             raise ValidationError(f"presheaves.{pname}.base", f"unknown base {bname}")
-        p = Presheaf.from_json(bases[bname], pdata, f"presheaves.{pname}")
+        try:
+            p = Presheaf.from_json(bases[bname], pdata, f"presheaves.{pname}")
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"presheaves.{pname}", str(exc)) from None
         p.validate(f"presheaves.{pname}")
         presheaves[pname] = p
         presheaf_base[pname] = bname
 
     maps: dict[str, PresheafMap] = {}
     for mname, mdata in data.get("maps", {}).items():
+        expect_object(mdata, f"maps.{mname}")
+        expect_object(mdata.get("components"), f"maps.{mname}.components")
         for end in ("src", "dst"):
             if mdata[end] not in presheaves:
                 raise ValidationError(f"maps.{mname}.{end}", f"unknown presheaf {mdata[end]}")
         src, dst = presheaves[mdata["src"]], presheaves[mdata["dst"]]
         try:
             m = PresheafMap.from_tables(src, dst, mdata["components"])
-        except (KeyError, ValidationError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"maps.{mname}", str(exc)) from None
         m.validate(f"maps.{mname}")
         maps[mname] = m

@@ -10,7 +10,6 @@ from functools import lru_cache
 from .arrows import ArrowObject, Awfs, FunctorialFactorization, LawReport, Square
 from .core import (
     FiniteCategory,
-    Presheaf,
     PresheafMap,
     ValidationError,
     all_maps,
@@ -92,7 +91,8 @@ class GeneratorDiagram:
 
 
 def square_key(u: PresheafMap, v: PresheafMap) -> str:
-    """Canonical serialization of a square's edges, used for dense tables."""
+    """Serialization of a square's edge tables: the canonical square order and
+    the `square_hash` of lift certificates."""
     base = u.base
     tables = [[list(u.components[o].table) for o in base.objects],
               [list(v.components[o].table) for o in base.objects]]
@@ -139,10 +139,10 @@ class LiftingFunction:
 
     diagram: GeneratorDiagram
     g: ArrowObject
-    fills: dict[tuple[str, str], PresheafMap]  # (j name, square key) -> filler
+    fills: dict[tuple[str, Square], PresheafMap]  # (j name, square) -> filler
 
     def phi(self, jname: str, sq: Square) -> PresheafMap:
-        key = (jname, square_key(sq.u, sq.v))
+        key = (jname, sq)
         if key not in self.fills:
             raise ValidationError("lifting_function", f"no fill recorded for {jname} square")
         return self.fills[key]
@@ -153,7 +153,7 @@ class LiftingFunction:
         for jname in diagram.objects():
             j = diagram.arrow_of[jname]
             for sq in enumerate_squares(j, g):
-                fills[(jname, square_key(sq.u, sq.v))] = fn(jname, sq)
+                fills[(jname, sq)] = fn(jname, sq)
         return LiftingFunction(diagram, g, fills)
 
 
@@ -177,12 +177,12 @@ def check_algebra_unit(a: AlgebraStructure, fact: FunctorialFactorization) -> La
     report = LawReport()
     fac = fact.factor(a.g)
     report.record(
-        "algebra.square", a.g.key[:12], a.t.src == fac.mid and a.t.dst == a.g.dom
+        "algebra.square", "g", a.t.src == fac.mid and a.t.dst == a.g.dom
     )
     if report.passed:
-        report.check("algebra.retlaw", a.g.key[:12], a.t.then(a.g.f), fac.right)
+        report.check("algebra.retlaw", "g", a.t.then(a.g.f), fac.right)
         report.check(
-            "algebra.unit", a.g.key[:12], fac.left.then(a.t), PresheafMap.identity(a.g.dom)
+            "algebra.unit", "g", fac.left.then(a.t), PresheafMap.identity(a.g.dom)
         )
     return report
 
@@ -197,7 +197,7 @@ def check_algebra_laws(a: AlgebraStructure, awfs: Awfs) -> LawReport:
     t_sq = Square(rarr, a.g, a.t, PresheafMap.identity(a.g.cod))
     report.check(
         "algebra.assoc",
-        a.g.key[:12],
+        "g",
         awfs.mu(a.g).then(a.t),
         awfs.fact.e(t_sq).then(a.t),
     )
@@ -208,12 +208,12 @@ def check_coalgebra_unit(c: CoalgebraStructure, fact: FunctorialFactorization) -
     report = LawReport()
     fac = fact.factor(c.f)
     report.record(
-        "coalgebra.square", c.f.key[:12], c.s.src == c.f.cod and c.s.dst == fac.mid
+        "coalgebra.square", "f", c.s.src == c.f.cod and c.s.dst == fac.mid
     )
     if report.passed:
-        report.check("coalgebra.seclaw", c.f.key[:12], c.f.f.then(c.s), fac.left)
+        report.check("coalgebra.seclaw", "f", c.f.f.then(c.s), fac.left)
         report.check(
-            "coalgebra.unit", c.f.key[:12], c.s.then(fac.right), PresheafMap.identity(c.f.cod)
+            "coalgebra.unit", "f", c.s.then(fac.right), PresheafMap.identity(c.f.cod)
         )
     return report
 
@@ -228,7 +228,7 @@ def check_coalgebra_laws(c: CoalgebraStructure, awfs: Awfs) -> LawReport:
     s_sq = Square(c.f, larr, PresheafMap.identity(c.f.dom), c.s)
     report.check(
         "coalgebra.coassoc",
-        c.f.key[:12],
+        "f",
         c.s.then(awfs.delta(c.f)),
         c.s.then(awfs.fact.e(s_sq)),
     )

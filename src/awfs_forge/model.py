@@ -14,17 +14,15 @@ from .arrows import (
     Square,
     verify_awfs_morphism,
 )
-from .core import Presheaf, PresheafMap, ValidationError, eq_witness, factor_through
+from .core import Presheaf, PresheafMap, ValidationError, eq_witness
 from .lifting import (
     AlgebraStructure,
     CoalgebraStructure,
     GeneratorDiagram,
     LiftingFunction,
-    check_coalgebra_laws,
     enumerate_squares,
     oracle_lift,
     solve_lift,
-    square_key,
 )
 from .soa import ArrowRecord, GeneratedAwfs
 
@@ -78,7 +76,7 @@ class WeqPredicate:
     """
 
     kind: str = "all"
-    keys: frozenset = frozenset()
+    arrows: frozenset = frozenset()
 
     def __call__(self, f) -> bool:
         arr = f if isinstance(f, ArrowObject) else ArrowObject(f)
@@ -87,7 +85,7 @@ class WeqPredicate:
         if self.kind == "isos":
             return arr.f.is_bijective()
         if self.kind == "list":
-            return arr.key in self.keys
+            return arr in self.arrows
         raise ValidationError("weq.kind", f"unknown kind {self.kind!r}")
 
     @staticmethod
@@ -101,12 +99,12 @@ class WeqPredicate:
             names = data.get("arrows", [])
         else:
             kind, names = "list", data
-        keys = []
+        arrows = []
         for n in names:
             if n not in maps:
                 raise ValidationError(f"weq.arrows.{n}", "unknown map name")
-            keys.append(ArrowObject(maps[n]).key)
-        return WeqPredicate("list", frozenset(keys))
+            arrows.append(ArrowObject(maps[n]))
+        return WeqPredicate("list", frozenset(arrows))
 
 
 def coalgebra_from_cellular(
@@ -168,21 +166,21 @@ def build_comparison(
     """Comparison map: give each left factor of gen_t its cellular coalgebra
     structure through tau, then solve the canonical lifting problem."""
     tau.validate()
-    cache: dict[str, PresheafMap] = {}
+    cache: dict[ArrowObject, PresheafMap] = {}
 
     def zeta(jname: str) -> CoalgebraStructure:
         return gen.lam(tau.on_objects[jname])
 
     def xi(f: ArrowObject) -> PresheafMap:
-        if f.key in cache:
-            return cache[f.key]
+        if f in cache:
+            return cache[f]
         rec_t = gen_t.record(f)
         fac = gen.factor(f)
         coalg = coalgebra_from_cellular(gen, zeta, rec_t)
         alg = gen.free_algebra(f)
         sq = Square(coalg.f, alg.g, fac.left, rec_t.right())
         out = solve_lift(coalg, alg, sq, gen.as_fact())
-        cache[f.key] = out
+        cache[f] = out
         return out
 
     return AwfsMorphism(xi)

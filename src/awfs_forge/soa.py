@@ -29,15 +29,13 @@ from .lifting import (
     GeneratorDiagram,
     LiftingFunction,
     enumerate_squares,
-    square_key,
 )
 
 
 class NonConvergence(Exception):
     """The iteration hit max_steps while still attaching cells."""
 
-    def __init__(self, arrow_key: str, trace: list[int]):
-        self.arrow_key = arrow_key
+    def __init__(self, trace: list[int]):
         self.trace = trace
         super().__init__(f"no convergence after {len(trace) - 1} stages; sizes {trace}")
 
@@ -51,9 +49,7 @@ class MonicityViolation(Exception):
 
 
 class UnconvergedArrow(Exception):
-    def __init__(self, arrow_key: str):
-        self.arrow_key = arrow_key
-        super().__init__(f"arrow {arrow_key[:16]} has no converged factorization")
+    """A free lifting function was requested of an unconverged factorization."""
 
 
 def induce_through(q: PresheafMap, value: PresheafMap) -> PresheafMap:
@@ -98,7 +94,7 @@ class ArrowRecord:
 
     def __post_init__(self):
         self.cell_index = {
-            (c.stage, c.jname, square_key(c.square.u, c.square.v)): c for c in self.cells
+            (c.stage, c.jname, c.square.u, c.square.v): c for c in self.cells
         }
 
     @property
@@ -140,7 +136,7 @@ def density_comonad(diagram: GeneratorDiagram, f) -> tuple[ArrowObject, Square]:
         return l0_arr, Square(l0_arr, farr, to_dom, to_cod)
     dom_cop = coproduct([diagram.arrow_of[j].dom for j, _ in squares], base)
     cod_cop = coproduct([diagram.arrow_of[j].cod for j, _ in squares], base)
-    index = {(j, square_key(sq.u, sq.v)): i for i, (j, sq) in enumerate(squares)}
+    index = {(j, sq.u, sq.v): i for i, (j, sq) in enumerate(squares)}
     dom_rels, cod_rels = [], []
     for m in diagram.shape.nonidentity_morphisms():
         jp, jn = diagram.shape.src(m), diagram.shape.dst(m)
@@ -148,7 +144,7 @@ def density_comonad(diagram: GeneratorDiagram, f) -> tuple[ArrowObject, Square]:
         for i, (jname, sq) in enumerate(squares):
             if jname != jn:
                 continue
-            i2 = index[(jp, square_key(conn.u.then(sq.u), conn.v.then(sq.v)))]
+            i2 = index[(jp, conn.u.then(sq.u), conn.v.then(sq.v))]
             dom_rels.append((dom_cop.legs[i2], conn.u.then(dom_cop.legs[i])))
             cod_rels.append((cod_cop.legs[i2], conn.v.then(cod_cop.legs[i])))
     dom_q, dq = quotient_presheaf(dom_cop.apex, dom_rels)
@@ -194,11 +190,11 @@ class GeneratedAwfs:
         self.diagram = diagram
         self.variant = variant
         self.max_steps = max_steps
-        self.records: dict[str, ArrowRecord] = {}
-        self._failures: dict[str, Exception] = {}
-        self._esquares: dict[str, PresheafMap] = {}
-        self._deltas: dict[str, PresheafMap] = {}
-        self._mus: dict[str, PresheafMap] = {}
+        self.records: dict[ArrowObject, ArrowRecord] = {}
+        self._failures: dict[ArrowObject, Exception] = {}
+        self._esquares: dict[Square, PresheafMap] = {}
+        self._deltas: dict[ArrowObject, PresheafMap] = {}
+        self._mus: dict[ArrowObject, PresheafMap] = {}
         if variant == "monic":
             for jname in diagram.objects():
                 if not diagram.arrow_of[jname].f.is_injective():
@@ -208,16 +204,16 @@ class GeneratedAwfs:
 
     def record(self, f) -> ArrowRecord:
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        if farr.key in self.records:
-            return self.records[farr.key]
-        if farr.key in self._failures:
-            raise self._failures[farr.key]
+        if farr in self.records:
+            return self.records[farr]
+        if farr in self._failures:
+            raise self._failures[farr]
         try:
             rec = self._compute_record(farr)
         except (NonConvergence, MonicityViolation) as exc:
-            self._failures[farr.key] = exc
+            self._failures[farr] = exc
             raise
-        self.records[farr.key] = rec
+        self.records[farr] = rec
         return rec
 
     def _compute_record(self, farr: ArrowObject) -> ArrowRecord:
@@ -251,7 +247,7 @@ class GeneratedAwfs:
                 converged = True
                 break
             if self.variant == "monic" and not iota.is_injective():
-                raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage} of {farr.key[:16]}")
+                raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage}")
             stages.append(new_stage)
             inclusions.append(iota)
             rmaps.append(r_new)
@@ -260,9 +256,9 @@ class GeneratedAwfs:
                     continue
                 cell = CellRecord(stage, jname, sq, inj)
                 cells.append(cell)
-                cell_index[(stage, jname, square_key(sq.u, sq.v))] = cell
+                cell_index[(stage, jname, sq.u, sq.v)] = cell
         if not converged:
-            raise NonConvergence(farr.key, [s.total_size for s in stages])
+            raise NonConvergence([s.total_size for s in stages])
         return ArrowRecord(farr, stages, inclusions, rmaps, cells, True, self.variant)
 
     def _build_stage(self, stages, inclusions, rmaps, cell_index, attached):
@@ -280,9 +276,7 @@ class GeneratedAwfs:
             if redundant:
                 fill = self._partial_fill(stages, inclusions, cell_index, jname, sq)
                 rels.append((leg, fill.then(inj0)))
-        index = {
-            (jname, square_key(sq.u, sq.v)): i for i, (jname, sq, _) in enumerate(attached)
-        }
+        index = {(jname, sq.u, sq.v): i for i, (jname, sq, _) in enumerate(attached)}
         for m in self.diagram.shape.nonidentity_morphisms():
             jp, jn = self.diagram.shape.src(m), self.diagram.shape.dst(m)
             conn = self.diagram.square_of[m]
@@ -291,7 +285,7 @@ class GeneratedAwfs:
                     continue
                 leg = cop.legs[idx + 1]
                 cu, cv = conn.u.then(sq.u), conn.v.then(sq.v)
-                ckey = (jp, square_key(cu, cv))
+                ckey = (jp, cu, cv)
                 if ckey in index:
                     rels.append((cop.legs[index[ckey] + 1], conn.v.then(leg)))
                 else:
@@ -323,8 +317,7 @@ class GeneratedAwfs:
             reduced.append(down)
             gamma -= 1
         u_min = reduced[-1]
-        key = (gamma + 1, jname, square_key(u_min, sq.v))
-        cell = cell_index.get(key)
+        cell = cell_index.get((gamma + 1, jname, u_min, sq.v))
         if cell is None:
             raise ValidationError(
                 "soa.fill", f"no cell for generator {jname} at minimal stage {gamma + 1}"
@@ -350,7 +343,7 @@ class GeneratedAwfs:
     def free_lifting_function(self, f) -> LiftingFunction:
         rec = self.record(f)
         if not rec.converged:
-            raise UnconvergedArrow(rec.f.key)
+            raise UnconvergedArrow("arrow has no converged factorization")
         rf = ArrowObject(rec.right())
         return LiftingFunction.tabulate(
             self.diagram, rf, lambda jname, sq: self.free_fill(f, jname, sq)
@@ -367,7 +360,7 @@ class GeneratedAwfs:
     def e_on_square(self, sq: Square) -> PresheafMap:
         """E(u, v) by cell reindexing: each cell of f maps to the minimal-stage
         fill of its composed square in g's factorization."""
-        if sq.key not in self._esquares:
+        if sq not in self._esquares:
             recf = self.record(sq.src)
             recg = self.record(sq.dst)
             rg = ArrowObject(recg.right())
@@ -378,26 +371,26 @@ class GeneratedAwfs:
                 bottom = cell.square.v.then(sq.v)
                 return self.free_fill(sq.dst, cell.jname, Square(j, rg, top, bottom))
 
-            self._esquares[sq.key] = _walk_stages(
+            self._esquares[sq] = _walk_stages(
                 recf, sq.u.then(recg.left()), recg.mid(), fill,
                 "e_on_square", "inconsistent reindexing",
             )
-        return self._esquares[sq.key]
+        return self._esquares[sq]
 
     def mu(self, f) -> PresheafMap:
         """Multiplication by stage collapse: re-attach every cell of R f at its
         minimal stage in Ef."""
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        if farr.key not in self._mus:
+        if farr not in self._mus:
             lf = self.free_lifting_function(farr)
-            self._mus[farr.key] = lifting_function_to_algebra(self, lf).t
-        return self._mus[farr.key]
+            self._mus[farr] = lifting_function_to_algebra(self, lf).t
+        return self._mus[farr]
 
     def delta(self, f) -> PresheafMap:
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        if farr.key not in self._deltas:
-            self._deltas[farr.key] = delta_from_composition(self, farr)
-        return self._deltas[farr.key]
+        if farr not in self._deltas:
+            self._deltas[farr] = delta_from_composition(self, farr)
+        return self._deltas[farr]
 
     def free_algebra(self, f) -> AlgebraStructure:
         rec = self.record(f)

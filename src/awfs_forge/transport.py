@@ -4,7 +4,7 @@ pointwise and projective generators, and the algebraic Quillen law suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .arrows import ArrowObject, LawReport, Square
@@ -17,17 +17,13 @@ from .core import (
     ValidationError,
     all_maps,
     coproduct,
-    eq_witness,
     quotient_presheaf,
 )
 from .lifting import (
-    AlgebraStructure,
     CoalgebraStructure,
     GeneratorDiagram,
     LiftingFunction,
     check_coalgebra_laws,
-    enumerate_squares,
-    square_key,
 )
 from .model import AlgebraicModelStructure
 from .soa import GeneratedAwfs, induce_through, lifting_function_to_algebra
@@ -231,7 +227,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
     """Lan_u ⊣ u^* for a functor u between base categories."""
     u.validate()
     base0, base1 = u.src, u.dst
-    lan_cache: dict[str, _LanBlock] = {}
+    lan_cache: dict[Presheaf, _LanBlock] = {}
 
     def restrict_obj(q: Presheaf) -> Presheaf:
         at = {c: q.at[u.obj(c)] for c in base0.objects}
@@ -246,9 +242,9 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
         )
 
     def lan_block(p: Presheaf) -> _LanBlock:
-        if p.key not in lan_cache:
-            lan_cache[p.key] = _LanBlock(u, p)
-        return lan_cache[p.key]
+        if p not in lan_cache:
+            lan_cache[p] = _LanBlock(u, p)
+        return lan_cache[p]
 
     def lan_obj(p: Presheaf) -> Presheaf:
         return lan_block(p).lan
@@ -367,11 +363,11 @@ def rho_from_lift(
 ) -> Callable[[ArrowObject], PresheafMap]:
     """rho_g from the lifted right adjoint on free algebras:
     rho_g = (structure of S~(Rg, mu_g)) ∘ Q(S Lg, 1)."""
-    cache: dict[str, PresheafMap] = {}
+    cache: dict[ArrowObject, PresheafMap] = {}
 
     def rho(g: ArrowObject) -> PresheafMap:
-        if g.key in cache:
-            return cache[g.key]
+        if g in cache:
+            return cache[g]
         rec = gen_k.record(g)
         psi = gen_k.free_lifting_function(g)
         psi_sharp = adjunct_lifting_S(adj, gen_m.diagram, psi)
@@ -380,7 +376,7 @@ def rho_from_lift(
         srg = ArrowObject(adj.s_map(rec.right()))
         sq = Square(sg, srg, adj.s_map(rec.left()), PresheafMap.identity(sg.cod))
         out = gen_m.e_on_square(sq).then(alg.t)
-        cache[g.key] = out
+        cache[g] = out
         return out
 
     return rho
@@ -393,16 +389,16 @@ def gamma_from_mate(
     rho: Callable[[ArrowObject], PresheafMap],
 ) -> Callable[[ArrowObject], PresheafMap]:
     """gamma_f = ν_{E(Tf)} ∘ T(rho_{Tf}) ∘ T Q(ι_f)."""
-    cache: dict[str, PresheafMap] = {}
+    cache: dict[ArrowObject, PresheafMap] = {}
 
     def gamma(f: ArrowObject) -> PresheafMap:
-        if f.key in cache:
-            return cache[f.key]
+        if f in cache:
+            return cache[f]
         tf = adj.t_arrow(f)
         q_unit = gen_m.e_on_square(adj.unit_square(f))
         etf = gen_k.factor(tf).mid
         out = adj.t_map(q_unit).then(adj.t_map(rho(tf))).then(adj.counit(etf))
-        cache[f.key] = out
+        cache[f] = out
         return out
 
     return gamma

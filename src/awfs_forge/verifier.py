@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrows import ArrowObject, Awfs, AwfsMorphism, FunctorialFactorization, Factored, Square, verify_awfs, verify_awfs_morphism
+from .arrows import ArrowObject, Awfs, FunctorialFactorization, Factored, Square, verify_awfs
 from .core import (
     FiniteCategory,
     Presheaf,
@@ -77,7 +77,7 @@ class _Record:
     inclusions: list[PresheafMap]
     rmaps: list[PresheafMap]
     cells: list[dict]  # stage, j, top, bottom, injection (resolved maps)
-    fills: dict[tuple[str, str], PresheafMap]
+    fills: dict[tuple[str, PresheafMap, PresheafMap], PresheafMap]  # (j, top, bottom) -> fill
     left: PresheafMap
     right: PresheafMap
     delta: PresheafMap | None
@@ -148,7 +148,7 @@ class CertifiedEngine:
             for fill in entry["fills"]:
                 top = pools.m(fill["top"], w)
                 bottom = pools.m(fill["bottom"], w)
-                fills[(fill["j"], square_key(top, bottom))] = pools.m(fill["fill"], w)
+                fills[(fill["j"], top, bottom)] = pools.m(fill["fill"], w)
             self.records[fkey] = _Record(
                 f,
                 stages,
@@ -191,7 +191,7 @@ class CertifiedEngine:
                 f"r_{b + 1} does not restrict to r_{b}",
             )
         # cells: attaching data and gluing laws
-        by_stage: dict[int, dict[tuple[str, str], dict]] = {}
+        by_stage: dict[int, dict[tuple, dict]] = {}
         for c in rec.cells:
             stage = c["stage"]
             _require(1 <= stage < len(rec.stages), w, "cell stage out of range")
@@ -217,7 +217,7 @@ class CertifiedEngine:
                 w,
                 "cell injection incompatible with r",
             )
-            by_stage.setdefault(stage, {})[(c["j"], square_key(c["top"], c["bottom"]))] = c
+            by_stage.setdefault(stage, {})[(c["j"], c["top"], c["bottom"])] = c
         # stage completeness and convergence
         for stage in range(1, len(rec.stages)):
             expected = {}
@@ -227,7 +227,7 @@ class CertifiedEngine:
                 for sq in enumerate_squares(j, r_prev):
                     if stage >= 2 and factor_through(sq.u, rec.inclusions[stage - 2]) is not None:
                         continue
-                    expected[(jname, square_key(sq.u, sq.v))] = sq
+                    expected[(jname, sq.u, sq.v)] = sq
             got = by_stage.get(stage, {})
             _require(
                 set(expected) == set(got),
@@ -265,7 +265,7 @@ class CertifiedEngine:
         for jname in self.diagram.objects():
             j = self.diagram.arrow_of[jname]
             for sq in enumerate_squares(j, r_last):
-                key = (jname, square_key(sq.u, sq.v))
+                key = (jname, sq.u, sq.v)
                 expected_fills.add(key)
                 _require(key in rec.fills, w, "missing fill for a square")
                 fill = rec.fills[key]
@@ -300,10 +300,9 @@ class CertifiedEngine:
             reduced.append(down)
             gamma -= 1
         u_min = reduced[-1]
-        key = square_key(u_min, sq.v)
         for c in rec.cells:
             if c["stage"] == gamma + 1 and c["j"] == jname:
-                if square_key(c["top"], c["bottom"]) == key:
+                if c["top"] == u_min and c["bottom"] == sq.v:
                     return c["injection"].then(
                         rec.inclusion_range(gamma + 1, len(rec.stages) - 1)
                     )
@@ -334,7 +333,7 @@ class CertifiedEngine:
         rec_r = self.record_of(rec.right, where)
 
         def fill(c: dict, prev_map: PresheafMap) -> PresheafMap:
-            return rec.fills[(c["j"], square_key(c["top"].then(prev_map), c["bottom"]))]
+            return rec.fills[(c["j"], c["top"].then(prev_map), c["bottom"])]
 
         e_rf = rec_r.f.src
         return _walk_stages(
@@ -351,8 +350,8 @@ class CertifiedEngine:
         def fill(c: dict, prev_map: PresheafMap) -> PresheafMap:
             """Composite lifting function: fill against R f, then against R L f."""
             top = c["top"].then(prev_map)
-            mid = rec.fills[(c["j"], square_key(top.then(rlf), c["bottom"]))]
-            return rec_l.fills[(c["j"], square_key(top, mid))]
+            mid = rec.fills[(c["j"], top.then(rlf), c["bottom"])]
+            return rec_l.fills[(c["j"], top, mid)]
 
         t_comp = _walk_stages(
             rec_comp, PresheafMap.identity(comp.src), comp.src, fill, where,
@@ -499,12 +498,12 @@ def _verify_lift_payload(instance: InstanceFile, payload: dict) -> None:
                 where,
                 "square hash mismatch",
             )
-            seen.add((entry["j"], square_key(top, bottom)))
+            seen.add((entry["j"], top, bottom))
         expected = set()
         for jname in diagram.objects():
             j = diagram.arrow_of[jname]
             for sq in enumerate_squares(j, rarr):
-                expected.add((jname, square_key(sq.u, sq.v)))
+                expected.add((jname, sq.u, sq.v))
         _require(seen == expected, where, "fill table incomplete or padded")
 
 
@@ -533,7 +532,7 @@ def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
         _require(eq_witness(rec_j.left.then(xi_f), rec_i.left) is None, where, "left triangle")
         _require(eq_witness(xi_f.then(rec_i.right), rec_j.right) is None, where, "right triangle")
         probes.append(ArrowObject(f))
-    xi_table = {instance.maps[n].key: pools.m(k, "xi") for n, k in payload.get("xi", {}).items()}
+    xi_table = {instance.maps[n]: pools.m(k, "xi") for n, k in payload.get("xi", {}).items()}
     # replacement and chi tables: direct re-derivation from certified records
     from .model import bang, cobang
 
@@ -593,7 +592,7 @@ def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
         _require(eq_witness(chi_x.then(rec_qrx.right), v) is None, where, "chi counit triangle")
         # chi is the canonical two-route lift; recompute route 2
         s = engine_j.delta_replay(bang(qx), where)
-        xi_j = xi_table.get(rec_rqx.left.key)
+        xi_j = xi_table.get(rec_rqx.left)
         if xi_j is None:
             # derived arrow: xi at bang(qx) is not tabulated; pin by oracle membership
             fillers = oracle_lift(
@@ -635,6 +634,6 @@ def verify_certificate(instance: InstanceFile, cert: dict) -> tuple[bool, str]:
             raise CertificateError("command", f"unknown command {command!r}")
     except CertificateError as exc:
         return False, str(exc)
-    except (ValidationError, KeyError, TypeError, IndexError) as exc:
+    except (ValidationError, KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
     return True, ""

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awfs_forge.arrows import ArrowObject
 from awfs_forge.core import (
     FinFunction,
     FinSet,
@@ -10,10 +11,13 @@ from awfs_forge.core import (
     Presheaf,
     PresheafMap,
     ValidationError,
+    _identity_json,
     all_maps,
+    canonical_dumps,
     check_cocone_factor,
     coequalizer,
     coproduct,
+    eq_witness,
     pushout,
     quotient_presheaf,
 )
@@ -209,3 +213,76 @@ def test_all_maps_canonical_order_and_naturality():
     loop = graph(1, 1, [0], [0])
     ms2 = all_maps(edge, loop)
     assert len(ms2) == 1  # edge must land on the loop
+
+
+# -- structural identity ---------------------------------------------------------
+
+BASES = (FiniteCategory.point(), FiniteCategory.graph_base(), FiniteCategory.walking_arrow())
+
+
+@st.composite
+def presheaves(draw, base):
+    """Small presheaves; these bases have no composites, so any tables act."""
+    at = {o: draw(st.integers(0, 2)) for o in base.objects}
+    arrows = [base.morphisms[m] for m in base.nonidentity_morphisms()]
+    for a, b in arrows:
+        if at[a] == 0:
+            at[b] = 0
+    act = {}
+    for m, (a, b) in zip(base.nonidentity_morphisms(), arrows):
+        act[m] = draw(st.lists(st.integers(0, max(at[a] - 1, 0)), min_size=at[b], max_size=at[b]))
+    return Presheaf.from_json(base, {"at": at, "act": act})
+
+
+def rebuilt(p):
+    return Presheaf.from_json(p.base, p.to_json())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_presheaf_identity_is_its_canonical_json(data):
+    p = data.draw(presheaves(data.draw(st.sampled_from(BASES))))
+    q = rebuilt(p) if data.draw(st.booleans()) else data.draw(
+        presheaves(data.draw(st.sampled_from(BASES)))
+    )
+    same_json = canonical_dumps([p.base.key, p.to_json()]) == canonical_dumps(
+        [q.base.key, q.to_json()]
+    )
+    assert (p == q) == same_json
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_map_identity_is_its_identity_json(data):
+    def draw_map(base):
+        homs = all_maps(data.draw(presheaves(base)), data.draw(presheaves(base)))
+        return data.draw(st.sampled_from(homs)) if homs else None
+
+    base = data.draw(st.sampled_from(BASES))
+    m1 = draw_map(base)
+    if m1 is None:
+        return
+    if data.draw(st.booleans()):
+        m2 = PresheafMap.from_tables(rebuilt(m1.src), rebuilt(m1.dst), m1.table_json())
+    else:
+        m2 = draw_map(data.draw(st.sampled_from(BASES)))
+        if m2 is None:
+            return
+    assert (m1 == m2) == (_identity_json(m1) == _identity_json(m2))
+    assert (ArrowObject(m1) == ArrowObject(m2)) == (m1 == m2)
+    if m1 == m2:
+        assert hash(m1) == hash(m2) and hash(ArrowObject(m1)) == hash(ArrowObject(m2))
+
+
+def test_type_mismatch_witness_bytes():
+    """This witness can reach a law report, so its bytes are pinned."""
+    w = eq_witness(finmap(1, 2, [0]), finmap(1, 3, [0]))
+    src = "b0c5db454e9754856c4ecdb9f9ccd6b5b5c6cd5bf74ef71bf0d474b4b2e86e55"
+    assert w == {
+        "object": "<type>",
+        "element": -1,
+        "lhs": '{"components":{"*":[0]},"dst":"7ab60d947e1435088d8a612f31b7c6691106dd1d13836ae428168abde2417d00","src":"%s"}' % src,
+        "rhs": '{"components":{"*":[0]},"dst":"6cc29754cee23ba9100280e75c7d3bdb2f5362c244baa401c376e6e43a793492","src":"%s"}' % src,
+    }

@@ -191,6 +191,51 @@ def test_unresolvable_names_are_validation_errors(argv, path, capsys):
     assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
 
 
+def _set(raw, keys, value):
+    for k in keys[:-1]:
+        raw = raw[k]
+    raw[keys[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "keys, value, path",
+    [
+        ((), [1, 2], "instance"),
+        (("presheaves", "edge", "act"), "oops", "presheaves.edge.act"),
+        (("maps", "f_vp", "components"), None, "maps.f_vp.components"),
+    ],
+    ids=["top-level-list", "act-string", "components-null"],
+)
+def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, capsys):
+    raw = value if not keys else fixture_raw("FIX-G")
+    if keys:
+        _set(raw, keys, value)
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["validate", str(inst)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "stage_tables"])
+def test_verify_cert_rejects_malformed_certificates(damage, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["soa", "--fixture", "FIX-M", "--out", str(out)]) == 0
+    text = out.read_text()
+    if damage == "truncate":
+        text = text[: len(text) // 2]
+    else:
+        cert = json.loads(text)
+        cert["payload"]["stage_tables"] = "x"
+        text = json.dumps(cert)
+    out.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("certificate REJECTED: malformed certificate: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_transport_and_quillen_commands(tmp_path):
     out = tmp_path / "transport.json"
     assert main(
