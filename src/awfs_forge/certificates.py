@@ -8,26 +8,31 @@ the independent verifier can recheck every claim without engine state.
 from __future__ import annotations
 
 from . import __version__
-from .arrows import ArrowObject, LawReport, verify_awfs
+from .arrows import ArrowObject, LawReport, Square, verify_awfs
 from .core import (
     FiniteCategory,
     Presheaf,
     PresheafMap,
     canonical_dumps,
+    eq_witness,
     sha256_hex,
 )
 from .instance import InstanceFile
 from .lifting import enumerate_squares, square_key
 from .model import (
     ReplacementMonad,
+    TauData,
+    build_model_structure,
     chi,
     check_replacement_laws,
     validate_model_axioms,
     verify_comparison,
 )
-from .soa import GeneratedAwfs, NonConvergence
+from .soa import GeneratedAwfs, NonConvergence, run_soa
 from .transport import (
     build_mates,
+    lift_T_coalg,
+    rho_from_mate,
     transport_generators,
     verify_algebraic_quillen,
     verify_lax_colax,
@@ -69,6 +74,24 @@ class CertPool:
         return key
 
 
+def _fill_entries(pool: CertPool, gen: GeneratedAwfs, rec) -> list[tuple[Square, dict]]:
+    """Each square from a generator into the right factor of `rec`, in
+    canonical order, with its fill-table entry: the square's edges and the
+    free lifting function's fill."""
+    lf = gen.free_lifting_function(rec.f)
+    rf = ArrowObject(rec.right())
+    return [
+        (sq, {
+            "j": jname,
+            "top": pool.add_map(sq.u),
+            "bottom": pool.add_map(sq.v),
+            "fill": pool.add_map(lf.phi(jname, sq)),
+        })
+        for jname in gen.diagram.objects()
+        for sq in enumerate_squares(gen.diagram.arrow_of[jname], rf)
+    ]
+
+
 def _arrow_entry(pool: CertPool, gen: GeneratedAwfs, rec, with_structure: bool) -> dict:
     entry = {
         "f": pool.add_map(rec.f.f),
@@ -90,22 +113,8 @@ def _arrow_entry(pool: CertPool, gen: GeneratedAwfs, rec, with_structure: bool) 
         "right": pool.add_map(rec.right()),
         "trace": rec.trace,
         "variant": rec.variant,
+        "fills": [e for _, e in _fill_entries(pool, gen, rec)],
     }
-    lf = gen.free_lifting_function(rec.f)
-    rf = ArrowObject(rec.right())
-    fills = []
-    for jname in gen.diagram.objects():
-        j = gen.diagram.arrow_of[jname]
-        for sq in enumerate_squares(j, rf):
-            fills.append(
-                {
-                    "j": jname,
-                    "top": pool.add_map(sq.u),
-                    "bottom": pool.add_map(sq.v),
-                    "fill": pool.add_map(lf.phi(jname, sq)),
-                }
-            )
-    entry["fills"] = fills
     if with_structure:
         entry["delta"] = pool.add_map(gen.delta(rec.f))
         entry["mu"] = pool.add_map(gen.mu(rec.f))
@@ -154,8 +163,6 @@ def soa_certificate(
 ) -> dict:
     """Run the small object argument over named instance arrows and emit the
     full provenance certificate, including the verify_awfs law report."""
-    from .soa import run_soa
-
     diagram = instance.generators[generators]
     gen = run_soa(diagram, variant=variant, max_steps=max_steps)
     base = next(iter(diagram.arrow_of.values())).base
@@ -209,8 +216,6 @@ def lift_certificate(
     arrows=None,
 ) -> dict:
     """Free lifting-function certificate: fills in canonical square order."""
-    from .soa import run_soa
-
     diagram = instance.generators[generators]
     gen = run_soa(diagram, variant=variant, max_steps=max_steps)
     base = next(iter(diagram.arrow_of.values())).base
@@ -223,21 +228,10 @@ def lift_certificate(
     }
     for name, arr in requested:
         rec = gen.record(arr)
-        lf = gen.free_lifting_function(arr)
-        rf = ArrowObject(rec.right())
-        entries = []
-        for jname in diagram.objects():
-            j = diagram.arrow_of[jname]
-            for sq in enumerate_squares(j, rf):
-                entries.append(
-                    {
-                        "j": jname,
-                        "square_hash": sha256_hex(square_key(sq.u, sq.v))[:16],
-                        "top": pool.add_map(sq.u),
-                        "bottom": pool.add_map(sq.v),
-                        "fill": pool.add_map(lf.phi(jname, sq)),
-                    }
-                )
+        entries = [
+            {**e, "square_hash": sha256_hex(square_key(sq.u, sq.v))[:16]}
+            for sq, e in _fill_entries(pool, gen, rec)
+        ]
         payload["lifting_functions"][name] = {
             "arrow": pool.add_map(arr.f),
             "right_factor": pool.add_map(rec.right()),
@@ -258,9 +252,6 @@ def model_certificate(
     max_steps: int,
 ) -> dict:
     """Comparison map, morphism-law report, replacement tables, and χ tables."""
-    from .model import build_model_structure
-    from .soa import run_soa
-
     diagram_j = instance.generators[gen_j]
     diagram_i = instance.generators[gen_i]
     tau = instance.taus[tau_name]
@@ -332,8 +323,6 @@ def transport_certificate(
     max_steps: int,
 ) -> dict:
     """Transported generators, mates, and the lax/colax/naturality report."""
-    from .soa import run_soa
-
     adj = instance.adjunction(adjunction)
     diagram = instance.generators[generators]
     gen_m = run_soa(diagram, variant=variant, max_steps=max_steps)
@@ -345,8 +334,6 @@ def transport_certificate(
     arrows_k = [arr for _, arr in _requested_arrows(instance, adj.k_base, None)]
     report = verify_lax_colax(md, gen_m, gen_k, adj, "lax", arrows_k)
     report.extend(verify_lax_colax(md, gen_m, gen_k, adj, "colax", arrows_m))
-    from .core import eq_witness
-    from .transport import lift_T_coalg, rho_from_mate
 
     rho2 = rho_from_mate(adj, gen_m, gen_k, md.gamma)
     for i, g in enumerate(arrows_k):
@@ -387,9 +374,6 @@ def quillen_certificate(
     max_steps: int,
 ) -> dict:
     """Full algebraic Quillen adjunction check across both model structures."""
-    from .model import TauData, build_model_structure
-    from .soa import run_soa
-
     adj = instance.adjunction(adjunction)
     diagram_j = instance.generators[gen_j]
     diagram_i = instance.generators[gen_i]

@@ -690,6 +690,28 @@ def coequalizer(f: PresheafMap, g: PresheafMap) -> ColimitRecord:
     return ColimitRecord("coequalizer", (f, g), apex, (q,))
 
 
+def glue(target: Presheaf, dst: Presheaf, parts, where: str, problem: str) -> PresheafMap:
+    """The map target -> dst that is `value` along `leg` for each (leg, value)
+    in `parts`: a map out of a colimit, fixed by its legs.  Parts are read
+    lazily and in order; two that disagree at base object o raise
+    ValidationError(where, "<problem> at <o>"), and an element that no leg
+    reaches raises a ValidationError at `where`."""
+    objects = target.base.objects
+    tables = {o: [-1] * target.at[o].size for o in objects}
+    for leg, value in parts:
+        for o in objects:
+            t, vt = tables[o], value.components[o].table
+            for x, idx in enumerate(leg.components[o].table):
+                if t[idx] == -1:
+                    t[idx] = vt[x]
+                elif t[idx] != vt[x]:
+                    raise ValidationError(where, f"{problem} at {o}")
+    for o in objects:
+        if -1 in tables[o]:
+            raise ValidationError(where, f"no leg reaches an element at {o}")
+    return PresheafMap.from_tables(target, dst, tables)
+
+
 def check_cocone_factor(record: ColimitRecord, cocone: list[PresheafMap]) -> PresheafMap:
     """Unique factoring of a commuting cocone through a computed colimit.
 
@@ -712,22 +734,7 @@ def check_cocone_factor(record: ColimitRecord, cocone: list[PresheafMap]) -> Pre
         w = eq_witness(f.then(cocone[0]), g.then(cocone[0]))
         if w is not None:
             raise NonCommutingCocone(w["object"], w["element"], "coequalizer cocone")
-    base = record.apex.base
-    tables: dict[str, list[int]] = {o: [-1] * record.apex.at[o].size for o in base.objects}
-    for leg, c in zip(record.legs, cocone):
-        for o in base.objects:
-            lt, ct = leg.components[o].table, c.components[o].table
-            for x in range(leg.src.at[o].size):
-                cur = tables[o][lt[x]]
-                if cur == -1:
-                    tables[o][lt[x]] = ct[x]
-                elif cur != ct[x]:
-                    raise NonCommutingCocone(o, lt[x], "cocone not constant on a class")
-    for o in base.objects:
-        if any(v == -1 for v in tables[o]):
-            raise ValidationError("cocone", f"colimit legs do not cover the apex at {o}")
-    out = PresheafMap.from_tables(record.apex, target, tables)
-    return out
+    return glue(record.apex, target, zip(record.legs, cocone), "cocone", "not constant on a class")
 
 
 # ---------------------------------------------------------------------------

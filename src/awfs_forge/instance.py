@@ -142,17 +142,25 @@ class InstanceFile:
         return self.options.get(key, fallback)
 
 
+def _category(data, path: str) -> FiniteCategory:
+    """A base or shape category read from JSON, its shape checked at `path`."""
+    if not isinstance(expect_object(data, path).get("objects"), list):
+        raise ValidationError(f"{path}.objects", "must be a JSON list")
+    return FiniteCategory.from_json(data)
+
+
 def _parse_generators(name: str, data: dict, maps: dict[str, PresheafMap]) -> GeneratorDiagram:
-    shape_data = data.get("shape", "discrete")
+    path = f"generators.{name}"
+    shape_data = expect_object(data, path).get("shape", "discrete")
     arrows = {}
-    for obj, mname in data.get("arrows", {}).items():
+    for obj, mname in expect_object(data.get("arrows", {}), f"{path}.arrows").items():
         if mname not in maps:
             raise ValidationError(f"generators.{name}.arrows.{obj}", f"unknown map {mname}")
         arrows[obj] = ArrowObject(maps[mname])
     if shape_data == "discrete":
         diagram = GeneratorDiagram.discrete(arrows)
     else:
-        shape = FiniteCategory.from_json(shape_data)
+        shape = _category(shape_data, f"{path}.shape")
         squares = {}
         for mor, sq in data.get("squares", {}).items():
             top, bottom = sq["top"], sq["bottom"]
@@ -175,9 +183,9 @@ def from_json(data: dict) -> InstanceFile:
     bases: dict[str, FiniteCategory] = {}
     base_field = data.get("base")
     if base_field is not None:
-        bases["main"] = FiniteCategory.from_json(base_field)
-    for bname, bdata in data.get("bases", {}).items():
-        bases[bname] = FiniteCategory.from_json(bdata)
+        bases["main"] = _category(base_field, "base")
+    for bname, bdata in expect_object(data.get("bases", {}), "bases").items():
+        bases[bname] = _category(bdata, f"bases.{bname}")
     if "main" not in bases:
         raise ValidationError("base", "missing main base category")
     for bname, cat in bases.items():
@@ -205,8 +213,8 @@ def from_json(data: dict) -> InstanceFile:
         expect_object(mdata, f"maps.{mname}")
         expect_object(mdata.get("components"), f"maps.{mname}.components")
         for end in ("src", "dst"):
-            if mdata[end] not in presheaves:
-                raise ValidationError(f"maps.{mname}.{end}", f"unknown presheaf {mdata[end]}")
+            if not isinstance(mdata.get(end), str) or mdata[end] not in presheaves:
+                raise ValidationError(f"maps.{mname}.{end}", f"unknown presheaf {mdata.get(end)}")
         src, dst = presheaves[mdata["src"]], presheaves[mdata["dst"]]
         try:
             m = PresheafMap.from_tables(src, dst, mdata["components"])
@@ -217,13 +225,13 @@ def from_json(data: dict) -> InstanceFile:
 
     generators = {
         gname: _parse_generators(gname, gdata, maps)
-        for gname, gdata in data.get("generators", {}).items()
+        for gname, gdata in expect_object(data.get("generators", {}), "generators").items()
     }
 
     weq = WeqPredicate.from_json(data.get("weq"), maps)
 
     taus: dict[str, TauData] = {}
-    for tname, tdata in data.get("taus", {}).items():
+    for tname, tdata in expect_object(data.get("taus", {}), "taus").items():
         for end in ("src", "dst"):
             if tdata[end] not in generators:
                 raise ValidationError(f"taus.{tname}.{end}", f"unknown generators {tdata[end]}")
@@ -236,7 +244,7 @@ def from_json(data: dict) -> InstanceFile:
         tau.validate(f"taus.{tname}")
         taus[tname] = tau
 
-    adjunctions = dict(data.get("adjunctions", {}))
+    adjunctions = dict(expect_object(data.get("adjunctions", {}), "adjunctions"))
     for aname, desc in adjunctions.items():
         kind = desc.get("kind")
         if kind not in ("identity", "lan_res", "explicit"):
@@ -260,14 +268,17 @@ def from_json(data: dict) -> InstanceFile:
         weq=weq,
         taus=taus,
         adjunctions=adjunctions,
-        options=dict(data.get("options", {})),
+        options=dict(expect_object(data.get("options", {}), "options")),
         raw=data,
     )
 
 
 def load(path: str) -> InstanceFile:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValidationError("instance", str(exc)) from None
     return from_json(data)
 
 

@@ -24,7 +24,7 @@ from .lifting import (
     oracle_lift,
     solve_lift,
 )
-from .soa import ArrowRecord, GeneratedAwfs
+from .soa import ArrowRecord, CellRecord, GeneratedAwfs, walk_stages
 
 
 @dataclass
@@ -122,42 +122,18 @@ def coalgebra_from_cellular(
     fac = gen.factor(h)
     alg = gen.free_algebra(h)  # free algebra on the gen-right factor of h
     rt_arrow = ArrowObject(fac.right)
-    stage_count = len(target.stages)
-    current = fac.left  # s^0 = Ch: dom h -> Qh
-    for stage in range(1, stage_count):
-        prev_map = current
-        src = target.stages[stage]
-        tables = {o: [-1] * src.at[o].size for o in src.base.objects}
+    last = len(target.stages) - 1
 
-        def put(o, idx, val):
-            if tables[o][idx] == -1:
-                tables[o][idx] = val
-            elif tables[o][idx] != val:
-                raise ValidationError(
-                    "coalgebra_from_cellular", f"inconsistent assembly at {o}"
-                )
+    def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
+        z = zeta(cell.jname)
+        top = cell.square.u.then(prev_map)
+        bottom = cell.injection.then(target.inclusion_range(cell.stage, last))
+        return solve_lift(z, alg, Square(z.f, rt_arrow, top, bottom), gen.as_fact())
 
-        iota = target.inclusions[stage - 1]
-        for o in src.base.objects:
-            it = iota.components[o].table
-            pt = prev_map.components[o].table
-            for x, v in enumerate(it):
-                put(o, v, pt[x])
-        for cell in target.cells:
-            if cell.stage != stage:
-                continue
-            z = zeta(cell.jname)
-            j = z.f
-            top = cell.square.u.then(prev_map)
-            bottom = cell.injection.then(target.inclusion_range(stage, stage_count - 1))
-            fill = solve_lift(z, alg, Square(j, rt_arrow, top, bottom), gen.as_fact())
-            for o in src.base.objects:
-                ct = cell.injection.components[o].table
-                ft = fill.components[o].table
-                for y, idx in enumerate(ct):
-                    put(o, idx, ft[y])
-        current = PresheafMap.from_tables(src, fac.mid, tables)
-    return CoalgebraStructure(h, current)
+    s = walk_stages(
+        target, fac.left, fac.mid, fill, "coalgebra_from_cellular", "inconsistent assembly"
+    )
+    return CoalgebraStructure(h, s)
 
 
 def build_comparison(

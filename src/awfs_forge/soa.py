@@ -11,6 +11,7 @@ monic instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .arrows import ArrowObject, Awfs, Factored, FunctorialFactorization, Square
 from .core import (
@@ -20,6 +21,7 @@ from .core import (
     coproduct,
     check_cocone_factor,
     factor_through,
+    glue,
     pushout,
     quotient_presheaf,
 )
@@ -28,6 +30,7 @@ from .lifting import (
     CoalgebraStructure,
     GeneratorDiagram,
     LiftingFunction,
+    compose_lifting,
     enumerate_squares,
 )
 
@@ -50,23 +53,6 @@ class MonicityViolation(Exception):
 
 class UnconvergedArrow(Exception):
     """A free lifting function was requested of an unconverged factorization."""
-
-
-def induce_through(q: PresheafMap, value: PresheafMap) -> PresheafMap:
-    """Unique map out of a quotient: table[q(x)] = value(x), q surjective."""
-    tables = {}
-    for o in q.base.objects:
-        t = [-1] * q.dst.at[o].size
-        qt, vt = q.components[o].table, value.components[o].table
-        for x in range(q.src.at[o].size):
-            if t[qt[x]] == -1:
-                t[qt[x]] = vt[x]
-            elif t[qt[x]] != vt[x]:
-                raise ValidationError("induce_through", f"not constant on classes at {o}")
-        if any(v == -1 for v in t):
-            raise ValidationError("induce_through", f"quotient map not surjective at {o}")
-        tables[o] = t
-    return PresheafMap.from_tables(q.dst, value.dst, tables)
 
 
 @dataclass
@@ -149,17 +135,13 @@ def density_comonad(diagram: GeneratorDiagram, f) -> tuple[ArrowObject, Square]:
             cod_rels.append((cod_cop.legs[i2], conn.v.then(cod_cop.legs[i])))
     dom_q, dq = quotient_presheaf(dom_cop.apex, dom_rels)
     cod_q, cq = quotient_presheaf(cod_cop.apex, cod_rels)
-    blocks = check_cocone_factor(
-        dom_cop,
-        [diagram.arrow_of[j].f.then(cod_cop.legs[i]).then(cq) for i, (j, _) in enumerate(squares)],
-    )
-    l0 = induce_through(dq, blocks)
-    top = induce_through(
-        dq, check_cocone_factor(dom_cop, [sq.u for _, sq in squares])
-    )
-    bottom = induce_through(
-        cq, check_cocone_factor(cod_cop, [sq.v for _, sq in squares])
-    )
+    dom_legs = [leg.then(dq) for leg in dom_cop.legs]
+    cod_legs = [leg.then(cq) for leg in cod_cop.legs]
+    blocks = [diagram.arrow_of[j].f.then(leg) for (j, _), leg in zip(squares, cod_legs)]
+    where, problem = "density_comonad", "not constant on classes"
+    l0 = glue(dom_q, cod_q, zip(dom_legs, blocks), where, problem)
+    top = glue(dom_q, farr.dom, zip(dom_legs, (sq.u for _, sq in squares)), where, problem)
+    bottom = glue(cod_q, farr.cod, zip(cod_legs, (sq.v for _, sq in squares)), where, problem)
     l0_arr = ArrowObject(l0)
     counit = Square(l0_arr, farr, top, bottom)
     return l0_arr, counit
@@ -300,8 +282,8 @@ class GeneratedAwfs:
         new_stage, q = quotient_presheaf(cop.apex, rels)
         iota = inj0.then(q)
         injections = [cop.legs[i + 1].then(q) for i in range(len(attached))]
-        values = check_cocone_factor(cop, [r_prev] + [sq.v for _, sq, _ in attached])
-        r_new = induce_through(q, values)
+        legs, values = [iota] + injections, [r_prev] + [sq.v for _, sq, _ in attached]
+        r_new = glue(new_stage, r_prev.dst, zip(legs, values), "soa.stage", "inconsistent r")
         return new_stage, iota, injections, r_new
 
     def _partial_fill(self, stages, inclusions, cell_index, jname, sq: Square) -> PresheafMap:
@@ -371,7 +353,7 @@ class GeneratedAwfs:
                 bottom = cell.square.v.then(sq.v)
                 return self.free_fill(sq.dst, cell.jname, Square(j, rg, top, bottom))
 
-            self._esquares[sq] = _walk_stages(
+            self._esquares[sq] = walk_stages(
                 recf, sq.u.then(recg.left()), recg.mid(), fill,
                 "e_on_square", "inconsistent reindexing",
             )
@@ -413,7 +395,7 @@ def run_soa(diagram: GeneratorDiagram, variant: str = "monic", max_steps: int = 
     return GeneratedAwfs(diagram, variant=variant, max_steps=max_steps)
 
 
-def _walk_stages(
+def walk_stages(
     rec: ArrowRecord, start: PresheafMap, dst: Presheaf, fill, where: str, problem: str
 ) -> PresheafMap:
     """Extend `start` (out of E^0) stage by stage to a map E^N -> dst: each
@@ -421,23 +403,11 @@ def _walk_stages(
     `fill(cell, prev_map)` on every cell attached at that stage."""
     current = start
     for stage in range(1, len(rec.stages)):
-        target = rec.stages[stage]
-        tables = {o: [-1] * target.at[o].size for o in target.base.objects}
-
-        def put(into: PresheafMap, values: PresheafMap) -> None:
-            for o in target.base.objects:
-                t, vt = tables[o], values.components[o].table
-                for x, idx in enumerate(into.components[o].table):
-                    if t[idx] == -1:
-                        t[idx] = vt[x]
-                    elif t[idx] != vt[x]:
-                        raise ValidationError(where, f"{problem} at {o}")
-
-        put(rec.inclusions[stage - 1], current)
-        for cell in rec.cells:
-            if cell.stage == stage:
-                put(cell.injection, fill(cell, current))
-        current = PresheafMap.from_tables(target, dst, tables)
+        cells = (c for c in rec.cells if c.stage == stage)
+        parts = chain(
+            [(rec.inclusions[stage - 1], current)], ((c.injection, fill(c, current)) for c in cells)
+        )
+        current = glue(rec.stages[stage], dst, parts, where, problem)
     return current
 
 
@@ -450,7 +420,7 @@ def lifting_function_to_algebra(gen: GeneratedAwfs, lf: LiftingFunction) -> Alge
         j = gen.diagram.arrow_of[cell.jname]
         return lf.phi(cell.jname, Square(j, h, cell.square.u.then(prev_map), cell.square.v))
 
-    t = _walk_stages(
+    t = walk_stages(
         gen.record(h), PresheafMap.identity(h.dom), h.dom, fill,
         "lifting_function_to_algebra", "incoherent lifting function",
     )
@@ -460,8 +430,6 @@ def lifting_function_to_algebra(gen: GeneratedAwfs, lf: LiftingFunction) -> Alge
 def delta_from_composition(gen: GeneratedAwfs, f) -> PresheafMap:
     """Comultiplication from the composite of free algebras:
     δ_f = (μ_f • μ_{Lf}) ∘ E(L²f, 1)."""
-    from .lifting import compose_lifting
-
     farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
     rec = gen.record(farr)
     larr = ArrowObject(rec.left())

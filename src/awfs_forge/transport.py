@@ -17,6 +17,7 @@ from .core import (
     ValidationError,
     all_maps,
     coproduct,
+    glue,
     quotient_presheaf,
 )
 from .lifting import (
@@ -26,7 +27,7 @@ from .lifting import (
     check_coalgebra_laws,
 )
 from .model import AlgebraicModelStructure
-from .soa import GeneratedAwfs, induce_through, lifting_function_to_algebra
+from .soa import GeneratedAwfs, lifting_function_to_algebra
 
 
 @dataclass
@@ -266,7 +267,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
                         )
             raw_tabs[a] = t
         raw = PresheafMap.from_tables(b1.cop.apex, b2.cop.apex, raw_tabs)
-        return induce_through(b1.q, raw.then(b2.q))
+        return glue(b1.lan, b2.lan, [(b1.q, raw.then(b2.q))], "lan_map", "not constant on classes")
 
     def unit(p: Presheaf) -> PresheafMap:
         block = lan_block(p)
@@ -290,7 +291,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
                         t.append(q.act[alpha].table[y])
             value_tabs[a] = t
         value = PresheafMap.from_tables(block.cop.apex, q, value_tabs)
-        return induce_through(block.q, value)
+        return glue(block.lan, q, [(block.q, value)], "counit", "not constant on classes")
 
     return AdjunctionData(
         "lan_res", base0, base1, lan_obj, lan_map, restrict_obj, restrict_map, unit, counit

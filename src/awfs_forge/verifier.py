@@ -11,6 +11,7 @@ data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .arrows import ArrowObject, Awfs, FunctorialFactorization, Factored, Square, verify_awfs
 from .core import (
@@ -21,10 +22,12 @@ from .core import (
     canonical_dumps,
     eq_witness,
     factor_through,
+    glue,
     sha256_hex,
 )
 from .instance import InstanceFile
 from .lifting import GeneratorDiagram, enumerate_squares, oracle_lift, square_key
+from .model import bang, cobang
 
 
 class CertificateError(Exception):
@@ -98,23 +101,17 @@ def _walk_stages(
     `fill(cell, prev_map)`."""
     current = start
     for stage in range(1, len(rec.stages)):
-        target = rec.stages[stage]
-        tables = {o: [-1] * target.at[o].size for o in target.base.objects}
-
-        def put(into: PresheafMap, values: PresheafMap) -> None:
-            for o in target.base.objects:
-                t, vt = tables[o], values.components[o].table
-                for x, idx in enumerate(into.components[o].table):
-                    if t[idx] == -1:
-                        t[idx] = vt[x]
-                    elif t[idx] != vt[x]:
-                        raise CertificateError(where, problem)
-
-        put(rec.inclusions[stage - 1], current)
-        for c in rec.cells:
-            if c["stage"] == stage:
-                put(c["injection"], fill(c, current))
-        current = PresheafMap.from_tables(target, dst, tables)
+        cells = (c for c in rec.cells if c["stage"] == stage)
+        parts = chain(
+            [(rec.inclusions[stage - 1], current)],
+            ((c["injection"], fill(c, current)) for c in cells),
+        )
+        try:
+            current = glue(rec.stages[stage], dst, parts, where, problem)
+        except ValidationError as exc:
+            if exc.path != where:  # raised by a fill, not by the gluing
+                raise
+            raise CertificateError(where, problem) from None
     return current
 
 
@@ -534,8 +531,6 @@ def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
         probes.append(ArrowObject(f))
     xi_table = {instance.maps[n]: pools.m(k, "xi") for n, k in payload.get("xi", {}).items()}
     # replacement and chi tables: direct re-derivation from certified records
-    from .model import bang, cobang
-
     for name, block in payload.get("replacement", {}).items():
         where = f"replacement.{name}"
         x = instance.presheaves.get(name)
@@ -590,11 +585,10 @@ def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
         )
         _require(eq_witness(rec_rqx.left.then(chi_x), u) is None, where, "chi unit triangle")
         _require(eq_witness(chi_x.then(rec_qrx.right), v) is None, where, "chi counit triangle")
-        # chi is the canonical two-route lift; recompute route 2
-        s = engine_j.delta_replay(bang(qx), where)
-        xi_j = xi_table.get(rec_rqx.left)
-        if xi_j is None:
-            # derived arrow: xi at bang(qx) is not tabulated; pin by oracle membership
+        # chi is checked as a filler of its lifting problem (the two triangles
+        # above), not recomputed as the canonical two-route lift; where xi
+        # does not tabulate the arrow, it must also be among the oracle's fillers
+        if xi_table.get(rec_rqx.left) is None:
             fillers = oracle_lift(
                 ArrowObject(rec_rqx.left),
                 ArrowObject(rec_qrx.right),

@@ -18,6 +18,7 @@ from awfs_forge.core import (
     coequalizer,
     coproduct,
     eq_witness,
+    glue,
     pushout,
     quotient_presheaf,
 )
@@ -168,6 +169,28 @@ def test_cocone_factor_rejects_noncommuting_with_witness():
     with pytest.raises(NonCommutingCocone) as err:
         check_cocone_factor(rec, [u, v])
     assert err.value.base_object == "*"
+
+
+def test_glue_reproduces_a_cocone_factor_and_locates_its_failures():
+    f = finmap(1, 2, [0])
+    g = finmap(1, 1, [0])
+    rec = pushout(f, g)
+    u = finmap(2, 3, [1, 2])
+    v = finmap(1, 3, [1])
+    out = glue(rec.apex, u.dst, zip(rec.legs, [u, v]), "here", "clash")
+    assert out == check_cocone_factor(rec, [u, v])
+
+    def conflicting():
+        yield rec.legs[0], u
+        yield rec.legs[1], finmap(1, 3, [2])  # disagrees on the glued class
+        raise AssertionError("parts read past the first conflict")
+
+    with pytest.raises(ValidationError) as err:
+        glue(rec.apex, u.dst, conflicting(), "here", "clash")
+    assert (err.value.path, err.value.message) == ("here", "clash at *")
+    with pytest.raises(ValidationError) as err:
+        glue(rec.apex, u.dst, [(rec.legs[1], v)], "here", "clash")  # misses b1
+    assert err.value.path == "here"
 
 
 def test_quotient_smallest_representative_labeling():

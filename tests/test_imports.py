@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and package
+imports sit at the top of the module.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule: a name bound by an
 import statement anywhere in the module (functions included) must appear as a
 `Name` node somewhere in it.  Re-exports are not part of the package's style,
-so none are exempt.
+so none are exempt.  No module needs a function-local import to break an
+import cycle, so an import of the package inside a function is flagged too.
 """
 
 import ast
@@ -29,6 +31,26 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in unused]
 
 
+def _imports_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "awfs_forge"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "awfs_forge" for alias in node.names)
+    return False
+
+
+def local_package_imports(source: str) -> list[str]:
+    """Lines inside a function body that import from the package."""
+    lines = {
+        node.lineno
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if _imports_package(node)
+    }
+    return [f"line {line}" for line in sorted(lines)]
+
+
 def test_scanner_flags_an_unused_name():
     assert unused_imports("import os\nfrom json import dumps, loads\nloads('1')\n") == [
         "line 1: os",
@@ -37,6 +59,24 @@ def test_scanner_flags_an_unused_name():
     assert unused_imports("from x import a as b\nb()\n") == []
 
 
+def test_scanner_flags_a_function_local_package_import():
+    source = (
+        "from .core import glue\n"
+        "def f():\n"
+        "    import json\n"
+        "    from .soa import run_soa\n"
+        "    def g():\n"
+        "        import awfs_forge.model\n"
+        "    from . import fixtures\n"
+    )
+    assert local_package_imports(source) == ["line 4", "line 6", "line 7"]
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_the_package_at_top_level(module):
+    assert local_package_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

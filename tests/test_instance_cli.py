@@ -4,7 +4,7 @@ import copy
 import pytest
 
 from awfs_forge.cli import main
-from awfs_forge.core import ValidationError, canonical_dumps
+from awfs_forge.core import ValidationError, canonical_dumps, sha256_hex
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.instance import from_json, load
 from awfs_forge.verifier import verify_certificate
@@ -162,6 +162,24 @@ def test_model_command(tmp_path):
     assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 0
 
 
+def test_verify_cert_rejects_a_swapped_chi(tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert main(["model", "--fixture", "FIX-M", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    payload = cert["payload"]
+    content = copy.deepcopy(payload["maps"][payload["chi"]["s1"]])
+    table = content["components"]["*"]
+    assert table[0] != table[1]
+    table[0], table[1] = table[1], table[0]
+    key = "m" + sha256_hex(canonical_dumps(content))[:16]
+    payload["maps"][key] = content
+    payload["chi"]["s1"] = key
+    out.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 3
+    assert capsys.readouterr().out.startswith("certificate REJECTED: chi.s1: ")
+
+
 def test_model_command_reports_failed_axiom_graph(tmp_path, capsys):
     out = tmp_path / "modelg.json"
     assert main(["model", "--fixture", "FIX-G", "--out", str(out)]) == 3
@@ -203,8 +221,20 @@ def _set(raw, keys, value):
         ((), [1, 2], "instance"),
         (("presheaves", "edge", "act"), "oops", "presheaves.edge.act"),
         (("maps", "f_vp", "components"), None, "maps.f_vp.components"),
+        (("generators",), "x", "generators"),
+        (("taus",), "x", "taus"),
+        (("adjunctions",), "x", "adjunctions"),
+        (("bases",), "x", "bases"),
+        (("options",), "x", "options"),
+        (("generators", "J", "arrows"), "x", "generators.J.arrows"),
+        (("maps", "f_vp", "src"), ["v"], "maps.f_vp.src"),
+        (("base", "objects"), 5, "base.objects"),
     ],
-    ids=["top-level-list", "act-string", "components-null"],
+    ids=[
+        "top-level-list", "act-string", "components-null", "generators-string",
+        "taus-string", "adjunctions-string", "bases-string", "options-string",
+        "generator-arrows-string", "map-src-list", "base-objects-number",
+    ],
 )
 def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, capsys):
     raw = value if not keys else fixture_raw("FIX-G")
@@ -215,6 +245,17 @@ def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, 
     assert main(["validate", str(inst)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda b: b[:50], lambda b: b"\xff" + b], ids=["truncated", "not-utf8"]
+)
+def test_validate_rejects_unreadable_instance_files(damage, tmp_path, capsys):
+    inst = tmp_path / "bad.json"
+    inst.write_bytes(damage(canonical_dumps(fixture_raw("FIX-G")).encode("utf-8")))
+    assert main(["validate", str(inst)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: instance: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("damage", ["truncate", "stage_tables"])
