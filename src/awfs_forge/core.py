@@ -13,7 +13,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 
 def canonical_dumps(obj) -> str:
@@ -39,6 +38,14 @@ def expect_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(path, "must be a JSON object")
     return value
+
+
+def expect_table(value, path: str) -> tuple[int, ...]:
+    """`value` as a table if it is a JSON list of integers (booleans are not
+    integers here), else a ValidationError at `path`."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ValidationError(path, "must be a JSON list of integers")
+    return tuple(value)
 
 
 class NonCommutingCocone(Exception):
@@ -364,7 +371,11 @@ class Presheaf:
 
     @staticmethod
     def from_json(base: FiniteCategory, data: dict, path: str = "presheaf") -> "Presheaf":
-        at = {o: FinSet(int(n)) for o, n in expect_object(data.get("at"), f"{path}.at").items()}
+        at = {}
+        for o, n in expect_object(data.get("at"), f"{path}.at").items():
+            if type(n) is not int or n < 0:
+                raise ValidationError(f"{path}.at.{o}", "must be a nonnegative integer")
+            at[o] = FinSet(n)
         for o in base.objects:
             if o not in at:
                 raise ValidationError(f"{path}.at.{o}", "missing object")
@@ -373,7 +384,10 @@ class Presheaf:
             if m not in base.morphisms:
                 raise ValidationError(f"{path}.act.{m}", "unknown base morphism")
             a, b = base.morphisms[m]
-            act[m] = FinFunction(at[b], at[a], tuple(int(v) for v in table))
+            try:
+                act[m] = FinFunction(at[b], at[a], expect_table(table, f"{path}.act.{m}"))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}.act.{m}", exc.message) from None
         return Presheaf(base, at, act)
 
     @staticmethod
@@ -741,59 +755,104 @@ def check_cocone_factor(record: ColimitRecord, cocone: list[PresheafMap]) -> Pre
 # Exhaustive enumeration of natural transformations
 
 
+def search_maps(src: Presheaf, dst: Presheaf, allowed=None) -> tuple[PresheafMap, ...]:
+    """Every natural transformation src -> dst whose value at each element x of
+    src(o) lies in `allowed(o, x)`, an iterable of elements of dst(o) (all of
+    them when `allowed` is None), in lexicographic table order.
+
+    One variable per element, in base-object order and then element order,
+    tried in ascending order.  Naturality at m: a -> b is a binary constraint
+    value(a, src.act[m][x]) == dst.act[m][value(b, x)] for each x in src(b);
+    each assignment prunes the domains of the later variables it constrains
+    (forward checking), and a branch that empties one is cut.
+    """
+    base = src.base
+    spans, n = {}, 0  # the variables of src(o) are range(*spans[o])
+    for o in base.objects:
+        spans[o] = (n, n + src.at[o].size)
+        n = spans[o][1]
+    cells = [(o, x) for o in base.objects for x in range(src.at[o].size)]
+    if allowed is None:
+        domains = [tuple(range(dst.at[o].size)) for o, _ in cells]
+    else:
+        domains = [tuple(sorted(allowed(o, x))) for o, x in cells]
+    # forward[i]: (j, table, forces) for each later variable j that variable i
+    # constrains; `forces` when value(j) == table[value(i)], else when
+    # table[value(j)] == value(i).
+    forward: list[list[tuple[int, tuple[int, ...], bool]]] = [[] for _ in cells]
+    identities = set(base.identities.values())
+    for m, (a, b) in base.morphisms.items():
+        if m in identities:
+            continue
+        d = dst.act[m].table
+        for x, y in enumerate(src.act[m].table):
+            i, j = spans[b][0] + x, spans[a][0] + y
+            if i == j:
+                domains[i] = tuple(v for v in domains[i] if d[v] == v)
+            elif i < j:
+                forward[i].append((j, d, True))
+            else:
+                forward[j].append((i, d, False))
+    if not all(domains):
+        return ()
+
+    # from `free` on no variable constrains a later one, so their domains stay
+    # fixed there and every combination of them is a solution
+    free = n
+    while free and not forward[free - 1]:
+        free -= 1
+    value = [0] * free
+    maps: list[PresheafMap] = []
+
+    def emit() -> None:
+        tails = [()]
+        for dom in domains[free:]:
+            tails = [t + (v,) for t in tails for v in dom]
+        head = tuple(value)
+        for t in tails:
+            row = head + t
+            comps = {o: FinFunction(src.at[o], dst.at[o], row[lo:hi]) for o, (lo, hi) in spans.items()}
+            maps.append(PresheafMap(src, dst, comps))
+
+    # depth-first without recursion: untried[i] holds the values variable i
+    # has not yet taken, pruned[i] the domains its current value narrowed
+    untried = [iter(domains[0])] if free else []
+    pruned: list[list[tuple[int, tuple[int, ...]]]] = [[]] if free else []
+    if not free:
+        emit()
+    while untried:
+        i = len(untried) - 1
+        for j, dom in reversed(pruned[i]):
+            domains[j] = dom
+        pruned[i] = []
+        v = next(untried[i], None)
+        if v is None:
+            untried.pop()
+            pruned.pop()
+            continue
+        value[i] = v
+        for j, d, forces in forward[i]:
+            dom = domains[j]
+            pruned[i].append((j, dom))
+            if forces:
+                w = d[v]
+                domains[j] = (w,) if w in dom else ()
+            else:
+                domains[j] = tuple(e for e in dom if d[e] == v)
+            if not domains[j]:
+                break
+        else:
+            if i + 1 == free:
+                emit()
+            else:
+                untried.append(iter(domains[i + 1]))
+                pruned.append([])
+    return tuple(maps)
+
+
 @lru_cache(maxsize=None)
 def _all_maps_cached(src: Presheaf, dst: Presheaf) -> tuple[PresheafMap, ...]:
-    base = src.base
-    objs = list(base.objects)
-    constraints: dict[str, list[tuple[str, str]]] = {o: [] for o in objs}
-    for m, (a, b) in base.morphisms.items():
-        if a != b or m != base.identities[a]:
-            constraints[b].append((m, a))
-
-    results: list[PresheafMap] = []
-    chosen: dict[str, tuple[int, ...]] = {}
-
-    def ok_so_far(obj: str) -> bool:
-        for m, a in constraints[obj]:
-            if a not in chosen:
-                continue
-            # naturality for m: a -> obj: comp_a ∘ src.act[m] == dst.act[m] ∘ comp_obj
-            sa, da = src.act[m].table, dst.act[m].table
-            ca, cb = chosen[a], chosen[obj]
-            for x in range(src.at[obj].size):
-                if ca[sa[x]] != da[cb[x]]:
-                    return False
-        for o2 in objs:
-            if o2 not in chosen:
-                continue
-            for m, a in constraints[o2]:
-                if a == obj:
-                    sa, da = src.act[m].table, dst.act[m].table
-                    ca, cb = chosen[obj], chosen[o2]
-                    for x in range(src.at[o2].size):
-                        if ca[sa[x]] != da[cb[x]]:
-                            return False
-        return True
-
-    def rec(i: int) -> None:
-        if i == len(objs):
-            comps = {
-                o: FinFunction(src.at[o], dst.at[o], chosen[o]) for o in objs
-            }
-            results.append(PresheafMap(src, dst, comps))
-            return
-        o = objs[i]
-        n, k = src.at[o].size, dst.at[o].size
-        if n > 0 and k == 0:
-            return
-        for table in product(range(k), repeat=n):
-            chosen[o] = table
-            if ok_so_far(o):
-                rec(i + 1)
-            del chosen[o]
-
-    rec(0)
-    return tuple(results)
+    return search_maps(src, dst)
 
 
 def all_maps(src: Presheaf, dst: Presheaf) -> tuple[PresheafMap, ...]:

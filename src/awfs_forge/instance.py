@@ -18,6 +18,7 @@ from .core import (
     ValidationError,
     canonical_dumps,
     expect_object,
+    expect_table,
     sha256_hex,
 )
 from .lifting import GeneratorDiagram
@@ -144,8 +145,33 @@ class InstanceFile:
 
 def _category(data, path: str) -> FiniteCategory:
     """A base or shape category read from JSON, its shape checked at `path`."""
-    if not isinstance(expect_object(data, path).get("objects"), list):
-        raise ValidationError(f"{path}.objects", "must be a JSON list")
+    objects = expect_object(data, path).get("objects")
+    if not isinstance(objects, list) or any(not isinstance(o, str) for o in objects):
+        raise ValidationError(f"{path}.objects", "must be a JSON list of strings")
+    morphisms = data.get("morphisms", [])
+    if not isinstance(morphisms, list):
+        raise ValidationError(f"{path}.morphisms", "must be a JSON list")
+    for i, m in enumerate(morphisms):
+        where = f"{path}.morphisms[{i}]"
+        if not isinstance(expect_object(m, where).get("name"), str):
+            raise ValidationError(f"{where}.name", "must be a string")
+        for end in ("src", "dst"):
+            if m.get(end) not in objects:
+                raise ValidationError(f"{where}.{end}", f"unknown object {m.get(end)!r}")
+    identities = data.get("identities") or {o: f"id_{o}" for o in objects}
+    if not isinstance(identities, dict) or set(identities) != set(objects) or any(
+        not isinstance(i, str) for i in identities.values()
+    ):
+        raise ValidationError(f"{path}.identities", "must name one identity for each object")
+    names = {m["name"] for m in morphisms} | set(identities.values())
+    composition = data.get("composition", [])
+    if not isinstance(composition, list):
+        raise ValidationError(f"{path}.composition", "must be a JSON list")
+    for i, triple in enumerate(composition):
+        if not isinstance(triple, list) or len(triple) != 3 or any(
+            not isinstance(n, str) or n not in names for n in triple
+        ):
+            raise ValidationError(f"{path}.composition[{i}]", "must be [g, f, g∘f], morphism names")
     return FiniteCategory.from_json(data)
 
 
@@ -211,7 +237,8 @@ def from_json(data: dict) -> InstanceFile:
     maps: dict[str, PresheafMap] = {}
     for mname, mdata in data.get("maps", {}).items():
         expect_object(mdata, f"maps.{mname}")
-        expect_object(mdata.get("components"), f"maps.{mname}.components")
+        for o, table in expect_object(mdata.get("components"), f"maps.{mname}.components").items():
+            expect_table(table, f"maps.{mname}.components.{o}")
         for end in ("src", "dst"):
             if not isinstance(mdata.get(end), str) or mdata[end] not in presheaves:
                 raise ValidationError(f"maps.{mname}.{end}", f"unknown presheaf {mdata.get(end)}")

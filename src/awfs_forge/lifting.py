@@ -14,6 +14,7 @@ from .core import (
     ValidationError,
     all_maps,
     eq_witness,
+    search_maps,
 )
 
 
@@ -101,12 +102,15 @@ def square_key(u: PresheafMap, v: PresheafMap) -> str:
 
 @lru_cache(maxsize=None)
 def _squares_into_cached(j: ArrowObject, g: ArrowObject) -> tuple[Square, ...]:
-    out = []
+    # (u, v) commutes exactly when u;g == j;v: join the two homs on that map
+    tops: dict[PresheafMap, list[PresheafMap]] = {}
     for u in all_maps(j.dom, g.dom):
-        for v in all_maps(j.cod, g.cod):
-            sq = Square(j, g, u, v)
-            if sq.commutes():
-                out.append(sq)
+        tops.setdefault(u.then(g.f), []).append(u)
+    out = [
+        Square(j, g, u, v)
+        for v in all_maps(j.cod, g.cod)
+        for u in tops.get(j.f.then(v), ())
+    ]
     out.sort(key=lambda s: square_key(s.u, s.v))
     return tuple(out)
 
@@ -120,14 +124,31 @@ def oracle_lift(j: ArrowObject, g: ArrowObject, sq: Square) -> list[PresheafMap]
     """ALL diagonal fillers of the square, in canonical table order.
 
     This is the module's ground truth: it never consults any engine structure.
+    A filler w is searched for directly: on the image of j it is fixed by
+    j;w = u, and elsewhere it ranges over the fibre of g over v.
     """
     if sq.src != j or sq.dst != g:
         raise ValidationError("oracle_lift", "square does not connect j to g")
-    fills = []
-    for w in all_maps(j.cod, g.dom):
-        if j.f.then(w) == sq.u and w.then(g.f) == sq.v:
-            fills.append(w)
-    return fills
+    u, v = sq.u, sq.v
+    if u.src != j.dom or u.dst != g.dom or v.src != j.cod or v.dst != g.cod:
+        return []
+    fibres, fixed = {}, {}
+    for o in j.base.objects:
+        fibres[o] = [[] for _ in range(g.cod.at[o].size)]
+        for e, image in enumerate(g.f.components[o].table):
+            fibres[o][image].append(e)
+        fixed[o] = {}
+        for x, y in enumerate(j.f.components[o].table):
+            fixed[o].setdefault(y, set()).add(u.components[o].table[x])
+
+    def allowed(o: str, y: int):
+        fibre = fibres[o][v.components[o].table[y]]
+        values = fixed[o].get(y)
+        if values is None:
+            return fibre
+        return values.intersection(fibre) if len(values) == 1 else ()
+
+    return list(search_maps(j.cod, g.dom, allowed))
 
 
 @dataclass(eq=False)

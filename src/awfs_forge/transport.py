@@ -15,7 +15,6 @@ from .core import (
     Presheaf,
     PresheafMap,
     ValidationError,
-    all_maps,
     coproduct,
     glue,
     quotient_presheaf,
@@ -25,6 +24,7 @@ from .lifting import (
     GeneratorDiagram,
     LiftingFunction,
     check_coalgebra_laws,
+    oracle_lift,
 )
 from .model import AlgebraicModelStructure
 from .soa import GeneratedAwfs, lifting_function_to_algebra
@@ -694,14 +694,11 @@ def pointwise_agreement(
         fac_inner = gen_inner.factor(comp_arrow)
         left_a = extract_component_map(fac.left, a, inner, index)
         right_a = extract_component_map(fac.right, a, inner, index)
-        mid_a = left_a.dst
-        isos = [
-            psi
-            for psi in all_maps(fac_inner.mid, mid_a)
-            if psi.is_bijective()
-            and fac_inner.left.then(psi) == left_a
-            and psi.then(right_a) == fac_inner.right
-        ]
+        # psi is a diagonal filler of the square (left_a, fac_inner.right)
+        # from fac_inner.left to right_a
+        j, g = ArrowObject(fac_inner.left), ArrowObject(right_a)
+        fillers = oracle_lift(j, g, Square(j, g, left_a, fac_inner.right))
+        isos = [psi for psi in fillers if psi.is_bijective()]
         report.record(f"pointwise.iso", a, bool(isos))
         if isos:
             psi = isos[0]

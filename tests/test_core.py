@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awfs_forge.arrows import ArrowObject
+from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import (
     FinFunction,
     FinSet,
@@ -23,6 +25,8 @@ from awfs_forge.core import (
     quotient_presheaf,
 )
 from awfs_forge.fixtures import finmap, finset, graph, graph_map
+from awfs_forge.lifting import enumerate_squares, oracle_lift, square_key
+from brute_force import brute_force_maps
 
 PT = FiniteCategory.point()
 
@@ -226,6 +230,17 @@ def test_quotient_independent_of_relation_order(n, pairs, seed):
     assert m1 == m2
 
 
+def test_all_maps_path6_to_cycle6_is_the_six_rotations():
+    n = 6
+    path = graph(n, n - 1, list(range(n - 1)), list(range(1, n)))
+    cycle = graph(n, n, list(range(n)), [(i + 1) % n for i in range(n)])
+    rotations = [
+        {"V": [(i + k) % n for i in range(n)], "E": [(i + k) % n for i in range(n - 1)]}
+        for k in range(n)
+    ]
+    assert [m.table_json() for m in all_maps(path, cycle)] == rotations
+
+
 def test_all_maps_canonical_order_and_naturality():
     maps = all_maps(finset(1), finset(2))
     assert [m.components["*"].table for m in maps] == [(0,), (1,)]
@@ -244,9 +259,10 @@ BASES = (FiniteCategory.point(), FiniteCategory.graph_base(), FiniteCategory.wal
 
 
 @st.composite
-def presheaves(draw, base):
-    """Small presheaves; these bases have no composites, so any tables act."""
-    at = {o: draw(st.integers(0, 2)) for o in base.objects}
+def presheaves(draw, base, top=2):
+    """Presheaves with at most `top` elements per object; these bases have no
+    composites, so any tables act."""
+    at = {o: draw(st.integers(0, top)) for o in base.objects}
     arrows = [base.morphisms[m] for m in base.nonidentity_morphisms()]
     for a, b in arrows:
         if at[a] == 0:
@@ -309,3 +325,86 @@ def test_type_mismatch_witness_bytes():
         "lhs": '{"components":{"*":[0]},"dst":"7ab60d947e1435088d8a612f31b7c6691106dd1d13836ae428168abde2417d00","src":"%s"}' % src,
         "rhs": '{"components":{"*":[0]},"dst":"6cc29754cee23ba9100280e75c7d3bdb2f5362c244baa401c376e6e43a793492","src":"%s"}' % src,
     }
+
+
+# -- hom search against the brute-force reference ----------------------------
+
+IDEMPOTENT = FiniteCategory(
+    ("x",),
+    {"id_x": ("x", "x"), "e": ("x", "x")},
+    {("e", "e"): "e"},
+    {"x": "id_x"},
+)
+
+
+@st.composite
+def idempotents(draw, top=3):
+    """A set with an idempotent endomorphism: each element goes to a fixed point."""
+    n = draw(st.integers(0, top))
+    fixed = [i == 0 or draw(st.booleans()) for i in range(n)]
+    points = [i for i in range(n) if fixed[i]]
+    table = [i if fixed[i] else draw(st.sampled_from(points)) for i in range(n)]
+    return Presheaf.from_json(IDEMPOTENT, {"at": {"x": n}, "act": {"e": table}})
+
+
+def small_presheaves(base):
+    return idempotents() if base is IDEMPOTENT else presheaves(base, top=3)
+
+
+# the opposite walking arrow lists its arrow's codomain first, so the search
+# meets both orientations of a naturality constraint
+SEARCH_BASES = BASES + (FiniteCategory.walking_arrow().opposite(), IDEMPOTENT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_all_maps_equals_brute_force_in_order(data):
+    base = data.draw(st.sampled_from(SEARCH_BASES))
+    src, dst = data.draw(small_presheaves(base)), data.draw(small_presheaves(base))
+    src.validate()
+    dst.validate()
+    assert all_maps(src, dst) == brute_force_maps(src, dst)
+
+
+def draw_map(data, src, dst):
+    homs = all_maps(src, dst)
+    return data.draw(st.sampled_from(homs)) if homs else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_squares_and_fillers_equal_filtered_homs(data):
+    base = data.draw(st.sampled_from(SEARCH_BASES))
+    a, b, c, d = (data.draw(small_presheaves(base)) for _ in range(4))
+    jf, gf = draw_map(data, a, b), draw_map(data, c, d)
+    if jf is None or gf is None:
+        return
+    j, g = ArrowObject(jf), ArrowObject(gf)
+    squares = enumerate_squares(j, g)
+    pairs = (Square(j, g, u, v) for u in all_maps(a, c) for v in all_maps(b, d))
+    commuting = [sq for sq in pairs if sq.commutes()]
+    assert list(squares) == sorted(commuting, key=lambda sq: square_key(sq.u, sq.v))
+    if squares and data.draw(st.booleans()):
+        sq = data.draw(st.sampled_from(squares))
+    else:
+        u, v = draw_map(data, a, c), draw_map(data, b, d)
+        if u is None or v is None:
+            return
+        sq = Square(j, g, u, v)
+    fillers = [w for w in all_maps(b, c) if j.f.then(w) == sq.u and w.then(g.f) == sq.v]
+    assert oracle_lift(j, g, sq) == fillers
+
+
+def test_search_is_not_bounded_by_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    path = ArrowObject(PresheafMap.identity(graph(n, n - 1, list(range(n - 1)), list(range(1, n)))))
+    ident = Square(path, path, path.f, path.f)
+    assert oracle_lift(path, path, ident) == [path.f]
+
+
+def test_oracle_lift_on_a_non_injective_generator():
+    j = g = ArrowObject(finmap(2, 1, [0, 0]))
+    agreeing = Square(j, g, finmap(2, 2, [1, 1]), finmap(1, 1, [0]))
+    conflicting = Square(j, g, finmap(2, 2, [0, 1]), finmap(1, 1, [0]))
+    assert oracle_lift(j, g, agreeing) == [finmap(1, 2, [1])]
+    assert oracle_lift(j, g, conflicting) == []

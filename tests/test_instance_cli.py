@@ -229,11 +229,25 @@ def _set(raw, keys, value):
         (("generators", "J", "arrows"), "x", "generators.J.arrows"),
         (("maps", "f_vp", "src"), ["v"], "maps.f_vp.src"),
         (("base", "objects"), 5, "base.objects"),
+        (("base", "objects"), [1, 2], "base.objects"),
+        (("base", "morphisms", 0, "src"), "Q", "base.morphisms[0].src"),
+        (("base", "morphisms", 0), "s", "base.morphisms[0]"),
+        (("base", "identities"), {"V": "id_V"}, "base.identities"),
+        (("base", "composition"), [["s"]], "base.composition[0]"),
+        (("presheaves", "edge", "act", "s"), [7], "presheaves.edge.act.s"),
+        (("presheaves", "edge", "act", "s"), [0, 1], "presheaves.edge.act.s"),
+        (("presheaves", "edge", "act", "s"), [True], "presheaves.edge.act.s"),
+        (("presheaves", "edge", "at", "V"), 1.5, "presheaves.edge.at.V"),
+        (("presheaves", "edge", "at", "V"), True, "presheaves.edge.at.V"),
+        (("maps", "f_vp", "components", "V"), [True], "maps.f_vp.components.V"),
     ],
     ids=[
         "top-level-list", "act-string", "components-null", "generators-string",
         "taus-string", "adjunctions-string", "bases-string", "options-string",
         "generator-arrows-string", "map-src-list", "base-objects-number",
+        "base-objects-numbers", "morphism-unknown-object", "morphism-string",
+        "identities-incomplete", "composition-not-a-triple", "act-out-of-range",
+        "act-wrong-length", "act-boolean", "at-float", "at-boolean", "components-boolean",
     ],
 )
 def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, capsys):
