@@ -408,3 +408,8 @@ def test_oracle_lift_on_a_non_injective_generator():
     conflicting = Square(j, g, finmap(2, 2, [0, 1]), finmap(1, 1, [0]))
     assert oracle_lift(j, g, agreeing) == [finmap(1, 2, [1])]
     assert oracle_lift(j, g, conflicting) == []
+
+
+def test_oracle_lift_of_an_ill_typed_square_is_empty():
+    j = g = ArrowObject(finmap(2, 1, [0, 0]))
+    assert oracle_lift(j, g, Square(j, g, finmap(2, 3, [0, 0]), finmap(1, 1, [0]))) == []
