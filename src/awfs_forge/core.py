@@ -3,8 +3,11 @@ and pointwise finite colimits with deterministic quotient labeling.
 
 Everything here is immutable after construction and every operation is a pure
 function.  Presheaves and maps compare and hash by their tables (a tuple
-built once per value); canonical JSON and sha256 appear only at the
-certificate boundary, where content is written or checked.
+built once per value, its hash cached); canonical JSON and sha256 appear only
+at the certificate boundary, where content is written or checked.  Tables
+from input are range-checked where they are parsed; the kernel's own results
+(composites, identities, colimits, glued maps, factorizations, searched maps)
+are built with `FinFunction._trusted`, which skips that check.
 """
 
 from __future__ import annotations
@@ -86,6 +89,18 @@ class FinFunction:
             if not (0 <= v < self.dst.size):
                 raise ValidationError("FinFunction.table", f"entry {i} -> {v} out of range")
 
+    @classmethod
+    def _trusted(cls, src: FinSet, dst: FinSet, table: tuple[int, ...]) -> "FinFunction":
+        """A kernel result whose table is known to fit src and dst: built
+        without the check that input tables go through."""
+        fn = object.__new__(cls)
+        # field by field, as the frozen __init__ does: keeps the compact
+        # attribute storage that a __dict__ update would give up
+        object.__setattr__(fn, "src", src)
+        object.__setattr__(fn, "dst", dst)
+        object.__setattr__(fn, "table", table)
+        return fn
+
     def __call__(self, x: int) -> int:
         return self.table[x]
 
@@ -93,7 +108,8 @@ class FinFunction:
         """Diagrammatic composite: self followed by other."""
         if self.dst != other.src:
             raise ValidationError("FinFunction.then", "codomain/domain mismatch")
-        return FinFunction(self.src, other.dst, tuple(other.table[v] for v in self.table))
+        t = other.table
+        return FinFunction._trusted(self.src, other.dst, tuple([t[v] for v in self.table]))
 
     def after(self, other: "FinFunction") -> "FinFunction":
         """Classical composite self ∘ other."""
@@ -101,7 +117,7 @@ class FinFunction:
 
     @staticmethod
     def identity(s: FinSet) -> "FinFunction":
-        return FinFunction(s, s, tuple(range(s.size)))
+        return FinFunction._trusted(s, s, tuple(range(s.size)))
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
@@ -328,12 +344,20 @@ class Presheaf:
         self.act = act
         sizes = tuple(self.at[o].size for o in self.base.objects)
         self._id = (self.base, sizes, tuple(sorted((m, fn.table) for m, fn in act.items())))
+        self._hash = hash(self._id)
 
     def __eq__(self, other) -> bool:
-        return self is other or (type(other) is Presheaf and self._id == other._id)
+        return self is other or (
+            type(other) is Presheaf and self._hash == other._hash and self._id == other._id
+        )
 
     def __hash__(self) -> int:
-        return hash(self._id)
+        return self._hash
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """The size at each base object, in base-object order."""
+        return self._id[1]
 
     def size_at(self, obj: str) -> int:
         return self.at[obj].size
@@ -423,14 +447,26 @@ class PresheafMap:
     components: dict[str, FinFunction]
 
     def __post_init__(self):
-        tables = tuple(self.components[o].table for o in self.src.base.objects)
-        self._id = (self.src, self.dst, tables)
+        comps = self.components
+        self._id = (self.src, self.dst, tuple([comps[o].table for o in self.src.base.objects]))
+
+    # hash(_id), cached on first use: most maps a search lists are never hashed
+    _hash = None
 
     def __eq__(self, other) -> bool:
-        return self is other or (type(other) is PresheafMap and self._id == other._id)
+        return self is other or (
+            type(other) is PresheafMap and hash(self) == hash(other) and self._id == other._id
+        )
 
     def __hash__(self) -> int:
-        return hash(self._id)
+        if self._hash is None:
+            self._hash = hash(self._id)
+        return self._hash
+
+    @property
+    def tables(self) -> tuple[tuple[int, ...], ...]:
+        """The component tables, in base-object order."""
+        return self._id[2]
 
     @property
     def base(self) -> FiniteCategory:
@@ -465,14 +501,29 @@ class PresheafMap:
     def then(self, other: "PresheafMap") -> "PresheafMap":
         if self.dst != other.src:
             raise ValidationError("map.then", "codomain/domain mismatch")
-        return PresheafMap(
-            self.src,
-            other.dst,
-            {o: self.components[o].then(other.components[o]) for o in self.base.objects},
-        )
+        comps = {}
+        for o in self.src.base.objects:
+            fn, t = self.components[o], other.components[o].table
+            table = tuple([t[v] for v in fn.table])
+            comps[o] = FinFunction._trusted(fn.src, other.dst.at[o], table)
+        return PresheafMap(self.src, other.dst, comps)
 
     def after(self, other: "PresheafMap") -> "PresheafMap":
         return other.then(self)
+
+    def retarget(self, dst: Presheaf) -> "PresheafMap":
+        """The same tables with codomain `dst`, of which self.dst must be a
+        prefix sub-presheaf (each dst(o) starts with self.dst(o)): the
+        composite of self with a prefix inclusion."""
+        if dst is self.dst:
+            return self
+        if any(k < n for k, n in zip(dst.sizes, self.dst.sizes)):
+            raise ValidationError("map.retarget", "codomain smaller than the current one")
+        comps = {
+            o: FinFunction._trusted(fn.src, dst.at[o], fn.table)
+            for o, fn in self.components.items()
+        }
+        return PresheafMap(self.src, dst, comps)
 
     @staticmethod
     def identity(p: Presheaf) -> "PresheafMap":
@@ -494,10 +545,8 @@ class PresheafMap:
 
     @staticmethod
     def from_tables(src: Presheaf, dst: Presheaf, tables: dict) -> "PresheafMap":
-        comps = {
-            o: FinFunction(src.at[o], dst.at[o], tuple(int(v) for v in tables[o]))
-            for o in src.base.objects
-        }
+        """A map from per-object tables, each checked to fit src and dst."""
+        comps = {o: FinFunction(src.at[o], dst.at[o], tuple(tables[o])) for o in src.base.objects}
         return PresheafMap(src, dst, comps)
 
 
@@ -526,8 +575,8 @@ def eq_witness(m1: PresheafMap, m2: PresheafMap):
     return None
 
 
-def factor_through(u: PresheafMap, incl: PresheafMap) -> PresheafMap | None:
-    """The unique u' with incl ∘ u' = u, when it exists (incl injective)."""
+def inverse_lookup(incl: PresheafMap) -> dict[str, dict[int, int]]:
+    """Per base object, each value of an injective map's table -> its element."""
     lookup = {}
     for o in incl.base.objects:
         lookup[o] = {}
@@ -535,15 +584,26 @@ def factor_through(u: PresheafMap, incl: PresheafMap) -> PresheafMap | None:
             if v in lookup[o]:
                 raise ValidationError("factor_through", "inclusion is not injective")
             lookup[o][v] = x
-    tables = {}
+    return lookup
+
+
+def factor_through(
+    u: PresheafMap, incl: PresheafMap, lookup: dict[str, dict[int, int]] | None = None
+) -> PresheafMap | None:
+    """The unique u' with incl ∘ u' = u, when it exists (incl injective).
+    `lookup` is `inverse_lookup(incl)`, when the caller keeps it."""
+    if lookup is None:
+        lookup = inverse_lookup(incl)
+    comps = {}
     for o in u.base.objects:
+        inv = lookup[o]
         t = []
         for v in u.components[o].table:
-            if v not in lookup[o]:
+            if v not in inv:
                 return None
-            t.append(lookup[o][v])
-        tables[o] = t
-    return PresheafMap.from_tables(u.src, incl.src, tables)
+            t.append(inv[v])
+        comps[o] = FinFunction._trusted(u.src.at[o], incl.src.at[o], tuple(t))
+    return PresheafMap(u.src, incl.src, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +665,15 @@ def coproduct(parts: list[Presheaf], base: FiniteCategory | None = None) -> Coli
         table = []
         for i, p in enumerate(parts):
             table.extend(offsets[a][i] + v for v in p.act[m].table)
-        act[m] = FinFunction(at[b], at[a], tuple(table))
+        act[m] = FinFunction._trusted(at[b], at[a], tuple(table))
     apex = Presheaf(base, at, act)
     legs = tuple(
         PresheafMap(
             p,
             apex,
             {
-                o: FinFunction(
-                    p.at[o], at[o], tuple(offsets[o][i] + x for x in range(p.at[o].size))
+                o: FinFunction._trusted(
+                    p.at[o], at[o], tuple(range(offsets[o][i], offsets[o][i] + p.at[o].size))
                 )
                 for o in base.objects
             },
@@ -666,14 +726,14 @@ def quotient_presheaf(
     act = {}
     for m, (a, b) in base.morphisms.items():
         old = x.act[m]
-        act[m] = FinFunction(
+        act[m] = FinFunction._trusted(
             at[b], at[a], tuple(labels[a][old.table[reps[b][c]]] for c in range(counts[b]))
         )
     q_presheaf = Presheaf(base, at, act)
     q_map = PresheafMap(
         x,
         q_presheaf,
-        {o: FinFunction(x.at[o], at[o], tuple(labels[o])) for o in base.objects},
+        {o: FinFunction._trusted(x.at[o], at[o], tuple(labels[o])) for o in base.objects},
     )
     for m, (a, b) in base.morphisms.items():
         # well-definedness of the induced action over every class member
@@ -709,10 +769,13 @@ def glue(target: Presheaf, dst: Presheaf, parts, where: str, problem: str) -> Pr
     in `parts`: a map out of a colimit, fixed by its legs.  Parts are read
     lazily and in order; two that disagree at base object o raise
     ValidationError(where, "<problem> at <o>"), and an element that no leg
-    reaches raises a ValidationError at `where`."""
+    reaches, or a part whose leg does not land in `target` or whose value
+    does not land in `dst`, raises a ValidationError at `where`."""
     objects = target.base.objects
     tables = {o: [-1] * target.at[o].size for o in objects}
     for leg, value in parts:
+        if leg.dst != target or value.dst != dst:
+            raise ValidationError(where, "a part lands off the glued map's endpoints")
         for o in objects:
             t, vt = tables[o], value.components[o].table
             for x, idx in enumerate(leg.components[o].table):
@@ -723,7 +786,8 @@ def glue(target: Presheaf, dst: Presheaf, parts, where: str, problem: str) -> Pr
     for o in objects:
         if -1 in tables[o]:
             raise ValidationError(where, f"no leg reaches an element at {o}")
-    return PresheafMap.from_tables(target, dst, tables)
+    comps = {o: FinFunction._trusted(target.at[o], dst.at[o], tuple(tables[o])) for o in objects}
+    return PresheafMap(target, dst, comps)
 
 
 def check_cocone_factor(record: ColimitRecord, cocone: list[PresheafMap]) -> PresheafMap:
@@ -811,7 +875,10 @@ def search_maps(src: Presheaf, dst: Presheaf, allowed=None) -> tuple[PresheafMap
         head = tuple(value)
         for t in tails:
             row = head + t
-            comps = {o: FinFunction(src.at[o], dst.at[o], row[lo:hi]) for o, (lo, hi) in spans.items()}
+            comps = {
+                o: FinFunction._trusted(src.at[o], dst.at[o], row[lo:hi])
+                for o, (lo, hi) in spans.items()
+            }
             maps.append(PresheafMap(src, dst, comps))
 
     # depth-first without recursion: untried[i] holds the values variable i

@@ -207,18 +207,21 @@ def from_json(data: dict) -> InstanceFile:
     """Parse and exhaustively validate an instance document."""
     expect_object(data, "instance")
     bases: dict[str, FiniteCategory] = {}
+    paths: dict[str, str] = {}  # base name -> where the document defines it
     base_field = data.get("base")
     if base_field is not None:
-        bases["main"] = _category(base_field, "base")
+        bases["main"], paths["main"] = _category(base_field, "base"), "base"
     for bname, bdata in expect_object(data.get("bases", {}), "bases").items():
-        bases[bname] = _category(bdata, f"bases.{bname}")
+        paths[bname] = f"bases.{bname}"
+        bases[bname] = _category(bdata, paths[bname])
     if "main" not in bases:
         raise ValidationError("base", "missing main base category")
     for bname, cat in bases.items():
         try:
             cat.validate()
-        except ValidationError as exc:
-            raise ValidationError(f"bases.{bname}.{exc.path}", exc.message) from None
+        except ValidationError as exc:  # its paths start with "base."
+            path = paths[bname] + exc.path.removeprefix("base")
+            raise ValidationError(path, exc.message) from None
 
     presheaves: dict[str, Presheaf] = {}
     presheaf_base: dict[str, str] = {}

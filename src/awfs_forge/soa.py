@@ -2,10 +2,14 @@
 
 The monic variant is normative: each stage attaches one cell per square whose
 top edge does not factor through the previous stage, so every square acquires
-a unique minimal-stage cell and no coequalizer bookkeeping is needed.  The
-standard variant attaches every square and then collapses redundant cells; it
-is gated behind the `variant` option and must agree with the monic variant on
-monic instances.
+a unique minimal-stage cell and no coequalizer bookkeeping is needed.  Its
+stage inclusions are prefix inclusions x ↦ x (the coproduct puts the previous
+stage first, quotient labels are smallest members, and no two old elements
+merge), so a map factors through stage k exactly when its tables are bounded
+by the sizes of E^k: a cell's stage is read off the image of its top edge.
+The standard variant attaches every square and then collapses redundant
+cells; it is gated behind the `variant` option and must agree with the monic
+variant on monic instances.
 """
 
 from __future__ import annotations
@@ -51,10 +55,6 @@ class MonicityViolation(Exception):
         super().__init__(f"monic variant inapplicable: {where}")
 
 
-class UnconvergedArrow(Exception):
-    """A free lifting function was requested of an unconverged factorization."""
-
-
 @dataclass
 class CellRecord:
     """One attached cell: generator, attaching square into the previous stage's
@@ -64,6 +64,12 @@ class CellRecord:
     jname: str
     square: Square
     injection: PresheafMap  # cod j -> E^{stage}
+
+
+def _bounded(m: PresheafMap, p: Presheaf) -> bool:
+    """Every value of m at each base object is below p's size there: m factors
+    through p when p is a prefix sub-presheaf of m.dst."""
+    return all(max(t, default=-1) < k for t, k in zip(m.tables, p.sizes))
 
 
 @dataclass
@@ -80,21 +86,27 @@ class ArrowRecord:
 
     def __post_init__(self):
         self.cell_index = {
-            (c.stage, c.jname, c.square.u, c.square.v): c for c in self.cells
+            (c.stage, c.jname, c.square.u.tables, c.square.v): c for c in self.cells
         }
+        self.cells_by_stage: list[list[CellRecord]] = [[] for _ in self.stages]
+        for c in self.cells:
+            self.cells_by_stage[c.stage].append(c)
+        self._left = self.inclusion_range(0, len(self.stages) - 1)
 
     @property
     def trace(self) -> list[int]:
         return [s.total_size for s in self.stages]
 
     def inclusion_range(self, lo: int, hi: int) -> PresheafMap:
+        if self.variant == "monic":  # prefix inclusions: a change of codomain
+            return PresheafMap.identity(self.stages[lo]).retarget(self.stages[hi])
         out = PresheafMap.identity(self.stages[lo])
         for b in range(lo, hi):
             out = out.then(self.inclusions[b])
         return out
 
     def left(self) -> PresheafMap:
-        return self.inclusion_range(0, len(self.stages) - 1)
+        return self._left
 
     def right(self) -> PresheafMap:
         return self.rmaps[-1]
@@ -212,9 +224,10 @@ class GeneratedAwfs:
             for jname in self.diagram.objects():
                 j = self.diagram.arrow_of[jname]
                 for sq in enumerate_squares(j, r_arr):
-                    redundant = False
-                    if stage >= 2:
-                        redundant = factor_through(sq.u, inclusions[-1]) is not None
+                    redundant = stage >= 2 and (
+                        _bounded(sq.u, stages[-2]) if self.variant == "monic"
+                        else factor_through(sq.u, inclusions[-1]) is not None
+                    )
                     if redundant and self.variant == "monic":
                         continue
                     attached.append((jname, sq, redundant))
@@ -228,7 +241,9 @@ class GeneratedAwfs:
                 # idempotent stage: canonical labels make iota the identity
                 converged = True
                 break
-            if self.variant == "monic" and not iota.is_injective():
+            # with smallest-member labels, iota is injective exactly when it
+            # is the prefix inclusion
+            if self.variant == "monic" and any(t != tuple(range(len(t))) for t in iota.tables):
                 raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage}")
             stages.append(new_stage)
             inclusions.append(iota)
@@ -238,7 +253,7 @@ class GeneratedAwfs:
                     continue
                 cell = CellRecord(stage, jname, sq, inj)
                 cells.append(cell)
-                cell_index[(stage, jname, sq.u, sq.v)] = cell
+                cell_index[(stage, jname, sq.u.tables, sq.v)] = cell
         if not converged:
             raise NonConvergence([s.total_size for s in stages])
         return ArrowRecord(farr, stages, inclusions, rmaps, cells, True, self.variant)
@@ -288,24 +303,24 @@ class GeneratedAwfs:
 
     def _partial_fill(self, stages, inclusions, cell_index, jname, sq: Square) -> PresheafMap:
         """Minimal-stage cell injection for a square into the current right
-        factor, composed up into the current stage object."""
-        u = sq.u
-        gamma = len(stages) - 1
-        reduced = [u]
-        while gamma >= 1:
-            down = factor_through(reduced[-1], inclusions[gamma - 1])
-            if down is None:
-                break
-            reduced.append(down)
-            gamma -= 1
-        u_min = reduced[-1]
-        cell = cell_index.get((gamma + 1, jname, u_min, sq.v))
+        factor, composed up into the current stage object.  The cell sits one
+        stage above the first stage E^gamma that u factors through."""
+        last, u_min = len(stages) - 1, sq.u
+        if self.variant == "monic":
+            gamma = next((s for s, st in enumerate(stages) if _bounded(u_min, st)), last)
+        else:
+            gamma = last
+            while gamma >= 1 and (down := factor_through(u_min, inclusions[gamma - 1])) is not None:
+                gamma, u_min = gamma - 1, down
+        cell = cell_index.get((gamma + 1, jname, u_min.tables, sq.v))
         if cell is None:
             raise ValidationError(
                 "soa.fill", f"no cell for generator {jname} at minimal stage {gamma + 1}"
             )
+        if self.variant == "monic":
+            return cell.injection.retarget(stages[-1])
         out = cell.injection
-        for b in range(gamma + 1, len(stages) - 1):
+        for b in range(gamma + 1, last):
             out = out.then(inclusions[b])
         return out
 
@@ -323,10 +338,7 @@ class GeneratedAwfs:
         )
 
     def free_lifting_function(self, f) -> LiftingFunction:
-        rec = self.record(f)
-        if not rec.converged:
-            raise UnconvergedArrow("arrow has no converged factorization")
-        rf = ArrowObject(rec.right())
+        rf = ArrowObject(self.record(f).right())
         return LiftingFunction.tabulate(
             self.diagram, rf, lambda jname, sq: self.free_fill(f, jname, sq)
         )
@@ -403,7 +415,7 @@ def walk_stages(
     `fill(cell, prev_map)` on every cell attached at that stage."""
     current = start
     for stage in range(1, len(rec.stages)):
-        cells = (c for c in rec.cells if c.stage == stage)
+        cells = rec.cells_by_stage[stage]
         parts = chain(
             [(rec.inclusions[stage - 1], current)], ((c.injection, fill(c, current)) for c in cells)
         )

@@ -10,7 +10,8 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 from .arrows import ArrowObject, Awfs, FunctorialFactorization, Factored, Square, verify_awfs
@@ -21,8 +22,11 @@ from .core import (
     ValidationError,
     canonical_dumps,
     eq_witness,
+    expect_object,
+    expect_table,
     factor_through,
     glue,
+    inverse_lookup,
     sha256_hex,
 )
 from .instance import InstanceFile
@@ -60,7 +64,12 @@ class _Pools:
             src = self.presheaves.get(content["src"])
             dst = self.presheaves.get(content["dst"])
             _require(src is not None and dst is not None, f"maps.{key}", "dangling endpoint")
-            m = PresheafMap.from_tables(src, dst, content["components"])
+            where = f"maps.{key}.components"
+            tables = {
+                o: expect_table(t, f"{where}.{o}")
+                for o, t in expect_object(content["components"], where).items()
+            }
+            m = PresheafMap.from_tables(src, dst, tables)
             m.validate(f"maps.{key}")
             self.maps[key] = m
 
@@ -85,11 +94,38 @@ class _Record:
     right: PresheafMap
     delta: PresheafMap | None
     mu: PresheafMap | None
+    _lookups: dict[int, dict] = field(default_factory=dict)  # inclusion -> its inverse
+    _ranges: dict[tuple[int, int], PresheafMap] = field(default_factory=dict)
 
     def inclusion_range(self, lo: int, hi: int) -> PresheafMap:
-        out = PresheafMap.identity(self.stages[lo])
-        for b in range(lo, hi):
-            out = out.then(self.inclusions[b])
+        if (lo, hi) not in self._ranges:
+            out = PresheafMap.identity(self.stages[lo])
+            for b in range(lo, hi):
+                out = out.then(self.inclusions[b])
+            self._ranges[(lo, hi)] = out
+        return self._ranges[(lo, hi)]
+
+    def factor(self, u: PresheafMap, b: int) -> PresheafMap | None:
+        """`u` factored through inclusion b (stage b -> b + 1), or None; each
+        inclusion's inverse is built once."""
+        if b not in self._lookups:
+            self._lookups[b] = inverse_lookup(self.inclusions[b])
+        return factor_through(u, self.inclusions[b], self._lookups[b])
+
+    @cached_property
+    def cells_by_stage(self) -> dict[int, list[dict]]:
+        """stage -> its cells, in certificate order."""
+        out: dict[int, list[dict]] = {}
+        for c in self.cells:
+            out.setdefault(c["stage"], []).append(c)
+        return out
+
+    @cached_property
+    def cell_index(self) -> dict[tuple, dict]:
+        """(stage, j, top, bottom) -> the first cell with those fields."""
+        out: dict[tuple, dict] = {}
+        for c in self.cells:
+            out.setdefault((c["stage"], c["j"], c["top"], c["bottom"]), c)
         return out
 
 
@@ -101,7 +137,7 @@ def _walk_stages(
     `fill(cell, prev_map)`."""
     current = start
     for stage in range(1, len(rec.stages)):
-        cells = (c for c in rec.cells if c["stage"] == stage)
+        cells = rec.cells_by_stage.get(stage, ())
         parts = chain(
             [(rec.inclusions[stage - 1], current)],
             ((c["injection"], fill(c, current)) for c in cells),
@@ -197,7 +233,7 @@ class CertifiedEngine:
             _require(sq.commutes(), w, "cell attaching square does not commute")
             if stage >= 2:
                 _require(
-                    factor_through(c["top"], rec.inclusions[stage - 2]) is None,
+                    rec.factor(c["top"], stage - 2) is None,
                     w,
                     "cell top factors through the previous stage",
                 )
@@ -222,7 +258,7 @@ class CertifiedEngine:
             for jname in self.diagram.objects():
                 j = self.diagram.arrow_of[jname]
                 for sq in enumerate_squares(j, r_prev):
-                    if stage >= 2 and factor_through(sq.u, rec.inclusions[stage - 2]) is not None:
+                    if stage >= 2 and rec.factor(sq.u, stage - 2) is not None:
                         continue
                     expected[(jname, sq.u, sq.v)] = sq
             got = by_stage.get(stage, {})
@@ -238,7 +274,7 @@ class CertifiedEngine:
                 if len(rec.inclusions) == 0:
                     raise CertificateError(w, "unconverged: squares remain at stage 0")
                 _require(
-                    factor_through(sq.u, rec.inclusions[-1]) is not None,
+                    rec.factor(sq.u, len(rec.inclusions) - 1) is not None,
                     w,
                     "not converged: a square does not factor through the last stage",
                 )
@@ -249,9 +285,7 @@ class CertifiedEngine:
             for o in target.base.objects:
                 for v in rec.inclusions[stage - 1].components[o].table:
                     seen[o][v] = True
-            for c in rec.cells:
-                if c["stage"] != stage:
-                    continue
+            for c in rec.cells_by_stage.get(stage, ()):
                 for o in target.base.objects:
                     for v in c["injection"].components[o].table:
                         seen[o][v] = True
@@ -287,23 +321,15 @@ class CertifiedEngine:
     # -- replay rules --------------------------------------------------------
 
     def fill_rule(self, rec: _Record, jname: str, sq: Square, where: str) -> PresheafMap:
-        u = sq.u
-        gamma = len(rec.stages) - 1
-        reduced = [u]
+        gamma, u_min = len(rec.stages) - 1, sq.u
         while gamma >= 1:
-            down = factor_through(reduced[-1], rec.inclusions[gamma - 1])
+            down = rec.factor(u_min, gamma - 1)
             if down is None:
                 break
-            reduced.append(down)
-            gamma -= 1
-        u_min = reduced[-1]
-        for c in rec.cells:
-            if c["stage"] == gamma + 1 and c["j"] == jname:
-                if c["top"] == u_min and c["bottom"] == sq.v:
-                    return c["injection"].then(
-                        rec.inclusion_range(gamma + 1, len(rec.stages) - 1)
-                    )
-        raise CertificateError(where, "no minimal-stage cell for a fill")
+            gamma, u_min = gamma - 1, down
+        c = rec.cell_index.get((gamma + 1, jname, u_min, sq.v))
+        _require(c is not None, where, "no minimal-stage cell for a fill")
+        return c["injection"].then(rec.inclusion_range(gamma + 1, len(rec.stages) - 1))
 
     def free_fill(self, f: PresheafMap, jname: str, sq: Square, where: str) -> PresheafMap:
         return self.fill_rule(self.record_of(f, where), jname, sq, where)

@@ -113,6 +113,87 @@ def test_verify_cert_rejects_flipped_entry(tmp_path):
     assert main(["verify-cert", "--fixture", "FIX-M", str(flipped)]) == 3
 
 
+def _rename(node, old: str, new: str):
+    """A copy of a JSON value with every string `old`, key or value, replaced by `new`."""
+    if isinstance(node, dict):
+        return {_rename(k, old, new): _rename(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_rename(v, old, new) for v in node]
+    return new if node == old else node
+
+
+def test_verify_cert_rejects_a_boolean_map_entry(tmp_path, capsys):
+    # `true` in a map table is not the integer 1, even with its pool key
+    # rehashed and every reference to it rewritten
+    out = tmp_path / "cert.json"
+    assert main(["soa", "--fixture", "FIX-M", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    maps = cert["payload"]["maps"]
+    old = next(k for k in sorted(maps) if any(1 in t for t in maps[k]["components"].values()))
+    content = copy.deepcopy(maps[old])
+    obj = next(o for o, t in content["components"].items() if 1 in t)
+    table = content["components"][obj]
+    table[table.index(1)] = True
+    new = "m" + sha256_hex(canonical_dumps(content))[:16]
+    cert = _rename(cert, old, new)
+    cert["payload"]["maps"][new] = content
+    out.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 3
+    assert capsys.readouterr().out.startswith(
+        f"certificate REJECTED: malformed certificate: maps.{new}.components.{obj}: "
+    )
+
+
+def test_verify_cert_accepts_injective_inclusions_that_are_not_prefixes(tmp_path):
+    # relabel an intermediate stage E^1 of a record by reversing each of its
+    # sets: every map into or out of it is rewritten to match, and the
+    # inclusion E^0 -> E^1 stops being x -> x
+    out = tmp_path / "cert.json"
+    assert main(["soa", "--fixture", "FIX-G", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    payload = cert["payload"]
+    pres, maps = payload["presheaves"], payload["maps"]
+    entry = next(e for e in payload["arrows"].values() if len(e["inclusions"]) >= 2)
+    stage = pres[entry["stages"][1]]
+    flip = {o: list(range(n))[::-1] for o, n in stage["at"].items()}
+    base = fixture_raw("FIX-G")["base"]
+    ends = {m["name"]: (m["src"], m["dst"]) for m in base["morphisms"]}
+    act = {}
+    for m, table in stage["act"].items():  # act[m] takes E^1(b) to E^1(a)
+        a, b = ends[m]
+        act[m] = [0] * len(table)
+        for x, y in enumerate(table):
+            act[m][flip[b][x]] = flip[a][y]
+    new_stage = dict(stage, act=act)
+    stage_key = "p" + sha256_hex(canonical_dumps(new_stage))[:16]
+    pres[stage_key] = new_stage
+
+    def relabel(key, into):
+        content = copy.deepcopy(maps[key])
+        for o, table in content["components"].items():
+            if into:
+                content["components"][o] = [flip[o][v] for v in table]
+            else:
+                content["components"][o] = [table[flip[o][x]] for x in range(len(table))]
+        content["dst" if into else "src"] = stage_key
+        new = "m" + sha256_hex(canonical_dumps(content))[:16]
+        maps[new] = content
+        return new
+
+    entry["stages"][1] = stage_key
+    entry["inclusions"][0] = relabel(entry["inclusions"][0], into=True)
+    entry["inclusions"][1] = relabel(entry["inclusions"][1], into=False)
+    entry["rmaps"][1] = relabel(entry["rmaps"][1], into=False)
+    for c in entry["cells"]:
+        if c["stage"] == 1:
+            c["injection"] = relabel(c["injection"], into=True)
+        elif c["stage"] == 2:
+            c["top"] = relabel(c["top"], into=True)
+    assert any(t != list(range(len(t))) for t in maps[entry["inclusions"][0]]["components"].values())
+    assert verify_certificate(fixture("FIX-G"), cert) == (True, "")
+
+
 def test_verify_cert_rejects_flipped_fill_reference(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["lift", "--fixture", "FIX-M", "--out", str(out)]) == 0
@@ -240,6 +321,8 @@ def _set(raw, keys, value):
         (("presheaves", "edge", "at", "V"), 1.5, "presheaves.edge.at.V"),
         (("presheaves", "edge", "at", "V"), True, "presheaves.edge.at.V"),
         (("maps", "f_vp", "components", "V"), [True], "maps.f_vp.components.V"),
+        (("base", "objects"), ["V", "E", "V"], "base.objects"),
+        (("bases",), {"extra": {"objects": ["a", "a"]}}, "bases.extra.objects"),
     ],
     ids=[
         "top-level-list", "act-string", "components-null", "generators-string",
@@ -248,6 +331,7 @@ def _set(raw, keys, value):
         "base-objects-numbers", "morphism-unknown-object", "morphism-string",
         "identities-incomplete", "composition-not-a-triple", "act-out-of-range",
         "act-wrong-length", "act-boolean", "at-float", "at-boolean", "components-boolean",
+        "base-duplicate-objects", "extra-base-duplicate-objects",
     ],
 )
 def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, capsys):
