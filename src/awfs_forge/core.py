@@ -4,10 +4,12 @@ and pointwise finite colimits with deterministic quotient labeling.
 Everything here is immutable after construction and every operation is a pure
 function.  Presheaves and maps compare and hash by their tables (a tuple
 built once per value, its hash cached); canonical JSON and sha256 appear only
-at the certificate boundary, where content is written or checked.  Tables
-from input are range-checked where they are parsed; the kernel's own results
-(composites, identities, colimits, glued maps, factorizations, searched maps)
-are built with `FinFunction._trusted`, which skips that check.
+at the certificate boundary, where content is written or checked.  A map is
+its tuple of per-object tables and nothing else.  Tables from input are
+range-checked once, where they are parsed (`PresheafMap.from_tables`,
+`Presheaf.from_json`); the kernel's own results (composites, identities,
+colimits, glued maps, factorizations, searched maps) are built directly from
+tables, without that check.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 
 def canonical_dumps(obj) -> str:
@@ -154,6 +157,7 @@ class FiniteCategory:
         for name, (a, b) in self.morphisms.items():
             homs.setdefault((a, b), []).append(name)
         self._homs = {k: tuple(v) for k, v in homs.items()}
+        self._position = {o: i for i, o in enumerate(self.objects)}
         full = dict(self.compose_table)
         for name, (a, b) in self.morphisms.items():
             full.setdefault((self.identities[b], name), name)
@@ -438,78 +442,84 @@ class Presheaf:
         return Presheaf(base, {o: s for o in base.objects}, {m: ident for m in base.morphisms})
 
 
-@dataclass(eq=False)
 class PresheafMap:
-    """Natural transformation between presheaves on the same base."""
+    """Natural transformation between presheaves on the same base, held as
+    its component tables: `tables[i]` is the component at the i-th base
+    object.  The constructor trusts its tables (kernel results); tables from
+    input go through `from_tables`, which range-checks them."""
 
-    src: Presheaf
-    dst: Presheaf
-    components: dict[str, FinFunction]
+    __slots__ = ("src", "dst", "tables", "_hash", "_components")
 
-    def __post_init__(self):
-        comps = self.components
-        self._id = (self.src, self.dst, tuple([comps[o].table for o in self.src.base.objects]))
+    def __init__(self, src: Presheaf, dst: Presheaf, tables: tuple[tuple[int, ...], ...]):
+        self.src = src
+        self.dst = dst
+        self.tables = tables
+        self.__post_init__()
 
-    # hash(_id), cached on first use: most maps a search lists are never hashed
-    _hash = None
+    def __post_init__(self) -> None:
+        # runs once per map, however it is built; hash and view are built on
+        # first use, as most maps a search lists are never hashed
+        self._hash = None
+        self._components = None
 
     def __eq__(self, other) -> bool:
         return self is other or (
-            type(other) is PresheafMap and hash(self) == hash(other) and self._id == other._id
+            type(other) is PresheafMap
+            and self.tables == other.tables
+            and self.src == other.src
+            and self.dst == other.dst
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._id)
+            self._hash = hash((self.src, self.dst, self.tables))
         return self._hash
 
-    @property
-    def tables(self) -> tuple[tuple[int, ...], ...]:
-        """The component tables, in base-object order."""
-        return self._id[2]
+    def __repr__(self) -> str:
+        return f"PresheafMap({self.tables!r})"
 
     @property
     def base(self) -> FiniteCategory:
         return self.src.base
 
-    def component(self, obj: str) -> FinFunction:
-        return self.components[obj]
+    @property
+    def components(self) -> MappingProxyType:
+        """Read-only view: base object -> its component as a FinFunction."""
+        if self._components is None:
+            self._components = MappingProxyType({
+                o: FinFunction._trusted(self.src.at[o], self.dst.at[o], t)
+                for o, t in zip(self.src.base.objects, self.tables)
+            })
+        return self._components
 
-    def __call__(self, obj: str, x: int) -> int:
-        return self.components[obj].table[x]
+    def table_at(self, obj: str) -> tuple[int, ...]:
+        """The component table at base object `obj`."""
+        return self.tables[self.src.base._position[obj]]
 
     def validate(self, path: str = "map") -> None:
         if self.src.base != self.dst.base:
             raise ValidationError(path, "source and target live over different bases")
-        for o in self.base.objects:
-            fn = self.components.get(o)
-            if fn is None:
-                raise ValidationError(f"{path}.components.{o}", "missing component")
-            if fn.src != self.src.at[o] or fn.dst != self.dst.at[o]:
+        objects = self.base.objects
+        if len(self.tables) != len(objects):
+            raise ValidationError(f"{path}.components", "not one table per base object")
+        for o, t in zip(objects, self.tables):
+            n = self.dst.at[o].size
+            if len(t) != self.src.at[o].size or not all(0 <= v < n for v in t):
                 raise ValidationError(f"{path}.components.{o}", "component ill-typed")
         for m, (a, b) in self.base.morphisms.items():
-            left = self.src.act[m].then(self.components[a])
-            right = self.components[b].then(self.dst.act[m])
-            if left != right:
-                for x in range(self.src.at[b].size):
-                    if left.table[x] != right.table[x]:
-                        raise ValidationError(
-                            f"{path}.naturality.{m}",
-                            f"square fails at element {x} of ({b})",
-                        )
+            t_a, t_b = self.table_at(a), self.table_at(b)
+            s, d = self.src.act[m].table, self.dst.act[m].table
+            for x in range(self.src.at[b].size):
+                if t_a[s[x]] != d[t_b[x]]:
+                    raise ValidationError(
+                        f"{path}.naturality.{m}", f"square fails at element {x} of ({b})"
+                    )
 
     def then(self, other: "PresheafMap") -> "PresheafMap":
-        if self.dst != other.src:
+        if self.dst is not other.src and self.dst != other.src:
             raise ValidationError("map.then", "codomain/domain mismatch")
-        comps = {}
-        for o in self.src.base.objects:
-            fn, t = self.components[o], other.components[o].table
-            table = tuple([t[v] for v in fn.table])
-            comps[o] = FinFunction._trusted(fn.src, other.dst.at[o], table)
-        return PresheafMap(self.src, other.dst, comps)
-
-    def after(self, other: "PresheafMap") -> "PresheafMap":
-        return other.then(self)
+        tables = tuple([tuple([t[v] for v in s]) for s, t in zip(self.tables, other.tables)])
+        return PresheafMap(self.src, other.dst, tables)
 
     def retarget(self, dst: Presheaf) -> "PresheafMap":
         """The same tables with codomain `dst`, of which self.dst must be a
@@ -519,35 +529,31 @@ class PresheafMap:
             return self
         if any(k < n for k, n in zip(dst.sizes, self.dst.sizes)):
             raise ValidationError("map.retarget", "codomain smaller than the current one")
-        comps = {
-            o: FinFunction._trusted(fn.src, dst.at[o], fn.table)
-            for o, fn in self.components.items()
-        }
-        return PresheafMap(self.src, dst, comps)
+        return PresheafMap(self.src, dst, self.tables)
 
     @staticmethod
     def identity(p: Presheaf) -> "PresheafMap":
-        return PresheafMap(p, p, {o: FinFunction.identity(p.at[o]) for o in p.base.objects})
+        return PresheafMap(p, p, tuple([tuple(range(n)) for n in p.sizes]))
 
     def is_injective(self) -> bool:
-        return all(fn.is_injective() for fn in self.components.values())
+        return all(len(set(t)) == len(t) for t in self.tables)
 
     def is_bijective(self) -> bool:
-        return all(fn.is_bijective() for fn in self.components.values())
+        return self.src.sizes == self.dst.sizes and self.is_injective()
 
     def inverse(self) -> "PresheafMap":
-        return PresheafMap(
-            self.dst, self.src, {o: fn.inverse() for o, fn in self.components.items()}
-        )
+        tables = tuple(fn.inverse().table for fn in self.components.values())
+        return PresheafMap(self.dst, self.src, tables)
 
     def table_json(self) -> dict:
-        return {o: list(self.components[o].table) for o in self.base.objects}
+        return {o: list(t) for o, t in zip(self.base.objects, self.tables)}
 
     @staticmethod
     def from_tables(src: Presheaf, dst: Presheaf, tables: dict) -> "PresheafMap":
         """A map from per-object tables, each checked to fit src and dst."""
-        comps = {o: FinFunction(src.at[o], dst.at[o], tuple(tables[o])) for o in src.base.objects}
-        return PresheafMap(src, dst, comps)
+        return PresheafMap(src, dst, tuple(
+            FinFunction(src.at[o], dst.at[o], tuple(tables[o])).table for o in src.base.objects
+        ))
 
 
 def _identity_json(m: PresheafMap) -> str:
@@ -567,43 +573,37 @@ def eq_witness(m1: PresheafMap, m2: PresheafMap):
     if m1.src != m2.src or m1.dst != m2.dst:
         lhs, rhs = _identity_json(m1), _identity_json(m2)
         return {"object": "<type>", "element": -1, "lhs": lhs, "rhs": rhs}
-    for o in m1.base.objects:
-        t1, t2 = m1.components[o].table, m2.components[o].table
+    for o, t1, t2 in zip(m1.base.objects, m1.tables, m2.tables):
         for x, (v1, v2) in enumerate(zip(t1, t2)):
             if v1 != v2:
                 return {"object": o, "element": x, "lhs": v1, "rhs": v2}
     return None
 
 
-def inverse_lookup(incl: PresheafMap) -> dict[str, dict[int, int]]:
-    """Per base object, each value of an injective map's table -> its element."""
-    lookup = {}
-    for o in incl.base.objects:
-        lookup[o] = {}
-        for x, v in enumerate(incl.components[o].table):
-            if v in lookup[o]:
-                raise ValidationError("factor_through", "inclusion is not injective")
-            lookup[o][v] = x
-    return lookup
+def inverse_lookup(incl: PresheafMap) -> tuple[dict[int, int], ...]:
+    """Per base object, in base-object order, each value of an injective map's
+    table -> its element."""
+    lookup = []
+    for t in incl.tables:
+        inv = {v: x for x, v in enumerate(t)}
+        if len(inv) != len(t):
+            raise ValidationError("factor_through", "inclusion is not injective")
+        lookup.append(inv)
+    return tuple(lookup)
 
 
 def factor_through(
-    u: PresheafMap, incl: PresheafMap, lookup: dict[str, dict[int, int]] | None = None
+    u: PresheafMap, incl: PresheafMap, lookup: tuple[dict[int, int], ...] | None = None
 ) -> PresheafMap | None:
     """The unique u' with incl ∘ u' = u, when it exists (incl injective).
     `lookup` is `inverse_lookup(incl)`, when the caller keeps it."""
     if lookup is None:
         lookup = inverse_lookup(incl)
-    comps = {}
-    for o in u.base.objects:
-        inv = lookup[o]
-        t = []
-        for v in u.components[o].table:
-            if v not in inv:
-                return None
-            t.append(inv[v])
-        comps[o] = FinFunction._trusted(u.src.at[o], incl.src.at[o], tuple(t))
-    return PresheafMap(u.src, incl.src, comps)
+    try:
+        tables = tuple([tuple([inv[v] for v in t]) for inv, t in zip(lookup, u.tables)])
+    except KeyError:
+        return None
+    return PresheafMap(u.src, incl.src, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +671,10 @@ def coproduct(parts: list[Presheaf], base: FiniteCategory | None = None) -> Coli
         PresheafMap(
             p,
             apex,
-            {
-                o: FinFunction._trusted(
-                    p.at[o], at[o], tuple(range(offsets[o][i], offsets[o][i] + p.at[o].size))
-                )
-                for o in base.objects
-            },
+            tuple(
+                tuple(range(offsets[o][i], offsets[o][i] + n))
+                for o, n in zip(base.objects, p.sizes)
+            ),
         )
         for i, p in enumerate(parts)
     )
@@ -698,10 +696,9 @@ def quotient_presheaf(
     for alpha, beta in relations:
         if alpha.dst != x or beta.dst != x or alpha.src != beta.src:
             raise ValidationError("quotient.relations", "relation maps must be parallel into x")
-        for o in base.objects:
-            ta, tb = alpha.components[o].table, beta.components[o].table
-            for s in range(alpha.src.at[o].size):
-                ufs[o].union(ta[s], tb[s])
+        for o, ta, tb in zip(base.objects, alpha.tables, beta.tables):
+            for a, b in zip(ta, tb):
+                ufs[o].union(a, b)
     labels: dict[str, list[int]] = {}
     counts: dict[str, int] = {}
     for o in base.objects:
@@ -730,11 +727,7 @@ def quotient_presheaf(
             at[b], at[a], tuple(labels[a][old.table[reps[b][c]]] for c in range(counts[b]))
         )
     q_presheaf = Presheaf(base, at, act)
-    q_map = PresheafMap(
-        x,
-        q_presheaf,
-        {o: FinFunction._trusted(x.at[o], at[o], tuple(labels[o])) for o in base.objects},
-    )
+    q_map = PresheafMap(x, q_presheaf, tuple(tuple(labels[o]) for o in base.objects))
     for m, (a, b) in base.morphisms.items():
         # well-definedness of the induced action over every class member
         old = x.act[m]
@@ -772,22 +765,20 @@ def glue(target: Presheaf, dst: Presheaf, parts, where: str, problem: str) -> Pr
     reaches, or a part whose leg does not land in `target` or whose value
     does not land in `dst`, raises a ValidationError at `where`."""
     objects = target.base.objects
-    tables = {o: [-1] * target.at[o].size for o in objects}
+    tables = [[-1] * n for n in target.sizes]
     for leg, value in parts:
         if leg.dst != target or value.dst != dst:
             raise ValidationError(where, "a part lands off the glued map's endpoints")
-        for o in objects:
-            t, vt = tables[o], value.components[o].table
-            for x, idx in enumerate(leg.components[o].table):
+        for o, t, lt, vt in zip(objects, tables, leg.tables, value.tables):
+            for idx, w in zip(lt, vt):
                 if t[idx] == -1:
-                    t[idx] = vt[x]
-                elif t[idx] != vt[x]:
+                    t[idx] = w
+                elif t[idx] != w:
                     raise ValidationError(where, f"{problem} at {o}")
-    for o in objects:
-        if -1 in tables[o]:
+    for o, t in zip(objects, tables):
+        if -1 in t:
             raise ValidationError(where, f"no leg reaches an element at {o}")
-    comps = {o: FinFunction._trusted(target.at[o], dst.at[o], tuple(tables[o])) for o in objects}
-    return PresheafMap(target, dst, comps)
+    return PresheafMap(target, dst, tuple([tuple(t) for t in tables]))
 
 
 def check_cocone_factor(record: ColimitRecord, cocone: list[PresheafMap]) -> PresheafMap:
@@ -866,6 +857,7 @@ def search_maps(src: Presheaf, dst: Presheaf, allowed=None) -> tuple[PresheafMap
     while free and not forward[free - 1]:
         free -= 1
     value = [0] * free
+    bounds = list(spans.values())
     maps: list[PresheafMap] = []
 
     def emit() -> None:
@@ -875,11 +867,7 @@ def search_maps(src: Presheaf, dst: Presheaf, allowed=None) -> tuple[PresheafMap
         head = tuple(value)
         for t in tails:
             row = head + t
-            comps = {
-                o: FinFunction._trusted(src.at[o], dst.at[o], row[lo:hi])
-                for o, (lo, hi) in spans.items()
-            }
-            maps.append(PresheafMap(src, dst, comps))
+            maps.append(PresheafMap(src, dst, tuple([row[lo:hi] for lo, hi in bounds])))
 
     # depth-first without recursion: untried[i] holds the values variable i
     # has not yet taken, pruned[i] the domains its current value narrowed

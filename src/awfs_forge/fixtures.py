@@ -18,9 +18,7 @@ def finset(n: int) -> Presheaf:
 
 
 def finmap(m: int, n: int, table) -> PresheafMap:
-    return PresheafMap(
-        finset(m), finset(n), {"*": FinFunction(FinSet(m), FinSet(n), tuple(table))}
-    )
+    return PresheafMap.from_tables(finset(m), finset(n), {"*": table})
 
 
 def graph(nv: int, ne: int, src, tgt) -> Presheaf:
@@ -36,14 +34,7 @@ def graph(nv: int, ne: int, src, tgt) -> Presheaf:
 
 
 def graph_map(src: Presheaf, dst: Presheaf, vtab, etab) -> PresheafMap:
-    return PresheafMap(
-        src,
-        dst,
-        {
-            "V": FinFunction(src.at["V"], dst.at["V"], tuple(vtab)),
-            "E": FinFunction(src.at["E"], dst.at["E"], tuple(etab)),
-        },
-    )
+    return PresheafMap.from_tables(src, dst, {"V": vtab, "E": etab})
 
 
 def _fix_m_raw() -> dict:
@@ -137,14 +128,7 @@ def _fix_pw_raw() -> dict:
         )
 
     def diag_map(src, dst, t0, t1) -> PresheafMap:
-        return PresheafMap(
-            src,
-            dst,
-            {
-                "*|0": FinFunction(src.at["*|0"], dst.at["*|0"], tuple(t0)),
-                "*|1": FinFunction(src.at["*|1"], dst.at["*|1"], tuple(t1)),
-            },
-        )
+        return PresheafMap.from_tables(src, dst, {"*|0": t0, "*|1": t1})
 
     zero = diag(0, 0, [])
     gen0 = diag(1, 1, [0])  # hom(0,-)·1: constant single point
@@ -196,31 +180,15 @@ def _fix_proj_raw() -> dict:
     def pair(n0, n1) -> Presheaf:
         return Presheaf(disc, {"0": FinSet(n0), "1": FinSet(n1)}, {})
 
-    def pair_map(src, dst, t0, t1) -> PresheafMap:
-        return PresheafMap(
-            src,
-            dst,
-            {
-                "0": FinFunction(src.at["0"], dst.at["0"], tuple(t0)),
-                "1": FinFunction(src.at["1"], dst.at["1"], tuple(t1)),
-            },
-        )
+    def map01(src, dst, t0, t1) -> PresheafMap:
+        # both bases have the objects "0" and "1"
+        return PresheafMap.from_tables(src, dst, {"0": t0, "1": t1})
 
     def arr(n0, n1, act) -> Presheaf:
         return Presheaf(
             arrow_cat,
             {"0": FinSet(n0), "1": FinSet(n1)},
             {"a": FinFunction(FinSet(n1), FinSet(n0), tuple(act))},
-        )
-
-    def arr_map(src, dst, t0, t1) -> PresheafMap:
-        return PresheafMap(
-            src,
-            dst,
-            {
-                "0": FinFunction(src.at["0"], dst.at["0"], tuple(t0)),
-                "1": FinFunction(src.at["1"], dst.at["1"], tuple(t1)),
-            },
         )
 
     p00 = pair(0, 0)
@@ -242,14 +210,14 @@ def _fix_proj_raw() -> dict:
         "k_c": ("main", k_c),
     }
     maps = {
-        "j0": ("p00", "p10", pair_map(p00, p10, [], [])),
-        "j1": ("p00", "p01", pair_map(p00, p01, [], [])),
-        "m0": ("p11", "p11", pair_map(p11, p11, [0], [0])),
-        "m1": ("p11", "p21", pair_map(p11, p21, [1], [0])),
-        "m2": ("p21", "p11", pair_map(p21, p11, [0, 0], [0])),
-        "g1": ("k_a", "k_b", arr_map(k_a, k_b, [0, 0], [0])),
-        "g2": ("k_b", "k_b", arr_map(k_b, k_b, [0], [0])),
-        "g3": ("k_c", "k_b", arr_map(k_c, k_b, [0, 0], [0])),
+        "j0": ("p00", "p10", map01(p00, p10, [], [])),
+        "j1": ("p00", "p01", map01(p00, p01, [], [])),
+        "m0": ("p11", "p11", map01(p11, p11, [0], [0])),
+        "m1": ("p11", "p21", map01(p11, p21, [1], [0])),
+        "m2": ("p21", "p11", map01(p21, p11, [0, 0], [0])),
+        "g1": ("k_a", "k_b", map01(k_a, k_b, [0, 0], [0])),
+        "g2": ("k_b", "k_b", map01(k_b, k_b, [0], [0])),
+        "g3": ("k_c", "k_b", map01(k_c, k_b, [0, 0], [0])),
     }
     return build_raw(
         {"main": arrow_cat, "disc": disc},

@@ -225,7 +225,7 @@ def from_json(data: dict) -> InstanceFile:
 
     presheaves: dict[str, Presheaf] = {}
     presheaf_base: dict[str, str] = {}
-    for pname, pdata in data.get("presheaves", {}).items():
+    for pname, pdata in expect_object(data.get("presheaves", {}), "presheaves").items():
         bname = expect_object(pdata, f"presheaves.{pname}").get("base", "main")
         if bname not in bases:
             raise ValidationError(f"presheaves.{pname}.base", f"unknown base {bname}")
@@ -238,7 +238,7 @@ def from_json(data: dict) -> InstanceFile:
         presheaf_base[pname] = bname
 
     maps: dict[str, PresheafMap] = {}
-    for mname, mdata in data.get("maps", {}).items():
+    for mname, mdata in expect_object(data.get("maps", {}), "maps").items():
         expect_object(mdata, f"maps.{mname}")
         for o, table in expect_object(mdata.get("components"), f"maps.{mname}.components").items():
             expect_table(table, f"maps.{mname}.components.{o}")

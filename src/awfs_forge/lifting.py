@@ -94,10 +94,7 @@ class GeneratorDiagram:
 def square_key(u: PresheafMap, v: PresheafMap) -> str:
     """Serialization of a square's edge tables: the canonical square order and
     the `square_hash` of lift certificates."""
-    base = u.base
-    tables = [[list(u.components[o].table) for o in base.objects],
-              [list(v.components[o].table) for o in base.objects]]
-    return repr(tables)
+    return repr([[list(t) for t in u.tables], [list(t) for t in v.tables]])
 
 
 @lru_cache(maxsize=None)
@@ -133,16 +130,16 @@ def oracle_lift(j: ArrowObject, g: ArrowObject, sq: Square) -> list[PresheafMap]
     if u.src != j.dom or u.dst != g.dom or v.src != j.cod or v.dst != g.cod:
         return []
     fibres, fixed = {}, {}
-    for o in j.base.objects:
+    for o, gt, jt, ut in zip(j.base.objects, g.f.tables, j.f.tables, u.tables):
         fibres[o] = [[] for _ in range(g.cod.at[o].size)]
-        for e, image in enumerate(g.f.components[o].table):
+        for e, image in enumerate(gt):
             fibres[o][image].append(e)
         fixed[o] = {}
-        for x, y in enumerate(j.f.components[o].table):
-            fixed[o].setdefault(y, set()).add(u.components[o].table[x])
+        for y, w in zip(jt, ut):
+            fixed[o].setdefault(y, set()).add(w)
 
     def allowed(o: str, y: int):
-        fibre = fibres[o][v.components[o].table[y]]
+        fibre = fibres[o][v.table_at(o)[y]]
         values = fixed[o].get(y)
         if values is None:
             return fibre

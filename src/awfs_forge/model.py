@@ -208,13 +208,13 @@ def two_lift_agreement(
 def bang(x: Presheaf) -> PresheafMap:
     """The unique map to the terminal presheaf."""
     one = Presheaf.terminal(x.base)
-    return PresheafMap.from_tables(x, one, {o: [0] * x.at[o].size for o in x.base.objects})
+    return PresheafMap(x, one, tuple((0,) * n for n in x.sizes))
 
 
 def cobang(x: Presheaf) -> PresheafMap:
     """The unique map from the initial presheaf."""
     zero = Presheaf.empty(x.base)
-    return PresheafMap.from_tables(zero, x, {o: [] for o in x.base.objects})
+    return PresheafMap(zero, x, ((),) * len(x.sizes))
 
 
 @dataclass

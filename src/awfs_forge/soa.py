@@ -129,8 +129,8 @@ def density_comonad(diagram: GeneratorDiagram, f) -> tuple[ArrowObject, Square]:
         empty = Presheaf.empty(base)
         nothing = PresheafMap.identity(empty)
         l0_arr = ArrowObject(nothing)
-        to_dom = PresheafMap.from_tables(empty, farr.dom, {o: [] for o in base.objects})
-        to_cod = PresheafMap.from_tables(empty, farr.cod, {o: [] for o in base.objects})
+        to_dom = PresheafMap(empty, farr.dom, nothing.tables)
+        to_cod = PresheafMap(empty, farr.cod, nothing.tables)
         return l0_arr, Square(l0_arr, farr, to_dom, to_cod)
     dom_cop = coproduct([diagram.arrow_of[j].dom for j, _ in squares], base)
     cod_cop = coproduct([diagram.arrow_of[j].cod for j, _ in squares], base)

@@ -200,11 +200,11 @@ class _LanBlock:
                 left_tabs[a] = lt
                 right_tabs[a] = rt
             left = PresheafMap.from_tables(block1, self.cop.apex, {
-                a: [self.cop.legs[i2].components[a].table[v] for v in left_tabs[a]]
+                a: [self.cop.legs[i2].table_at(a)[v] for v in left_tabs[a]]
                 for a in base1.objects
             })
             right = PresheafMap.from_tables(block1, self.cop.apex, {
-                a: [self.cop.legs[i1].components[a].table[v] for v in right_tabs[a]]
+                a: [self.cop.legs[i1].table_at(a)[v] for v in right_tabs[a]]
                 for a in base1.objects
             })
             rels.append((left, right))
@@ -221,7 +221,7 @@ class _LanBlock:
         i = self._piece_index(c)
         homs = self.u.dst.hom(a, self.u.obj(c))
         flat = homs.index(alpha) * self.p.at[c].size + x
-        return self.q.components[a].table[self.cop.legs[i].components[a].table[flat]]
+        return self.q.table_at(a)[self.cop.legs[i].table_at(a)[flat]]
 
 
 def restriction_adjunction(u: FunctorData) -> AdjunctionData:
@@ -239,7 +239,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
         return PresheafMap(
             restrict_obj(g.src),
             restrict_obj(g.dst),
-            {c: g.components[u.obj(c)] for c in base0.objects},
+            tuple(g.table_at(u.obj(c)) for c in base0.objects),
         )
 
     def lan_block(p: Presheaf) -> _LanBlock:
@@ -261,8 +261,8 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
                 for hi in range(len(homs)):
                     for x in range(n):
                         t.append(
-                            b2.cop.legs[i].components[a].table[
-                                hi * phi.dst.at[c].size + phi.components[c].table[x]
+                            b2.cop.legs[i].table_at(a)[
+                                hi * phi.dst.at[c].size + phi.table_at(c)[x]
                             ]
                         )
             raw_tabs[a] = t
@@ -583,7 +583,7 @@ def copower_square(
     inner map P -> P'."""
     src = yoneda_copower(index, a_src, inner_map.src, prod_base)
     dst = yoneda_copower(index, a_dst, inner_map.dst, prod_base)
-    comps = {}
+    tables = {}
     for o in prod_base.objects:
         beta, alpha = o.split("|")
         homs_src = index.hom(a_src, alpha)
@@ -594,9 +594,9 @@ def copower_square(
         for hi, h in enumerate(homs_src):
             composed = index.compose(h, n)
             for x in range(n_in):
-                table.append(homs_dst[composed] * n_out + inner_map.components[beta].table[x])
-        comps[o] = FinFunction(src.at[o], dst.at[o], tuple(table))
-    return PresheafMap(src, dst, comps)
+                table.append(homs_dst[composed] * n_out + inner_map.table_at(beta)[x])
+        tables[o] = table
+    return PresheafMap.from_tables(src, dst, tables)
 
 
 def pointwise_generators(
@@ -675,7 +675,7 @@ def extract_component_map(
 ) -> PresheafMap:
     src = extract_component(f.src, a, inner, index)
     dst = extract_component(f.dst, a, inner, index)
-    return PresheafMap(src, dst, {beta: f.components[f"{beta}|{a}"] for beta in inner.objects})
+    return PresheafMap(src, dst, tuple(f.table_at(f"{beta}|{a}") for beta in inner.objects))
 
 
 def pointwise_agreement(

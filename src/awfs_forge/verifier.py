@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .arrows import ArrowObject, Awfs, FunctorialFactorization, Factored, Square, verify_awfs
+from .arrows import (
+    ArrowObject,
+    Awfs,
+    Factored,
+    FunctorialFactorization,
+    LawReport,
+    Square,
+    verify_awfs,
+)
 from .core import (
     FiniteCategory,
     Presheaf,
@@ -281,16 +289,14 @@ class CertifiedEngine:
         # covering: every stage element reached by the inclusion or a cell
         for stage in range(1, len(rec.stages)):
             target = rec.stages[stage]
-            seen = {o: [False] * target.at[o].size for o in target.base.objects}
-            for o in target.base.objects:
-                for v in rec.inclusions[stage - 1].components[o].table:
-                    seen[o][v] = True
-            for c in rec.cells_by_stage.get(stage, ()):
-                for o in target.base.objects:
-                    for v in c["injection"].components[o].table:
-                        seen[o][v] = True
-            for o in target.base.objects:
-                _require(all(seen[o]), w, f"stage {stage} has unreachable elements at {o}")
+            seen = [[False] * n for n in target.sizes]
+            cells = rec.cells_by_stage.get(stage, ())
+            for into in chain([rec.inclusions[stage - 1]], (c["injection"] for c in cells)):
+                for hit, t in zip(seen, into.tables):
+                    for v in t:
+                        hit[v] = True
+            for o, hit in zip(target.base.objects, seen):
+                _require(all(hit), w, f"stage {stage} has unreachable elements at {o}")
         # fills: completeness, the minimal-stage rule, triangles, oracle membership
         expected_fills = set()
         for jname in self.diagram.objects():
@@ -446,6 +452,7 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict) -> None:
                 f"named.{name}",
                 "certified arrow differs from the instance map",
             )
+    report = LawReport()  # what `soa_certificate` embeds for the standard variant
     # delta / mu pinned by replay
     if variant == "monic":
         for fkey, entry in payload["arrows"].items():
@@ -480,6 +487,11 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict) -> None:
         if probes:
             report = verify_awfs(engine.as_awfs(), probes)
             _require(report.passed, "law_report", "relaw check failed on certified tables")
+    _require(
+        payload.get("law_report") == report.to_json(),
+        "law_report",
+        "embedded law report differs from the recomputed one",
+    )
 
 
 def _verify_lift_payload(instance: InstanceFile, payload: dict) -> None:

@@ -8,7 +8,7 @@ chosen, so maps come out in lexicographic table order.
 
 from itertools import product
 
-from awfs_forge.core import FinFunction, Presheaf, PresheafMap
+from awfs_forge.core import Presheaf, PresheafMap
 
 
 def brute_force_maps(src: Presheaf, dst: Presheaf) -> tuple[PresheafMap, ...]:
@@ -40,8 +40,7 @@ def brute_force_maps(src: Presheaf, dst: Presheaf) -> tuple[PresheafMap, ...]:
 
     def rec(i: int) -> None:
         if i == len(objs):
-            comps = {o: FinFunction(src.at[o], dst.at[o], chosen[o]) for o in objs}
-            results.append(PresheafMap(src, dst, comps))
+            results.append(PresheafMap.from_tables(src, dst, chosen))
             return
         o = objs[i]
         n, k = src.at[o].size, dst.at[o].size

@@ -75,11 +75,7 @@ def test_naturality_validation():
     base = FiniteCategory.graph_base()
     e1 = graph(2, 1, [0], [1])
     e2 = graph(2, 1, [1], [0])  # reversed edge
-    swap = PresheafMap(
-        e1,
-        e2,
-        {"V": FinFunction(FinSet(2), FinSet(2), (0, 1)), "E": FinFunction(FinSet(1), FinSet(1), (0,))},
-    )
+    swap = PresheafMap.from_tables(e1, e2, {"V": (0, 1), "E": (0,)})
     with pytest.raises(ValidationError):
         swap.validate()
 

@@ -145,6 +145,31 @@ def test_verify_cert_rejects_a_boolean_map_entry(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("damage", ["string", "dropped-entry", "standard-nonempty"])
+def test_verify_cert_rejects_a_changed_law_report(damage, tmp_path, capsys):
+    # the embedded law report must be the one the verifier recomputes: the
+    # monic law suite over the named arrows, or empty for the standard variant
+    monic = tmp_path / "monic.json"
+    assert main(["soa", "--fixture", "FIX-M", "--out", str(monic)]) == 0
+    cert = json.loads(monic.read_text())
+    report = cert["payload"]["law_report"]
+    assert len(report) > 1
+    if damage == "standard-nonempty":
+        out = tmp_path / "standard.json"
+        assert main(["soa", "--fixture", "FIX-M", "--variant", "standard", "--out", str(out)]) == 0
+        assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert cert["payload"]["law_report"] == []
+        cert["payload"]["law_report"] = report[:1]
+    else:
+        cert["payload"]["law_report"] = "x" if damage == "string" else report[1:]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify-cert", "--fixture", "FIX-M", str(bad)]) == 3
+    assert capsys.readouterr().out.startswith("certificate REJECTED: law_report: ")
+
+
 def test_verify_cert_accepts_injective_inclusions_that_are_not_prefixes(tmp_path):
     # relabel an intermediate stage E^1 of a record by reversing each of its
     # sets: every map into or out of it is rewritten to match, and the
@@ -303,6 +328,8 @@ def _set(raw, keys, value):
         (("presheaves", "edge", "act"), "oops", "presheaves.edge.act"),
         (("maps", "f_vp", "components"), None, "maps.f_vp.components"),
         (("generators",), "x", "generators"),
+        (("presheaves",), "x", "presheaves"),
+        (("maps",), "x", "maps"),
         (("taus",), "x", "taus"),
         (("adjunctions",), "x", "adjunctions"),
         (("bases",), "x", "bases"),
@@ -326,6 +353,7 @@ def _set(raw, keys, value):
     ],
     ids=[
         "top-level-list", "act-string", "components-null", "generators-string",
+        "presheaves-string", "maps-string",
         "taus-string", "adjunctions-string", "bases-string", "options-string",
         "generator-arrows-string", "map-src-list", "base-objects-number",
         "base-objects-numbers", "morphism-unknown-object", "morphism-string",
