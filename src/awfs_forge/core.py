@@ -54,6 +54,18 @@ def expect_table(value, path: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def expect_components(value, base: "FiniteCategory", path: str) -> dict[str, tuple[int, ...]]:
+    """`value` as per-object tables if it is a JSON object whose keys are
+    objects of `base` and whose values are tables, else a ValidationError
+    under `path`."""
+    tables = {}
+    for o, t in expect_object(value, path).items():
+        if o not in base._position:
+            raise ValidationError(f"{path}.{o}", "unknown base object")
+        tables[o] = expect_table(t, f"{path}.{o}")
+    return tables
+
+
 class NonCommutingCocone(Exception):
     """A claimed cocone does not commute; carries a (base object, element) witness."""
 
@@ -401,6 +413,8 @@ class Presheaf:
     def from_json(base: FiniteCategory, data: dict, path: str = "presheaf") -> "Presheaf":
         at = {}
         for o, n in expect_object(data.get("at"), f"{path}.at").items():
+            if o not in base._position:
+                raise ValidationError(f"{path}.at.{o}", "unknown base object")
             if type(n) is not int or n < 0:
                 raise ValidationError(f"{path}.at.{o}", "must be a nonnegative integer")
             at[o] = FinSet(n)

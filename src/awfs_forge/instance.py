@@ -17,8 +17,8 @@ from .core import (
     PresheafMap,
     ValidationError,
     canonical_dumps,
+    expect_components,
     expect_object,
-    expect_table,
     sha256_hex,
 )
 from .lifting import GeneratorDiagram
@@ -114,16 +114,6 @@ class InstanceFile:
 
             return fn
 
-        def nat(tab, label):
-            lookup = {self.presheaves[a]: self.maps[b] for a, b in tab.items()}
-
-            def fn(x):
-                if x not in lookup:
-                    raise ValidationError(where, f"explicit adjunction {label} table does not cover an object")
-                return lookup[x]
-
-            return fn
-
         return AdjunctionData(
             "explicit",
             m_base,
@@ -132,8 +122,8 @@ class InstanceFile:
             by_map(t_map_tab, "T"),
             by_obj(s_obj_tab, self.presheaves, "S"),
             by_map(s_map_tab, "S"),
-            nat(unit_tab, "unit"),
-            nat(counit_tab, "counit"),
+            by_obj(unit_tab, self.maps, "unit"),
+            by_obj(counit_tab, self.maps, "counit"),
         )
 
     def option(self, key: str, override, fallback):
@@ -240,14 +230,13 @@ def from_json(data: dict) -> InstanceFile:
     maps: dict[str, PresheafMap] = {}
     for mname, mdata in expect_object(data.get("maps", {}), "maps").items():
         expect_object(mdata, f"maps.{mname}")
-        for o, table in expect_object(mdata.get("components"), f"maps.{mname}.components").items():
-            expect_table(table, f"maps.{mname}.components.{o}")
         for end in ("src", "dst"):
             if not isinstance(mdata.get(end), str) or mdata[end] not in presheaves:
                 raise ValidationError(f"maps.{mname}.{end}", f"unknown presheaf {mdata.get(end)}")
         src, dst = presheaves[mdata["src"]], presheaves[mdata["dst"]]
+        tables = expect_components(mdata.get("components"), src.base, f"maps.{mname}.components")
         try:
-            m = PresheafMap.from_tables(src, dst, mdata["components"])
+            m = PresheafMap.from_tables(src, dst, tables)
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"maps.{mname}", str(exc)) from None
         m.validate(f"maps.{mname}")

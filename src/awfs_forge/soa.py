@@ -1,15 +1,16 @@
 """Garner-style small object argument on finite presheaf categories.
 
-The monic variant is normative: each stage attaches one cell per square whose
-top edge does not factor through the previous stage, so every square acquires
-a unique minimal-stage cell and no coequalizer bookkeeping is needed.  Its
-stage inclusions are prefix inclusions x ↦ x (the coproduct puts the previous
-stage first, quotient labels are smallest members, and no two old elements
-merge), so a map factors through stage k exactly when its tables are bounded
-by the sizes of E^k: a cell's stage is read off the image of its top edge.
-The standard variant attaches every square and then collapses redundant
-cells; it is gated behind the `variant` option and must agree with the monic
-variant on monic instances.
+Each stage attaches one cell per square into the previous right factor whose
+top edge does not already factor through the stage before, so every square
+acquires a unique minimal-stage cell and no coequalizer bookkeeping is
+needed.  Stage inclusions are prefix inclusions x ↦ x (the coproduct puts the
+previous stage first, quotient labels are smallest members, and no two old
+elements merge), so a map factors through stage k exactly when its tables
+are bounded by the sizes of E^k: a cell's stage is read off the image of its
+top edge.  Both variants run this one loop and differ only in their
+monicity checks: the monic variant rejects a non-injective generator or
+stage inclusion, the standard variant accepts such generators and stops at
+a stage that merged old elements.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core import (
     ValidationError,
     coproduct,
     check_cocone_factor,
-    factor_through,
     glue,
     pushout,
     quotient_presheaf,
@@ -98,12 +98,8 @@ class ArrowRecord:
         return [s.total_size for s in self.stages]
 
     def inclusion_range(self, lo: int, hi: int) -> PresheafMap:
-        if self.variant == "monic":  # prefix inclusions: a change of codomain
-            return PresheafMap.identity(self.stages[lo]).retarget(self.stages[hi])
-        out = PresheafMap.identity(self.stages[lo])
-        for b in range(lo, hi):
-            out = out.then(self.inclusions[b])
-        return out
+        """E^lo -> E^hi: stage inclusions are prefixes, so a change of codomain."""
+        return PresheafMap.identity(self.stages[lo]).retarget(self.stages[hi])
 
     def left(self) -> PresheafMap:
         return self._left
@@ -216,68 +212,50 @@ class GeneratedAwfs:
         rmaps: list[PresheafMap] = [farr.f]
         cells: list[CellRecord] = []
         cell_index: dict[tuple, CellRecord] = {}
-        converged = False
         for stage in range(1, self.max_steps + 1):
-            r_prev = rmaps[-1]
-            r_arr = ArrowObject(r_prev)
-            attached: list[tuple[str, Square, bool]] = []
-            for jname in self.diagram.objects():
-                j = self.diagram.arrow_of[jname]
-                for sq in enumerate_squares(j, r_arr):
-                    redundant = stage >= 2 and (
-                        _bounded(sq.u, stages[-2]) if self.variant == "monic"
-                        else factor_through(sq.u, inclusions[-1]) is not None
-                    )
-                    if redundant and self.variant == "monic":
-                        continue
-                    attached.append((jname, sq, redundant))
-            if self.variant == "monic" and not attached:
-                converged = True
-                break
-            new_stage, iota, injections, r_new = self._build_stage(
-                stages, inclusions, rmaps, cell_index, attached
-            )
-            if self.variant == "standard" and iota.is_bijective():
-                # idempotent stage: canonical labels make iota the identity
-                converged = True
-                break
+            r_arr = ArrowObject(rmaps[-1])
+            # a square whose top edge factors through E^{stage-2} has its cell
+            attached = [
+                (jname, sq)
+                for jname in self.diagram.objects()
+                for sq in enumerate_squares(self.diagram.arrow_of[jname], r_arr)
+                if stage < 2 or not _bounded(sq.u, stages[-2])
+            ]
+            if not attached:
+                return ArrowRecord(farr, stages, inclusions, rmaps, cells, True, self.variant)
+            new_stage, iota, injections, r_new = self._build_stage(stages, rmaps, cell_index, attached)
             # with smallest-member labels, iota is injective exactly when it
             # is the prefix inclusion
-            if self.variant == "monic" and any(t != tuple(range(len(t))) for t in iota.tables):
-                raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage}")
+            if any(t != tuple(range(len(t))) for t in iota.tables):
+                if self.variant == "monic":
+                    raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage}")
+                if stage < self.max_steps:  # past a merge, sizes no longer place cells
+                    raise ValidationError("factor_through", "inclusion is not injective")
             stages.append(new_stage)
             inclusions.append(iota)
             rmaps.append(r_new)
-            for (jname, sq, redundant), inj in zip(attached, injections):
-                if redundant:
-                    continue
+            for (jname, sq), inj in zip(attached, injections):
                 cell = CellRecord(stage, jname, sq, inj)
                 cells.append(cell)
                 cell_index[(stage, jname, sq.u.tables, sq.v)] = cell
-        if not converged:
-            raise NonConvergence([s.total_size for s in stages])
-        return ArrowRecord(farr, stages, inclusions, rmaps, cells, True, self.variant)
+        raise NonConvergence([s.total_size for s in stages])
 
-    def _build_stage(self, stages, inclusions, rmaps, cell_index, attached):
+    def _build_stage(self, stages, rmaps, cell_index, attached):
         """One colimit: glue the new cells onto the current stage object."""
         prev = stages[-1]
         r_prev = rmaps[-1]
-        pieces = [prev] + [self.diagram.arrow_of[j].cod for j, _, _ in attached]
+        pieces = [prev] + [self.diagram.arrow_of[j].cod for j, _ in attached]
         cop = coproduct(pieces, prev.base)
         inj0 = cop.legs[0]
         rels: list[tuple[PresheafMap, PresheafMap]] = []
-        for idx, (jname, sq, redundant) in enumerate(attached):
+        for idx, (jname, sq) in enumerate(attached):
             j = self.diagram.arrow_of[jname]
-            leg = cop.legs[idx + 1]
-            rels.append((j.f.then(leg), sq.u.then(inj0)))
-            if redundant:
-                fill = self._partial_fill(stages, inclusions, cell_index, jname, sq)
-                rels.append((leg, fill.then(inj0)))
-        index = {(jname, sq.u, sq.v): i for i, (jname, sq, _) in enumerate(attached)}
+            rels.append((j.f.then(cop.legs[idx + 1]), sq.u.then(inj0)))
+        index = {(jname, sq.u, sq.v): i for i, (jname, sq) in enumerate(attached)}
         for m in self.diagram.shape.nonidentity_morphisms():
             jp, jn = self.diagram.shape.src(m), self.diagram.shape.dst(m)
             conn = self.diagram.square_of[m]
-            for idx, (jname, sq, _) in enumerate(attached):
+            for idx, (jname, sq) in enumerate(attached):
                 if jname != jn:
                     continue
                 leg = cop.legs[idx + 1]
@@ -288,7 +266,6 @@ class GeneratedAwfs:
                 else:
                     fill = self._partial_fill(
                         stages,
-                        inclusions,
                         cell_index,
                         jp,
                         Square(self.diagram.arrow_of[jp], ArrowObject(r_prev), cu, cv),
@@ -297,32 +274,22 @@ class GeneratedAwfs:
         new_stage, q = quotient_presheaf(cop.apex, rels)
         iota = inj0.then(q)
         injections = [cop.legs[i + 1].then(q) for i in range(len(attached))]
-        legs, values = [iota] + injections, [r_prev] + [sq.v for _, sq, _ in attached]
+        legs, values = [iota] + injections, [r_prev] + [sq.v for _, sq in attached]
         r_new = glue(new_stage, r_prev.dst, zip(legs, values), "soa.stage", "inconsistent r")
         return new_stage, iota, injections, r_new
 
-    def _partial_fill(self, stages, inclusions, cell_index, jname, sq: Square) -> PresheafMap:
+    def _partial_fill(self, stages, cell_index, jname, sq: Square) -> PresheafMap:
         """Minimal-stage cell injection for a square into the current right
-        factor, composed up into the current stage object.  The cell sits one
-        stage above the first stage E^gamma that u factors through."""
-        last, u_min = len(stages) - 1, sq.u
-        if self.variant == "monic":
-            gamma = next((s for s, st in enumerate(stages) if _bounded(u_min, st)), last)
-        else:
-            gamma = last
-            while gamma >= 1 and (down := factor_through(u_min, inclusions[gamma - 1])) is not None:
-                gamma, u_min = gamma - 1, down
-        cell = cell_index.get((gamma + 1, jname, u_min.tables, sq.v))
+        factor, carried up into the current stage object.  The cell sits one
+        stage above the first stage E^gamma whose sizes bound u."""
+        last = len(stages) - 1
+        gamma = next((s for s, st in enumerate(stages) if _bounded(sq.u, st)), last)
+        cell = cell_index.get((gamma + 1, jname, sq.u.tables, sq.v))
         if cell is None:
             raise ValidationError(
                 "soa.fill", f"no cell for generator {jname} at minimal stage {gamma + 1}"
             )
-        if self.variant == "monic":
-            return cell.injection.retarget(stages[-1])
-        out = cell.injection
-        for b in range(gamma + 1, last):
-            out = out.then(inclusions[b])
-        return out
+        return cell.injection.retarget(stages[-1])
 
     # -- derived structure -------------------------------------------------
 
@@ -333,9 +300,7 @@ class GeneratedAwfs:
     def free_fill(self, f, jname: str, sq: Square) -> PresheafMap:
         """Fill of a square from a generator into Rf: the stage-minimal cell."""
         rec = self.record(f)
-        return self._partial_fill(
-            rec.stages, rec.inclusions, rec.cell_index, jname, sq
-        )
+        return self._partial_fill(rec.stages, rec.cell_index, jname, sq)
 
     def free_lifting_function(self, f) -> LiftingFunction:
         rf = ArrowObject(self.record(f).right())

@@ -30,8 +30,7 @@ from .core import (
     ValidationError,
     canonical_dumps,
     eq_witness,
-    expect_object,
-    expect_table,
+    expect_components,
     factor_through,
     glue,
     inverse_lookup,
@@ -72,11 +71,7 @@ class _Pools:
             src = self.presheaves.get(content["src"])
             dst = self.presheaves.get(content["dst"])
             _require(src is not None and dst is not None, f"maps.{key}", "dangling endpoint")
-            where = f"maps.{key}.components"
-            tables = {
-                o: expect_table(t, f"{where}.{o}")
-                for o, t in expect_object(content["components"], where).items()
-            }
+            tables = expect_components(content["components"], src.base, f"maps.{key}.components")
             m = PresheafMap.from_tables(src, dst, tables)
             m.validate(f"maps.{key}")
             self.maps[key] = m

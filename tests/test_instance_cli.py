@@ -87,6 +87,44 @@ def test_soa_standard_variant(tmp_path):
     assert cert["payload"]["stage_tables"]["f21"] == [2, 3]
 
 
+def _fix_m_with_j(tmp_path, mname: str):
+    """FIX-M with the one generator set J = {j: mname} and no inclusion functor."""
+    raw = fixture_raw("FIX-M")
+    raw["generators"] = {"J": {"shape": "discrete", "arrows": {"j": mname}}}
+    del raw["taus"]
+    path = tmp_path / f"fix-m-{mname}.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("variant", ["monic", "standard"])
+def test_soa_keeps_a_stage_whose_cells_add_no_element(variant, tmp_path):
+    # j = id1: every cell is glued onto old elements, yet it is the cell that
+    # fills its square
+    path = _fix_m_with_j(tmp_path, "id1")
+    for cmd in ("soa", "lift"):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, str(path), "--variant", variant, "--out", str(out)]) == 0
+        assert main(["verify-cert", str(path), str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "options, code, err",
+    [
+        (["--variant", "standard"], 1, "invalid: factor_through: inclusion is not injective\n"),
+        (["--variant", "standard", "--max-steps", "1"], 2, "non-convergence: trace [2, 1]\n"),
+        (["--variant", "monic"], 4, "monicity violation: generator j "),
+    ],
+    ids=["standard", "standard-last-stage", "monic"],
+)
+def test_soa_with_a_merging_generator(options, code, err, tmp_path, capsys):
+    # j = f21 merges the two elements of E^0 = 2 at stage 1
+    path = _fix_m_with_j(tmp_path, "f21")
+    capsys.readouterr()
+    assert main(["soa", str(path), "--arrows", "f21"] + options) == code
+    assert capsys.readouterr().err.startswith(err)
+
+
 def test_verify_cert_round_trip(tmp_path):
     for name, cmd in (("FIX-M", "soa"), ("FIX-M", "lift"), ("FIX-G", "soa")):
         out = tmp_path / f"{name}-{cmd}.json"
@@ -122,18 +160,30 @@ def _rename(node, old: str, new: str):
     return new if node == old else node
 
 
-def test_verify_cert_rejects_a_boolean_map_entry(tmp_path, capsys):
-    # `true` in a map table is not the integer 1, even with its pool key
-    # rehashed and every reference to it rewritten
+def _boolean_entry(components: dict) -> str:
+    obj = next(o for o, t in components.items() if 1 in t)
+    table = components[obj]
+    table[table.index(1)] = True
+    return obj
+
+
+def _unknown_object(components: dict) -> str:
+    components["Q"] = [0]
+    return "Q"
+
+
+@pytest.mark.parametrize("damage", [_boolean_entry, _unknown_object], ids=["boolean", "unknown-object"])
+def test_verify_cert_rejects_a_tampered_map_entry(damage, tmp_path, capsys):
+    # `true` in a map table is not the integer 1, and a key that names no base
+    # object is not a component, even with the map's pool key rehashed and
+    # every reference to it rewritten
     out = tmp_path / "cert.json"
     assert main(["soa", "--fixture", "FIX-M", "--out", str(out)]) == 0
     cert = json.loads(out.read_text())
     maps = cert["payload"]["maps"]
     old = next(k for k in sorted(maps) if any(1 in t for t in maps[k]["components"].values()))
     content = copy.deepcopy(maps[old])
-    obj = next(o for o, t in content["components"].items() if 1 in t)
-    table = content["components"][obj]
-    table[table.index(1)] = True
+    obj = damage(content["components"])
     new = "m" + sha256_hex(canonical_dumps(content))[:16]
     cert = _rename(cert, old, new)
     cert["payload"]["maps"][new] = content
@@ -350,6 +400,8 @@ def _set(raw, keys, value):
         (("maps", "f_vp", "components", "V"), [True], "maps.f_vp.components.V"),
         (("base", "objects"), ["V", "E", "V"], "base.objects"),
         (("bases",), {"extra": {"objects": ["a", "a"]}}, "bases.extra.objects"),
+        (("maps", "f_vp", "components", "Q"), [7], "maps.f_vp.components.Q"),
+        (("presheaves", "edge", "at", "Q"), 3, "presheaves.edge.at.Q"),
     ],
     ids=[
         "top-level-list", "act-string", "components-null", "generators-string",
@@ -360,6 +412,7 @@ def _set(raw, keys, value):
         "identities-incomplete", "composition-not-a-triple", "act-out-of-range",
         "act-wrong-length", "act-boolean", "at-float", "at-boolean", "components-boolean",
         "base-duplicate-objects", "extra-base-duplicate-objects",
+        "components-unknown-object", "at-unknown-object",
     ],
 )
 def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Differential tests of the monic small object argument's fast paths against
-the walk-down reference in `reference_fill.py`, and a guard that keeps
-`core.factor_through` off the monic path."""
+"""Differential tests of the small object argument's fast paths, under both
+variants, against the walk-down reference in `reference_fill.py`, and a guard
+that keeps `core.factor_through` out of the engine."""
 
 import sys
 
@@ -31,17 +31,20 @@ def _factor_all(gen, arrows):
 
 
 @pytest.fixture(scope="module")
-def monic_records():
+def records():
     """(label, engine, record) for every record that factoring and δ of each
-    named arrow make, under each generator set of each fixture."""
+    named arrow make, under each generator set of each fixture and each
+    variant."""
     out = []
     for name in FIXTURES:
         inst = fixture(name)
         for gname, diagram in inst.generators.items():
-            gen = run_soa(diagram)
             base = next(iter(diagram.arrow_of.values())).base
             arrows = [ArrowObject(m) for m in inst.maps.values() if m.base == base]
-            out += [(f"{name}.{gname}", gen, rec) for rec in _factor_all(gen, arrows)]
+            for variant in ("monic", "standard"):
+                gen = run_soa(diagram, variant=variant)
+                label = f"{name}.{gname}.{variant}"
+                out += [(label, gen, rec) for rec in _factor_all(gen, arrows)]
     return out
 
 
@@ -54,16 +57,16 @@ def _stage_squares(gen, rec):
                 yield k, sq.u
 
 
-def test_monic_stage_inclusions_are_prefixes(monic_records):
-    assert len({label for label, _, _ in monic_records}) == 7
-    for label, _, rec in monic_records:
+def test_monic_stage_inclusions_are_prefixes(records):
+    assert len({label for label, _, _ in records}) == 14
+    for label, _, rec in records:
         for incl in rec.inclusions:
             assert incl.tables == tuple(tuple(range(n)) for n in incl.src.sizes), label
 
 
-def test_size_check_agrees_with_factor_through_on_squares(monic_records):
+def test_size_check_agrees_with_factor_through_on_squares(records):
     checked = 0
-    for label, gen, rec in monic_records:
+    for label, gen, rec in records:
         for k, u in _stage_squares(gen, rec):
             incl = rec.inclusions[k - 1]
             assert _bounded(u, rec.stages[k - 1]) == (factor_through(u, incl) is not None), label
@@ -73,10 +76,10 @@ def test_size_check_agrees_with_factor_through_on_squares(monic_records):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_size_check_agrees_with_factor_through_on_any_tables(monic_records, data):
+def test_size_check_agrees_with_factor_through_on_any_tables(records, data):
     # indices, not records, are drawn: a record's repr is long
-    i = data.draw(st.sampled_from([i for i, r in enumerate(monic_records) if r[2].inclusions]))
-    _, gen, rec = monic_records[i]
+    i = data.draw(st.sampled_from([i for i, r in enumerate(records) if r[2].inclusions]))
+    _, gen, rec = records[i]
     k = data.draw(st.integers(1, len(rec.stages) - 1))
     dst = rec.stages[k]
     sources = [j.dom for j in gen.diagram.arrow_of.values()]
@@ -91,9 +94,9 @@ def test_size_check_agrees_with_factor_through_on_any_tables(monic_records, data
     assert _bounded(u, rec.stages[k - 1]) == (factor_through(u, rec.inclusions[k - 1]) is not None)
 
 
-def test_fill_matches_the_walk_down(monic_records):
+def test_fill_matches_the_walk_down(records):
     filled = 0
-    for label, gen, rec in monic_records:
+    for label, gen, rec in records:
         rf = ArrowObject(rec.right())
         for jname, j in gen.diagram.arrow_of.items():
             for sq in enumerate_squares(j, rf):
@@ -135,9 +138,12 @@ def factor_through_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("fx", ["FIX-M", "FIX-G"])
-def test_monic_soa_never_calls_factor_through(fx, factor_through_calls, tmp_path):
-    out = tmp_path / "cert.json"
-    assert main(["soa", "--fixture", fx, "--variant", "monic", "--out", str(out)]) == 0
-    assert factor_through_calls == []
-    assert main(["soa", "--fixture", fx, "--variant", "standard", "--out", str(out)]) == 0
-    assert factor_through_calls
+def test_soa_never_calls_factor_through(fx, factor_through_calls, tmp_path):
+    for variant in ("monic", "standard"):
+        out = tmp_path / f"{variant}.json"
+        assert main(["soa", "--fixture", fx, "--variant", variant, "--out", str(out)]) == 0
+        assert factor_through_calls == []
+        # positive control: the verifier still factors through inclusions
+        assert main(["verify-cert", "--fixture", fx, str(out)]) == 0
+        assert factor_through_calls
+        factor_through_calls.clear()
