@@ -18,7 +18,7 @@ from .core import (
     sha256_hex,
 )
 from .instance import InstanceFile
-from .lifting import enumerate_squares, square_key
+from .lifting import GeneratorDiagram, enumerate_squares, square_key
 from .model import (
     ReplacementMonad,
     TauData,
@@ -131,6 +131,20 @@ def _emit_generator_block(pool: CertPool, gen: GeneratedAwfs, label: str) -> dic
     if not gen.diagram.is_discrete():
         block["shape"] = gen.diagram.shape.to_json()
     return block
+
+
+def _engine_per_diagram(variant: str, max_steps: int):
+    """`run_soa` under one variant and step bound that builds one engine per
+    distinct generator diagram: equal diagrams share it, and with it their
+    records and structure maps."""
+    engines: dict[GeneratorDiagram, GeneratedAwfs] = {}
+
+    def engine(diagram: GeneratorDiagram) -> GeneratedAwfs:
+        if diagram not in engines:
+            engines[diagram] = run_soa(diagram, variant=variant, max_steps=max_steps)
+        return engines[diagram]
+
+    return engine
 
 
 def envelope(command: str, instance: InstanceFile, options: dict, payload: dict) -> dict:
@@ -325,9 +339,10 @@ def transport_certificate(
     """Transported generators, mates, and the lax/colax/naturality report."""
     adj = instance.adjunction(adjunction)
     diagram = instance.generators[generators]
-    gen_m = run_soa(diagram, variant=variant, max_steps=max_steps)
+    engine = _engine_per_diagram(variant, max_steps)
+    gen_m = engine(diagram)
     tj = transport_generators(adj, diagram)
-    gen_k = run_soa(tj, variant=variant, max_steps=max_steps)
+    gen_k = engine(tj)
     md = build_mates(adj, gen_m, gen_k)
 
     arrows_m = [arr for _, arr in _requested_arrows(instance, adj.m_base, None)]
@@ -378,13 +393,14 @@ def quillen_certificate(
     diagram_j = instance.generators[gen_j]
     diagram_i = instance.generators[gen_i]
     tau = instance.taus[tau_name]
-    gen_t_m = run_soa(diagram_j, variant=variant, max_steps=max_steps)
-    gen_m = run_soa(diagram_i, variant=variant, max_steps=max_steps)
+    engine = _engine_per_diagram(variant, max_steps)
+    gen_t_m = engine(diagram_j)
+    gen_m = engine(diagram_i)
     amstr_m = build_model_structure(gen_t_m, gen_m, tau, instance.weq)
     tj = transport_generators(adj, diagram_j)
     ti = transport_generators(adj, diagram_i)
-    gen_t_k = run_soa(tj, variant=variant, max_steps=max_steps)
-    gen_k = run_soa(ti, variant=variant, max_steps=max_steps)
+    gen_t_k = engine(tj)
+    gen_k = engine(ti)
     tau_k = TauData(tj, ti, dict(tau.on_objects), dict(tau.on_morphisms))
     amstr_k = build_model_structure(gen_t_k, gen_k, tau_k, instance.weq)
     mates_t = build_mates(adj, gen_t_m, gen_t_k)

@@ -624,7 +624,7 @@ def factor_through(
 # Colimits
 
 
-class _UnionFind:
+class UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
@@ -706,7 +706,7 @@ def quotient_presheaf(
     labeled by order of first appearance (equivalently, smallest member).
     """
     base = x.base
-    ufs = {o: _UnionFind(x.at[o].size) for o in base.objects}
+    ufs = {o: UnionFind(x.at[o].size) for o in base.objects}
     for alpha, beta in relations:
         if alpha.dst != x or beta.dst != x or alpha.src != beta.src:
             raise ValidationError("quotient.relations", "relation maps must be parallel into x")

@@ -10,6 +10,7 @@ from functools import lru_cache
 from .arrows import ArrowObject, Awfs, FunctorialFactorization, LawReport, Square
 from .core import (
     FiniteCategory,
+    Presheaf,
     PresheafMap,
     ValidationError,
     all_maps,
@@ -45,6 +46,25 @@ class GeneratorDiagram:
                 i, Square(arr, arr, PresheafMap.identity(arr.dom), PresheafMap.identity(arr.cod))
             )
         self.square_of = squares
+
+    def _content(self) -> tuple:
+        shape = self.shape
+        squares = (self.square_of.get(m) for m in shape.morphisms)
+        return (
+            shape,
+            tuple(shape.morphisms.items()),
+            tuple(self.arrow_of.get(o) for o in shape.objects),
+            tuple(sq and (sq.src, sq.dst, sq.u, sq.v) for sq in squares),
+        )
+
+    def __eq__(self, other) -> bool:
+        """Equal in shape (its morphisms in the same order), arrows and squares."""
+        return self is other or (
+            isinstance(other, GeneratorDiagram) and self._content() == other._content()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._content())
 
     def objects(self) -> tuple[str, ...]:
         return self.shape.objects
@@ -115,6 +135,44 @@ def _squares_into_cached(j: ArrowObject, g: ArrowObject) -> tuple[Square, ...]:
 def enumerate_squares(j: ArrowObject, g: ArrowObject) -> tuple[Square, ...]:
     """All squares j => g, in canonical lexicographic order of serialized (u, v)."""
     return _squares_into_cached(j, g)
+
+
+def enumerate_new_squares(j: ArrowObject, g: ArrowObject, old: Presheaf) -> tuple[Square, ...]:
+    """The squares j => g whose top edge does not factor through `old`, a
+    prefix sub-presheaf of g.dom: those whose top edge takes a value at or
+    above old's size somewhere.  Same order as `enumerate_squares`.
+
+    The top edges are searched once per variable of dom j (as `search_maps`
+    orders them), that variable being the first to take a new value: the
+    earlier ones range over old elements, the later ones over all.  The
+    searches partition the new top edges, and each is joined with the bottom
+    edges of the same composite j;v."""
+    src, dst = j.dom, g.dom
+    sizes = {o: (n_old, n) for o, n_old, n in zip(src.base.objects, old.sizes, dst.sizes)}
+    start, owner = {}, []  # variable start[o] + x is element x of src(o)
+    for o, size in zip(src.base.objects, src.sizes):
+        start[o] = len(owner)
+        owner += [o] * size
+    tops: list[PresheafMap] = []
+    for first, o_first in enumerate(owner):
+        if sizes[o_first][0] == sizes[o_first][1]:
+            continue  # dst has no new element where the first new value goes
+
+        def allowed(o, x, first=first):
+            i, (n_old, n) = start[o] + x, sizes[o]
+            if i < first:
+                return range(n_old)
+            return range(n_old, n) if i == first else range(n)
+
+        tops.extend(search_maps(src, dst, allowed))
+    if not tops:
+        return ()
+    bottoms: dict[PresheafMap, list[PresheafMap]] = {}
+    for v in all_maps(j.cod, g.cod):
+        bottoms.setdefault(j.f.then(v), []).append(v)
+    out = [Square(j, g, u, v) for u in tops for v in bottoms.get(u.then(g.f), ())]
+    out.sort(key=lambda s: square_key(s.u, s.v))
+    return tuple(out)
 
 
 def oracle_lift(j: ArrowObject, g: ArrowObject, sq: Square) -> list[PresheafMap]:

@@ -3,14 +3,18 @@
 Each stage attaches one cell per square into the previous right factor whose
 top edge does not already factor through the stage before, so every square
 acquires a unique minimal-stage cell and no coequalizer bookkeeping is
-needed.  Stage inclusions are prefix inclusions x ↦ x (the coproduct puts the
-previous stage first, quotient labels are smallest members, and no two old
-elements merge), so a map factors through stage k exactly when its tables
-are bounded by the sizes of E^k: a cell's stage is read off the image of its
-top edge.  Both variants run this one loop and differ only in their
-monicity checks: the monic variant rejects a non-injective generator or
-stage inclusion, the standard variant accepts such generators and stops at
-a stage that merged old elements.
+needed.  Stages are enumerated and glued semi-naively: each stage touches
+only what the one before added.  Past stage 1, the squares searched for are
+those whose top edge reaches an element that the previous stage added
+(`lifting.enumerate_new_squares`), and the new stage object is the previous
+one with the classes of the new cells' elements appended (a union-find that
+joins those elements alone).  Old elements keep their labels and no two of them
+merge, so stage inclusions are prefix inclusions x ↦ x, and a map factors
+through stage k exactly when its tables are bounded by the sizes of E^k: a
+cell's stage is read off the image of its top edge.  Both variants run this
+one loop and differ only in their monicity checks: the monic variant rejects
+a non-injective generator or stage inclusion, the standard variant accepts
+such generators and stops at a stage that merged old elements.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ from itertools import chain
 
 from .arrows import ArrowObject, Awfs, Factored, FunctorialFactorization, Square
 from .core import (
+    FinFunction,
+    FinSet,
     Presheaf,
     PresheafMap,
+    UnionFind,
     ValidationError,
     coproduct,
     check_cocone_factor,
@@ -35,6 +42,7 @@ from .lifting import (
     GeneratorDiagram,
     LiftingFunction,
     compose_lifting,
+    enumerate_new_squares,
     enumerate_squares,
 )
 
@@ -81,7 +89,6 @@ class ArrowRecord:
     inclusions: list[PresheafMap]  # E^b -> E^{b+1}
     rmaps: list[PresheafMap]  # r_b: E^b -> cod f
     cells: list[CellRecord]
-    converged: bool
     variant: str
 
     def __post_init__(self):
@@ -214,23 +221,23 @@ class GeneratedAwfs:
         cell_index: dict[tuple, CellRecord] = {}
         for stage in range(1, self.max_steps + 1):
             r_arr = ArrowObject(rmaps[-1])
-            # a square whose top edge factors through E^{stage-2} has its cell
+            # a square whose top edge factors through E^{stage-2} has its
+            # cell, so past stage 1 only squares reaching E^{stage-1}'s new
+            # elements attach
             attached = [
                 (jname, sq)
                 for jname in self.diagram.objects()
-                for sq in enumerate_squares(self.diagram.arrow_of[jname], r_arr)
-                if stage < 2 or not _bounded(sq.u, stages[-2])
+                for sq in (
+                    enumerate_squares(self.diagram.arrow_of[jname], r_arr)
+                    if stage == 1
+                    else enumerate_new_squares(self.diagram.arrow_of[jname], r_arr, stages[-2])
+                )
             ]
             if not attached:
-                return ArrowRecord(farr, stages, inclusions, rmaps, cells, True, self.variant)
-            new_stage, iota, injections, r_new = self._build_stage(stages, rmaps, cell_index, attached)
-            # with smallest-member labels, iota is injective exactly when it
-            # is the prefix inclusion
-            if any(t != tuple(range(len(t))) for t in iota.tables):
-                if self.variant == "monic":
-                    raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage}")
-                if stage < self.max_steps:  # past a merge, sizes no longer place cells
-                    raise ValidationError("factor_through", "inclusion is not injective")
+                return ArrowRecord(farr, stages, inclusions, rmaps, cells, self.variant)
+            new_stage, iota, injections, r_new = self._build_stage(
+                stage, stages, rmaps, cell_index, attached
+            )
             stages.append(new_stage)
             inclusions.append(iota)
             rmaps.append(r_new)
@@ -240,17 +247,41 @@ class GeneratedAwfs:
                 cell_index[(stage, jname, sq.u.tables, sq.v)] = cell
         raise NonConvergence([s.total_size for s in stages])
 
-    def _build_stage(self, stages, rmaps, cell_index, attached):
-        """One colimit: glue the new cells onto the current stage object."""
-        prev = stages[-1]
-        r_prev = rmaps[-1]
-        pieces = [prev] + [self.diagram.arrow_of[j].cod for j, _ in attached]
-        cop = coproduct(pieces, prev.base)
-        inj0 = cop.legs[0]
-        rels: list[tuple[PresheafMap, PresheafMap]] = []
-        for idx, (jname, sq) in enumerate(attached):
-            j = self.diagram.arrow_of[jname]
-            rels.append((j.f.then(cop.legs[idx + 1]), sq.u.then(inj0)))
+    def _build_stage(self, stage, stages, rmaps, cell_index, attached):
+        """Append the attached cells to the current stage object: the colimit
+        of E^{stage-1} and one cod j per cell, glued along the top edges and
+        the connecting squares, with smallest-member labels.
+
+        The cells' elements are numbered after the old ones, cell by cell,
+        and the union-find joins only them: each is pinned to an old element
+        along its cell's top edge, or to another cell or an older fill along
+        a connecting square.  Old elements keep their labels and new classes
+        follow in smallest-member order.  A class holding two old elements
+        ends the run: the monic variant rejects the stage inclusion, the
+        standard variant stops (see the module docstring)."""
+        prev, r_prev = stages[-1], rmaps[-1]
+        base = prev.base
+        objects = base.objects
+        arrows = [self.diagram.arrow_of[jname] for jname, _ in attached]
+        # cell idx's element e at object position p is offsets[idx][p] + e
+        offsets, ends = [], prev.sizes
+        for j in arrows:
+            offsets.append(ends)
+            ends = tuple(a + b for a, b in zip(ends, j.cod.sizes))
+        classes = [UnionFind(n) for n in ends]  # a class's root is its smallest member
+        merges = [0] * len(objects)  # unions of two classes that hold old elements
+
+        def union(p: int, x: int, y: int) -> None:
+            rx, ry = classes[p].find(x), classes[p].find(y)
+            if rx != ry:
+                classes[p].union(rx, ry)
+                if max(rx, ry) < prev.sizes[p]:
+                    merges[p] += 1
+
+        for idx, (j, (_, sq)) in enumerate(zip(arrows, attached)):
+            for p, (jt, ut) in enumerate(zip(j.f.tables, sq.u.tables)):
+                for y, x in zip(jt, ut):
+                    union(p, offsets[idx][p] + y, x)
         index = {(jname, sq.u, sq.v): i for i, (jname, sq) in enumerate(attached)}
         for m in self.diagram.shape.nonidentity_morphisms():
             jp, jn = self.diagram.shape.src(m), self.diagram.shape.dst(m)
@@ -258,24 +289,87 @@ class GeneratedAwfs:
             for idx, (jname, sq) in enumerate(attached):
                 if jname != jn:
                     continue
-                leg = cop.legs[idx + 1]
                 cu, cv = conn.u.then(sq.u), conn.v.then(sq.v)
-                ckey = (jp, cu, cv)
-                if ckey in index:
-                    rels.append((cop.legs[index[ckey] + 1], conn.v.then(leg)))
-                else:
+                other = index.get((jp, cu, cv))
+                if other is None:
                     fill = self._partial_fill(
                         stages,
                         cell_index,
                         jp,
                         Square(self.diagram.arrow_of[jp], ArrowObject(r_prev), cu, cv),
                     )
-                    rels.append((fill.then(inj0), conn.v.then(leg)))
-        new_stage, q = quotient_presheaf(cop.apex, rels)
-        iota = inj0.then(q)
-        injections = [cop.legs[i + 1].then(q) for i in range(len(attached))]
-        legs, values = [iota] + injections, [r_prev] + [sq.v for _, sq in attached]
-        r_new = glue(new_stage, r_prev.dst, zip(legs, values), "soa.stage", "inconsistent r")
+                    pinned = fill.tables
+                else:
+                    pinned = tuple(
+                        range(off, off + n) for off, n in zip(offsets[other], conn.v.src.sizes)
+                    )
+                for p, (pt, ct) in enumerate(zip(pinned, conn.v.tables)):
+                    for x, y in zip(pt, ct):
+                        union(p, x, offsets[idx][p] + y)
+
+        # labels[p][x - n_old] is the label of new element x; reps[p] lists
+        # each new class's smallest member, in label order
+        labels, reps, sizes = [], [], []
+        for p, n_old in enumerate(prev.sizes):
+            label, rep = [], []
+            for x in range(n_old, ends[p]):
+                root = classes[p].find(x)
+                if root < n_old:
+                    label.append(root)
+                elif root == x:
+                    label.append(n_old + len(rep))
+                    rep.append(x)
+                else:
+                    label.append(label[root - n_old])
+            labels.append(label)
+            reps.append(rep)
+            sizes.append(n_old - merges[p] + len(rep))
+        if any(merges):
+            # two old elements share a class: the stage inclusion is not injective
+            if self.variant == "monic":
+                raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage}")
+            if stage < self.max_steps:  # past a merge, sizes no longer place cells
+                raise ValidationError("factor_through", "inclusion is not injective")
+            raise NonConvergence([s.total_size for s in stages] + [sum(sizes)])
+
+        at = {o: FinSet(n) for o, n in zip(objects, sizes)}
+        act = {}  # Presheaf fills in the identities' actions
+        for m in base.nonidentity_morphisms():
+            a, b = base.morphisms[m]
+            pa, pb = base._position[a], base._position[b]
+            na, nb = prev.sizes[pa], prev.sizes[pb]
+            # the label of m's action on each new element at b: a cell's
+            # element acts inside its own cell
+            images = []
+            for idx, j in enumerate(arrows):
+                lo = offsets[idx][pa] - na
+                images += [labels[pa][lo + e] for e in j.cod.act[m].table]
+            table = prev.act[m].table + tuple([images[x - nb] for x in reps[pb]])
+            for x, image, label in zip(range(nb, ends[pb]), images, labels[pb]):
+                if image != table[label]:
+                    raise ValidationError(
+                        f"quotient.act.{m}", f"relation set not a congruence at element {x}"
+                    )
+            act[m] = FinFunction._trusted(at[b], at[a], table)
+        new_stage = Presheaf(base, at, act)
+
+        rtables = [list(t) + [-1] * (n - len(t)) for t, n in zip(r_prev.tables, sizes)]
+        injections = []
+        for idx, (j, (_, sq)) in enumerate(zip(arrows, attached)):
+            tables = []
+            for p, (o, vt) in enumerate(zip(objects, sq.v.tables)):
+                lo = offsets[idx][p] - prev.sizes[p]
+                inj = labels[p][lo : lo + len(vt)]
+                rt = rtables[p]
+                for c, w in zip(inj, vt):
+                    if rt[c] == -1:
+                        rt[c] = w
+                    elif rt[c] != w:
+                        raise ValidationError("soa.stage", f"inconsistent r at {o}")
+                tables.append(tuple(inj))
+            injections.append(PresheafMap(j.cod, new_stage, tuple(tables)))
+        iota = PresheafMap(prev, new_stage, PresheafMap.identity(prev).tables)
+        r_new = PresheafMap(new_stage, r_prev.dst, tuple([tuple(t) for t in rtables]))
         return new_stage, iota, injections, r_new
 
     def _partial_fill(self, stages, cell_index, jname, sq: Square) -> PresheafMap:

@@ -1,21 +1,35 @@
 """Differential tests of the small object argument's fast paths, under both
-variants, against the walk-down reference in `reference_fill.py`, and a guard
-that keeps `core.factor_through` out of the engine."""
+variants: the fill rule against the walk-down reference in
+`reference_fill.py`, the new-squares search against the filtered full
+enumeration, and appended stages against the colimit reference in
+`reference_stage.py`.  Guards keep `core.factor_through`, the colimits and
+all but the first stage's full square enumeration out of the stage loop, and
+count the engines that one command builds."""
 
+import json
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awfs_forge import core
+from awfs_forge import core, lifting, soa, verifier
 from awfs_forge.arrows import ArrowObject
 from awfs_forge.cli import main
-from awfs_forge.core import PresheafMap, factor_through
+from awfs_forge.core import (
+    FiniteCategory,
+    FinFunction,
+    FinSet,
+    Presheaf,
+    PresheafMap,
+    all_maps,
+    factor_through,
+)
 from awfs_forge.fixtures import finmap, fixture
-from awfs_forge.lifting import GeneratorDiagram, enumerate_squares
-from awfs_forge.soa import MonicityViolation, NonConvergence, _bounded, run_soa
+from awfs_forge.lifting import GeneratorDiagram, enumerate_new_squares, enumerate_squares
+from awfs_forge.soa import GeneratedAwfs, MonicityViolation, NonConvergence, _bounded, run_soa
 from reference_fill import reference_fill
+from reference_stage import reference_stage
 
 FIXTURES = ("FIX-M", "FIX-G", "FIX-PROJ", "FIX-PW")
 
@@ -121,29 +135,162 @@ def test_split_epi_fill_matches_the_walk_down(m, n, data):
             assert gen.free_fill(rec.f, "j", sq) == reference_fill(rec, "j", sq)
 
 
-@pytest.fixture
-def factor_through_calls(monkeypatch):
-    """Counts calls of core.factor_through, wherever the package bound it."""
-    calls = []
-    original = core.factor_through
+def _log_calls(monkeypatch, owner, attr, log):
+    """Rebind owner.attr to a wrapper that appends each call's arguments to `log`."""
+    original = getattr(owner, attr)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
+    def logged(*args, **kwargs):
+        log.append(args)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("awfs_forge") and getattr(module, "factor_through", None) is original:
-            monkeypatch.setattr(module, "factor_through", counting)
-    return calls
+    monkeypatch.setattr(owner, attr, logged)
+
+
+def _log_kernel_calls(monkeypatch, name, log):
+    """`_log_calls` for core.<name>, wherever the package bound it."""
+    original = getattr(core, name)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("awfs_forge") and getattr(module, name, None) is original:
+            _log_calls(monkeypatch, module, name, log)
+
+
+def _table_key(components: dict) -> tuple:
+    return tuple(sorted((o, tuple(t)) for o, t in components.items()))
 
 
 @pytest.mark.parametrize("fx", ["FIX-M", "FIX-G"])
-def test_soa_never_calls_factor_through(fx, factor_through_calls, tmp_path):
+def test_soa_never_calls_factor_through(fx, monkeypatch, tmp_path):
+    # nor glues a stage with a colimit, nor lists all squares past stage 1
+    kernel = {name: [] for name in ("factor_through", "coproduct", "quotient_presheaf")}
+    for name, log in kernel.items():
+        _log_kernel_calls(monkeypatch, name, log)
+    factoring, loop_squares, verified_squares = [], [], []
+    _log_calls(monkeypatch, GeneratedAwfs, "_compute_record", factoring)
+    enumerate_all = soa.enumerate_squares
+
+    def in_loop(j, g):
+        loop_squares.append((factoring[-1][1], g))  # (arrow being factored, target)
+        return enumerate_all(j, g)
+
+    monkeypatch.setattr(soa, "enumerate_squares", in_loop)
+    _log_calls(monkeypatch, verifier, "enumerate_squares", verified_squares)
     for variant in ("monic", "standard"):
         out = tmp_path / f"{variant}.json"
         assert main(["soa", "--fixture", fx, "--variant", variant, "--out", str(out)]) == 0
-        assert factor_through_calls == []
-        # positive control: the verifier still factors through inclusions
+        assert kernel == {name: [] for name in kernel}
+        # stage 1 only: the squares into r_0, which is the arrow itself
+        assert loop_squares and all(f == g for f, g in loop_squares)
+        # positive controls: the verifier factors through inclusions and lists
+        # the squares into every r_k in full
         assert main(["verify-cert", "--fixture", fx, str(out)]) == 0
-        assert factor_through_calls
-        factor_through_calls.clear()
+        assert kernel["factor_through"]
+        payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
+        rmaps = {
+            _table_key(payload["maps"][key]["components"])
+            for entry in payload["arrows"].values()
+            for key in entry["rmaps"]
+        }
+        assert len(rmaps) > len(payload["arrows"])
+        assert rmaps <= {_table_key(g.f.table_json()) for _, g in verified_squares}
+        for log in (*kernel.values(), factoring, loop_squares, verified_squares):
+            log.clear()
+
+
+@pytest.mark.parametrize(
+    "argv, engines",
+    [
+        (["quillen-check", "--fixture", "FIX-G", "--adjunction", "ident"], 2),
+        (["transport", "--fixture", "FIX-G", "--adjunction", "ident"], 1),
+        (["quillen-check", "--fixture", "FIX-PROJ", "--adjunction", "lan"], 2),
+        (["model", "--fixture", "FIX-PROJ"], 2),
+    ],
+)
+def test_one_engine_per_distinct_generator_diagram(argv, engines, monkeypatch, tmp_path):
+    # model keeps an engine per generator set: its certificate lists each one's records
+    built = []
+    _log_calls(monkeypatch, GeneratedAwfs, "__init__", built)
+    assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 0
+    assert len(built) == engines
+
+
+# -- new squares ------------------------------------------------------------------
+
+
+def _filtered_squares(j, g, old):
+    return tuple(sq for sq in enumerate_squares(j, g) if not _bounded(sq.u, old))
+
+
+def test_new_squares_match_the_filtered_enumeration(records):
+    found = 0
+    for label, gen, rec in records:
+        for k in range(1, len(rec.stages)):
+            g, old = ArrowObject(rec.rmaps[k]), rec.stages[k - 1]
+            for j in gen.diagram.arrow_of.values():
+                new = enumerate_new_squares(j, g, old)
+                assert new == _filtered_squares(j, g, old), (label, k)
+                found += len(new)
+    assert found > 50
+
+
+@st.composite
+def _presheaves(draw, base, extend=None):
+    """A presheaf on a base without composites; given `extend`, one of which
+    it is a prefix sub-presheaf (its elements keep their actions)."""
+    old = extend.sizes if extend is not None else (0,) * len(base.objects)
+    sizes = {o: k + draw(st.integers(0, 2)) for o, k in zip(base.objects, old)}
+    arrows = [(m, *base.morphisms[m]) for m in base.nonidentity_morphisms()]
+    for m, a, b in arrows:
+        if sizes[b] and not sizes[a]:
+            sizes[a] = 1  # every element at b needs an image at a
+    act = {}
+    for m, a, b in arrows:
+        kept = extend.act[m].table if extend is not None else ()
+        fresh = [draw(st.integers(0, sizes[a] - 1)) for _ in range(sizes[b] - len(kept))]
+        act[m] = FinFunction(FinSet(sizes[b]), FinSet(sizes[a]), kept + tuple(fresh))
+    return Presheaf(base, sizes, act)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FiniteCategory.graph_base(), FiniteCategory.walking_arrow()]), st.data())
+def test_new_squares_match_on_drawn_prefixes(base, data):
+    old = data.draw(_presheaves(base))
+    dst = data.draw(_presheaves(base, extend=old))
+    # with a terminal summand, b and c receive maps from every presheaf
+    a, b, c = (data.draw(_presheaves(base)) for _ in range(3))
+    b, c = (core.coproduct([p, Presheaf.terminal(base)]).apex for p in (b, c))
+    js, gs = all_maps(a, b), all_maps(dst, c)
+    j = ArrowObject(js[data.draw(st.integers(0, len(js) - 1))])
+    g = ArrowObject(gs[data.draw(st.integers(0, len(gs) - 1))])
+    # the drawn prefix, the empty one, and the whole domain
+    for prefix in (old, Presheaf.empty(base), dst):
+        assert enumerate_new_squares(j, g, prefix) == _filtered_squares(j, g, prefix)
+    assert enumerate_new_squares(j, g, dst) == ()
+    if a.total_size:
+        assert enumerate_new_squares(j, g, Presheaf.empty(base)) == enumerate_squares(j, g)
+
+
+# -- appended stages --------------------------------------------------------------
+
+
+def _stage_inputs(rec, k):
+    """What the stage loop hands the builder at stage k of a finished record."""
+    cell_index = {key: c for key, c in rec.cell_index.items() if c.stage < k}
+    attached = [(c.jname, c.square) for c in rec.cells_by_stage[k]]
+    return rec.stages[:k], rec.rmaps[:k], cell_index, attached
+
+
+def test_appended_stages_match_the_colimit(records):
+    built = 0
+    for label, gen, rec in records:
+        for k in range(1, len(rec.stages)):
+            args = _stage_inputs(rec, k)
+            got = gen._build_stage(k, *args)
+            assert got == reference_stage(gen, *args), (label, k)
+            assert got == (
+                rec.stages[k],
+                rec.inclusions[k - 1],
+                [c.injection for c in rec.cells_by_stage[k]],
+                rec.rmaps[k],
+            ), (label, k)
+            built += 1
+    assert built > 30
