@@ -147,6 +147,15 @@ def _engine_per_diagram(variant: str, max_steps: int):
     return engine
 
 
+def _sealed(payload: dict, pool: CertPool, report: LawReport | None = None) -> dict:
+    """`payload` with the pooled tables it refers to, and its law report."""
+    payload["presheaves"] = pool.presheaves
+    payload["maps"] = pool.maps
+    if report is not None:
+        payload["law_report"] = report.to_json()
+    return payload
+
+
 def envelope(command: str, instance: InstanceFile, options: dict, payload: dict) -> dict:
     return {
         "engine": f"awfs-forge {__version__}",
@@ -216,10 +225,7 @@ def soa_certificate(
     for jname in diagram.objects():
         lam = gen.lam(jname)
         payload["lambdas"][jname] = pool.add_map(lam.s)
-    payload["presheaves"] = pool.presheaves
-    payload["maps"] = pool.maps
-    payload["law_report"] = report.to_json()
-    return payload
+    return _sealed(payload, pool, report)
 
 
 def lift_certificate(
@@ -252,26 +258,24 @@ def lift_certificate(
             "fills": entries,
         }
         payload["arrows"][pool.add_map(arr.f)] = _arrow_entry(pool, gen, rec, False)
-    payload["presheaves"] = pool.presheaves
-    payload["maps"] = pool.maps
-    return payload
+    return _sealed(payload, pool)
 
 
 def model_certificate(
     instance: InstanceFile,
-    gen_j: str,
-    gen_i: str,
-    tau_name: str,
+    generators_j: str,
+    generators_i: str,
+    tau: str,
     variant: str,
     max_steps: int,
 ) -> dict:
     """Comparison map, morphism-law report, replacement tables, and χ tables."""
-    diagram_j = instance.generators[gen_j]
-    diagram_i = instance.generators[gen_i]
-    tau = instance.taus[tau_name]
+    diagram_j = instance.generators[generators_j]
+    diagram_i = instance.generators[generators_i]
+    tau_data = instance.taus[tau]
     gen_t = run_soa(diagram_j, variant=variant, max_steps=max_steps)
     gen = run_soa(diagram_i, variant=variant, max_steps=max_steps)
-    amstr = build_model_structure(gen_t, gen, tau, instance.weq)
+    amstr = build_model_structure(gen_t, gen, tau_data, instance.weq)
     base = next(iter(diagram_j.arrow_of.values())).base
     named = _requested_arrows(instance, base, None)
     arrows = [arr for _, arr in named]
@@ -298,8 +302,8 @@ def model_certificate(
 
     pool = CertPool(instance.bases)
     payload: dict = {
-        "generators_j": _emit_generator_block(pool, gen_t, gen_j),
-        "generators_i": _emit_generator_block(pool, gen, gen_i),
+        "generators_j": _emit_generator_block(pool, gen_t, generators_j),
+        "generators_i": _emit_generator_block(pool, gen, generators_i),
         "xi": {},
         "replacement": {},
         "chi": {},
@@ -323,10 +327,7 @@ def model_certificate(
             pool.add_map(rec.f.f): _arrow_entry(pool, g, rec, False)
             for rec in list(g.records.values())
         }
-    payload["presheaves"] = pool.presheaves
-    payload["maps"] = pool.maps
-    payload["law_report"] = report.to_json()
-    return payload
+    return _sealed(payload, pool, report)
 
 
 def transport_certificate(
@@ -373,35 +374,32 @@ def transport_certificate(
         payload["rho"][pool.add_map(g.f)] = pool.add_map(md.rho(g))
     for i, f in enumerate(arrows_m):
         payload["gamma"][pool.add_map(f.f)] = pool.add_map(md.gamma(f))
-    payload["presheaves"] = pool.presheaves
-    payload["maps"] = pool.maps
-    payload["law_report"] = report.to_json()
-    return payload
+    return _sealed(payload, pool, report)
 
 
 def quillen_certificate(
     instance: InstanceFile,
     adjunction: str,
-    gen_j: str,
-    gen_i: str,
-    tau_name: str,
+    generators_j: str,
+    generators_i: str,
+    tau: str,
     variant: str,
     max_steps: int,
 ) -> dict:
     """Full algebraic Quillen adjunction check across both model structures."""
     adj = instance.adjunction(adjunction)
-    diagram_j = instance.generators[gen_j]
-    diagram_i = instance.generators[gen_i]
-    tau = instance.taus[tau_name]
+    diagram_j = instance.generators[generators_j]
+    diagram_i = instance.generators[generators_i]
+    tau_data = instance.taus[tau]
     engine = _engine_per_diagram(variant, max_steps)
     gen_t_m = engine(diagram_j)
     gen_m = engine(diagram_i)
-    amstr_m = build_model_structure(gen_t_m, gen_m, tau, instance.weq)
+    amstr_m = build_model_structure(gen_t_m, gen_m, tau_data, instance.weq)
     tj = transport_generators(adj, diagram_j)
     ti = transport_generators(adj, diagram_i)
     gen_t_k = engine(tj)
     gen_k = engine(ti)
-    tau_k = TauData(tj, ti, dict(tau.on_objects), dict(tau.on_morphisms))
+    tau_k = TauData(tj, ti, dict(tau_data.on_objects), dict(tau_data.on_morphisms))
     amstr_k = build_model_structure(gen_t_k, gen_k, tau_k, instance.weq)
     mates_t = build_mates(adj, gen_t_m, gen_t_k)
     mates = build_mates(adj, gen_m, gen_k)
@@ -430,7 +428,4 @@ def quillen_certificate(
     for g in arrows_k:
         payload["xi_k"][pool.add_map(g.f)] = pool.add_map(amstr_k.xi.at(g))
         payload["rho_t"][pool.add_map(g.f)] = pool.add_map(mates_t.rho(g))
-    payload["presheaves"] = pool.presheaves
-    payload["maps"] = pool.maps
-    payload["law_report"] = report.to_json()
-    return payload
+    return _sealed(payload, pool, report)

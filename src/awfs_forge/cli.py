@@ -11,16 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
+from . import certificates
 from .core import ValidationError, canonical_dumps
-from .certificates import (
-    envelope,
-    lift_certificate,
-    model_certificate,
-    quillen_certificate,
-    soa_certificate,
-    transport_certificate,
-)
 from .fixtures import FIXTURE_NAMES, fixture
 from .instance import InstanceFile, load
 from .soa import MonicityViolation, NonConvergence
@@ -33,21 +27,50 @@ EXIT_LAW_FAILURE = 3
 EXIT_MONICITY = 4
 
 
-def _add_instance_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("instance", nargs="?", help="path to an instance JSON file")
-    parser.add_argument(
-        "--fixture", choices=FIXTURE_NAMES, help="use a bundled fixture instead of a file"
-    )
+class Certifying(NamedTuple):
+    """A certifying command: its help, the name of its `certificates` builder,
+    the option keys of the named entries it resolves (in resolution order),
+    and whether `--arrows` selects the arrows it certifies."""
+
+    help: str
+    builder: str
+    names: tuple[str, ...]
+    arrows: bool = False
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--variant", choices=("monic", "standard"), default=None)
-    parser.add_argument("--max-steps", type=int, default=None)
-    parser.add_argument(
-        "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
-    )
-    parser.add_argument("--out", help="write the certificate to a file instead of stdout")
-    parser.add_argument("--arrows", help="comma-separated named arrows (default: all)")
+# option key -> (instance registry, default name, help); a default of None
+# stands for the registry's first entry
+NAMED = {
+    "adjunction": ("adjunctions", None, "adjunction name"),
+    "generators": ("generators", None, "generator diagram name"),
+    "generators_j": ("generators", "J", "trivial-cofibration generators"),
+    "generators_i": ("generators", "I", "cofibration generators"),
+    "tau": ("taus", None, "inclusion functor name"),
+}
+
+CERTIFYING = {
+    "soa": Certifying(
+        "run the small object argument and certify", "soa_certificate", ("generators",), True
+    ),
+    "lift": Certifying(
+        "emit free lifting-function certificates", "lift_certificate", ("generators",), True
+    ),
+    "model": Certifying(
+        "build and verify an algebraic model structure",
+        "model_certificate",
+        ("generators_j", "generators_i", "tau"),
+    ),
+    "transport": Certifying(
+        "transport generators across an adjunction",
+        "transport_certificate",
+        ("adjunction", "generators"),
+    ),
+    "quillen-check": Certifying(
+        "verify an algebraic Quillen adjunction",
+        "quillen_certificate",
+        ("adjunction", "generators_j", "generators_i", "tau"),
+    ),
+}
 
 
 def _resolve_instance(args) -> InstanceFile:
@@ -69,124 +92,41 @@ def _entry(mapping: dict, name: str | None, path: str) -> str:
     return name
 
 
-def _emit(cert: dict, args) -> None:
-    text = canonical_dumps(cert)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _report_failed(payload: dict) -> bool:
-    return any(e.get("status") != "pass" for e in payload.get("law_report", []))
-
-
-def _run_options(instance: InstanceFile, args) -> tuple[str, int]:
-    variant = instance.option("variant", getattr(args, "variant", None), "monic")
-    max_steps = instance.option("max_steps", getattr(args, "max_steps", None), 64)
-    return variant, int(max_steps)
-
-
-def _options(args, variant: str, max_steps: int, extra: dict | None = None) -> dict:
-    out = {"variant": variant, "max_steps": max_steps}
-    if getattr(args, "arrows", None):
-        out["arrows"] = args.arrows
-    if extra:
-        out.update(extra)
-    return out
-
-
 def cmd_validate(args) -> int:
     instance = _resolve_instance(args)
     sys.stdout.write(f"ok {instance.input_hash()}\n")
     return EXIT_OK
 
 
-def cmd_soa(args) -> int:
+def cmd_certify(args) -> int:
+    command = CERTIFYING[args.command]
     instance = _resolve_instance(args)
-    gname = _entry(instance.generators, args.generators, "generators")
-    arrows = args.arrows.split(",") if args.arrows else None
-    variant, max_steps = _run_options(instance, args)
-    payload = soa_certificate(instance, gname, variant, max_steps, arrows)
-    cert = envelope("soa", instance, _options(args, variant, max_steps, {"generators": gname}), payload)
-    _emit(cert, args)
-    return EXIT_LAW_FAILURE if _report_failed(payload) else EXIT_OK
-
-
-def cmd_lift(args) -> int:
-    instance = _resolve_instance(args)
-    gname = _entry(instance.generators, args.generators, "generators")
-    arrows = args.arrows.split(",") if args.arrows else None
-    variant, max_steps = _run_options(instance, args)
-    payload = lift_certificate(instance, gname, variant, max_steps, arrows)
-    cert = envelope("lift", instance, _options(args, variant, max_steps, {"generators": gname}), payload)
-    _emit(cert, args)
-    return EXIT_OK
-
-
-def cmd_model(args) -> int:
-    instance = _resolve_instance(args)
-    gen_j = _entry(instance.generators, args.generators_j or "J", "generators")
-    gen_i = _entry(instance.generators, args.generators_i or "I", "generators")
-    tau = _entry(instance.taus, args.tau, "taus")
-    variant, max_steps = _run_options(instance, args)
-    payload = model_certificate(instance, gen_j, gen_i, tau, variant, max_steps)
-    cert = envelope(
-        "model",
-        instance,
-        _options(args, variant, max_steps, {"generators_j": gen_j, "generators_i": gen_i, "tau": tau}),
-        payload,
-    )
-    _emit(cert, args)
-    return EXIT_LAW_FAILURE if _report_failed(payload) else EXIT_OK
-
-
-def cmd_transport(args) -> int:
-    instance = _resolve_instance(args)
-    adjunction = _entry(instance.adjunctions, args.adjunction, "adjunctions")
-    gname = _entry(instance.generators, args.generators, "generators")
-    variant, max_steps = _run_options(instance, args)
-    payload = transport_certificate(instance, adjunction, gname, variant, max_steps)
-    cert = envelope(
-        "transport",
-        instance,
-        _options(args, variant, max_steps, {"adjunction": adjunction, "generators": gname}),
-        payload,
-    )
-    _emit(cert, args)
-    return EXIT_LAW_FAILURE if _report_failed(payload) else EXIT_OK
-
-
-def cmd_quillen_check(args) -> int:
-    instance = _resolve_instance(args)
-    adjunction = _entry(instance.adjunctions, args.adjunction, "adjunctions")
-    gen_j = _entry(instance.generators, args.generators_j or "J", "generators")
-    gen_i = _entry(instance.generators, args.generators_i or "I", "generators")
-    tau = _entry(instance.taus, args.tau, "taus")
-    variant, max_steps = _run_options(instance, args)
-    payload = quillen_certificate(
-        instance, adjunction, gen_j, gen_i, tau, variant, max_steps
-    )
-    cert = envelope(
-        "quillen-check",
-        instance,
-        _options(
-            args,
-            variant,
-            max_steps,
-            {
-                "adjunction": adjunction,
-                "generators_j": gen_j,
-                "generators_i": gen_i,
-                "tau": tau,
-            },
-        ),
-        payload,
-    )
-    _emit(cert, args)
-    return EXIT_LAW_FAILURE if _report_failed(payload) else EXIT_OK
+    options = {}  # the builder's arguments, and the certificate's options block
+    for key in command.names:
+        registry, default, _ = NAMED[key]
+        name = getattr(args, key)
+        if default is not None:
+            name = name or default
+        options[key] = _entry(getattr(instance, registry), name, registry)
+    options["variant"] = instance.option("variant", args.variant, "monic")
+    options["max_steps"] = instance.option("max_steps", args.max_steps, 64)
+    selected = {}
+    if command.arrows:
+        # the builder leaves out a named arrow whose map lives over another base
+        names = args.arrows.split(",") if args.arrows else ()
+        selected["arrows"] = [_entry(instance.maps, n, "arrows") for n in names] or None
+    # looked up when called, so that a rebound module attribute is the one run
+    payload = getattr(certificates, command.builder)(instance, **options, **selected)
+    if args.arrows:
+        options["arrows"] = args.arrows
+    text = canonical_dumps(certificates.envelope(args.command, instance, options, payload))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
+    failed = any(e.get("status") != "pass" for e in payload.get("law_report", []))
+    return EXIT_LAW_FAILURE if failed else EXIT_OK
 
 
 def cmd_verify_cert(args) -> int:
@@ -205,58 +145,37 @@ def cmd_verify_cert(args) -> int:
     return EXIT_LAW_FAILURE
 
 
+def _subparser(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("instance", nargs="?", help="path to an instance JSON file")
+    p.add_argument(
+        "--fixture", choices=FIXTURE_NAMES, help="use a bundled fixture instead of a file"
+    )
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="awfs-forge",
         description="Exact algebraic weak factorization systems on finite presheaf categories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and exhaustively validate an instance")
-    _add_instance_args(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("soa", help="run the small object argument and certify")
-    _add_instance_args(p)
-    _add_run_args(p)
-    p.add_argument("--generators", help="generator diagram name (default: first)")
-    p.set_defaults(func=cmd_soa)
-
-    p = sub.add_parser("lift", help="emit free lifting-function certificates")
-    _add_instance_args(p)
-    _add_run_args(p)
-    p.add_argument("--generators", help="generator diagram name (default: first)")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("model", help="build and verify an algebraic model structure")
-    _add_instance_args(p)
-    _add_run_args(p)
-    p.add_argument("--generators-j", help="trivial-cofibration generators (default: J)")
-    p.add_argument("--generators-i", help="cofibration generators (default: I)")
-    p.add_argument("--tau", help="inclusion functor name (default: first)")
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("transport", help="transport generators across an adjunction")
-    _add_instance_args(p)
-    _add_run_args(p)
-    p.add_argument("--adjunction", help="adjunction name (default: first)")
-    p.add_argument("--generators", help="generator diagram name (default: first)")
-    p.set_defaults(func=cmd_transport)
-
-    p = sub.add_parser("quillen-check", help="verify an algebraic Quillen adjunction")
-    _add_instance_args(p)
-    _add_run_args(p)
-    p.add_argument("--adjunction", help="adjunction name (default: first)")
-    p.add_argument("--generators-j", help="trivial-cofibration generators (default: J)")
-    p.add_argument("--generators-i", help="cofibration generators (default: I)")
-    p.add_argument("--tau", help="inclusion functor name (default: first)")
-    p.set_defaults(func=cmd_quillen_check)
-
-    p = sub.add_parser("verify-cert", help="independently recheck a certificate")
-    _add_instance_args(p)
+    _subparser(sub, "validate", "parse and exhaustively validate an instance", cmd_validate)
+    for name, command in CERTIFYING.items():
+        p = _subparser(sub, name, command.help, cmd_certify)
+        p.add_argument("--variant", choices=("monic", "standard"), default=None)
+        p.add_argument("--max-steps", type=int, default=None)
+        p.add_argument(
+            "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
+        )
+        p.add_argument("--out", help="write the certificate to a file instead of stdout")
+        p.add_argument("--arrows", help="comma-separated named arrows (default: all)")
+        for key in command.names:
+            _, default, text = NAMED[key]
+            p.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {default or 'first'})")
+    p = _subparser(sub, "verify-cert", "independently recheck a certificate", cmd_verify_cert)
     p.add_argument("certificate", help="path to the certificate JSON")
-    p.set_defaults(func=cmd_verify_cert)
-
     return parser
 
 
@@ -276,6 +195,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except FileNotFoundError as exc:
         sys.stderr.write(f"file not found: {exc}\n")
+        return EXIT_ERROR
+    except OSError as exc:  # a directory, or a file that cannot be read or written
+        sys.stderr.write(f"cannot open: {exc}\n")
         return EXIT_ERROR
 
 

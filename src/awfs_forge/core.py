@@ -85,9 +85,6 @@ class FinSet:
         if self.size < 0:
             raise ValidationError("FinSet.size", "must be nonnegative")
 
-    def elements(self) -> range:
-        return range(self.size)
-
 
 @dataclass(frozen=True)
 class FinFunction:
@@ -448,12 +445,6 @@ class Presheaf:
             {o: zero for o in base.objects},
             {m: FinFunction(zero, zero, (0,)) for m in base.morphisms},
         )
-
-    @staticmethod
-    def constant(base: FiniteCategory, n: int) -> "Presheaf":
-        s = FinSet(n)
-        ident = FinFunction.identity(s)
-        return Presheaf(base, {o: s for o in base.objects}, {m: ident for m in base.morphisms})
 
 
 class PresheafMap:

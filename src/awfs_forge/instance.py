@@ -193,6 +193,17 @@ def _parse_generators(name: str, data: dict, maps: dict[str, PresheafMap]) -> Ge
     return diagram
 
 
+def _options(value) -> dict:
+    """The instance's command defaults; booleans are not step bounds here."""
+    options = dict(expect_object(value, "options"))
+    steps = options.get("max_steps", 0)
+    if type(steps) is not int or steps < 0:
+        raise ValidationError("options.max_steps", "must be a nonnegative JSON integer")
+    if options.get("variant", "monic") not in ("monic", "standard"):
+        raise ValidationError("options.variant", "must be monic or standard")
+    return options
+
+
 def from_json(data: dict) -> InstanceFile:
     """Parse and exhaustively validate an instance document."""
     expect_object(data, "instance")
@@ -287,7 +298,7 @@ def from_json(data: dict) -> InstanceFile:
         weq=weq,
         taus=taus,
         adjunctions=adjunctions,
-        options=dict(expect_object(data.get("options", {}), "options")),
+        options=_options(data.get("options", {})),
         raw=data,
     )
 

@@ -117,19 +117,22 @@ def square_key(u: PresheafMap, v: PresheafMap) -> str:
     return repr([[list(t) for t in u.tables], [list(t) for t in v.tables]])
 
 
-@lru_cache(maxsize=None)
-def _squares_into_cached(j: ArrowObject, g: ArrowObject) -> tuple[Square, ...]:
+def _squares_with_tops(j: ArrowObject, g: ArrowObject, tops) -> tuple[Square, ...]:
+    """The squares j => g whose top edge is in `tops`, in canonical order."""
+    if not tops:
+        return ()
     # (u, v) commutes exactly when u;g == j;v: join the two homs on that map
-    tops: dict[PresheafMap, list[PresheafMap]] = {}
-    for u in all_maps(j.dom, g.dom):
-        tops.setdefault(u.then(g.f), []).append(u)
-    out = [
-        Square(j, g, u, v)
-        for v in all_maps(j.cod, g.cod)
-        for u in tops.get(j.f.then(v), ())
-    ]
+    bottoms: dict[PresheafMap, list[PresheafMap]] = {}
+    for v in all_maps(j.cod, g.cod):
+        bottoms.setdefault(j.f.then(v), []).append(v)
+    out = [Square(j, g, u, v) for u in tops for v in bottoms.get(u.then(g.f), ())]
     out.sort(key=lambda s: square_key(s.u, s.v))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _squares_into_cached(j: ArrowObject, g: ArrowObject) -> tuple[Square, ...]:
+    return _squares_with_tops(j, g, all_maps(j.dom, g.dom))
 
 
 def enumerate_squares(j: ArrowObject, g: ArrowObject) -> tuple[Square, ...]:
@@ -165,14 +168,7 @@ def enumerate_new_squares(j: ArrowObject, g: ArrowObject, old: Presheaf) -> tupl
             return range(n_old, n) if i == first else range(n)
 
         tops.extend(search_maps(src, dst, allowed))
-    if not tops:
-        return ()
-    bottoms: dict[PresheafMap, list[PresheafMap]] = {}
-    for v in all_maps(j.cod, g.cod):
-        bottoms.setdefault(j.f.then(v), []).append(v)
-    out = [Square(j, g, u, v) for u in tops for v in bottoms.get(u.then(g.f), ())]
-    out.sort(key=lambda s: square_key(s.u, s.v))
-    return tuple(out)
+    return _squares_with_tops(j, g, tops)
 
 
 def oracle_lift(j: ArrowObject, g: ArrowObject, sq: Square) -> list[PresheafMap]:

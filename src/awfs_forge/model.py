@@ -253,10 +253,6 @@ class ReplacementMonad:
         return self.amstr.gen.delta(cobang(x))
 
 
-def replacement(amstr: AlgebraicModelStructure) -> ReplacementMonad:
-    return ReplacementMonad(amstr)
-
-
 def chi(amstr: AlgebraicModelStructure, x: Presheaf) -> PresheafMap:
     """χ_X: RQX -> QRX, the two-lift-agreeing solution of the lifting problem
     posed by Qη_X and Rε_X between η_{QX} and ε_{RX}."""

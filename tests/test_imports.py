@@ -6,6 +6,10 @@ import statement anywhere in the module (functions included) must appear as a
 `Name` node somewhere in it.  Re-exports are not part of the package's style,
 so none are exempt.  No module needs a function-local import to break an
 import cycle, so an import of the package inside a function is flagged too.
+
+A stand-in for a dead-code rule as well: every function, method and class
+the package defines must be referenced from the package, the tests, the
+scripts or the benchmark.
 """
 
 import ast
@@ -13,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "awfs_forge"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "awfs_forge"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,6 +54,58 @@ def local_package_imports(source: str) -> list[str]:
         if _imports_package(node)
     }
     return [f"line {line}" for line in sorted(lines)]
+
+
+def definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every function, method and class but dunder methods."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def references(source: str) -> set[str]:
+    """Names, attribute names and string constants: a definition looked up
+    with `getattr` by name is referenced by the string."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_scanner_flags_an_unreferenced_definition():
+    source = (
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "def by_name(): pass\n"
+        "def dead(): pass\n"
+        "A().used(); getattr(A, 'by_name')\n"
+    )
+    refs = references(source)
+    assert [d for d in definitions(source) if d[1] not in refs] == [(4, "unused"), (6, "dead")]
+
+
+def test_every_package_definition_is_referenced():
+    refs: set[str] = set()
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            refs |= references(path.read_text(encoding="utf-8"))
+    dead = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in definitions(path.read_text(encoding="utf-8"))
+        if name not in refs
+    ]
+    assert dead == []
 
 
 def test_scanner_flags_an_unused_name():

@@ -1,9 +1,10 @@
+import argparse
 import json
 import copy
 
 import pytest
 
-from awfs_forge.cli import main
+from awfs_forge.cli import build_parser, main
 from awfs_forge.core import ValidationError, canonical_dumps, sha256_hex
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.instance import from_json, load
@@ -357,6 +358,10 @@ def test_model_command_reports_failed_axiom_graph(tmp_path, capsys):
         ("quillen-check --fixture FIX-M --generators-i nope", "generators.nope"),
         ("model --fixture FIX-M --tau nope", "taus.nope"),
         ("lift --fixture FIX-M --generators nope", "generators.nope"),
+        ("soa --fixture FIX-M --arrows nope", "arrows.nope"),
+        ("soa --fixture FIX-M --arrows nope,f21", "arrows.nope"),
+        ("lift --fixture FIX-M --arrows f21,nope", "arrows.nope"),
+        ("lift --fixture FIX-M --arrows f21,", "arrows."),
     ],
 )
 def test_unresolvable_names_are_validation_errors(argv, path, capsys):
@@ -402,6 +407,13 @@ def _set(raw, keys, value):
         (("bases",), {"extra": {"objects": ["a", "a"]}}, "bases.extra.objects"),
         (("maps", "f_vp", "components", "Q"), [7], "maps.f_vp.components.Q"),
         (("presheaves", "edge", "at", "Q"), 3, "presheaves.edge.at.Q"),
+        (("options",), {"max_steps": "abc"}, "options.max_steps"),
+        (("options",), {"max_steps": [1]}, "options.max_steps"),
+        (("options",), {"max_steps": None}, "options.max_steps"),
+        (("options",), {"max_steps": 2.7}, "options.max_steps"),
+        (("options",), {"max_steps": True}, "options.max_steps"),
+        (("options",), {"max_steps": -1}, "options.max_steps"),
+        (("options",), {"variant": "fast"}, "options.variant"),
     ],
     ids=[
         "top-level-list", "act-string", "components-null", "generators-string",
@@ -413,6 +425,8 @@ def _set(raw, keys, value):
         "act-wrong-length", "act-boolean", "at-float", "at-boolean", "components-boolean",
         "base-duplicate-objects", "extra-base-duplicate-objects",
         "components-unknown-object", "at-unknown-object",
+        "max-steps-string", "max-steps-list", "max-steps-null", "max-steps-float",
+        "max-steps-boolean", "max-steps-negative", "variant-unknown",
     ],
 )
 def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, capsys):
@@ -454,6 +468,32 @@ def test_verify_cert_rejects_malformed_certificates(damage, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("certificate REJECTED: malformed certificate: ")
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("where", ["instance", "certificate", "out"])
+def test_a_directory_path_is_an_error_not_a_traceback(where, tmp_path, capsys):
+    argv = {
+        "instance": ["validate", str(tmp_path)],
+        "certificate": ["verify-cert", "--fixture", "FIX-M", str(tmp_path)],
+        "out": ["soa", "--fixture", "FIX-M", "--out", str(tmp_path)],
+    }[where]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot open: ") and captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err
+
+
+def test_a_missing_path_is_still_file_not_found(tmp_path, capsys):
+    assert main(["validate", str(tmp_path / "nope.json")]) == 1
+    assert capsys.readouterr().err.startswith("file not found: ")
+
+
+def test_an_arrow_over_another_base_is_skipped(tmp_path):
+    # FIX-PROJ's g1 lives over its second base, not under its generators
+    out = tmp_path / "cert.json"
+    assert main(["soa", "--fixture", "FIX-PROJ", "--arrows", "g1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["named"] == {}
 
 
 def test_transport_and_quillen_commands(tmp_path):
@@ -527,3 +567,34 @@ def test_explicit_adjunction_descriptor():
 def test_instance_options_used_as_defaults():
     assert main(["soa", "--fixture", "FIX-DIV"]) == 2  # max_steps 10 from the instance
     assert main(["soa", "--fixture", "FIX-DIV", "--max-steps", "3"]) == 2
+
+
+_INSTANCE = (["instance"], ["-h", "--help", "--fixture"])
+_RUN = ["--variant", "--max-steps", "--threads", "--out", "--arrows"]
+CLI_SURFACE = {
+    "validate": _INSTANCE,
+    "soa": (["instance"], _INSTANCE[1] + _RUN + ["--generators"]),
+    "lift": (["instance"], _INSTANCE[1] + _RUN + ["--generators"]),
+    "model": (["instance"], _INSTANCE[1] + _RUN + ["--generators-j", "--generators-i", "--tau"]),
+    "transport": (["instance"], _INSTANCE[1] + _RUN + ["--adjunction", "--generators"]),
+    "quillen-check": (
+        ["instance"],
+        _INSTANCE[1] + _RUN + ["--adjunction", "--generators-j", "--generators-i", "--tau"],
+    ),
+    "verify-cert": (["instance", "certificate"], _INSTANCE[1]),
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for name, (positionals, options) in CLI_SURFACE.items():
+        actions = sub.choices[name]._actions
+        assert [a.dest for a in actions if not a.option_strings] == positionals, name
+        assert [s for a in actions for s in a.option_strings] == options, name
+        choices = {a.option_strings[0]: list(a.choices) for a in actions if a.choices}
+        want = {"--fixture": ["FIX-M", "FIX-G", "FIX-DIV", "FIX-PW", "FIX-PROJ"]}
+        if "--variant" in options:
+            want["--variant"] = ["monic", "standard"]
+        assert choices == want, name

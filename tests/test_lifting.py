@@ -138,6 +138,18 @@ def test_free_lifting_function_passes(fixm_gen):
     assert check_lifting_function(fixm_gen.diagram, lf).passed
 
 
+@pytest.mark.parametrize("gname", ["J", "I"])
+def test_free_algebra_and_free_lifting_function_correspond(gname, fixm):
+    # the algebra/lifting-function dictionary, both ways, on every named arrow
+    gen = run_soa(fixm.generators[gname])
+    for m in fixm.maps.values():
+        f = ArrowObject(m)
+        alg = gen.free_algebra(f)
+        lf = algebra_to_lifting_function(gen.diagram, alg, gen.lam, gen.as_fact())
+        assert lf.fills == gen.free_lifting_function(f).fills
+        assert eq_witness(lifting_function_to_algebra(gen, lf).t, alg.t) is None
+
+
 def test_nondiscrete_mutation_breaks_coherence():
     pw = fixture("FIX-PW")
     diagram = pw.generators["JA"]
