@@ -109,6 +109,8 @@ def cmd_certify(args) -> int:
             name = name or default
         options[key] = _entry(getattr(instance, registry), name, registry)
     options["variant"] = instance.option("variant", args.variant, "monic")
+    if args.max_steps is not None and args.max_steps < 0:
+        raise ValidationError("--max-steps", "must be a nonnegative integer")
     options["max_steps"] = instance.option("max_steps", args.max_steps, 64)
     selected = {}
     if command.arrows:
@@ -155,15 +157,26 @@ def _subparser(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("validate", *CERTIFYING, "verify-cert")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Given one of `COMMANDS`, only that subcommand is
+    built, under the usage of the full parser; otherwise all of them."""
     parser = argparse.ArgumentParser(
         prog="awfs-forge",
         description="Exact algebraic weak factorization systems on finite presheaf categories.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _subparser(sub, "validate", "parse and exhaustively validate an instance", cmd_validate)
-    for name, command in CERTIFYING.items():
-        p = _subparser(sub, name, command.help, cmd_certify)
+    names, metavar = COMMANDS, None  # argparse lists the choices built
+    if command in COMMANDS:
+        names, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    if "validate" in names:
+        _subparser(sub, "validate", "parse and exhaustively validate an instance", cmd_validate)
+    for name, row in CERTIFYING.items():
+        if name not in names:
+            continue
+        p = _subparser(sub, name, row.help, cmd_certify)
         p.add_argument("--variant", choices=("monic", "standard"), default=None)
         p.add_argument("--max-steps", type=int, default=None)
         p.add_argument(
@@ -171,17 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", help="write the certificate to a file instead of stdout")
         p.add_argument("--arrows", help="comma-separated named arrows (default: all)")
-        for key in command.names:
+        for key in row.names:
             _, default, text = NAMED[key]
             p.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {default or 'first'})")
-    p = _subparser(sub, "verify-cert", "independently recheck a certificate", cmd_verify_cert)
-    p.add_argument("certificate", help="path to the certificate JSON")
+    if "verify-cert" in names:
+        p = _subparser(sub, "verify-cert", "independently recheck a certificate", cmd_verify_cert)
+        p.add_argument("certificate", help="path to the certificate JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option but --help before the command
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except NonConvergence as exc:

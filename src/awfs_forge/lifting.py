@@ -4,13 +4,14 @@ value in the test suite."""
 
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .arrows import ArrowObject, Awfs, FunctorialFactorization, LawReport, Square
 from .core import (
     FiniteCategory,
-    Presheaf,
     PresheafMap,
     ValidationError,
     all_maps,
@@ -140,10 +141,13 @@ def enumerate_squares(j: ArrowObject, g: ArrowObject) -> tuple[Square, ...]:
     return _squares_into_cached(j, g)
 
 
-def enumerate_new_squares(j: ArrowObject, g: ArrowObject, old: Presheaf) -> tuple[Square, ...]:
-    """The squares j => g whose top edge does not factor through `old`, a
-    prefix sub-presheaf of g.dom: those whose top edge takes a value at or
-    above old's size somewhere.  Same order as `enumerate_squares`.
+def enumerate_new_squares(
+    j: ArrowObject, g: ArrowObject, old: Sequence[Collection[int]]
+) -> tuple[Square, ...]:
+    """The squares j => g whose top edge takes a value outside `old`, which
+    lists per base object (in base-object order) the old elements of g.dom:
+    when they form a sub-presheaf, the squares whose top edge does not factor
+    through it.  Same order as `enumerate_squares`.
 
     The top edges are searched once per variable of dom j (as `search_maps`
     orders them), that variable being the first to take a new value: the
@@ -151,21 +155,24 @@ def enumerate_new_squares(j: ArrowObject, g: ArrowObject, old: Presheaf) -> tupl
     searches partition the new top edges, and each is joined with the bottom
     edges of the same composite j;v."""
     src, dst = j.dom, g.dom
-    sizes = {o: (n_old, n) for o, n_old, n in zip(src.base.objects, old.sizes, dst.sizes)}
+    old_values, new_values = {}, {}
+    for o, kept, n in zip(src.base.objects, old, dst.sizes):
+        old_values[o] = sorted(kept)
+        new_values[o] = [v for v in range(n) if v not in kept]
     start, owner = {}, []  # variable start[o] + x is element x of src(o)
     for o, size in zip(src.base.objects, src.sizes):
         start[o] = len(owner)
         owner += [o] * size
     tops: list[PresheafMap] = []
     for first, o_first in enumerate(owner):
-        if sizes[o_first][0] == sizes[o_first][1]:
+        if not new_values[o_first]:
             continue  # dst has no new element where the first new value goes
 
         def allowed(o, x, first=first):
-            i, (n_old, n) = start[o] + x, sizes[o]
+            i = start[o] + x
             if i < first:
-                return range(n_old)
-            return range(n_old, n) if i == first else range(n)
+                return old_values[o]
+            return new_values[o] if i == first else range(dst.at[o].size)
 
         tops.extend(search_maps(src, dst, allowed))
     return _squares_with_tops(j, g, tops)
@@ -206,12 +213,13 @@ def oracle_lift(j: ArrowObject, g: ArrowObject, sq: Square) -> list[PresheafMap]
 class LiftingFunction:
     """Coherent choice of filler for every square from every generator into g.
 
-    Stored as a dense table over the canonical square enumeration.
+    Stored as a dense table over the canonical square enumeration; a
+    tabulated table is read-only, so that one can be shared.
     """
 
     diagram: GeneratorDiagram
     g: ArrowObject
-    fills: dict[tuple[str, Square], PresheafMap]  # (j name, square) -> filler
+    fills: Mapping[tuple[str, Square], PresheafMap]  # (j name, square) -> filler
 
     def phi(self, jname: str, sq: Square) -> PresheafMap:
         key = (jname, sq)
@@ -226,7 +234,7 @@ class LiftingFunction:
             j = diagram.arrow_of[jname]
             for sq in enumerate_squares(j, g):
                 fills[(jname, sq)] = fn(jname, sq)
-        return LiftingFunction(diagram, g, fills)
+        return LiftingFunction(diagram, g, MappingProxyType(fills))
 
 
 @dataclass(eq=False)

@@ -192,6 +192,7 @@ class GeneratedAwfs:
         self._esquares: dict[Square, PresheafMap] = {}
         self._deltas: dict[ArrowObject, PresheafMap] = {}
         self._mus: dict[ArrowObject, PresheafMap] = {}
+        self._lifts: dict[ArrowObject, LiftingFunction] = {}
         if variant == "monic":
             for jname in diagram.objects():
                 if not diagram.arrow_of[jname].f.is_injective():
@@ -224,13 +225,14 @@ class GeneratedAwfs:
             # a square whose top edge factors through E^{stage-2} has its
             # cell, so past stage 1 only squares reaching E^{stage-1}'s new
             # elements attach
+            old = [range(n) for n in stages[-2].sizes] if stage > 1 else None
             attached = [
                 (jname, sq)
                 for jname in self.diagram.objects()
                 for sq in (
                     enumerate_squares(self.diagram.arrow_of[jname], r_arr)
-                    if stage == 1
-                    else enumerate_new_squares(self.diagram.arrow_of[jname], r_arr, stages[-2])
+                    if old is None
+                    else enumerate_new_squares(self.diagram.arrow_of[jname], r_arr, old)
                 )
             ]
             if not attached:
@@ -397,10 +399,13 @@ class GeneratedAwfs:
         return self._partial_fill(rec.stages, rec.cell_index, jname, sq)
 
     def free_lifting_function(self, f) -> LiftingFunction:
-        rf = ArrowObject(self.record(f).right())
-        return LiftingFunction.tabulate(
-            self.diagram, rf, lambda jname, sq: self.free_fill(f, jname, sq)
-        )
+        farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
+        if farr not in self._lifts:
+            rf = ArrowObject(self.record(farr).right())
+            self._lifts[farr] = LiftingFunction.tabulate(
+                self.diagram, rf, lambda jname, sq: self.free_fill(farr, jname, sq)
+            )
+        return self._lifts[farr]
 
     def lam(self, jname: str) -> CoalgebraStructure:
         """Unit functor: the free coalgebra structure of a generator."""

@@ -4,7 +4,8 @@ import copy
 
 import pytest
 
-from awfs_forge.cli import build_parser, main
+from awfs_forge import cli
+from awfs_forge.cli import COMMANDS, build_parser, main
 from awfs_forge.core import ValidationError, canonical_dumps, sha256_hex
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.instance import from_json, load
@@ -569,6 +570,15 @@ def test_instance_options_used_as_defaults():
     assert main(["soa", "--fixture", "FIX-DIV", "--max-steps", "3"]) == 2
 
 
+@pytest.mark.parametrize("command", ["soa", "lift", "model", "transport", "quillen-check"])
+def test_a_negative_max_steps_flag_is_invalid(command, capsys):
+    # as invalid as a negative options.max_steps in the instance
+    assert main([command, "--fixture", "FIX-M", "--max-steps", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid: --max-steps: must be a nonnegative integer\n"
+
+
 _INSTANCE = (["instance"], ["-h", "--help", "--fixture"])
 _RUN = ["--variant", "--max-steps", "--threads", "--out", "--arrows"]
 CLI_SURFACE = {
@@ -598,3 +608,49 @@ def test_cli_surface_is_pinned():
         if "--variant" in options:
             want["--variant"] = ["monic", "standard"]
         assert choices == want, name
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _described(parser):
+    """What a subcommand parser accepts, and how it says so."""
+    actions = [
+        (type(a), a.option_strings, a.dest, a.nargs, a.choices, a.default, a.type, a.help)
+        for a in parser._actions
+    ]
+    return actions, parser.get_default("func"), parser.format_usage(), parser.format_help()
+
+
+def test_a_single_command_parser_matches_the_full_one():
+    full = _subparsers(build_parser())
+    assert tuple(full.choices) == COMMANDS
+    for name in COMMANDS:
+        single = _subparsers(build_parser(name))
+        assert list(single.choices) == [name]
+        assert _described(single.choices[name]) == _described(full.choices[name]), name
+    for other in (None, "bogus", "--help"):
+        assert tuple(_subparsers(build_parser(other)).choices) == COMMANDS
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["bogus"], ["soa", "--fixture", "FIX-M", "--bogus"]]
+    + [[name, "--help"] for name in COMMANDS],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_usage_and_help_do_not_depend_on_the_parser_built(argv, monkeypatch, capsys):
+    capsys.readouterr()
+    single = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert _outcome(argv, capsys) == single

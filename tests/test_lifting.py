@@ -1,9 +1,11 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awfs_forge.arrows import ArrowObject, Square
-from awfs_forge.core import PresheafMap, eq_witness
+from awfs_forge.core import PresheafMap, all_maps, eq_witness
 from awfs_forge.fixtures import finmap, finset, fixture, graph, graph_map
 from awfs_forge.lifting import (
     AlgebraStructure,
@@ -68,6 +70,36 @@ def test_oracle_empty_filler_set():
     sq = Square(j, g, finmap(2, 2, [0, 1]), finmap(1, 1, [0]))
     sq.validate()
     assert oracle_lift(j, g, sq) == []
+
+
+@lru_cache(maxsize=None)
+def _engine(name: str, gname: str):
+    return run_soa(fixture(name).generators[gname])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["FIX-M", "FIX-G"]), st.booleans(), st.data())
+def test_passing_both_triangles_is_oracle_membership(name, free, data):
+    # what the verifier's fill checks rest on: among all natural maps
+    # cod j -> dom g, those with j;w = u and w;g = v are exactly the oracle's
+    # fillers, for g a free right factor (every square fills) or a named
+    # arrow (some squares have no filler)
+    inst = fixture(name)
+    gname = data.draw(st.sampled_from(sorted(inst.generators)))
+    gen = _engine(name, gname)
+    j = gen.diagram.arrow_of[data.draw(st.sampled_from(gen.diagram.objects()))]
+    f = ArrowObject(inst.maps[data.draw(st.sampled_from(sorted(inst.maps)))])
+    g = ArrowObject(gen.factor(f).right) if free else f
+    squares = enumerate_squares(j, g)
+    if not squares:
+        return
+    sq = squares[data.draw(st.integers(0, len(squares) - 1))]
+    passing = [
+        w
+        for w in all_maps(j.cod, g.dom)
+        if eq_witness(j.f.then(w), sq.u) is None and eq_witness(w.then(g.f), sq.v) is None
+    ]
+    assert passing == oracle_lift(j, g, sq)
 
 
 # -- solve_lift ---------------------------------------------------------------

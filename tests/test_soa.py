@@ -138,6 +138,21 @@ def test_free_lifting_function_fill_is_attached_cell(fixm_gen):
     assert lf.phi("j", sq).components["*"].table == (2,)
 
 
+def test_free_lifting_function_is_tabulated_once_and_read_only(fixm_gen):
+    # μ, δ and the certificates share one table per arrow, so none may edit it
+    lf = fixm_gen.free_lifting_function(F21)
+    assert fixm_gen.free_lifting_function(F21.f) is lf
+    assert fixm_gen.free_lifting_function(ArrowObject(finmap(2, 1, [0, 0]))) is lf
+    key, fill = next(iter(lf.fills.items()))
+    with pytest.raises(TypeError):
+        lf.fills[key] = fill
+    with pytest.raises(TypeError):
+        del lf.fills[key]
+    fixm_gen.mu(F21)
+    fixm_gen.delta(F21)
+    assert fixm_gen.free_lifting_function(F21) is lf and lf.fills[key] is fill
+
+
 def test_degenerate_identity_generator():
     ide = ArrowObject(finmap(0, 0, []))
     gen = run_soa(GeneratorDiagram.discrete({"j": ide}))

@@ -174,14 +174,15 @@ def test_soa_never_calls_factor_through(fx, monkeypatch, tmp_path):
 
     monkeypatch.setattr(soa, "enumerate_squares", in_loop)
     _log_calls(monkeypatch, verifier, "enumerate_squares", verified_squares)
+    _log_calls(monkeypatch, verifier, "enumerate_new_squares", verified_squares)
     for variant in ("monic", "standard"):
         out = tmp_path / f"{variant}.json"
         assert main(["soa", "--fixture", fx, "--variant", variant, "--out", str(out)]) == 0
         assert kernel == {name: [] for name in kernel}
         # stage 1 only: the squares into r_0, which is the arrow itself
         assert loop_squares and all(f == g for f, g in loop_squares)
-        # positive controls: the verifier factors through inclusions and lists
-        # the squares into every r_k in full
+        # positive controls: the verifier factors through inclusions and
+        # searches squares into every r_k (past stage 1, the new ones alone)
         assert main(["verify-cert", "--fixture", fx, str(out)]) == 0
         assert kernel["factor_through"]
         payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
@@ -191,7 +192,7 @@ def test_soa_never_calls_factor_through(fx, monkeypatch, tmp_path):
             for key in entry["rmaps"]
         }
         assert len(rmaps) > len(payload["arrows"])
-        assert rmaps <= {_table_key(g.f.table_json()) for _, g in verified_squares}
+        assert rmaps <= {_table_key(args[1].f.table_json()) for args in verified_squares}
         for log in (*kernel.values(), factoring, loop_squares, verified_squares):
             log.clear()
 
@@ -216,15 +217,25 @@ def test_one_engine_per_distinct_generator_diagram(argv, engines, monkeypatch, t
 # -- new squares ------------------------------------------------------------------
 
 
+def _prefix(p):
+    """The elements of a prefix sub-presheaf, per base object."""
+    return [range(n) for n in p.sizes]
+
+
 def _filtered_squares(j, g, old):
-    return tuple(sq for sq in enumerate_squares(j, g) if not _bounded(sq.u, old))
+    """The squares j => g whose top edge takes a value outside `old`."""
+    return tuple(
+        sq
+        for sq in enumerate_squares(j, g)
+        if any(v not in kept for t, kept in zip(sq.u.tables, old) for v in t)
+    )
 
 
 def test_new_squares_match_the_filtered_enumeration(records):
     found = 0
     for label, gen, rec in records:
         for k in range(1, len(rec.stages)):
-            g, old = ArrowObject(rec.rmaps[k]), rec.stages[k - 1]
+            g, old = ArrowObject(rec.rmaps[k]), _prefix(rec.stages[k - 1])
             for j in gen.diagram.arrow_of.values():
                 new = enumerate_new_squares(j, g, old)
                 assert new == _filtered_squares(j, g, old), (label, k)
@@ -233,11 +244,16 @@ def test_new_squares_match_the_filtered_enumeration(records):
 
 
 @st.composite
-def _presheaves(draw, base, extend=None):
+def _presheaves(draw, base, extend=None, wide=False):
     """A presheaf on a base without composites; given `extend`, one of which
-    it is a prefix sub-presheaf (its elements keep their actions)."""
+    it is a prefix sub-presheaf (its elements keep their actions).  A `wide`
+    one has 11 or 12 more elements at one base object, past where the repr
+    order of `square_key` leaves numeric order ("[10]" < "[2]")."""
     old = extend.sizes if extend is not None else (0,) * len(base.objects)
-    sizes = {o: k + draw(st.integers(0, 2)) for o, k in zip(base.objects, old)}
+    grow = {o: draw(st.integers(0, 2)) for o in base.objects}
+    if wide:
+        grow[draw(st.sampled_from(base.objects))] = draw(st.integers(11, 12))
+    sizes = {o: k + grow[o] for o, k in zip(base.objects, old)}
     arrows = [(m, *base.morphisms[m]) for m in base.nonidentity_morphisms()]
     for m, a, b in arrows:
         if sizes[b] and not sizes[a]:
@@ -250,23 +266,54 @@ def _presheaves(draw, base, extend=None):
     return Presheaf(base, sizes, act)
 
 
+def _arrow_into(data, src, target):
+    """A drawn map src -> target, as an arrow, or None when there is none."""
+    homs = all_maps(src, target)
+    return ArrowObject(homs[data.draw(st.integers(0, len(homs) - 1))]) if homs else None
+
+
+BASES = [FiniteCategory.point(), FiniteCategory.graph_base(), FiniteCategory.walking_arrow()]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([FiniteCategory.graph_base(), FiniteCategory.walking_arrow()]), st.data())
+@given(st.sampled_from(BASES[1:]), st.data())
 def test_new_squares_match_on_drawn_prefixes(base, data):
     old = data.draw(_presheaves(base))
     dst = data.draw(_presheaves(base, extend=old))
     # with a terminal summand, b and c receive maps from every presheaf
     a, b, c = (data.draw(_presheaves(base)) for _ in range(3))
     b, c = (core.coproduct([p, Presheaf.terminal(base)]).apex for p in (b, c))
-    js, gs = all_maps(a, b), all_maps(dst, c)
-    j = ArrowObject(js[data.draw(st.integers(0, len(js) - 1))])
-    g = ArrowObject(gs[data.draw(st.integers(0, len(gs) - 1))])
+    j, g = _arrow_into(data, a, b), _arrow_into(data, dst, c)
     # the drawn prefix, the empty one, and the whole domain
     for prefix in (old, Presheaf.empty(base), dst):
-        assert enumerate_new_squares(j, g, prefix) == _filtered_squares(j, g, prefix)
-    assert enumerate_new_squares(j, g, dst) == ()
+        got = enumerate_new_squares(j, g, _prefix(prefix))
+        assert got == _filtered_squares(j, g, _prefix(prefix))
+    assert enumerate_new_squares(j, g, _prefix(dst)) == ()
     if a.total_size:
-        assert enumerate_new_squares(j, g, Presheaf.empty(base)) == enumerate_squares(j, g)
+        assert enumerate_new_squares(j, g, _prefix(Presheaf.empty(base))) == enumerate_squares(j, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BASES), st.data())
+def test_new_squares_match_outside_any_element_sets(base, data):
+    # old elements need not form a prefix, nor a sub-presheaf, and the target
+    # is wide enough for the canonical order to differ from numeric order
+    dst = data.draw(_presheaves(base, wide=True))
+    a, b = (data.draw(_presheaves(base)) for _ in range(2))
+    b = core.coproduct([b, Presheaf.terminal(base)]).apex
+    j = _arrow_into(data, a, b)
+    to_point = PresheafMap(dst, Presheaf.terminal(base), tuple((0,) * n for n in dst.sizes))
+    g = ArrowObject(data.draw(st.sampled_from([to_point, PresheafMap.identity(dst)])))
+    old = [data.draw(st.sets(st.integers(0, n - 1))) if n else set() for n in dst.sizes]
+    assert enumerate_new_squares(j, g, old) == _filtered_squares(j, g, old)
+
+
+def test_new_squares_keep_the_canonical_order_past_ten():
+    # u's values leave {0, 2, 5} at 1, 3, 4, 6, ..., 11, and "[10]" < "[11]" < "[1]"
+    j = ArrowObject(finmap(1, 1, [0]))
+    g = ArrowObject(finmap(12, 1, [0] * 12))
+    tops = [sq.u.tables[0][0] for sq in enumerate_new_squares(j, g, [{0, 2, 5}])]
+    assert tops == [10, 11, 1, 3, 4, 6, 7, 8, 9]
 
 
 # -- appended stages --------------------------------------------------------------
