@@ -92,7 +92,13 @@ def _fill_entries(pool: CertPool, gen: GeneratedAwfs, rec) -> list[tuple[Square,
     ]
 
 
-def _arrow_entry(pool: CertPool, gen: GeneratedAwfs, rec, with_structure: bool) -> dict:
+def _arrow_entry(
+    pool: CertPool, gen: GeneratedAwfs, rec, with_structure: bool, fills=None
+) -> dict:
+    """The record's certificate entry; `fills` are its `_fill_entries` when
+    the caller has built them already."""
+    if fills is None:
+        fills = _fill_entries(pool, gen, rec)
     entry = {
         "f": pool.add_map(rec.f.f),
         "stages": [pool.add_presheaf(s) for s in rec.stages],
@@ -113,7 +119,7 @@ def _arrow_entry(pool: CertPool, gen: GeneratedAwfs, rec, with_structure: bool) 
         "right": pool.add_map(rec.right()),
         "trace": rec.trace,
         "variant": rec.variant,
-        "fills": [e for _, e in _fill_entries(pool, gen, rec)],
+        "fills": [e for _, e in fills],
     }
     if with_structure:
         entry["delta"] = pool.add_map(gen.delta(rec.f))
@@ -248,16 +254,16 @@ def lift_certificate(
     }
     for name, arr in requested:
         rec = gen.record(arr)
+        fills = _fill_entries(pool, gen, rec)
         entries = [
-            {**e, "square_hash": sha256_hex(square_key(sq.u, sq.v))[:16]}
-            for sq, e in _fill_entries(pool, gen, rec)
+            {**e, "square_hash": sha256_hex(square_key(sq.u, sq.v))[:16]} for sq, e in fills
         ]
         payload["lifting_functions"][name] = {
             "arrow": pool.add_map(arr.f),
             "right_factor": pool.add_map(rec.right()),
             "fills": entries,
         }
-        payload["arrows"][pool.add_map(arr.f)] = _arrow_entry(pool, gen, rec, False)
+        payload["arrows"][pool.add_map(arr.f)] = _arrow_entry(pool, gen, rec, False, fills)
     return _sealed(payload, pool)
 
 
@@ -399,8 +405,13 @@ def quillen_certificate(
     ti = transport_generators(adj, diagram_i)
     gen_t_k = engine(tj)
     gen_k = engine(ti)
-    tau_k = TauData(tj, ti, dict(tau_data.on_objects), dict(tau_data.on_morphisms))
-    amstr_k = build_model_structure(gen_t_k, gen_k, tau_k, instance.weq)
+    if gen_t_k is gen_t_m and gen_k is gen_m:
+        # transported generators equal the originals (identity adjunctions):
+        # same engines, same tau, so the same model structure and its ξ memo
+        amstr_k = amstr_m
+    else:
+        tau_k = TauData(tj, ti, dict(tau_data.on_objects), dict(tau_data.on_morphisms))
+        amstr_k = build_model_structure(gen_t_k, gen_k, tau_k, instance.weq)
     mates_t = build_mates(adj, gen_t_m, gen_t_k)
     mates = build_mates(adj, gen_m, gen_k)
 

@@ -21,9 +21,12 @@ from functools import lru_cache
 from types import MappingProxyType
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(obj) -> str:
     """Bit-exact canonical JSON: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def sha256_hex(text: str) -> str:
@@ -172,6 +175,7 @@ class FiniteCategory:
             full.setdefault((self.identities[b], name), name)
             full.setdefault((name, self.identities[a]), name)
         self.compose_table = full
+        self._terminal = self._empty = None  # built by Presheaf.terminal / empty
         self._key = canonical_dumps(
             {
                 "objects": list(self.objects),
@@ -431,20 +435,25 @@ class Presheaf:
 
     @staticmethod
     def empty(base: FiniteCategory) -> "Presheaf":
-        zero = FinSet(0)
-        none = FinFunction(zero, zero, ())
-        return Presheaf(
-            base, {o: zero for o in base.objects}, {m: none for m in base.morphisms}
-        )
+        """The initial presheaf over `base`, built once per base."""
+        if base._empty is None:
+            zero = FinSet(0)
+            none = FinFunction(zero, zero, ())
+            base._empty = Presheaf(
+                base, {o: zero for o in base.objects}, {m: none for m in base.morphisms}
+            )
+        return base._empty
 
     @staticmethod
     def terminal(base: FiniteCategory) -> "Presheaf":
-        zero = FinSet(1)
-        return Presheaf(
-            base,
-            {o: zero for o in base.objects},
-            {m: FinFunction(zero, zero, (0,)) for m in base.morphisms},
-        )
+        """The terminal presheaf over `base`, built once per base."""
+        if base._terminal is None:
+            one = FinSet(1)
+            point = FinFunction(one, one, (0,))
+            base._terminal = Presheaf(
+                base, {o: one for o in base.objects}, {m: point for m in base.morphisms}
+            )
+        return base._terminal
 
 
 class PresheafMap:
@@ -574,10 +583,14 @@ def _identity_json(m: PresheafMap) -> str:
 
 
 def eq_witness(m1: PresheafMap, m2: PresheafMap):
-    """None when the maps agree; otherwise a (object, element, lhs, rhs) witness."""
+    """None when the maps agree; otherwise a (object, element, lhs, rhs) witness.
+    Equal tables are compared as tuples; elements are walked only to name the
+    first difference."""
     if m1.src != m2.src or m1.dst != m2.dst:
         lhs, rhs = _identity_json(m1), _identity_json(m2)
         return {"object": "<type>", "element": -1, "lhs": lhs, "rhs": rhs}
+    if m1.tables == m2.tables:
+        return None
     for o, t1, t2 in zip(m1.base.objects, m1.tables, m2.tables):
         for x, (v1, v2) in enumerate(zip(t1, t2)):
             if v1 != v2:

@@ -171,6 +171,9 @@ class AlgebraicModelStructure:
     tau: TauData
     xi: AwfsMorphism
     weq: WeqPredicate
+    _chis: dict[Presheaf, PresheafMap] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )  # object -> χ, filled by `chi`
 
 
 def build_model_structure(
@@ -255,7 +258,10 @@ class ReplacementMonad:
 
 def chi(amstr: AlgebraicModelStructure, x: Presheaf) -> PresheafMap:
     """χ_X: RQX -> QRX, the two-lift-agreeing solution of the lifting problem
-    posed by Qη_X and Rε_X between η_{QX} and ε_{RX}."""
+    posed by Qη_X and Rε_X between η_{QX} and ε_{RX}.  Computed once per
+    model structure and object."""
+    if x in amstr._chis:
+        return amstr._chis[x]
     rep = ReplacementMonad(amstr)
     qx = rep.q_obj(x)
     j = amstr.gen_t.free_coalgebra(bang(qx))  # η_{QX} with its free structure
@@ -269,6 +275,7 @@ def chi(amstr: AlgebraicModelStructure, x: Presheaf) -> PresheafMap:
     w2 = solve_lift(j, pulled, sq, amstr.gen_t.as_fact())
     if eq_witness(w1, w2) is not None:
         raise ValidationError("chi", "the two canonical lifts disagree")
+    amstr._chis[x] = w1
     return w1
 
 

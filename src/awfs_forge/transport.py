@@ -224,17 +224,34 @@ class _LanBlock:
         return self.q.table_at(a)[self.cop.legs[i].table_at(a)[flat]]
 
 
+def _per_argument(fn: Callable) -> Callable:
+    """`fn` of one hashable argument, run once per distinct argument: results
+    live in a dict owned by the returned closure, and a call that raises
+    stores nothing."""
+    results: dict = {}
+
+    def once(x):
+        if x not in results:
+            results[x] = fn(x)
+        return results[x]
+
+    return once
+
+
 def restriction_adjunction(u: FunctorData) -> AdjunctionData:
-    """Lan_u ⊣ u^* for a functor u between base categories."""
+    """Lan_u ⊣ u^* for a functor u between base categories.  Each functor,
+    the unit and the counit are computed once per argument for the life of
+    the adjunction."""
     u.validate()
     base0, base1 = u.src, u.dst
-    lan_cache: dict[Presheaf, _LanBlock] = {}
 
+    @_per_argument
     def restrict_obj(q: Presheaf) -> Presheaf:
         at = {c: q.at[u.obj(c)] for c in base0.objects}
         act = {m: q.act[u.mor(m)] for m in base0.morphisms}
         return Presheaf(base0, at, act)
 
+    @_per_argument
     def restrict_map(g: PresheafMap) -> PresheafMap:
         return PresheafMap(
             restrict_obj(g.src),
@@ -242,14 +259,14 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tuple(g.table_at(u.obj(c)) for c in base0.objects),
         )
 
+    @_per_argument
     def lan_block(p: Presheaf) -> _LanBlock:
-        if p not in lan_cache:
-            lan_cache[p] = _LanBlock(u, p)
-        return lan_cache[p]
+        return _LanBlock(u, p)
 
     def lan_obj(p: Presheaf) -> Presheaf:
         return lan_block(p).lan
 
+    @_per_argument
     def lan_map(phi: PresheafMap) -> PresheafMap:
         b1, b2 = lan_block(phi.src), lan_block(phi.dst)
         raw_tabs = {}
@@ -269,6 +286,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
         raw = PresheafMap.from_tables(b1.cop.apex, b2.cop.apex, raw_tabs)
         return glue(b1.lan, b2.lan, [(b1.q, raw.then(b2.q))], "lan_map", "not constant on classes")
 
+    @_per_argument
     def unit(p: Presheaf) -> PresheafMap:
         block = lan_block(p)
         tabs = {}
@@ -278,6 +296,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tabs[c] = [block.class_of(a, c, ident, x) for x in range(p.at[c].size)]
         return PresheafMap.from_tables(p, restrict_obj(block.lan), tabs)
 
+    @_per_argument
     def counit(q: Presheaf) -> PresheafMap:
         p = restrict_obj(q)
         block = lan_block(p)

@@ -7,7 +7,7 @@ object at a time with `FinFunction`'s own composition and range check, so a
 table that does not fit its endpoints raises here.
 """
 
-from awfs_forge.core import FinFunction, FinSet, Presheaf, PresheafMap
+from awfs_forge.core import FinFunction, FinSet, Presheaf, PresheafMap, _identity_json
 
 Components = dict[str, FinFunction]
 
@@ -26,6 +26,20 @@ def ref_then(f: PresheafMap, g: PresheafMap) -> Components:
 
 def ref_identity(p: Presheaf) -> Components:
     return {o: FinFunction.identity(p.at[o]) for o in p.base.objects}
+
+
+def ref_eq_witness(m1: PresheafMap, m2: PresheafMap):
+    """`core.eq_witness` as it was before it compared whole tables: a type
+    witness for different endpoints, else a walk over every element that
+    names the first difference, else None."""
+    if m1.src != m2.src or m1.dst != m2.dst:
+        return {"object": "<type>", "element": -1, "lhs": _identity_json(m1), "rhs": _identity_json(m2)}
+    c1, c2 = components(m1), components(m2)
+    for o in m1.base.objects:
+        for x in range(m1.src.at[o].size):
+            if c1[o](x) != c2[o](x):
+                return {"object": o, "element": x, "lhs": c1[o](x), "rhs": c2[o](x)}
+    return None
 
 
 def ref_retarget(m: PresheafMap, dst: Presheaf) -> Components:

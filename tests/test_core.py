@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -271,6 +272,20 @@ def presheaves(draw, base, top=2):
 
 def rebuilt(p):
     return Presheaf.from_json(p.base, p.to_json())
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON)
+def test_canonical_dumps_is_sorted_compact_json(value):
+    # the shared encoder writes what a fresh one per call wrote
+    assert canonical_dumps(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @settings(max_examples=200, deadline=None)

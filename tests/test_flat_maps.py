@@ -14,6 +14,7 @@ from awfs_forge.core import (
     ValidationError,
     all_maps,
     coproduct,
+    eq_witness,
     factor_through,
     glue,
     quotient_presheaf,
@@ -23,6 +24,7 @@ from awfs_forge.fixtures import finmap, finset, graph
 from reference_maps import (
     components,
     ref_coproduct_legs,
+    ref_eq_witness,
     ref_factor_through,
     ref_glue,
     ref_identity,
@@ -159,6 +161,26 @@ def test_factor_through_matches_the_reference(data):
     w = draw_map(data, a, b)
     if w is not None:
         assert factor_through(w.then(incl), incl) == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eq_witness_matches_the_element_walk(data):
+    # equal maps (the same tables rebuilt), maps that differ, and maps whose
+    # endpoints differ: the table comparison must not change any witness
+    base = data.draw(st.sampled_from(BASES))
+    a, b, c = (data.draw(presheaves(base)) for _ in range(3))
+    f, g = draw_map(data, a, b), draw_map(data, a, b)
+    if f is None:
+        return
+    twin = PresheafMap(f.src, f.dst, tuple(tuple(t) for t in f.tables))
+    others = [twin, g, draw_map(data, a, c), draw_map(data, c, b)]
+    for other in (m for m in others if m is not None):
+        assert eq_witness(f, other) == ref_eq_witness(f, other)
+        assert eq_witness(other, f) == ref_eq_witness(other, f)
+    assert eq_witness(f, twin) is None
+    if g is not None and g.tables != f.tables:
+        assert eq_witness(f, g)["object"] != "<type>"
 
 
 def test_a_map_holds_only_its_endpoints_and_tables():

@@ -6,7 +6,7 @@ import pytest
 
 from awfs_forge import cli
 from awfs_forge.cli import COMMANDS, build_parser, main
-from awfs_forge.core import ValidationError, canonical_dumps, sha256_hex
+from awfs_forge.core import Presheaf, ValidationError, all_maps, canonical_dumps, sha256_hex
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.instance import from_json, load
 from awfs_forge.verifier import verify_certificate
@@ -269,6 +269,84 @@ def test_verify_cert_accepts_injective_inclusions_that_are_not_prefixes(tmp_path
             c["top"] = relabel(c["top"], into=True)
     assert any(t != list(range(len(t))) for t in maps[entry["inclusions"][0]]["components"].values())
     assert verify_certificate(fixture("FIX-G"), cert) == (True, "")
+
+
+def _pool_map(maps: dict, content: dict) -> str:
+    """Add `content` to a certificate's map pool under its content hash."""
+    key = "m" + sha256_hex(canonical_dumps(content))[:16]
+    maps[key] = content
+    return key
+
+
+def _pool_then(maps: dict, first: str, second: str) -> str:
+    """The pooled composite of two pooled maps, first then second."""
+    f, g = maps[first], maps[second]
+    return _pool_map(maps, {
+        "src": f["src"],
+        "dst": g["dst"],
+        "components": {o: [g["components"][o][v] for v in t] for o, t in f["components"].items()},
+    })
+
+
+def test_verify_cert_rejects_a_cell_whose_top_edge_is_an_old_square(tmp_path):
+    # rewrite a stage-2 cell into a stage-1 cell's square carried one stage
+    # up: its top edge factors through inclusion 0, and its injection is the
+    # stage-1 cell's pushed along inclusion 1, so the cell commutes, glues and
+    # meets r; only stage completeness sees that it is not a new square
+    out = tmp_path / "cert.json"
+    assert main(["soa", "--fixture", "FIX-G", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    maps = cert["payload"]["maps"]
+    fkey, entry = next(
+        (k, e) for k, e in cert["payload"]["arrows"].items()
+        if any(c["stage"] == 2 for c in e["cells"])
+    )
+    old = next(c for c in entry["cells"] if c["stage"] == 1)
+    cell = next(c for c in entry["cells"] if c["stage"] == 2)
+    cell.update(
+        j=old["j"],
+        top=_pool_then(maps, old["top"], entry["inclusions"][0]),
+        bottom=old["bottom"],
+        injection=_pool_then(maps, old["injection"], entry["inclusions"][1]),
+    )
+    assert verify_certificate(fixture("FIX-G"), cert) == (
+        False, f"arrows.{fkey}: stage 2 cells do not match the new squares"
+    )
+
+
+@pytest.mark.parametrize("key,problem", [
+    ("delta", "delta differs from the composite replay"),
+    ("mu", "mu differs from the stage-collapse replay"),
+])
+def test_verify_cert_rejects_another_natural_delta_or_mu(key, problem, tmp_path):
+    # swap one arrow's δ or μ for another natural map with the same
+    # endpoints, pooled under its own hash: the (once-per-arrow) replay
+    # still tells them apart
+    out = tmp_path / "cert.json"
+    assert main(["soa", "--fixture", "FIX-PW", "--variant", "monic", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    instance = fixture("FIX-PW")
+    payload = cert["payload"]
+    maps = payload["maps"]
+
+    def presheaf(k):
+        content = payload["presheaves"][k]
+        return Presheaf.from_json(instance.bases[content["base"]], content)
+
+    for fkey, entry in payload["arrows"].items():
+        if key not in entry:
+            continue
+        content = maps[entry[key]]
+        others = [
+            m.table_json() for m in all_maps(presheaf(content["src"]), presheaf(content["dst"]))
+            if m.table_json() != content["components"]
+        ]
+        if others:
+            entry[key] = _pool_map(maps, dict(content, components=others[0]))
+            break
+    else:
+        pytest.fail(f"no arrow has a second natural map in place of its {key}")
+    assert verify_certificate(instance, cert) == (False, f"arrows.{fkey}.{key}: {problem}")
 
 
 def test_verify_cert_rejects_flipped_fill_reference(tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from awfs_forge.arrows import ArrowObject, Square
-from awfs_forge.core import PresheafMap, ValidationError, eq_witness
+from awfs_forge.core import Presheaf, PresheafMap, ValidationError, eq_witness
 from awfs_forge.fixtures import finmap, finset
 from awfs_forge.lifting import (
     GeneratorDiagram,
@@ -17,6 +17,7 @@ from awfs_forge.model import (
     WeqPredicate,
     bang,
     build_comparison,
+    build_model_structure,
     chi,
     check_replacement_laws,
     coalgebra_from_cellular,
@@ -185,6 +186,31 @@ def test_replacement_laws_exhaustive(fixm, fixm_amstr):
     assert len(objects) == 4
     report = check_replacement_laws(fixm_amstr, objects)
     assert report.passed
+
+
+def test_chi_is_computed_once_per_model_structure_and_object(fixm):
+    # a model structure returns the χ it stored; a fresh one computes an
+    # equal χ
+    def structure():
+        gen_t, gen = run_soa(fixm.generators["J"]), run_soa(fixm.generators["I"])
+        return build_model_structure(gen_t, gen, fixm.taus["tau"], fixm.weq)
+
+    amstr = structure()
+    objects = [p for p in fixm.presheaves.values() if p.total_size <= 3]
+    stored = [chi(amstr, x) for x in objects]
+    assert [chi(amstr, x) for x in objects] == stored
+    assert all(chi(amstr, x) is c for x, c in zip(objects, stored))
+    fresh = structure()
+    assert [chi(fresh, x) for x in reversed(objects)] == stored[::-1]
+
+
+def test_terminal_and_initial_presheaves_are_built_once_per_base(fixm, fixg):
+    for x in (*fixm.presheaves.values(), *fixg.presheaves.values()):
+        one, zero = Presheaf.terminal(x.base), Presheaf.empty(x.base)
+        assert bang(x).dst is one and cobang(x).src is zero
+        assert one.sizes == (1,) * len(x.base.objects) and zero.sizes == (0,) * len(x.base.objects)
+        one.validate()
+        zero.validate()
 
 
 # -- pruning -----------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import json
+from collections import Counter
+
 import pytest
 
+from awfs_forge import transport
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import (
     FinFunction,
@@ -9,6 +13,7 @@ from awfs_forge.core import (
     PresheafMap,
     eq_witness,
 )
+from awfs_forge.certificates import envelope, quillen_certificate, soa_certificate
 from awfs_forge.fixtures import finmap, finset, fixture
 from awfs_forge.lifting import (
     GeneratorDiagram,
@@ -39,6 +44,7 @@ from awfs_forge.transport import (
     verify_algebraic_quillen,
     verify_lax_colax,
 )
+from awfs_forge.verifier import CertifiedEngine, verify_certificate
 
 PT = FiniteCategory.point()
 E01 = ArrowObject(finmap(0, 1, []))
@@ -105,6 +111,71 @@ def test_lan_disjoint_union_formula(lan_setup):
         [proj.maps["g1"], proj.maps["g2"]],
     )
     assert report.passed
+
+
+def test_restriction_functors_match_a_fresh_adjunction(proj):
+    # every functor of one adjunction, called on every FIX-PROJ presheaf and
+    # map and on their images (so later calls hit values that earlier ones
+    # stored), equals the same call on a fresh adjunction, and a second call
+    # returns the stored object
+    adj = proj.adjunction("lan")
+    calls = []
+    for p in proj.presheaves.values():
+        if p.base == adj.m_base:
+            calls += [("t_obj", p), ("unit", p), ("s_obj", adj.t_obj(p)), ("counit", adj.t_obj(p))]
+        else:
+            calls += [("s_obj", p), ("counit", p), ("t_obj", adj.s_obj(p)), ("unit", adj.s_obj(p))]
+    for m in proj.maps.values():
+        if m.base == adj.m_base:
+            calls += [("t_map", m), ("s_map", adj.t_map(m))]
+        else:
+            calls += [("s_map", m), ("t_map", adj.s_map(m))]
+    for name, x in calls:
+        got = getattr(adj, name)(x)
+        assert got == getattr(proj.adjunction("lan"), name)(x), name
+        assert getattr(adj, name)(x) is got, name
+
+
+@pytest.fixture
+def body_runs(monkeypatch):
+    """Counts, per (function, argument), the runs of every function that
+    `restriction_adjunction` memoizes."""
+    runs = Counter()
+    memoize = transport._per_argument
+
+    def counted(fn):
+        def body(x):
+            runs[(fn.__name__, x)] += 1
+            return fn(x)
+
+        return memoize(body)
+
+    monkeypatch.setattr(transport, "_per_argument", counted)
+    return runs
+
+
+def test_quillen_check_runs_each_restriction_functor_once_per_argument(proj, body_runs):
+    quillen_certificate(proj, "lan", "J", "I", "tau", "monic", 64)
+    assert {name for name, _ in body_runs} == {
+        "restrict_obj", "restrict_map", "lan_block", "lan_map", "unit", "counit"
+    }
+    assert max(body_runs.values()) == 1
+
+
+def test_verify_cert_runs_each_replay_once_per_square_or_arrow(monkeypatch):
+    instance = fixture("FIX-PW")
+    payload = soa_certificate(instance, "JA", "monic", 64)
+    cert = json.loads(json.dumps(envelope("soa", instance, {}, payload)))
+    runs = Counter()
+    for name in ("_replay_e", "_replay_mu", "_replay_delta"):
+        def counted(engine, key, where, body=getattr(CertifiedEngine, name), name=name):
+            runs[(name, id(engine), key)] += 1
+            return body(engine, key, where)
+
+        monkeypatch.setattr(CertifiedEngine, name, counted)
+    assert verify_certificate(instance, cert) == (True, "")
+    assert {name for name, _, _ in runs} == {"_replay_e", "_replay_mu", "_replay_delta"}
+    assert max(runs.values()) == 1
 
 
 # -- transported generators ------------------------------------------------------
