@@ -139,23 +139,28 @@ def coalgebra_from_cellular(
 def build_comparison(
     gen_t: GeneratedAwfs, gen: GeneratedAwfs, tau: TauData
 ) -> AwfsMorphism:
-    """Comparison map: give each left factor of gen_t its cellular coalgebra
-    structure through tau, then solve the canonical lifting problem."""
+    """Comparison map ξ_f: E_t f -> E f, cell by cell: E_t f's stage 0 goes
+    by L f, and each cell (a generator j of gen_t) to gen's minimal-stage fill
+    of its attaching square, read through tau as a square from τ j into R f."""
     tau.validate()
     cache: dict[ArrowObject, PresheafMap] = {}
-
-    def zeta(jname: str) -> CoalgebraStructure:
-        return gen.lam(tau.on_objects[jname])
 
     def xi(f: ArrowObject) -> PresheafMap:
         if f in cache:
             return cache[f]
-        rec_t = gen_t.record(f)
-        fac = gen.factor(f)
-        coalg = coalgebra_from_cellular(gen, zeta, rec_t)
-        alg = gen.free_algebra(f)
-        sq = Square(coalg.f, alg.g, fac.left, rec_t.right())
-        out = solve_lift(coalg, alg, sq, gen.as_fact())
+        rec = gen.record(f)
+        rf = ArrowObject(rec.right())
+
+        def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
+            iname = tau.on_objects[cell.jname]
+            top = cell.square.u.then(prev_map)
+            sq = Square(gen.diagram.arrow_of[iname], rf, top, cell.square.v)
+            return gen.free_fill(f, iname, sq)
+
+        out = walk_stages(
+            gen_t.record(f), rec.left(), rec.mid(), fill,
+            "build_comparison", "inconsistent comparison",
+        )
         cache[f] = out
         return out
 

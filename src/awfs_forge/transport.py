@@ -27,7 +27,7 @@ from .lifting import (
     oracle_lift,
 )
 from .model import AlgebraicModelStructure
-from .soa import GeneratedAwfs, lifting_function_to_algebra
+from .soa import CellRecord, GeneratedAwfs, walk_stages
 
 
 @dataclass
@@ -381,21 +381,29 @@ class MateData:
 def rho_from_lift(
     adj: AdjunctionData, gen_m: GeneratedAwfs, gen_k: GeneratedAwfs
 ) -> Callable[[ArrowObject], PresheafMap]:
-    """rho_g from the lifted right adjoint on free algebras:
-    rho_g = (structure of S~(Rg, mu_g)) ∘ Q(S Lg, 1)."""
+    """ρ_g: Q(Sg) -> S(Eg), cell by cell: Q(Sg)'s stage 0 goes by S(Lg), and
+    each cell (a generator j) to the adjunct of gen_k's minimal-stage fill of
+    the transposed square from Tj into Rg."""
     cache: dict[ArrowObject, PresheafMap] = {}
 
     def rho(g: ArrowObject) -> PresheafMap:
         if g in cache:
             return cache[g]
         rec = gen_k.record(g)
-        psi = gen_k.free_lifting_function(g)
-        psi_sharp = adjunct_lifting_S(adj, gen_m.diagram, psi)
-        alg = lifting_function_to_algebra(gen_m, psi_sharp)
-        sg = adj.s_arrow(g)
-        srg = ArrowObject(adj.s_map(rec.right()))
-        sq = Square(sg, srg, adj.s_map(rec.left()), PresheafMap.identity(sg.cod))
-        out = gen_m.e_on_square(sq).then(alg.t)
+        rg = ArrowObject(rec.right())
+        eg = rec.mid()
+
+        def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
+            top = adj.t_map(cell.square.u.then(prev_map)).then(adj.counit(eg))
+            bottom = adj.t_map(cell.square.v).then(adj.counit(g.cod))
+            sq = Square(gen_k.diagram.arrow_of[cell.jname], rg, top, bottom)
+            cod_j = gen_m.diagram.arrow_of[cell.jname].cod
+            return adj.unit(cod_j).then(adj.s_map(gen_k.free_fill(g, cell.jname, sq)))
+
+        out = walk_stages(
+            gen_m.record(adj.s_arrow(g)), adj.s_map(rec.left()), adj.s_obj(eg), fill,
+            "rho_from_lift", "inconsistent adjunct assembly",
+        )
         cache[g] = out
         return out
 

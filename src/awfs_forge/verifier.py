@@ -10,6 +10,12 @@ r_{k-1} whose top edge leaves the image of inclusion k-2 (all squares into
 r_0 at stage 1); inclusions need not be prefixes.  A fill, lift fill or χ is
 checked by its two triangles: a natural map that passes both is one of
 `lifting.oracle_lift`'s fillers by definition, so the oracle is not rerun.
+The comparison map ξ of a `model` certificate, whose lifting problem can have
+several fillers, is replayed by the engine's cell rule: each J-cell of f goes
+to the minimal-stage fill, in f's I-side record, of its square read through
+τ.  The engine computes ξ and ρ cell by cell, so ξ factors only f on either
+side: a `model` certificate's `arrows_i` holds only the records that ξ, the
+replacement tables and χ rest on.
 """
 
 from __future__ import annotations
@@ -559,7 +565,7 @@ def _verify_lift_payload(instance: InstanceFile, payload: dict) -> None:
         _require(seen == expected, where, "fill table incomplete or padded")
 
 
-def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
+def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
     for entry in payload.get("law_report", []):
         _require(
             entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
@@ -567,13 +573,19 @@ def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
     pools = _Pools(instance, payload)
     diagram_j = _load_diagram(pools, payload["generators_j"], "generators_j")
     diagram_i = _load_diagram(pools, payload["generators_i"], "generators_i")
+    tau = instance.taus.get(options.get("tau"))
+    _require(tau is not None, "options.tau", "unknown tau")
+    _require(
+        tau.src == diagram_j and tau.dst == diagram_i,
+        "options.tau",
+        "tau does not run between the certified generator diagrams",
+    )
     engine_j = CertifiedEngine(pools, diagram_j, payload["arrows_j"], "arrows_j")
     engine_i = CertifiedEngine(pools, diagram_i, payload["arrows_i"], "arrows_i")
     for fkey in payload["arrows_j"]:
         engine_j.check_record(fkey, "monic")
     for fkey in payload["arrows_i"]:
         engine_i.check_record(fkey, "monic")
-    probes = []
     for name, key in payload.get("xi", {}).items():
         where = f"xi.{name}"
         xi_f = pools.m(key, where)
@@ -583,7 +595,17 @@ def _verify_model_payload(instance: InstanceFile, payload: dict) -> None:
         rec_i = engine_i.record_of(f, where)
         _require(eq_witness(rec_j.left.then(xi_f), rec_i.left) is None, where, "left triangle")
         _require(eq_witness(xi_f.then(rec_i.right), rec_j.right) is None, where, "right triangle")
-        probes.append(ArrowObject(f))
+        rf = ArrowObject(rec_i.right)
+
+        def fill(c: dict, prev_map: PresheafMap) -> PresheafMap:
+            iname = tau.on_objects[c["j"]]
+            sq = Square(diagram_i.arrow_of[iname], rf, c["top"].then(prev_map), c["bottom"])
+            return engine_i.fill_rule(rec_i, iname, sq, where)
+
+        replay = _walk_stages(
+            rec_j, rec_i.left, rec_i.stages[-1], fill, where, "inconsistent comparison"
+        )
+        _require(eq_witness(xi_f, replay) is None, where, "xi differs from the cell replay")
     # replacement and chi tables: direct re-derivation from certified records
     for name, block in payload.get("replacement", {}).items():
         where = f"replacement.{name}"
@@ -668,7 +690,7 @@ def verify_certificate(instance: InstanceFile, cert: dict) -> tuple[bool, str]:
         elif command == "lift":
             _verify_lift_payload(instance, payload)
         elif command == "model":
-            _verify_model_payload(instance, payload)
+            _verify_model_payload(instance, payload, cert.get("options", {}))
         elif command in ("transport", "quillen-check"):
             _verify_report_only(instance, payload)
         else:

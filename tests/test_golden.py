@@ -4,11 +4,19 @@ the engine cannot move a single byte unnoticed.
 
 To refreeze after an intended change of the certificate format, print
 ``sha256(cert bytes)`` for each argv below and replace the table.
+
+A `model` certificate's `arrows_i` and its pools hold every record the I-side
+engine made, so they move with the route the engine takes to ξ.  Its other
+payload blocks must not: MODEL_BLOCKS pins the sha256 of each one's canonical
+JSON separately, so a refreeze of the whole certificate cannot hide a change
+in them.
 """
 
 import hashlib
+import json
 
 from awfs_forge.cli import main
+from awfs_forge.core import canonical_dumps
 
 GOLDEN = [
     ("soa --fixture FIX-M --variant monic", "ba2fb8447a3ca3de1a29ffe0dcbda0a7844a90c4de1745c4c967a0c1dea32dfa"),
@@ -23,8 +31,8 @@ GOLDEN = [
     ("soa --fixture FIX-PROJ --variant monic", "5ae2d41a14f1eb0e911c2de38557f03a73d55f3bede526be5da204e35c113a15"),
     ("soa --fixture FIX-PROJ --variant standard", "ebabeb3079152c6d7e990d6f23acb2c6585ae3841d37934c37d50ed1e2aee4b0"),
     ("lift --fixture FIX-PROJ", "185f8d9757fba529c052b317b69ad19f240da73dd074584c774905fd28fcae89"),
-    ("model --fixture FIX-M", "53d2b72d591d51fdccfcc29ff9bf4ae9c5b68b7f0f08534dc87bf96d0fc2070a"),
-    ("model --fixture FIX-PROJ", "b52a1eea3b7dfd97c32863fc3475edda4f7d7eba736b77535cdbaa47880d473d"),
+    ("model --fixture FIX-M", "d00e340437e77f0a997f3ffceca81e3059c8ab136d670913ee84eb11918257d0"),
+    ("model --fixture FIX-PROJ", "1dcb7b8f1b39b28cc1b4bc0c1dcd784da845354d9a7bd23ab4fa23c8c5e80a5f"),
     ("transport --fixture FIX-M --adjunction ident", "bfa661ae81b56325f2a6eb4a4c60df63c0097b3aed98087946cb9f3cb43e530e"),
     ("quillen-check --fixture FIX-M --adjunction ident", "a54d15b696308ab014cce947095bd09b80ca43567deb623c941bad82439b5208"),
     ("transport --fixture FIX-G --adjunction ident", "0f380e3dc6def5dc4e9b1d04d285c7528c218ec3dfe319c8d6cf740d694a8c22"),
@@ -35,6 +43,29 @@ GOLDEN = [
     ("quillen-check --fixture FIX-PROJ --adjunction lan", "0add3a03f1c1fbc58357e5bc3a4faa6a54d38bf5594e7fce185ecf93ec99e863"),
     ("soa --fixture FIX-M --threads 8", "ba2fb8447a3ca3de1a29ffe0dcbda0a7844a90c4de1745c4c967a0c1dea32dfa"),
 ]
+
+MODEL_BLOCKS = {
+    "FIX-M": {
+        "xi": "7083ca08c0559fb9d87818b5e153f946ecf038c1ead3add2f543ea9d998ff09d",
+        "chi": "bc34d6e61bee680a1ae83f8156d632d41bec297f62c36baaf4e0e484bf274dc0",
+        "replacement": "a882fc5a334f5a9296c9afd4c2bb7d4eda625d9c570d72e3a57d66d55801b795",
+        "replacement_skipped": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "law_report": "c1450e4d8b1c6b7a14363d4ef2e8976850b1d11a251230d63df33e32fa0b5d03",
+        "arrows_j": "6bc1790b50fd2b8c88f0ef1c489e1d874f0b1f901e9655f630a69c452004e85e",
+        "generators_j": "f375686c9245fe359a04fa38582b610e6a037f3ff2032bc978e9d4e3dd97d902",
+        "generators_i": "191f0c2cc31f1817e8b05673ad2f3355d36476e62cf328910098d00493af3db1",
+    },
+    "FIX-PROJ": {
+        "xi": "fdb5e11763c3b2f5d4be43218972410b081d6eec915b2ed2c8a5d9a5916b394d",
+        "chi": "507cd588f86e6b9a9dfb31101123eac8da09b788e7e7221a7e5e762eab393c0c",
+        "replacement": "de5acda5ff037b1d0519d68b0eda19c07740b53f48b1f7a8afc9b1f288985099",
+        "replacement_skipped": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "law_report": "12694ee2847bba2b700a644a5c1ff51f06101ea3c25df90907cdbab7d1a0bfe8",
+        "arrows_j": "d67fccc83db306219f379db55fd215d4a53966c918a508cd63930ac4a9db4f57",
+        "generators_j": "668066dead90049c8e5a4fea887a915a3bcc994e4e56c69b24428aa1b770ef8a",
+        "generators_i": "deb1d02bc2e10dd08ff966d383ecab7d6ae2c20d968c840007fd2fe64aa4121c",
+    },
+}
 
 
 def test_golden_certificates(tmp_path, monkeypatch):
@@ -49,3 +80,16 @@ def test_golden_certificates(tmp_path, monkeypatch):
     want = [(argv, 0, digest) for argv, digest in GOLDEN]
     want.append(("soa --fixture FIX-M", 0, GOLDEN[0][1]))
     assert got == want
+
+
+def test_model_payload_blocks(tmp_path):
+    got = {}
+    for fixture_name, blocks in MODEL_BLOCKS.items():
+        out = tmp_path / "model.json"
+        assert main(["model", "--fixture", fixture_name, "--out", str(out)]) == 0
+        payload = json.loads(out.read_bytes())["payload"]
+        got[fixture_name] = {
+            block: hashlib.sha256(canonical_dumps(payload[block]).encode()).hexdigest()
+            for block in blocks
+        }
+    assert got == MODEL_BLOCKS

@@ -6,9 +6,12 @@ import pytest
 
 from awfs_forge import cli
 from awfs_forge.cli import COMMANDS, build_parser, main
+from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import Presheaf, ValidationError, all_maps, canonical_dumps, sha256_hex
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.instance import from_json, load
+from awfs_forge.lifting import oracle_lift
+from awfs_forge.soa import run_soa
 from awfs_forge.verifier import verify_certificate
 
 
@@ -414,6 +417,34 @@ def test_verify_cert_rejects_a_swapped_chi(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 3
     assert capsys.readouterr().out.startswith("certificate REJECTED: chi.s1: ")
+
+
+def test_verify_cert_rejects_another_filler_as_xi(tmp_path):
+    # ξ_f32's lifting problem (L_t f32 against R f32) has more than one
+    # filler: another one, pooled under its own hash, passes both triangles
+    # but not the cell replay
+    out = tmp_path / "model.json"
+    assert main(["model", "--fixture", "FIX-M", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    instance = fixture("FIX-M")
+    payload = cert["payload"]
+    f = ArrowObject(instance.maps["f32"])
+    fac_t = run_soa(instance.generators["J"]).factor(f)
+    fac = run_soa(instance.generators["I"]).factor(f)
+    lt, rf = ArrowObject(fac_t.left), ArrowObject(fac.right)
+    content = payload["maps"][payload["xi"]["f32"]]
+    others = [
+        m.table_json()
+        for m in oracle_lift(lt, rf, Square(lt, rf, fac.left, fac_t.right))
+        if m.table_json() != content["components"]
+    ]
+    assert others
+    payload["xi"]["f32"] = _pool_map(payload["maps"], dict(content, components=others[0]))
+    assert verify_certificate(instance, cert) == (
+        False, "xi.f32: xi differs from the cell replay"
+    )
+    cert["options"]["tau"] = "nope"
+    assert verify_certificate(instance, cert) == (False, "options.tau: unknown tau")
 
 
 def test_model_command_reports_failed_axiom_graph(tmp_path, capsys):

@@ -1,8 +1,11 @@
+from functools import partial
+
 import pytest
 
+from awfs_forge import lifting, model
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import Presheaf, PresheafMap, ValidationError, eq_witness
-from awfs_forge.fixtures import finmap, finset
+from awfs_forge.fixtures import finmap, finset, fixture
 from awfs_forge.lifting import (
     GeneratorDiagram,
     LiftingFunction,
@@ -28,7 +31,8 @@ from awfs_forge.model import (
     validate_model_axioms,
     verify_comparison,
 )
-from awfs_forge.soa import run_soa
+from awfs_forge.soa import NonConvergence, run_soa
+from reference_comparison import reference_xi
 
 F21 = ArrowObject(finmap(2, 1, [0, 0]))
 ID1 = ArrowObject(finmap(1, 1, [0]))
@@ -107,6 +111,78 @@ def test_build_comparison_bijective_when_generators_coincide(fixm, fixm_amstr):
     for name in ("f21", "id1", "e01", "f32"):
         f = ArrowObject(fixm.maps[name])
         assert fixm_amstr.xi.at(f).is_bijective()
+
+
+def _model_build(instance, variant):
+    """A model structure with everything `model_certificate` computes: ξ and
+    the law suites on the named arrows, replacement tables and χ."""
+    gen_t = run_soa(instance.generators["J"], variant)
+    gen = run_soa(instance.generators["I"], variant)
+    amstr = build_model_structure(gen_t, gen, instance.taus["tau"], instance.weq)
+    base = next(iter(gen_t.diagram.arrow_of.values())).base
+    arrows = [ArrowObject(m) for m in instance.maps.values() if m.base == base]
+    verify_comparison(amstr, arrows)
+    validate_model_axioms(amstr, arrows)
+    rep, objects = ReplacementMonad(amstr), []
+    for x in instance.presheaves.values():
+        if x.base != base or x.total_size > 3:
+            continue
+        try:
+            rep.r_obj(x)
+            rep.q_obj(x)
+        except NonConvergence:
+            continue
+        objects.append(x)
+    check_replacement_laws(amstr, objects)
+    return amstr
+
+
+def _xi_or_failure(xi, f):
+    try:
+        return xi(f)
+    except NonConvergence as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("variant", ["monic", "standard"])
+@pytest.mark.parametrize("name", ["FIX-M", "FIX-G", "FIX-PROJ"])
+def test_comparison_matches_the_reference_route(name, variant):
+    # ξ cell by cell equals ξ through the cellular coalgebra and solve_lift
+    # on every arrow that either engine recorded in a model build; the
+    # reference runs on engines of its own
+    instance = fixture(name)
+    amstr = _model_build(instance, variant)
+    ref_t = run_soa(instance.generators["J"], variant)
+    ref = run_soa(instance.generators["I"], variant)
+    probes = set(amstr.gen_t.records) | set(amstr.gen.records)
+    assert len(probes) > 20
+    for f in probes:
+        got = _xi_or_failure(amstr.xi.at, f)
+        want = _xi_or_failure(partial(reference_xi, ref_t, ref, amstr.tau), f)
+        if isinstance(got, PresheafMap):
+            assert eq_witness(got, want) is None
+        else:
+            assert got is want
+
+
+def test_comparison_solves_no_lifting_problem(monkeypatch):
+    # a return to the cellular-coalgebra route would call solve_lift once per
+    # cell and once per arrow; call counts repeat exactly where times do not
+    calls = []
+    for module in (lifting, model):
+        def counted(*args, real=module.solve_lift):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "solve_lift", counted)
+    instance = fixture("FIX-PROJ")
+    gen_t, gen = run_soa(instance.generators["J"]), run_soa(instance.generators["I"])
+    amstr = build_model_structure(gen_t, gen, instance.taus["tau"], instance.weq)
+    base = gen.diagram.arrow_of["j0"].base
+    named = [m for m in instance.maps.values() if m.base == base]
+    for m in named:
+        amstr.xi.at(m)
+    assert len(gen.records) >= len(named) == 5 and calls == []
 
 
 def test_comparison_passes_morphism_laws(fixm, fixm_amstr, fixg, fixg_amstr):

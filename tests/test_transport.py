@@ -1,9 +1,10 @@
 import json
 from collections import Counter
+from functools import partial
 
 import pytest
 
-from awfs_forge import transport
+from awfs_forge import certificates, transport
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import (
     FinFunction,
@@ -45,6 +46,7 @@ from awfs_forge.transport import (
     verify_lax_colax,
 )
 from awfs_forge.verifier import CertifiedEngine, verify_certificate
+from reference_comparison import reference_rho
 
 PT = FiniteCategory.point()
 E01 = ArrowObject(finmap(0, 1, []))
@@ -257,6 +259,58 @@ def test_rho_is_identity_for_identity_adjunction(fixm, fixm_gen):
         assert rho == PresheafMap.identity(rho.src)
         gamma = mates.gamma(f)
         assert gamma == PresheafMap.identity(gamma.src)
+
+
+@pytest.mark.parametrize("name, adjunction", [
+    ("FIX-M", "ident"), ("FIX-G", "ident"), ("FIX-PROJ", "ident"), ("FIX-PROJ", "lan"),
+])
+def test_mates_match_the_reference_route(name, adjunction, monkeypatch):
+    # ρ cell by cell, and γ built from it, equal ρ through the adjunct
+    # lifting function and its algebra (and γ built from that) on every arrow
+    # that `quillen_certificate` asks either pair of mates for
+    mates = []
+    build = certificates.build_mates
+
+    def spy(adj, gen_m, gen_k):
+        md = build(adj, gen_m, gen_k)
+        asked = (set(), set())
+
+        def rho(g):
+            asked[0].add(g)
+            return md.rho(g)
+
+        def gamma(f):
+            asked[1].add(f)
+            return md.gamma(f)
+
+        mates.append((adj, gen_m, gen_k, md, asked))
+        return MateData(rho, gamma)
+
+    monkeypatch.setattr(certificates, "build_mates", spy)
+    quillen_certificate(fixture(name), adjunction, "J", "I", "tau", "monic", 64)
+    assert len(mates) == 2
+    for adj, gen_m, gen_k, md, (rho_probes, gamma_probes) in mates:
+        ref_rho = partial(reference_rho, adj, gen_m, gen_k)
+        ref_gamma = gamma_from_mate(adj, gen_m, gen_k, ref_rho)
+        assert rho_probes and gamma_probes
+        for g in rho_probes:
+            assert eq_witness(md.rho(g), ref_rho(g)) is None
+        for f in gamma_probes:
+            assert eq_witness(md.gamma(f), ref_gamma(f)) is None
+
+
+def test_rho_tabulates_no_adjunct_lifting_function(monkeypatch):
+    # a return to the adjunct route would tabulate one lifting function per
+    # arrow; call counts repeat exactly where times do not
+    calls = []
+
+    def counted(*args, real=transport.adjunct_lifting_S):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transport, "adjunct_lifting_S", counted)
+    payload = quillen_certificate(fixture("FIX-G"), "ident", "J", "I", "tau", "monic", 64)
+    assert payload["rho_t"] and calls == []
 
 
 def test_mate_round_trip(lan_setup):
