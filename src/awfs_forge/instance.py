@@ -81,18 +81,9 @@ class InstanceFile:
         where = f"adjunctions.{name}"
         m_base = self.bases[desc.get("from_base", "main")]
         k_base = self.bases[desc.get("to_base", "main")]
-
-        def table(kind_key):
-            out = {}
-            for a, b in desc.get(kind_key, {}).items():
-                for n in (a, b):
-                    if n not in self.presheaves and n not in self.maps:
-                        raise ValidationError(f"{where}.{kind_key}.{a}", f"unknown name {n}")
-            return dict(desc.get(kind_key, {}))
-
-        t_obj_tab, s_obj_tab = table("t_objects"), table("s_objects")
-        t_map_tab, s_map_tab = table("t_maps"), table("s_maps")
-        unit_tab, counit_tab = dict(desc.get("unit", {})), dict(desc.get("counit", {}))
+        t_obj_tab, s_obj_tab = desc.get("t_objects", {}), desc.get("s_objects", {})
+        t_map_tab, s_map_tab = desc.get("t_maps", {}), desc.get("s_maps", {})
+        unit_tab, counit_tab = desc.get("unit", {}), desc.get("counit", {})
 
         def by_obj(tab, registry, label):
             lookup = {self.presheaves[a]: registry[b] for a, b in tab.items()}
@@ -193,6 +184,77 @@ def _parse_generators(name: str, data: dict, maps: dict[str, PresheafMap]) -> Ge
     return diagram
 
 
+def _name_map(parent: dict, key: str, path: str, keys, values, total=False) -> dict[str, str]:
+    """`parent[key]` (default empty), a JSON object from names in `keys` to
+    names in `values`; with `total`, one entry for every name in `keys`."""
+    path, value = f"{path}.{key}", parent.get(key, {})
+    for k, v in expect_object(value, path).items():
+        if k not in keys:
+            raise ValidationError(f"{path}.{k}", "unknown name")
+        if not isinstance(v, str) or v not in values:
+            raise ValidationError(f"{path}.{k}", f"unknown image {v!r}")
+    missing = [k for k in keys if k not in value] if total else []
+    if missing:
+        raise ValidationError(f"{path}.{missing[0]}", "missing image")
+    return dict(value)
+
+
+def _tau(name: str, data, generators: dict[str, GeneratorDiagram]) -> TauData:
+    path = f"taus.{name}"
+    expect_object(data, path)
+    for end in ("src", "dst"):
+        g = data.get(end)
+        if not isinstance(g, str) or g not in generators:
+            raise ValidationError(f"{path}.{end}", f"unknown generators {g}")
+    src, dst = generators[data["src"]], generators[data["dst"]]
+    tau = TauData(
+        src,
+        dst,
+        _name_map(data, "objects", path, src.arrow_of, dst.arrow_of, True),
+        _name_map(data, "morphisms", path, src.shape.morphisms, dst.shape.morphisms),
+    )
+    tau.validate(path)
+    return tau
+
+
+def _check_adjunction(name: str, desc, bases, presheaves, maps) -> None:
+    """Everything `InstanceFile.adjunction` reads from the descriptor."""
+    path = f"adjunctions.{name}"
+    kind = expect_object(desc, path).get("kind")
+    if kind not in ("identity", "lan_res", "explicit"):
+        raise ValidationError(f"{path}.kind", f"unsupported kind {kind!r}")
+
+    def base(key: str, default="main") -> FiniteCategory:
+        bname = desc.get(key, default)
+        if not isinstance(bname, str) or bname not in bases:
+            raise ValidationError(f"{path}.{key}", "unknown base")
+        return bases[bname]
+
+    if kind == "identity":
+        base("base")
+    elif kind == "lan_res":
+        src, dst = base("from_base", None), base("to_base")
+        fpath = f"{path}.functor"
+        functor = expect_object(desc.get("functor"), fpath)
+        FunctorData(
+            src,
+            dst,
+            _name_map(functor, "objects", fpath, src.objects, dst.objects, True),
+            _name_map(functor, "morphisms", fpath, src.morphisms, dst.morphisms),
+        ).validate(fpath)
+    else:
+        base("from_base"), base("to_base")
+        for key, keys, values in (
+            ("t_objects", presheaves, presheaves),
+            ("s_objects", presheaves, presheaves),
+            ("t_maps", maps, maps),
+            ("s_maps", maps, maps),
+            ("unit", presheaves, maps),
+            ("counit", presheaves, maps),
+        ):
+            _name_map(desc, key, path, keys, values)
+
+
 def _options(value) -> dict:
     """The instance's command defaults; booleans are not step bounds here."""
     options = dict(expect_object(value, "options"))
@@ -260,34 +322,14 @@ def from_json(data: dict) -> InstanceFile:
 
     weq = WeqPredicate.from_json(data.get("weq"), maps)
 
-    taus: dict[str, TauData] = {}
-    for tname, tdata in expect_object(data.get("taus", {}), "taus").items():
-        for end in ("src", "dst"):
-            if tdata[end] not in generators:
-                raise ValidationError(f"taus.{tname}.{end}", f"unknown generators {tdata[end]}")
-        tau = TauData(
-            generators[tdata["src"]],
-            generators[tdata["dst"]],
-            dict(tdata.get("objects", {})),
-            dict(tdata.get("morphisms", {})),
-        )
-        tau.validate(f"taus.{tname}")
-        taus[tname] = tau
+    taus = {
+        tname: _tau(tname, tdata, generators)
+        for tname, tdata in expect_object(data.get("taus", {}), "taus").items()
+    }
 
     adjunctions = dict(expect_object(data.get("adjunctions", {}), "adjunctions"))
     for aname, desc in adjunctions.items():
-        kind = desc.get("kind")
-        if kind not in ("identity", "lan_res", "explicit"):
-            raise ValidationError(f"adjunctions.{aname}.kind", f"unsupported kind {kind!r}")
-        if kind == "lan_res":
-            if desc.get("from_base") not in bases:
-                raise ValidationError(f"adjunctions.{aname}.from_base", "unknown base")
-            FunctorData(
-                bases[desc["from_base"]],
-                bases[desc.get("to_base", "main")],
-                dict(desc["functor"].get("objects", {})),
-                dict(desc["functor"].get("morphisms", {})),
-            ).validate(f"adjunctions.{aname}.functor")
+        _check_adjunction(aname, desc, bases, presheaves, maps)
 
     return InstanceFile(
         bases=bases,

@@ -90,18 +90,23 @@ class WeqPredicate:
 
     @staticmethod
     def from_json(data, maps: dict[str, PresheafMap]) -> "WeqPredicate":
-        if data is None or data == "all" or data == {"kind": "all"}:
+        """`None` or "all", a list of map names, or an object with `kind`
+        all, isos or list (the default) and, for list, `arrows`."""
+        if data is None or data == "all":
             return WeqPredicate("all")
+        path = "weq"
         if isinstance(data, dict):
             kind = data.get("kind", "list")
             if kind in ("all", "isos"):
                 return WeqPredicate(kind)
-            names = data.get("arrows", [])
-        else:
-            kind, names = "list", data
+            if kind != "list":
+                raise ValidationError("weq.kind", f"unknown kind {kind!r}")
+            data, path = data.get("arrows", []), "weq.arrows"
+        if not isinstance(data, list):
+            raise ValidationError(path, "must be a JSON list of map names")
         arrows = []
-        for n in names:
-            if n not in maps:
+        for n in data:
+            if not isinstance(n, str) or n not in maps:
                 raise ValidationError(f"weq.arrows.{n}", "unknown map name")
             arrows.append(ArrowObject(maps[n]))
         return WeqPredicate("list", frozenset(arrows))
@@ -136,33 +141,33 @@ def coalgebra_from_cellular(
     return CoalgebraStructure(h, s)
 
 
+def xi_rule(f: ArrowObject, record_t, record, tau: TauData, where: str) -> PresheafMap:
+    """Comparison map ξ_f: E_t f -> E f, from f's records on the two sides
+    (read as in `soa.e_rule`).  E_t f's stage 0 goes by L f, and each cell (a
+    generator j of tau.src) to the fill of its square read through tau as a
+    square from τ j into R f."""
+    rec = record(f)
+    rf = ArrowObject(rec.right())
+
+    def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
+        iname = tau.on_objects[cell.jname]
+        top = cell.square.u.then(prev_map)
+        return rec.fill(iname, Square(tau.dst.arrow_of[iname], rf, top, cell.square.v))
+
+    return walk_stages(record_t(f), rec.left(), rec.mid(), fill, where, "inconsistent comparison")
+
+
 def build_comparison(
     gen_t: GeneratedAwfs, gen: GeneratedAwfs, tau: TauData
 ) -> AwfsMorphism:
-    """Comparison map ξ_f: E_t f -> E f, cell by cell: E_t f's stage 0 goes
-    by L f, and each cell (a generator j of gen_t) to gen's minimal-stage fill
-    of its attaching square, read through tau as a square from τ j into R f."""
+    """Comparison map ξ, once per arrow (`xi_rule`)."""
     tau.validate()
     cache: dict[ArrowObject, PresheafMap] = {}
 
     def xi(f: ArrowObject) -> PresheafMap:
-        if f in cache:
-            return cache[f]
-        rec = gen.record(f)
-        rf = ArrowObject(rec.right())
-
-        def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
-            iname = tau.on_objects[cell.jname]
-            top = cell.square.u.then(prev_map)
-            sq = Square(gen.diagram.arrow_of[iname], rf, top, cell.square.v)
-            return gen.free_fill(f, iname, sq)
-
-        out = walk_stages(
-            gen_t.record(f), rec.left(), rec.mid(), fill,
-            "build_comparison", "inconsistent comparison",
-        )
-        cache[f] = out
-        return out
+        if f not in cache:
+            cache[f] = xi_rule(f, gen_t.record, gen.record, tau, "build_comparison")
+        return cache[f]
 
     return AwfsMorphism(xi)
 

@@ -41,7 +41,6 @@ from .lifting import (
     CoalgebraStructure,
     GeneratorDiagram,
     LiftingFunction,
-    compose_lifting,
     enumerate_new_squares,
     enumerate_squares,
 )
@@ -116,6 +115,24 @@ class ArrowRecord:
 
     def mid(self) -> Presheaf:
         return self.stages[-1]
+
+    def fill(self, jname: str, sq: Square) -> PresheafMap:
+        """Fill of a square from generator `jname` into the right factor."""
+        return _minimal_fill(self.stages, self.cell_index, jname, sq)
+
+
+def _minimal_fill(stages, cell_index, jname, sq: Square) -> PresheafMap:
+    """Minimal-stage cell injection for a square into the last right factor
+    of `stages`, carried up into the last stage object.  The cell sits one
+    stage above the first stage E^gamma whose sizes bound u."""
+    last = len(stages) - 1
+    gamma = next((s for s, st in enumerate(stages) if _bounded(sq.u, st)), last)
+    cell = cell_index.get((gamma + 1, jname, sq.u.tables, sq.v))
+    if cell is None:
+        raise ValidationError(
+            "soa.fill", f"no cell for generator {jname} at minimal stage {gamma + 1}"
+        )
+    return cell.injection.retarget(stages[-1])
 
 
 def density_comonad(diagram: GeneratorDiagram, f) -> tuple[ArrowObject, Square]:
@@ -294,7 +311,7 @@ class GeneratedAwfs:
                 cu, cv = conn.u.then(sq.u), conn.v.then(sq.v)
                 other = index.get((jp, cu, cv))
                 if other is None:
-                    fill = self._partial_fill(
+                    fill = _minimal_fill(
                         stages,
                         cell_index,
                         jp,
@@ -374,37 +391,18 @@ class GeneratedAwfs:
         r_new = PresheafMap(new_stage, r_prev.dst, tuple([tuple(t) for t in rtables]))
         return new_stage, iota, injections, r_new
 
-    def _partial_fill(self, stages, cell_index, jname, sq: Square) -> PresheafMap:
-        """Minimal-stage cell injection for a square into the current right
-        factor, carried up into the current stage object.  The cell sits one
-        stage above the first stage E^gamma whose sizes bound u."""
-        last = len(stages) - 1
-        gamma = next((s for s, st in enumerate(stages) if _bounded(sq.u, st)), last)
-        cell = cell_index.get((gamma + 1, jname, sq.u.tables, sq.v))
-        if cell is None:
-            raise ValidationError(
-                "soa.fill", f"no cell for generator {jname} at minimal stage {gamma + 1}"
-            )
-        return cell.injection.retarget(stages[-1])
-
     # -- derived structure -------------------------------------------------
 
     def factor(self, f) -> Factored:
         rec = self.record(f)
         return Factored(rec.left(), rec.mid(), rec.right())
 
-    def free_fill(self, f, jname: str, sq: Square) -> PresheafMap:
-        """Fill of a square from a generator into Rf: the stage-minimal cell."""
-        rec = self.record(f)
-        return self._partial_fill(rec.stages, rec.cell_index, jname, sq)
-
     def free_lifting_function(self, f) -> LiftingFunction:
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
         if farr not in self._lifts:
-            rf = ArrowObject(self.record(farr).right())
-            self._lifts[farr] = LiftingFunction.tabulate(
-                self.diagram, rf, lambda jname, sq: self.free_fill(farr, jname, sq)
-            )
+            rec = self.record(farr)
+            rf = ArrowObject(rec.right())
+            self._lifts[farr] = LiftingFunction.tabulate(self.diagram, rf, rec.fill)
         return self._lifts[farr]
 
     def lam(self, jname: str) -> CoalgebraStructure:
@@ -413,41 +411,26 @@ class GeneratedAwfs:
         rec = self.record(j)
         rf = ArrowObject(rec.right())
         sq = Square(j, rf, rec.left(), PresheafMap.identity(j.cod))
-        return CoalgebraStructure(j, self.free_fill(j, jname, sq))
+        return CoalgebraStructure(j, rec.fill(jname, sq))
 
     def e_on_square(self, sq: Square) -> PresheafMap:
-        """E(u, v) by cell reindexing: each cell of f maps to the minimal-stage
-        fill of its composed square in g's factorization."""
+        """E(u, v), once per square (`e_rule`)."""
         if sq not in self._esquares:
-            recf = self.record(sq.src)
-            recg = self.record(sq.dst)
-            rg = ArrowObject(recg.right())
-
-            def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
-                j = self.diagram.arrow_of[cell.jname]
-                top = cell.square.u.then(prev_map)
-                bottom = cell.square.v.then(sq.v)
-                return self.free_fill(sq.dst, cell.jname, Square(j, rg, top, bottom))
-
-            self._esquares[sq] = walk_stages(
-                recf, sq.u.then(recg.left()), recg.mid(), fill,
-                "e_on_square", "inconsistent reindexing",
-            )
+            self._esquares[sq] = e_rule(sq, self.record, "e_on_square")
         return self._esquares[sq]
 
     def mu(self, f) -> PresheafMap:
-        """Multiplication by stage collapse: re-attach every cell of R f at its
-        minimal stage in Ef."""
+        """Multiplication E(R f) -> E f, once per arrow (`mu_rule`)."""
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
         if farr not in self._mus:
-            lf = self.free_lifting_function(farr)
-            self._mus[farr] = lifting_function_to_algebra(self, lf).t
+            self._mus[farr] = mu_rule(farr, self.record, "mu")
         return self._mus[farr]
 
     def delta(self, f) -> PresheafMap:
+        """Comultiplication E f -> E L f, once per arrow (`delta_rule`)."""
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
         if farr not in self._deltas:
-            self._deltas[farr] = delta_from_composition(self, farr)
+            self._deltas[farr] = delta_rule(farr, self.record, self.e_on_square, "delta")
         return self._deltas[farr]
 
     def free_algebra(self, f) -> AlgebraStructure:
@@ -472,7 +455,7 @@ def run_soa(diagram: GeneratorDiagram, variant: str = "monic", max_steps: int = 
 
 
 def walk_stages(
-    rec: ArrowRecord, start: PresheafMap, dst: Presheaf, fill, where: str, problem: str
+    rec, start: PresheafMap, dst: Presheaf, fill, where: str, problem: str
 ) -> PresheafMap:
     """Extend `start` (out of E^0) stage by stage to a map E^N -> dst: each
     stage agrees with the previous map along the inclusion and with
@@ -485,6 +468,69 @@ def walk_stages(
         )
         current = glue(rec.stages[stage], dst, parts, where, problem)
     return current
+
+
+# -- the cell rules: E, μ and δ as maps out of cellular objects, fixed by where
+# each cell goes.  A rule reads records through `record(arrow)`: anything with
+# `stages`, `inclusions`, `cells_by_stage` (lists of CellRecord), `left()`,
+# `right()`, `mid()` and `fill(jname, sq)`, the fill of a square into the
+# right factor.  The engine passes its ArrowRecords, the verifier certified
+# records; a gluing failure raises ValidationError at `where`.
+
+
+def e_rule(sq: Square, record, where: str) -> PresheafMap:
+    """E(u, v): E f -> E g for a square (u, v): f -> g.  E f's stage 0 goes by
+    L g ∘ u, and each cell of f to g's fill of its square composed with (u, v)."""
+    recf, recg = record(sq.src), record(sq.dst)
+    rg = ArrowObject(recg.right())
+
+    def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
+        top = cell.square.u.then(prev_map)
+        bottom = cell.square.v.then(sq.v)
+        return recg.fill(cell.jname, Square(cell.square.src, rg, top, bottom))
+
+    return walk_stages(
+        recf, sq.u.then(recg.left()), recg.mid(), fill, where, "inconsistent E reindexing"
+    )
+
+
+def mu_rule(f: ArrowObject, record, where: str) -> PresheafMap:
+    """μ_f: E(R f) -> E f.  E(R f)'s stage 0 is E f, and each cell of R f goes
+    to f's fill of its square."""
+    rec = record(f)
+    rf = ArrowObject(rec.right())
+
+    def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
+        sq = Square(cell.square.src, rf, cell.square.u.then(prev_map), cell.square.v)
+        return rec.fill(cell.jname, sq)
+
+    ef = rec.mid()
+    return walk_stages(
+        record(rf), PresheafMap.identity(ef), ef, fill, where, "incoherent algebra assembly"
+    )
+
+
+def delta_rule(f: ArrowObject, record, e, where: str) -> PresheafMap:
+    """δ_f: E f -> E L f, as t ∘ E(L²f, 1) with E the callable `e` on squares.
+    E(L²f, 1) runs into E of the composite R L f · R f, and t is the
+    composite's algebra structure: each of its cells is filled against R f,
+    then against R L f."""
+    rec = record(f)
+    rec_l = record(ArrowObject(rec.left()))
+    rf, rlf = ArrowObject(rec.right()), ArrowObject(rec_l.right())
+    comp = ArrowObject(rlf.f.then(rf.f))
+
+    def fill(cell: CellRecord, prev_map: PresheafMap) -> PresheafMap:
+        j = cell.square.src
+        top = cell.square.u.then(prev_map)
+        mid = rec.fill(cell.jname, Square(j, rf, top.then(rlf.f), cell.square.v))
+        return rec_l.fill(cell.jname, Square(j, rlf, top, mid))
+
+    elf = rec_l.mid()
+    t = walk_stages(
+        record(comp), PresheafMap.identity(elf), elf, fill, where, "incoherent algebra assembly"
+    )
+    return e(Square(f, comp, rec_l.left(), PresheafMap.identity(f.cod))).then(t)
 
 
 def lifting_function_to_algebra(gen: GeneratedAwfs, lf: LiftingFunction) -> AlgebraStructure:
@@ -501,20 +547,3 @@ def lifting_function_to_algebra(gen: GeneratedAwfs, lf: LiftingFunction) -> Alge
         "lifting_function_to_algebra", "incoherent lifting function",
     )
     return AlgebraStructure(h, t)
-
-
-def delta_from_composition(gen: GeneratedAwfs, f) -> PresheafMap:
-    """Comultiplication from the composite of free algebras:
-    δ_f = (μ_f • μ_{Lf}) ∘ E(L²f, 1)."""
-    farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-    rec = gen.record(farr)
-    larr = ArrowObject(rec.left())
-    rec_l = gen.record(larr)
-    rlf = ArrowObject(rec_l.right())
-    rf = ArrowObject(rec.right())
-    phi = gen.free_lifting_function(larr)  # for R(Lf)
-    psi = gen.free_lifting_function(farr)  # for Rf
-    comp_arrow, comp_lf = compose_lifting((rlf, phi), (rf, psi))
-    alg = lifting_function_to_algebra(gen, comp_lf)  # E(Rf·RLf) -> ELf
-    sq = Square(farr, comp_arrow, rec_l.left(), PresheafMap.identity(farr.cod))
-    return gen.e_on_square(sq).then(alg.t)

@@ -398,7 +398,7 @@ def rho_from_lift(
             bottom = adj.t_map(cell.square.v).then(adj.counit(g.cod))
             sq = Square(gen_k.diagram.arrow_of[cell.jname], rg, top, bottom)
             cod_j = gen_m.diagram.arrow_of[cell.jname].cod
-            return adj.unit(cod_j).then(adj.s_map(gen_k.free_fill(g, cell.jname, sq)))
+            return adj.unit(cod_j).then(adj.s_map(rec.fill(cell.jname, sq)))
 
         out = walk_stages(
             gen_m.record(adj.s_arrow(g)), adj.s_map(rec.left()), adj.s_obj(eg), fill,

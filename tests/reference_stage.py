@@ -11,7 +11,7 @@ condition read off a finished record.
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import PresheafMap, coproduct, glue, quotient_presheaf
 from awfs_forge.lifting import enumerate_squares
-from awfs_forge.soa import ArrowRecord, GeneratedAwfs, _bounded
+from awfs_forge.soa import ArrowRecord, GeneratedAwfs, _bounded, _minimal_fill
 
 
 def reference_stage(gen: GeneratedAwfs, stages, rmaps, cell_index, attached):
@@ -39,7 +39,7 @@ def reference_stage(gen: GeneratedAwfs, stages, rmaps, cell_index, attached):
             if ckey in index:
                 rels.append((cop.legs[index[ckey] + 1], conn.v.then(leg)))
             else:
-                fill = gen._partial_fill(
+                fill = _minimal_fill(
                     stages,
                     cell_index,
                     jp,

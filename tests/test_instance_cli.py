@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from awfs_forge import cli
+from awfs_forge import certificates, cli
 from awfs_forge.cli import COMMANDS, build_parser, main
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import Presheaf, ValidationError, all_maps, canonical_dumps, sha256_hex
@@ -447,6 +447,39 @@ def test_verify_cert_rejects_another_filler_as_xi(tmp_path):
     assert verify_certificate(instance, cert) == (False, "options.tau: unknown tau")
 
 
+@pytest.mark.parametrize("name", ["FIX-M", "FIX-PROJ"])
+@pytest.mark.parametrize("keep", [3, 0])
+def test_verify_cert_rejects_a_cut_model_law_report(name, keep):
+    # every entry left reads pass; the verifier reruns the law suites
+    instance = fixture(name)
+    payload = certificates.model_certificate(instance, "J", "I", "tau", "monic", 64)
+    cert = json.loads(canonical_dumps(certificates.envelope("model", instance, {"tau": "tau"}, payload)))
+    assert verify_certificate(instance, cert) == (True, "")
+    assert len(cert["payload"]["law_report"]) > 80
+    del cert["payload"]["law_report"][keep:]
+    assert verify_certificate(instance, cert) == (
+        False, "law_report: embedded law report differs from the recomputed one"
+    )
+
+
+def test_verify_cert_requires_injective_stage_inclusions_in_both_variants():
+    # f21's inclusion 0 made to send both elements of E^0 to one, with the
+    # left factor (the same single inclusion) repointed: R∘L = f still holds
+    instance = fixture("FIX-M")
+    payload = certificates.soa_certificate(instance, "J", "standard", 64)
+    cert = json.loads(canonical_dumps(certificates.envelope("soa", instance, {}, payload)))
+    payload = cert["payload"]
+    fkey = payload["named"]["f21"]
+    entry = payload["arrows"][fkey]
+    content = payload["maps"][entry["inclusions"][0]]
+    assert content["components"] == {"*": [0, 1]} and entry["left"] == entry["inclusions"][0]
+    key = _pool_map(payload["maps"], dict(content, components={"*": [0, 0]}))
+    entry["inclusions"][0] = entry["left"] = key
+    assert verify_certificate(instance, cert) == (
+        False, f"arrows.{fkey}: stage inclusion 0 not injective"
+    )
+
+
 def test_model_command_reports_failed_axiom_graph(tmp_path, capsys):
     out = tmp_path / "modelg.json"
     assert main(["model", "--fixture", "FIX-G", "--out", str(out)]) == 3
@@ -548,6 +581,48 @@ def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, 
     assert main(["validate", str(inst)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"invalid: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "keys, value, path",
+    [
+        (("taus", "tau"), 3, "taus.tau"),
+        (("taus", "tau", "src"), None, "taus.tau.src"),
+        (("taus", "tau", "objects"), [1], "taus.tau.objects"),
+        (("taus", "tau", "objects"), {"nope": "nope"}, "taus.tau.objects.nope"),
+        (("taus", "tau", "objects"), {"j0": "j0"}, "taus.tau.objects.j1"),
+        (("weq",), 5, "weq"),
+        (("weq",), {"kind": "list", "arrows": 5}, "weq.arrows"),
+        (("weq",), {"kind": "zzz"}, "weq.kind"),
+        (("adjunctions", "lan"), 5, "adjunctions.lan"),
+        (("adjunctions", "lan", "to_base"), "nope", "adjunctions.lan.to_base"),
+        (("adjunctions", "lan", "functor"), None, "adjunctions.lan.functor"),
+        (("adjunctions", "lan", "functor", "objects"), {"0": "0"}, "adjunctions.lan.functor.objects.1"),
+        (("adjunctions", "ident", "base"), "nope", "adjunctions.ident.base"),
+        (("adjunctions", "tab"), {"kind": "explicit", "from_base": "nope"}, "adjunctions.tab.from_base"),
+        (("adjunctions", "tab"), {"kind": "explicit", "unit": {"s0": "nope"}}, "adjunctions.tab.unit.s0"),
+    ],
+    ids=[
+        "tau-number", "tau-no-src", "tau-objects-list", "tau-objects-unknown",
+        "tau-objects-partial", "weq-number", "weq-arrows-number", "weq-kind-unknown",
+        "adjunction-number", "lan-to-base-unknown", "lan-no-functor", "lan-functor-partial",
+        "identity-base-unknown", "explicit-from-base-unknown", "explicit-unit-unknown",
+    ],
+)
+def test_validate_rejects_malformed_taus_weq_and_adjunctions(keys, value, path, tmp_path, capsys):
+    # None deletes the key; each of these used to pass `validate` or end in
+    # a traceback there or at `transport`
+    raw = fixture_raw("FIX-PROJ")
+    if value is None:
+        del raw[keys[0]][keys[1]][keys[2]]
+    else:
+        _set(raw, keys, value)
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["validate", str(inst)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -114,7 +114,7 @@ def test_fill_matches_the_walk_down(records):
         rf = ArrowObject(rec.right())
         for jname, j in gen.diagram.arrow_of.items():
             for sq in enumerate_squares(j, rf):
-                assert gen.free_fill(rec.f, jname, sq) == reference_fill(rec, jname, sq), label
+                assert rec.fill(jname, sq) == reference_fill(rec, jname, sq), label
                 filled += 1
     assert filled > 100
 
@@ -132,7 +132,7 @@ def test_split_epi_fill_matches_the_walk_down(m, n, data):
             assert _bounded(u, rec.stages[k - 1]) == (factor_through(u, incl) is not None)
         j = gen.diagram.arrow_of["j"]
         for sq in enumerate_squares(j, ArrowObject(rec.right())):
-            assert gen.free_fill(rec.f, "j", sq) == reference_fill(rec, "j", sq)
+            assert rec.fill("j", sq) == reference_fill(rec, "j", sq)
 
 
 def _log_calls(monkeypatch, owner, attr, log):

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from awfs_forge import certificates, transport
+from awfs_forge import certificates, transport, verifier
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import (
     FinFunction,
@@ -45,7 +45,7 @@ from awfs_forge.transport import (
     verify_algebraic_quillen,
     verify_lax_colax,
 )
-from awfs_forge.verifier import CertifiedEngine, verify_certificate
+from awfs_forge.verifier import verify_certificate
 from reference_comparison import reference_rho
 
 PT = FiniteCategory.point()
@@ -165,18 +165,20 @@ def test_quillen_check_runs_each_restriction_functor_once_per_argument(proj, bod
 
 
 def test_verify_cert_runs_each_replay_once_per_square_or_arrow(monkeypatch):
+    """The verifier calls each shared cell rule at most once per square (E)
+    or per arrow (μ, δ)."""
     instance = fixture("FIX-PW")
     payload = soa_certificate(instance, "JA", "monic", 64)
     cert = json.loads(json.dumps(envelope("soa", instance, {}, payload)))
     runs = Counter()
-    for name in ("_replay_e", "_replay_mu", "_replay_delta"):
-        def counted(engine, key, where, body=getattr(CertifiedEngine, name), name=name):
-            runs[(name, id(engine), key)] += 1
-            return body(engine, key, where)
+    for name in ("e_rule", "mu_rule", "delta_rule"):
+        def counted(*args, body=getattr(verifier, name), name=name):
+            runs[(name, args[0])] += 1
+            return body(*args)
 
-        monkeypatch.setattr(CertifiedEngine, name, counted)
+        monkeypatch.setattr(verifier, name, counted)
     assert verify_certificate(instance, cert) == (True, "")
-    assert {name for name, _, _ in runs} == {"_replay_e", "_replay_mu", "_replay_delta"}
+    assert {name for name, _ in runs} == {"e_rule", "mu_rule", "delta_rule"}
     assert max(runs.values()) == 1
 
 
