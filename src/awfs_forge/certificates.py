@@ -8,7 +8,7 @@ the independent verifier can recheck every claim without engine state.
 from __future__ import annotations
 
 from . import __version__
-from .arrows import ArrowObject, LawReport, Square, verify_awfs
+from .arrows import LawReport
 from .core import (
     FiniteCategory,
     Presheaf,
@@ -18,17 +18,15 @@ from .core import (
     sha256_hex,
 )
 from .instance import InstanceFile
-from .lifting import GeneratorDiagram, enumerate_squares, square_key
+from .lifting import GeneratorDiagram, fill_table, generator_block, lift_blocks
 from .model import (
     ReplacementMonad,
     TauData,
     build_model_structure,
-    chi,
-    check_replacement_laws,
-    validate_model_axioms,
-    verify_comparison,
+    model_blocks,
+    replacement_candidates,
 )
-from .soa import GeneratedAwfs, NonConvergence, run_soa
+from .soa import GeneratedAwfs, NonConvergence, run_soa, soa_blocks
 from .transport import (
     build_mates,
     lift_T_coalg,
@@ -73,32 +71,22 @@ class CertPool:
         self.maps[key] = content
         return key
 
-
-def _fill_entries(pool: CertPool, gen: GeneratedAwfs, rec) -> list[tuple[Square, dict]]:
-    """Each square from a generator into the right factor of `rec`, in
-    canonical order, with its fill-table entry: the square's edges and the
-    free lifting function's fill."""
-    lf = gen.free_lifting_function(rec.f)
-    rf = ArrowObject(rec.right())
-    return [
-        (sq, {
-            "j": jname,
-            "top": pool.add_map(sq.u),
-            "bottom": pool.add_map(sq.v),
-            "fill": pool.add_map(lf.phi(jname, sq)),
-        })
-        for jname in gen.diagram.objects()
-        for sq in enumerate_squares(gen.diagram.arrow_of[jname], rf)
-    ]
+    def add(self, block):
+        """`block` with each presheaf and map in it replaced by its pool key."""
+        if isinstance(block, dict):
+            return {k: self.add(v) for k, v in block.items()}
+        if isinstance(block, list):
+            return [self.add(v) for v in block]
+        if isinstance(block, Presheaf):
+            return self.add_presheaf(block)
+        if isinstance(block, PresheafMap):
+            return self.add_map(block)
+        return block
 
 
-def _arrow_entry(
-    pool: CertPool, gen: GeneratedAwfs, rec, with_structure: bool, fills=None
-) -> dict:
-    """The record's certificate entry; `fills` are its `_fill_entries` when
-    the caller has built them already."""
-    if fills is None:
-        fills = _fill_entries(pool, gen, rec)
+def _arrow_entry(pool: CertPool, gen: GeneratedAwfs, rec, structure=None) -> dict:
+    """The record's certificate entry, with the pooled `structure` (its δ and
+    μ, from `soa_blocks`) when given."""
     entry = {
         "f": pool.add_map(rec.f.f),
         "stages": [pool.add_presheaf(s) for s in rec.stages],
@@ -119,24 +107,29 @@ def _arrow_entry(
         "right": pool.add_map(rec.right()),
         "trace": rec.trace,
         "variant": rec.variant,
-        "fills": [e for _, e in fills],
+        "fills": [
+            {
+                "j": jname,
+                "top": pool.add_map(sq.u),
+                "bottom": pool.add_map(sq.v),
+                "fill": pool.add_map(fill),
+            }
+            for jname, sq, fill in fill_table(gen.diagram, rec)
+        ],
     }
-    if with_structure:
-        entry["delta"] = pool.add_map(gen.delta(rec.f))
-        entry["mu"] = pool.add_map(gen.mu(rec.f))
+    if structure:
+        entry.update(pool.add(structure))
     return entry
 
 
-def _emit_generator_block(pool: CertPool, gen: GeneratedAwfs, label: str) -> dict:
-    block = {"label": label, "objects": {}, "squares": {}}
-    for jname in gen.diagram.objects():
-        block["objects"][jname] = pool.add_map(gen.diagram.arrow_of[jname].f)
-    for m in gen.diagram.shape.nonidentity_morphisms():
-        sq = gen.diagram.square_of[m]
-        block["squares"][m] = {"top": pool.add_map(sq.u), "bottom": pool.add_map(sq.v)}
-    if not gen.diagram.is_discrete():
-        block["shape"] = gen.diagram.shape.to_json()
-    return block
+def _arrow_entries(pool: CertPool, gen: GeneratedAwfs, structure=None) -> dict:
+    """Every record the engine made, by pooled arrow, with its δ and μ where
+    `structure` (by arrow) holds them."""
+    structure = structure or {}
+    return {
+        pool.add_map(rec.f.f): _arrow_entry(pool, gen, rec, structure.get(rec.f))
+        for rec in list(gen.records.values())
+    }
 
 
 def _engine_per_diagram(variant: str, max_steps: int):
@@ -172,17 +165,6 @@ def envelope(command: str, instance: InstanceFile, options: dict, payload: dict)
     }
 
 
-def _requested_arrows(instance: InstanceFile, base: FiniteCategory, names) -> list[tuple[str, ArrowObject]]:
-    out = []
-    for name, m in instance.maps.items():
-        if names is not None and name not in names:
-            continue
-        if m.base != base:
-            continue
-        out.append((name, ArrowObject(m)))
-    return out
-
-
 def soa_certificate(
     instance: InstanceFile,
     generators: str,
@@ -194,44 +176,17 @@ def soa_certificate(
     full provenance certificate, including the verify_awfs law report."""
     diagram = instance.generators[generators]
     gen = run_soa(diagram, variant=variant, max_steps=max_steps)
-    base = next(iter(diagram.arrow_of.values())).base
-    requested = _requested_arrows(instance, base, arrows)
-
-    for _, arr in requested:
-        gen.record(arr)
-        if variant == "monic":
-            gen.delta(arr)
-            gen.mu(arr)
-    for jname in diagram.objects():
-        gen.lam(jname)
-
-    report = LawReport()
-    if variant == "monic":
-        report = verify_awfs(gen.as_awfs(), [arr for _, arr in requested])
-
+    named = instance.requested_arrows(diagram.base, arrows)
+    blocks, structure = soa_blocks(gen, named, variant)
     pool = CertPool(instance.bases)
     payload: dict = {
-        "generators": _emit_generator_block(pool, gen, generators),
+        "generators": pool.add(generator_block(diagram, generators)),
         "variant": variant,
         "max_steps": max_steps,
-        "arrows": {},
-        "named": {},
-        "lambdas": {},
-        "stage_tables": {},
+        "arrows": _arrow_entries(pool, gen, structure),
+        **pool.add(blocks),
     }
-    requested_arrows = {arr for _, arr in requested}
-    for rec in list(gen.records.values()):
-        with_structure = variant == "monic" and rec.f in requested_arrows
-        payload["arrows"][pool.add_map(rec.f.f)] = _arrow_entry(
-            pool, gen, rec, with_structure
-        )
-    for name, arr in requested:
-        payload["named"][name] = pool.add_map(arr.f)
-        payload["stage_tables"][name] = gen.records[arr].trace
-    for jname in diagram.objects():
-        lam = gen.lam(jname)
-        payload["lambdas"][jname] = pool.add_map(lam.s)
-    return _sealed(payload, pool, report)
+    return _sealed(payload, pool)
 
 
 def lift_certificate(
@@ -244,26 +199,13 @@ def lift_certificate(
     """Free lifting-function certificate: fills in canonical square order."""
     diagram = instance.generators[generators]
     gen = run_soa(diagram, variant=variant, max_steps=max_steps)
-    base = next(iter(diagram.arrow_of.values())).base
-    requested = _requested_arrows(instance, base, arrows)
+    named = instance.requested_arrows(diagram.base, arrows)
     pool = CertPool(instance.bases)
     payload = {
-        "generators": _emit_generator_block(pool, gen, generators),
-        "lifting_functions": {},
-        "arrows": {},
+        "generators": pool.add(generator_block(diagram, generators)),
+        **pool.add(lift_blocks(gen, named)),
     }
-    for name, arr in requested:
-        rec = gen.record(arr)
-        fills = _fill_entries(pool, gen, rec)
-        entries = [
-            {**e, "square_hash": sha256_hex(square_key(sq.u, sq.v))[:16]} for sq, e in fills
-        ]
-        payload["lifting_functions"][name] = {
-            "arrow": pool.add_map(arr.f),
-            "right_factor": pool.add_map(rec.right()),
-            "fills": entries,
-        }
-        payload["arrows"][pool.add_map(arr.f)] = _arrow_entry(pool, gen, rec, False, fills)
+    payload["arrows"] = _arrow_entries(pool, gen)
     return _sealed(payload, pool)
 
 
@@ -278,62 +220,32 @@ def model_certificate(
     """Comparison map, morphism-law report, replacement tables, and χ tables."""
     diagram_j = instance.generators[generators_j]
     diagram_i = instance.generators[generators_i]
-    tau_data = instance.taus[tau]
     gen_t = run_soa(diagram_j, variant=variant, max_steps=max_steps)
     gen = run_soa(diagram_i, variant=variant, max_steps=max_steps)
-    amstr = build_model_structure(gen_t, gen, tau_data, instance.weq)
-    base = next(iter(diagram_j.arrow_of.values())).base
-    named = _requested_arrows(instance, base, None)
-    arrows = [arr for _, arr in named]
-
-    report = verify_comparison(amstr, arrows)
-    report.extend(validate_model_axioms(amstr, arrows))
+    amstr = build_model_structure(gen_t, gen, instance.taus[tau], instance.weq)
+    base = diagram_j.base
     rep = ReplacementMonad(amstr)
-    objects = []
-    skipped = []
-    for pname, p in instance.presheaves.items():
-        if p.base != base or p.total_size > 3:
-            continue
+    objects, skipped = {}, []
+    for pname in replacement_candidates(instance.presheaves, base):
+        p = instance.presheaves[pname]
         try:
             rep.r_obj(p)
             rep.q_obj(p)
         except NonConvergence:
             skipped.append(pname)
             continue
-        objects.append(pname)
-    if objects:
-        report.extend(
-            check_replacement_laws(amstr, [instance.presheaves[n] for n in objects])
-        )
-
+        objects[pname] = p
+    blocks = model_blocks(amstr, instance.requested_arrows(base), objects)
     pool = CertPool(instance.bases)
     payload: dict = {
-        "generators_j": _emit_generator_block(pool, gen_t, generators_j),
-        "generators_i": _emit_generator_block(pool, gen, generators_i),
-        "xi": {},
-        "replacement": {},
-        "chi": {},
+        "generators_j": pool.add(generator_block(diagram_j, generators_j)),
+        "generators_i": pool.add(generator_block(diagram_i, generators_i)),
+        "replacement_skipped": skipped,
+        **pool.add(blocks),
+        "arrows_j": _arrow_entries(pool, gen_t),
+        "arrows_i": _arrow_entries(pool, gen),
     }
-    for name, arr in named:
-        payload["xi"][name] = pool.add_map(amstr.xi.at(arr))
-    payload["replacement_skipped"] = skipped
-    for n in objects:
-        x = instance.presheaves[n]
-        payload["replacement"][n] = {
-            "R": pool.add_presheaf(rep.r_obj(x)),
-            "Q": pool.add_presheaf(rep.q_obj(x)),
-            "unit": pool.add_map(rep.unit(x)),
-            "counit": pool.add_map(rep.counit(x)),
-            "mult": pool.add_map(rep.mult(x)),
-            "comult": pool.add_map(rep.comult(x)),
-        }
-        payload["chi"][n] = pool.add_map(chi(amstr, x))
-    for key, g in (("arrows_j", gen_t), ("arrows_i", gen)):
-        payload[key] = {
-            pool.add_map(rec.f.f): _arrow_entry(pool, g, rec, False)
-            for rec in list(g.records.values())
-        }
-    return _sealed(payload, pool, report)
+    return _sealed(payload, pool)
 
 
 def transport_certificate(
@@ -352,8 +264,8 @@ def transport_certificate(
     gen_k = engine(tj)
     md = build_mates(adj, gen_m, gen_k)
 
-    arrows_m = [arr for _, arr in _requested_arrows(instance, adj.m_base, None)]
-    arrows_k = [arr for _, arr in _requested_arrows(instance, adj.k_base, None)]
+    arrows_m = list(instance.requested_arrows(adj.m_base).values())
+    arrows_k = list(instance.requested_arrows(adj.k_base).values())
     report = verify_lax_colax(md, gen_m, gen_k, adj, "lax", arrows_k)
     report.extend(verify_lax_colax(md, gen_m, gen_k, adj, "colax", arrows_m))
 
@@ -371,8 +283,8 @@ def transport_certificate(
     pool = CertPool(instance.bases)
     payload: dict = {
         "adjunction": adjunction,
-        "generators": _emit_generator_block(pool, gen_m, generators),
-        "transported": _emit_generator_block(pool, gen_k, f"T{generators}"),
+        "generators": pool.add(generator_block(gen_m.diagram, generators)),
+        "transported": pool.add(generator_block(gen_k.diagram, f"T{generators}")),
         "rho": {},
         "gamma": {},
     }
@@ -415,8 +327,8 @@ def quillen_certificate(
     mates_t = build_mates(adj, gen_t_m, gen_t_k)
     mates = build_mates(adj, gen_m, gen_k)
 
-    arrows_m = [arr for _, arr in _requested_arrows(instance, adj.m_base, None)]
-    arrows_k = [arr for _, arr in _requested_arrows(instance, adj.k_base, None)]
+    arrows_m = list(instance.requested_arrows(adj.m_base).values())
+    arrows_k = list(instance.requested_arrows(adj.k_base).values())
     report = verify_algebraic_quillen(
         amstr_m, amstr_k, adj, mates_t, mates, arrows_m, arrows_k
     )

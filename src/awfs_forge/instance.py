@@ -30,7 +30,6 @@ from .transport import AdjunctionData, FunctorData, identity_adjunction, restric
 class InstanceFile:
     bases: dict[str, FiniteCategory]
     presheaves: dict[str, Presheaf]
-    presheaf_base: dict[str, str]
     maps: dict[str, PresheafMap]
     generators: dict[str, GeneratorDiagram]
     weq: WeqPredicate
@@ -49,6 +48,15 @@ class InstanceFile:
         if name not in self.maps:
             raise ValidationError(f"maps.{name}", "unknown map name")
         return ArrowObject(self.maps[name])
+
+    def requested_arrows(self, base: FiniteCategory, names=None) -> dict[str, ArrowObject]:
+        """The named maps over `base` that a command certifies: all of them,
+        or those in `names`, in instance order."""
+        return {
+            name: ArrowObject(m)
+            for name, m in self.maps.items()
+            if m.base == base and (names is None or name in names)
+        }
 
     def adjunction(self, name: str) -> AdjunctionData:
         if name not in self.adjunctions:
@@ -287,7 +295,6 @@ def from_json(data: dict) -> InstanceFile:
             raise ValidationError(path, exc.message) from None
 
     presheaves: dict[str, Presheaf] = {}
-    presheaf_base: dict[str, str] = {}
     for pname, pdata in expect_object(data.get("presheaves", {}), "presheaves").items():
         bname = expect_object(pdata, f"presheaves.{pname}").get("base", "main")
         if bname not in bases:
@@ -298,7 +305,6 @@ def from_json(data: dict) -> InstanceFile:
             raise ValidationError(f"presheaves.{pname}", str(exc)) from None
         p.validate(f"presheaves.{pname}")
         presheaves[pname] = p
-        presheaf_base[pname] = bname
 
     maps: dict[str, PresheafMap] = {}
     for mname, mdata in expect_object(data.get("maps", {}), "maps").items():
@@ -334,7 +340,6 @@ def from_json(data: dict) -> InstanceFile:
     return InstanceFile(
         bases=bases,
         presheaves=presheaves,
-        presheaf_base=presheaf_base,
         maps=maps,
         generators=generators,
         weq=weq,

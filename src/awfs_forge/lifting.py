@@ -17,6 +17,7 @@ from .core import (
     all_maps,
     eq_witness,
     search_maps,
+    sha256_hex,
 )
 
 
@@ -69,6 +70,11 @@ class GeneratorDiagram:
 
     def objects(self) -> tuple[str, ...]:
         return self.shape.objects
+
+    @property
+    def base(self) -> FiniteCategory:
+        """The base category of the generators (the diagram has at least one)."""
+        return next(iter(self.arrow_of.values())).base
 
     def is_discrete(self) -> bool:
         return not self.shape.nonidentity_morphisms()
@@ -473,3 +479,58 @@ def algebra_to_lifting_function(
         return solve_lift(lam(jname), a, sq, fact)
 
     return LiftingFunction.tabulate(diagram, a.g, fn)
+
+
+# -- the blocks a certificate derives from the instance and its records, here
+# and in `soa.soa_blocks` and `model.model_blocks`.  Each takes an engine: a
+# `soa.GeneratedAwfs`, or the verifier's engine over certified records, which
+# has the same `diagram`, `record`, `delta`, `mu`, `lam` and `as_awfs`.  A
+# block is JSON-shaped, with presheaves and maps where the certificate holds
+# pool keys: the certificate writer pools it, the verifier matches it whole.
+
+
+def generator_block(diagram: GeneratorDiagram, label: str) -> dict:
+    """A certificate's generator block: its label, each generator's arrow,
+    each connecting square and, unless the diagram is discrete, its shape."""
+    block = {
+        "label": label,
+        "objects": {jname: diagram.arrow_of[jname].f for jname in diagram.objects()},
+        "squares": {
+            m: {"top": diagram.square_of[m].u, "bottom": diagram.square_of[m].v}
+            for m in diagram.shape.nonidentity_morphisms()
+        },
+    }
+    if not diagram.is_discrete():
+        block["shape"] = diagram.shape.to_json()
+    return block
+
+
+def fill_table(diagram: GeneratorDiagram, rec) -> list[tuple[str, Square, PresheafMap]]:
+    """The record's fill of each square from a generator into its right
+    factor, in canonical square order."""
+    rf = ArrowObject(rec.right())
+    return [
+        (jname, sq, rec.fill(jname, sq))
+        for jname in diagram.objects()
+        for sq in enumerate_squares(diagram.arrow_of[jname], rf)
+    ]
+
+
+def lift_blocks(engine, named: dict[str, ArrowObject]) -> dict:
+    """A `lift` certificate's block: each named arrow's free lifting function,
+    its right factor and fill table with each square's hash."""
+    out = {}
+    for name, f in named.items():
+        rec = engine.record(f)
+        fills = [
+            {
+                "j": jname,
+                "top": sq.u,
+                "bottom": sq.v,
+                "fill": fill,
+                "square_hash": sha256_hex(square_key(sq.u, sq.v))[:16],
+            }
+            for jname, sq, fill in fill_table(engine.diagram, rec)
+        ]
+        out[name] = {"arrow": f.f, "right_factor": rec.right(), "fills": fills}
+    return {"lifting_functions": out}

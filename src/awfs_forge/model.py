@@ -14,7 +14,7 @@ from .arrows import (
     Square,
     verify_awfs_morphism,
 )
-from .core import Presheaf, PresheafMap, ValidationError, eq_witness
+from .core import FiniteCategory, Presheaf, PresheafMap, ValidationError, eq_witness
 from .lifting import (
     AlgebraStructure,
     CoalgebraStructure,
@@ -444,3 +444,44 @@ def validate_model_axioms(
                 "weq.fib-cap", f"arrow[{i}]", in_rlp_class(amstr.gen.diagram, g)
             )
     return report
+
+
+# ---------------------------------------------------------------------------
+# Certificate blocks
+
+
+def replacement_candidates(presheaves: dict[str, Presheaf], base: FiniteCategory) -> list[str]:
+    """The named objects whose replacements a `model` certificate tries: those
+    over `base` with at most 3 elements, in instance order."""
+    return [n for n, p in presheaves.items() if p.base == base and p.total_size <= 3]
+
+
+def model_blocks(
+    amstr: AlgebraicModelStructure, named: dict[str, ArrowObject], objects: dict[str, Presheaf]
+) -> dict:
+    """A `model` certificate's blocks (see `lifting.generator_block`): ξ at
+    each named arrow; R, Q, their (co)units, (co)multiplications and χ at each
+    object; and the law report of `verify_comparison`, `validate_model_axioms`
+    and `check_replacement_laws`."""
+    arrows = list(named.values())
+    report = verify_comparison(amstr, arrows)
+    report.extend(validate_model_axioms(amstr, arrows))
+    report.extend(check_replacement_laws(amstr, list(objects.values())))
+    rep = ReplacementMonad(amstr)
+    replacement = {
+        n: {
+            "R": rep.r_obj(x),
+            "Q": rep.q_obj(x),
+            "unit": rep.unit(x),
+            "counit": rep.counit(x),
+            "mult": rep.mult(x),
+            "comult": rep.comult(x),
+        }
+        for n, x in objects.items()
+    }
+    return {
+        "xi": {name: amstr.xi.at(f) for name, f in named.items()},
+        "replacement": replacement,
+        "chi": {n: chi(amstr, x) for n, x in objects.items()},
+        "law_report": report.to_json(),
+    }

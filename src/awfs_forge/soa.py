@@ -22,7 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .arrows import ArrowObject, Awfs, Factored, FunctorialFactorization, Square
+from .arrows import (
+    ArrowObject,
+    Awfs,
+    Factored,
+    FunctorialFactorization,
+    LawReport,
+    Square,
+    verify_awfs,
+)
 from .core import (
     FinFunction,
     FinSet,
@@ -406,12 +414,8 @@ class GeneratedAwfs:
         return self._lifts[farr]
 
     def lam(self, jname: str) -> CoalgebraStructure:
-        """Unit functor: the free coalgebra structure of a generator."""
-        j = self.diagram.arrow_of[jname]
-        rec = self.record(j)
-        rf = ArrowObject(rec.right())
-        sq = Square(j, rf, rec.left(), PresheafMap.identity(j.cod))
-        return CoalgebraStructure(j, rec.fill(jname, sq))
+        """Unit functor: the free coalgebra structure of a generator (`lam_rule`)."""
+        return lam_rule(self.diagram, jname, self.record)
 
     def e_on_square(self, sq: Square) -> PresheafMap:
         """E(u, v), once per square (`e_rule`)."""
@@ -531,6 +535,37 @@ def delta_rule(f: ArrowObject, record, e, where: str) -> PresheafMap:
         record(comp), PresheafMap.identity(elf), elf, fill, where, "incoherent algebra assembly"
     )
     return e(Square(f, comp, rec_l.left(), PresheafMap.identity(f.cod))).then(t)
+
+
+def lam_rule(diagram: GeneratorDiagram, jname: str, record) -> CoalgebraStructure:
+    """λ_j: the free coalgebra structure of generator j, its record's fill of
+    the square (L j, 1) from j into R j."""
+    j = diagram.arrow_of[jname]
+    rec = record(j)
+    sq = Square(j, ArrowObject(rec.right()), rec.left(), PresheafMap.identity(j.cod))
+    return CoalgebraStructure(j, rec.fill(jname, sq))
+
+
+def soa_blocks(engine, named: dict[str, ArrowObject], variant: str) -> tuple[dict, dict]:
+    """A `soa` certificate's blocks (see `lifting.generator_block`): the named
+    arrows, their stage sizes, λ of each generator and the law report
+    (`verify_awfs` over the named arrows under the monic variant, empty under
+    the standard one); and, under the monic variant only, δ and μ of each
+    named arrow, by arrow."""
+    arrows = list(named.values())
+    structure, report = {}, LawReport()
+    if variant == "monic":
+        structure = {f: {"delta": engine.delta(f), "mu": engine.mu(f)} for f in arrows}
+        report = verify_awfs(engine.as_awfs(), arrows)
+    blocks = {
+        "named": {name: f.f for name, f in named.items()},
+        "stage_tables": {
+            name: [s.total_size for s in engine.record(f).stages] for name, f in named.items()
+        },
+        "lambdas": {jname: engine.lam(jname).s for jname in engine.diagram.objects()},
+        "law_report": report.to_json(),
+    }
+    return blocks, structure
 
 
 def lifting_function_to_algebra(gen: GeneratedAwfs, lf: LiftingFunction) -> AlgebraStructure:

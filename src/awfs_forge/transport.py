@@ -631,7 +631,7 @@ def pointwise_generators(
 ) -> tuple[GeneratorDiagram, FiniteCategory]:
     """Generators for the pointwise awfs on diagrams: shape index^op × J,
     objects index(a,−)·j, with reindexing squares for index morphisms."""
-    inner = next(iter(diagram.arrow_of.values())).base
+    inner = diagram.base
     prod_base = diagram_base(inner, index)
     shape = index.opposite().product(diagram.shape)
     arrow_of = {}
@@ -663,7 +663,7 @@ def projective_generators(
 ) -> tuple[GeneratorDiagram, FiniteCategory]:
     """Projective generators: same copowered objects but only the squares
     induced by the original diagram (no reindexing morphisms)."""
-    inner = next(iter(diagram.arrow_of.values())).base
+    inner = diagram.base
     prod_base = diagram_base(inner, index)
     disc = FiniteCategory.discrete(index.objects)
     shape = disc.product(diagram.shape)

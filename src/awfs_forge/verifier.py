@@ -4,32 +4,38 @@ The verifier never runs the engine's small object argument: it rebuilds
 presheaf and map tables from the certificate pools and rechecks every claim
 over the certified records.
 
-It shares two things with the engine.  One is the cell rules, which fix a
-map out of a cellular object by where each cell goes: E on squares, μ and δ
-(`soa.e_rule`, `mu_rule`, `delta_rule`) and the comparison map ξ
-(`model.xi_rule`).  It runs them over certified records, whose fills are the
-certified fill tables; `CertifiedEngine.check_record` matches every table
+It shares three things with the engine.  One is the cell rules, which fix a
+map out of a cellular object by where each cell goes: E on squares, μ, δ and
+λ (`soa.e_rule`, `mu_rule`, `delta_rule`, `lam_rule`) and the comparison map
+ξ (`model.xi_rule`).  It runs them over certified records, whose fills are
+the certified fill tables; `CertifiedEngine.check_record` matches every table
 entry against the verifier's own `fill_rule` before any rule reads it.  The
-other is the `model` law suites (`verify_comparison`,
-`validate_model_axioms`, `check_replacement_laws`), rerun over the certified
-records.
+second is the law suites, rerun over the certified records.  The third is the
+functions that derive each block of a certificate from the instance and the
+records (`lifting.generator_block`, `lift_blocks`, `soa.soa_blocks`,
+`model.model_blocks`, over `InstanceFile.requested_arrows`): the verifier
+recomputes every block over the certified records and requires the
+certificate's block whole, with the same keys and equal tables behind its
+pool keys.  Each generator block must describe the instance's generator
+diagram that its label names, and everything runs over that diagram.
 
-Everything else it checks on its own: content addressing and the naturality
-of every pooled map; each record's structure, with injective stage
+The records themselves it checks on its own: content addressing and the
+naturality of every pooled map; each record's structure, with injective stage
 inclusions under both variants; stage completeness by its own square search
 (stage k's cells must be exactly the squares into r_{k-1} whose top edge
 leaves the image of inclusion k-2, all squares into r_0 at stage 1);
 covering; convergence; every fill against `fill_rule`, which factors through
-the inclusions by inverse lookup, so inclusions need not be prefixes; and the
-law reports, recomputed and compared with the embedded ones.  A fill or lift
-fill is checked by its two triangles: a natural map that passes both is one
-of `lifting.oracle_lift`'s fillers by definition, so the oracle is not rerun.
-ξ's lifting problem can have several fillers, so each certified ξ_f must
-equal its cell replay.  Each χ must equal the canonical two-route lift that
-the law suites compute and check to fill its lifting problem.  The engine
-computes ξ and ρ cell by cell, so ξ factors only f on either side: a `model`
-certificate's `arrows_i` holds only the records that ξ, the replacement
-tables and χ rest on.
+the inclusions by inverse lookup, so inclusions need not be prefixes, and by
+its two triangles (a natural map that passes both is one of
+`lifting.oracle_lift`'s fillers by definition, so the oracle is not rerun);
+and the fill table's coherence along the generator shape.  Since every
+derived block is recomputed from these records, a lift certificate's fills
+must be the record's fills, ξ_f its cell replay (ξ's lifting problem can
+have several fillers) and χ the canonical two-route lift that the law suites
+compute and check to fill its lifting problem.  The engine computes ξ and ρ
+cell by cell, so ξ factors only f on either side: a `model` certificate's
+`arrows_i` holds only the records that ξ, the replacement tables and χ rest
+on.
 """
 
 from __future__ import annotations
@@ -38,18 +44,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .arrows import (
-    ArrowObject,
-    Awfs,
-    AwfsMorphism,
-    Factored,
-    FunctorialFactorization,
-    LawReport,
-    Square,
-    verify_awfs,
-)
+from .arrows import ArrowObject, Awfs, Factored, FunctorialFactorization, Square
 from .core import (
-    FiniteCategory,
     Presheaf,
     PresheafMap,
     ValidationError,
@@ -68,19 +64,18 @@ from .lifting import (
     GeneratorDiagram,
     enumerate_new_squares,
     enumerate_squares,
-    square_key,
+    generator_block,
+    lift_blocks,
 )
-from .model import (
-    AlgebraicModelStructure,
-    bang,
-    check_replacement_laws,
-    chi,
-    cobang,
-    validate_model_axioms,
-    verify_comparison,
-    xi_rule,
+from .model import build_model_structure, model_blocks, replacement_candidates
+from .soa import (
+    CellRecord,
+    delta_rule,
+    e_rule,
+    lam_rule,
+    mu_rule,
+    soa_blocks,
 )
-from .soa import CellRecord, delta_rule, e_rule, mu_rule
 
 
 class CertificateError(Exception):
@@ -141,8 +136,6 @@ class _Record:
     fills: dict[tuple[str, PresheafMap, PresheafMap], PresheafMap]  # (j, top, bottom) -> fill
     left_map: PresheafMap
     right_map: PresheafMap
-    delta: PresheafMap | None
-    mu: PresheafMap | None
     _lookups: dict[int, dict] = field(default_factory=dict)  # inclusion -> its inverse
     _ranges: dict[tuple[int, int], PresheafMap] = field(default_factory=dict)
 
@@ -205,10 +198,13 @@ def _replayed(rule, *args, where: str) -> PresheafMap:
 
 
 class CertifiedEngine:
-    """Replay of the deterministic extraction rules over certified records."""
+    """The records of a certificate block, each checked as it is loaded, and
+    the deterministic extraction rules replayed over them.  `variant`, when
+    given, is the variant that every record must name."""
 
-    def __init__(self, pools: _Pools, diagram: GeneratorDiagram, block: dict, where: str):
-        self.pools = pools
+    def __init__(
+        self, pools: _Pools, diagram: GeneratorDiagram, block: dict, where: str, variant: str | None
+    ):
         self.diagram = diagram
         self.where = where
         self.records: dict[str, _Record] = {}
@@ -226,6 +222,13 @@ class CertifiedEngine:
             inclusions = [pools.m(k, w) for k in entry["inclusions"]]
             rmaps = [pools.m(k, w) for k in entry["rmaps"]]
             _require(len(rmaps) == len(stages), w, "rmaps/stages length mismatch")
+            _require(
+                pools.p(entry["mid"], w) == stages[-1]
+                and entry["trace"] == [s.total_size for s in stages]
+                and variant in (None, entry["variant"]),
+                w,
+                "mid, trace or variant is not the certified one",
+            )
             cells = []
             for c in entry["cells"]:
                 stage = c["stage"]
@@ -244,6 +247,7 @@ class CertifiedEngine:
                 top = pools.m(fill["top"], w)
                 bottom = pools.m(fill["bottom"], w)
                 fills[(fill["j"], top, bottom)] = pools.m(fill["fill"], w)
+            _require(len(fills) == len(entry["fills"]), w, "two fills share a square")
             self.records[fkey] = _Record(
                 f,
                 stages,
@@ -253,15 +257,10 @@ class CertifiedEngine:
                 fills,
                 pools.m(entry["left"], w),
                 pools.m(entry["right"], w),
-                pools.m(entry["delta"], w) if "delta" in entry else None,
-                pools.m(entry["mu"], w) if "mu" in entry else None,
             )
             self._by_arrow.setdefault(f, self.records[fkey])
-
-    def record_of(self, f: PresheafMap, where: str) -> _Record:
-        rec = self._by_arrow.get(f)
-        _require(rec is not None, where, "no record for a required arrow")
-        return rec
+        for fkey in self.records:
+            self.check_record(fkey)
 
     # -- structural checks -------------------------------------------------
 
@@ -300,7 +299,9 @@ class CertifiedEngine:
                 w,
                 "cell injection incompatible with r",
             )
-            by_stage.setdefault(stage, {})[(c.jname, sq.u, sq.v)] = c
+            attached = by_stage.setdefault(stage, {})
+            _require((c.jname, sq.u, sq.v) not in attached, w, "two cells share a square")
+            attached[(c.jname, sq.u, sq.v)] = c
         # stage completeness and convergence: past stage 1, the new squares
         # are those whose top edge leaves the image of the inclusion before,
         # so a cell whose top edge stays inside it is rejected here
@@ -365,6 +366,19 @@ class CertifiedEngine:
                     "fill bottom triangle fails",
                 )
         _require(set(rec.fills) == expected_fills, w, "extra fills present")
+        # coherence along the generator shape (`lifting.check_lifting_function`):
+        # the fill of a square composed with a connecting square is the
+        # connecting square's bottom edge followed by the fill
+        shape = self.diagram.shape
+        for m in shape.nonidentity_morphisms():
+            jp, jn, conn = shape.src(m), shape.dst(m), self.diagram.square_of[m]
+            for (jname, u, v), fill in rec.fills.items():
+                if jname == jn:
+                    _require(
+                        rec.fills[(jp, conn.u.then(u), conn.v.then(v))] == conn.v.then(fill),
+                        w,
+                        f"fills are not coherent along {m}",
+                    )
 
     # -- replay rules --------------------------------------------------------
 
@@ -379,43 +393,47 @@ class CertifiedEngine:
         _require(c is not None, where, "no minimal-stage cell for a fill")
         return c.injection.then(rec.inclusion_range(gamma + 1, len(rec.stages) - 1))
 
-    def record_lookup(self, where: str):
-        """Records by arrow, for the cell rules."""
-        return lambda a: self.record_of(a.f, where)
-
-    def e_walk(self, sq: Square, where: str) -> PresheafMap:
+    def e_walk(self, sq: Square) -> PresheafMap:
         """E on a square, replayed once per square."""
         if sq not in self._esquares:
-            self._esquares[sq] = _replayed(e_rule, sq, self.record_lookup(where), where=where)
+            self._esquares[sq] = _replayed(e_rule, sq, self.record, where=self.where)
         return self._esquares[sq]
 
-    def mu_replay(self, f: PresheafMap, where: str) -> PresheafMap:
+    def mu_replay(self, f: PresheafMap) -> PresheafMap:
         """Algebra structure of R f, replayed once per arrow."""
         if f not in self._mus:
-            self._mus[f] = _replayed(mu_rule, ArrowObject(f), self.record_lookup(where), where=where)
+            self._mus[f] = _replayed(mu_rule, ArrowObject(f), self.record, where=self.where)
         return self._mus[f]
 
-    def delta_replay(self, f: PresheafMap, where: str) -> PresheafMap:
+    def delta_replay(self, f: PresheafMap) -> PresheafMap:
         """Coalgebra structure of L f, replayed once per arrow."""
         if f not in self._deltas:
-            record, e = self.record_lookup(where), lambda sq: self.e_walk(sq, where)
-            self._deltas[f] = _replayed(delta_rule, ArrowObject(f), record, e, where=where)
+            args = ArrowObject(f), self.record, self.e_walk
+            self._deltas[f] = _replayed(delta_rule, *args, where=self.where)
         return self._deltas[f]
 
-    # -- the `GeneratedAwfs` surface that the law suites read ---------------
+    # -- the `GeneratedAwfs` surface that the law suites and blocks read ----
+
+    def record(self, f) -> _Record:
+        rec = self._by_arrow.get(_map(f))
+        _require(rec is not None, self.where, "no record for a required arrow")
+        return rec
 
     def factor(self, f) -> Factored:
-        rec = self.record_of(_map(f), self.where)
+        rec = self.record(f)
         return Factored(rec.left(), rec.mid(), rec.right())
 
+    def lam(self, jname: str) -> CoalgebraStructure:
+        return lam_rule(self.diagram, jname, self.record)
+
     def e_on_square(self, sq: Square) -> PresheafMap:
-        return self.e_walk(sq, self.where)
+        return self.e_walk(sq)
 
     def mu(self, f) -> PresheafMap:
-        return self.mu_replay(_map(f), self.where)
+        return self.mu_replay(_map(f))
 
     def delta(self, f) -> PresheafMap:
-        return self.delta_replay(_map(f), self.where)
+        return self.delta_replay(_map(f))
 
     def free_algebra(self, f) -> AlgebraStructure:
         return AlgebraStructure(ArrowObject(self.factor(f).right), self.mu(f))
@@ -434,132 +452,107 @@ def _map(f) -> PresheafMap:
     return f.f if isinstance(f, ArrowObject) else f
 
 
-def _load_diagram(pools: _Pools, block: dict, where: str) -> GeneratorDiagram:
-    arrows = {
-        name: ArrowObject(pools.m(key, where)) for name, key in block["objects"].items()
-    }
-    if "shape" in block:
-        shape = FiniteCategory.from_json(block["shape"])
-        squares = {
-            m: Square(
-                arrows[shape.src(m)],
-                arrows[shape.dst(m)],
-                pools.m(sq["top"], where),
-                pools.m(sq["bottom"], where),
-            )
-            for m, sq in block.get("squares", {}).items()
-        }
-        diagram = GeneratorDiagram(shape, arrows, squares)
+_MISMATCH = {  # block -> what a differing entry of it means
+    "named": "certified arrow differs from the instance map",
+    "stage_tables": "trace does not match the certified stages",
+    "lambdas": "unit coalgebra differs from the fill rule",
+    "delta": "delta differs from the composite replay",
+    "mu": "mu differs from the stage-collapse replay",
+    "lifting_functions": "fill table differs from the certified record",
+    "xi": "xi differs from the cell replay",
+    "replacement": "table differs from the replacement (co)monads",
+    "chi": "chi differs from the two-lift solution",
+}
+
+
+def _match(pools: _Pools, got, want, where: str, message: str) -> None:
+    """`got`, a certificate block, is `want` whole: objects with the same
+    keys, lists of the same length, a pool key of an equal table for each
+    presheaf and map, and every other value equal."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict):
+            raise TypeError(f"{where}: not a JSON object")
+        _require(got.keys() == want.keys(), where, "entries differ from the recomputed ones")
+        for key, value in want.items():
+            _match(pools, got[key], value, f"{where}.{key}", message)
+    elif isinstance(want, list):
+        if not isinstance(got, list):
+            raise TypeError(f"{where}: not a JSON list")
+        _require(len(got) == len(want), where, "entries differ from the recomputed ones")
+        for i, (item, value) in enumerate(zip(got, want)):
+            _match(pools, item, value, f"{where}[{i}]", message)
+    elif isinstance(want, Presheaf):
+        _require(pools.p(got, where) == want, where, message)
+    elif isinstance(want, PresheafMap):
+        _require(pools.m(got, where) == want, where, message)
     else:
-        diagram = GeneratorDiagram.discrete(arrows)
-    diagram.validate(where)
+        _require(type(got) is type(want) and got == want, where, message)
+
+
+def _match_blocks(pools: _Pools, payload: dict, blocks: dict) -> None:
+    """Each recomputed block against the certificate's, the law report last."""
+    for key, want in blocks.items():
+        if key != "law_report":
+            _match(pools, payload.get(key), want, key, _MISMATCH[key])
+    if "law_report" in blocks:
+        _require(
+            payload.get("law_report") == blocks["law_report"],
+            "law_report",
+            "embedded law report differs from the recomputed one",
+        )
+
+
+def _load_diagram(
+    instance: InstanceFile, pools: _Pools, payload: dict, options: dict, key: str
+) -> GeneratorDiagram:
+    """The instance's generator diagram that the generator block `key`
+    certifies: the one its label names, which must be `options[key]` when the
+    options give one."""
+    label = payload[key]["label"]
+    _require(options.get(key, label) == label, f"{key}.label", "differs from the options")
+    diagram = instance.generators.get(label)
+    _require(diagram is not None and diagram.arrow_of, f"{key}.label", "no such generators")
+    _match(pools, payload[key], generator_block(diagram, label), key, "differs from the instance")
     return diagram
 
 
-def _verify_soa_payload(instance: InstanceFile, payload: dict) -> None:
+def _factored(instance: InstanceFile, payload: dict, options: dict, variant: str | None):
+    """A `soa` or `lift` certificate's pools, its checked records and the
+    arrows it names."""
     pools = _Pools(instance, payload)
-    diagram = _load_diagram(pools, payload["generators"], "generators")
-    engine = CertifiedEngine(pools, diagram, payload["arrows"], "arrows")
-    variant = payload.get("variant", "monic")
-    for fkey in payload["arrows"]:
-        engine.check_record(fkey)
-    for name, fkey in payload.get("named", {}).items():
-        rec = engine.records.get(fkey)
-        _require(rec is not None, f"named.{name}", "dangling arrow reference")
-        _require(
-            payload["stage_tables"].get(name) == [s.total_size for s in rec.stages],
-            f"stage_tables.{name}",
-            "trace does not match the certified stages",
-        )
-        if instance.maps.get(name) is not None:
-            _require(
-                rec.f == instance.maps[name],
-                f"named.{name}",
-                "certified arrow differs from the instance map",
-            )
-    report = LawReport()  # what `soa_certificate` embeds for the standard variant
-    # delta / mu pinned by replay
-    if variant == "monic":
-        for fkey, entry in payload["arrows"].items():
-            rec = engine.records[fkey]
-            if rec.mu is not None:
-                _require(
-                    eq_witness(rec.mu, engine.mu_replay(rec.f, f"arrows.{fkey}.mu")) is None,
-                    f"arrows.{fkey}.mu",
-                    "mu differs from the stage-collapse replay",
-                )
-            if rec.delta is not None:
-                _require(
-                    eq_witness(rec.delta, engine.delta_replay(rec.f, f"arrows.{fkey}.delta"))
-                    is None,
-                    f"arrows.{fkey}.delta",
-                    "delta differs from the composite replay",
-                )
-        for jname, skey in payload.get("lambdas", {}).items():
-            s = pools.m(skey, f"lambdas.{jname}")
-            j = diagram.arrow_of[jname]
-            rec = engine.record_of(j.f, f"lambdas.{jname}")
-            sq = Square(j, ArrowObject(rec.right()), rec.left(), PresheafMap.identity(j.cod))
-            _require(
-                eq_witness(s, rec.fill(jname, sq)) is None,
-                f"lambdas.{jname}",
-                "unit coalgebra differs from the fill rule",
-            )
-        # re-run the law suite through the certified tables
-        probes = [
-            ArrowObject(pools.m(k, "named")) for k in payload.get("named", {}).values()
-        ]
-        if probes:
-            report = verify_awfs(engine.as_awfs(), probes)
-            _require(report.passed, "law_report", "relaw check failed on certified tables")
+    diagram = _load_diagram(instance, pools, payload, options, "generators")
+    engine = CertifiedEngine(pools, diagram, payload["arrows"], "arrows", variant)
+    names = options.get("arrows")
+    named = instance.requested_arrows(diagram.base, names.split(",") if names else None)
+    return pools, engine, named
+
+
+def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
+    variant = payload["variant"]
     _require(
-        payload.get("law_report") == report.to_json(),
-        "law_report",
-        "embedded law report differs from the recomputed one",
+        variant in ("monic", "standard") and options.get("variant", variant) == variant,
+        "variant",
+        "differs from the options",
     )
+    pools, engine, named = _factored(instance, payload, options, variant)
+    blocks, structure = soa_blocks(engine, named, variant)
+    # δ and μ: in exactly the named arrows' entries, under the monic variant
+    for fkey, entry in payload["arrows"].items():
+        where = f"arrows.{fkey}"
+        want = structure.get(ArrowObject(engine.records[fkey].f), {})
+        _require(
+            entry.keys() & {"delta", "mu"} == want.keys(),
+            where,
+            "delta and mu are not those of a named arrow under the monic variant",
+        )
+        for key, value in want.items():
+            _match(pools, entry[key], value, f"{where}.{key}", _MISMATCH[key])
+    _match_blocks(pools, payload, blocks)
 
 
-def _verify_lift_payload(instance: InstanceFile, payload: dict) -> None:
-    pools = _Pools(instance, payload)
-    diagram = _load_diagram(pools, payload["generators"], "generators")
-    engine = CertifiedEngine(pools, diagram, payload.get("arrows", {}), "arrows")
-    for fkey in payload.get("arrows", {}):
-        engine.check_record(fkey)
-    for name, block in payload.get("lifting_functions", {}).items():
-        where = f"lifting_functions.{name}"
-        arrow = pools.m(block["arrow"], where)
-        right = pools.m(block["right_factor"], where)
-        _require(arrow.dst == right.dst, where, "right factor has the wrong codomain")
-        rec = engine.record_of(arrow, where)
-        _require(rec.right() == right, where, "right factor differs from the certified record")
-        rarr = ArrowObject(right)
-        seen = set()
-        for entry in block["fills"]:
-            j = diagram.arrow_of[entry["j"]]
-            top = pools.m(entry["top"], where)
-            bottom = pools.m(entry["bottom"], where)
-            fill = pools.m(entry["fill"], where)
-            sq = Square(j, rarr, top, bottom)
-            _require(sq.commutes(), where, "fill square does not commute")
-            _require(eq_witness(j.f.then(fill), top) is None, where, "fill top triangle")
-            _require(eq_witness(fill.then(right), bottom) is None, where, "fill bottom triangle")
-            _require(
-                eq_witness(fill, engine.fill_rule(rec, entry["j"], sq, where)) is None,
-                where,
-                "fill differs from the minimal-stage cell",
-            )
-            _require(
-                entry["square_hash"] == sha256_hex(square_key(top, bottom))[:16],
-                where,
-                "square hash mismatch",
-            )
-            seen.add((entry["j"], top, bottom))
-        expected = set()
-        for jname in diagram.objects():
-            j = diagram.arrow_of[jname]
-            for sq in enumerate_squares(j, rarr):
-                expected.add((jname, sq.u, sq.v))
-        _require(seen == expected, where, "fill table incomplete or padded")
+def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
+    pools, engine, named = _factored(instance, payload, options, options.get("variant"))
+    _match_blocks(pools, payload, lift_blocks(engine, named))
 
 
 def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
@@ -568,8 +561,8 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
             entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
         )
     pools = _Pools(instance, payload)
-    diagram_j = _load_diagram(pools, payload["generators_j"], "generators_j")
-    diagram_i = _load_diagram(pools, payload["generators_i"], "generators_i")
+    diagram_j = _load_diagram(instance, pools, payload, options, "generators_j")
+    diagram_i = _load_diagram(instance, pools, payload, options, "generators_i")
     tau = instance.taus.get(options.get("tau"))
     _require(tau is not None, "options.tau", "unknown tau")
     _require(
@@ -577,81 +570,19 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
         "options.tau",
         "tau does not run between the certified generator diagrams",
     )
-    engine_j = CertifiedEngine(pools, diagram_j, payload["arrows_j"], "arrows_j")
-    engine_i = CertifiedEngine(pools, diagram_i, payload["arrows_i"], "arrows_i")
-    for fkey in payload["arrows_j"]:
-        engine_j.check_record(fkey)
-    for fkey in payload["arrows_i"]:
-        engine_i.check_record(fkey)
-    xis: dict[ArrowObject, PresheafMap] = {}  # ξ replayed once per arrow
-
-    def xi(f: ArrowObject, where: str = "law_report") -> PresheafMap:
-        if f not in xis:
-            records = engine_j.record_lookup(where), engine_i.record_lookup(where)
-            xis[f] = _replayed(xi_rule, f, *records, tau, where=where)
-        return xis[f]
-
-    base = next(iter(diagram_j.arrow_of.values())).base
-    named = {name: ArrowObject(m) for name, m in instance.maps.items() if m.base == base}
-    _require(set(payload["xi"]) == set(named), "xi", "not one table per named arrow")
-    for name, key in payload["xi"].items():
-        where, f = f"xi.{name}", named[name]
-        xi_f = pools.m(key, where)
-        rec_j, rec_i = engine_j.record_of(f.f, where), engine_i.record_of(f.f, where)
-        _require(eq_witness(rec_j.left().then(xi_f), rec_i.left()) is None, where, "left triangle")
-        _require(eq_witness(xi_f.then(rec_i.right()), rec_j.right()) is None, where, "right triangle")
-        _require(eq_witness(xi_f, xi(f, where)) is None, where, "xi differs from the cell replay")
+    variant = options.get("variant")
+    engine_j = CertifiedEngine(pools, diagram_j, payload["arrows_j"], "arrows_j", variant)
+    engine_i = CertifiedEngine(pools, diagram_i, payload["arrows_i"], "arrows_i", variant)
+    amstr = build_model_structure(engine_j, engine_i, tau, instance.weq)
     # the objects `model_certificate` tries, less those it reports unconverged
-    candidates = [
-        n for n, p in instance.presheaves.items() if p.base == base and p.total_size <= 3
-    ]
+    candidates = replacement_candidates(instance.presheaves, diagram_j.base)
     skipped = payload["replacement_skipped"]
     _require(
         all(n in candidates for n in skipped), "replacement_skipped", "not a candidate object"
     )
-    objects = [n for n in candidates if n not in skipped]
-    for key in ("replacement", "chi"):
-        _require(set(payload[key]) == set(objects), key, "not one entry per replaced object")
-    # replacement tables: direct re-derivation from certified records
-    for name, block in payload["replacement"].items():
-        where = f"replacement.{name}"
-        x = instance.presheaves[name]
-        rec_r = engine_j.record_of(bang(x), where)
-        rec_q = engine_i.record_of(cobang(x), where)
-        _require(pools.p(block["R"], where) == rec_r.mid(), where, "R table mismatch")
-        _require(pools.p(block["Q"], where) == rec_q.mid(), where, "Q table mismatch")
-        _require(pools.m(block["unit"], where) == rec_r.left(), where, "unit mismatch")
-        _require(pools.m(block["counit"], where) == rec_q.right(), where, "counit mismatch")
-        _require(
-            eq_witness(pools.m(block["mult"], where), engine_j.mu_replay(bang(x), where))
-            is None,
-            where,
-            "mult differs from replay",
-        )
-        _require(
-            eq_witness(pools.m(block["comult"], where), engine_i.delta_replay(cobang(x), where))
-            is None,
-            where,
-            "comult differs from replay",
-        )
-    # the law suites, rerun over the certified records with ξ replayed; they
-    # compute each χ as the canonical two-route lift, checking that it fills
-    # its lifting problem, and the certified χ must be that lift
-    amstr = AlgebraicModelStructure(engine_j, engine_i, tau, AwfsMorphism(xi), instance.weq)
-    report = verify_comparison(amstr, list(named.values()))
-    report.extend(validate_model_axioms(amstr, list(named.values())))
-    report.extend(check_replacement_laws(amstr, [instance.presheaves[n] for n in objects]))
-    _require(
-        payload.get("law_report") == report.to_json(),
-        "law_report",
-        "embedded law report differs from the recomputed one",
-    )
-    for name, key in payload["chi"].items():
-        _require(
-            eq_witness(pools.m(key, f"chi.{name}"), chi(amstr, instance.presheaves[name])) is None,
-            f"chi.{name}",
-            "chi differs from the two-lift solution",
-        )
+    objects = {n: instance.presheaves[n] for n in candidates if n not in skipped}
+    blocks = model_blocks(amstr, instance.requested_arrows(diagram_j.base), objects)
+    _match_blocks(pools, payload, blocks)
 
 
 def _verify_report_only(instance: InstanceFile, payload: dict) -> None:
@@ -673,12 +604,13 @@ def verify_certificate(instance: InstanceFile, cert: dict) -> tuple[bool, str]:
         )
         command = cert["command"]
         payload = cert["payload"]
+        options = cert.get("options", {})
         if command == "soa":
-            _verify_soa_payload(instance, payload)
+            _verify_soa_payload(instance, payload, options)
         elif command == "lift":
-            _verify_lift_payload(instance, payload)
+            _verify_lift_payload(instance, payload, options)
         elif command == "model":
-            _verify_model_payload(instance, payload, cert.get("options", {}))
+            _verify_model_payload(instance, payload, options)
         elif command in ("transport", "quillen-check"):
             _verify_report_only(instance, payload)
         else:

@@ -1,0 +1,266 @@
+"""`verify-cert` recomputes every derived block of a `soa`, `lift` and
+`model` certificate with the certificate writer's own functions and requires
+each block whole: cut or replaced blocks, generator blocks that do not
+describe the instance's diagram, and re-hashed single-entry flips of any
+pooled map are all rejected, and every honest certificate verifies."""
+
+import copy
+import json
+import random
+
+import pytest
+
+from awfs_forge.cli import main
+from awfs_forge.core import canonical_dumps, sha256_hex
+from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
+from awfs_forge.instance import from_json
+from awfs_forge.soa import NonConvergence, run_soa
+from awfs_forge.verifier import verify_certificate
+
+FIXTURES = ("FIX-M", "FIX-G", "FIX-PW", "FIX-PROJ")  # FIX-DIV does not converge
+
+
+def _certify(tmp_path, argv: str, instance=None) -> dict:
+    """The certificate that the CLI writes for `argv` (exit 0), read back."""
+    out = tmp_path / "cert.json"
+    if instance is not None:
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")  # keys in their order
+        argv = f"{argv} {path}"
+    assert main(argv.split() + ["--out", str(out)]) == 0, argv
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def _za_raw() -> dict:
+    """FIX-M with I = {z: e01, a: id1} and tau: j -> z; canonical JSON sorts
+    the certified generator block's objects into a, z."""
+    raw = fixture_raw("FIX-M")
+    raw["generators"]["I"] = {"shape": "discrete", "arrows": {"z": "e01", "a": "id1"}}
+    raw["taus"]["tau"]["objects"] = {"j": "z"}
+    return raw
+
+
+def _cut_structure(payload):
+    for entry in payload["arrows"].values():
+        entry.pop("delta", None)
+        entry.pop("mu", None)
+
+
+def _cut_named(payload):
+    payload["named"], payload["stage_tables"], payload["law_report"] = {}, {}, []
+
+
+def _other_lambda(payload):
+    lam = payload["lambdas"]["j"]
+    content = payload["maps"][lam]
+    payload["lambdas"]["j"] = next(
+        k for k, c in payload["maps"].items()
+        if k != lam and c["src"] == content["src"] and c["dst"] != content["dst"]
+    )
+
+
+@pytest.mark.parametrize("variant, damage, where, message", [
+    ("monic", _cut_structure, "arrows.", "delta and mu are not those of a named arrow"),
+    ("monic", lambda p: p.update(lambdas={}), "lambdas", "entries differ"),
+    ("monic", _cut_named, "named", "entries differ"),
+    ("standard", _other_lambda, "lambdas.j", "unit coalgebra differs from the fill rule"),
+], ids=["no-delta-mu", "no-lambdas", "no-named", "standard-lambda"])
+def test_verify_cert_rejects_a_cut_or_replaced_soa_block(variant, damage, where, message, tmp_path):
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, f"soa --fixture FIX-M --variant {variant}")
+    assert verify_certificate(instance, cert) == (True, "")
+    damage(cert["payload"])
+    ok, msg = verify_certificate(instance, cert)
+    assert not ok and msg.startswith(where) and message in msg, msg
+
+
+@pytest.mark.parametrize("command", ["soa", "lift"])
+def test_verify_cert_ties_the_generator_block_to_the_instance(command, tmp_path):
+    # a FIX-G certificate under I, relabelled J in its options and its block
+    instance = fixture("FIX-G")
+    cert = _certify(tmp_path, f"{command} --fixture FIX-G --generators I")
+    assert verify_certificate(instance, cert) == (True, "")
+    relabelled = copy.deepcopy(cert)
+    relabelled["options"]["generators"] = relabelled["payload"]["generators"]["label"] = "J"
+    assert verify_certificate(instance, relabelled) == (
+        False, "generators.objects: entries differ from the recomputed ones"
+    )
+    cert["options"]["generators"] = "J"
+    assert verify_certificate(instance, cert) == (
+        False, "generators.label: differs from the options"
+    )
+
+
+def test_verify_cert_accepts_a_model_over_generators_in_any_key_order(tmp_path):
+    raw = _za_raw()
+    cert = _certify(tmp_path, "model", raw)
+    assert list(cert["payload"]["generators_i"]["objects"]) == ["a", "z"]
+    assert verify_certificate(from_json(raw), cert) == (True, "")
+
+
+def _round_trips():
+    for name in FIXTURES:
+        for gname in fixture(name).generators:
+            for argv in (
+                f"soa --fixture {name} --generators {gname} --variant monic",
+                f"soa --fixture {name} --generators {gname} --variant standard",
+                f"lift --fixture {name} --generators {gname}",
+            ):
+                yield name, argv
+
+
+@pytest.mark.parametrize("name, argv", list(_round_trips()))
+def test_every_soa_and_lift_certificate_verifies(name, argv, tmp_path):
+    assert verify_certificate(fixture(name), _certify(tmp_path, argv)) == (True, "")
+
+
+def test_the_round_trip_covers_every_converging_fixture():
+    converging = set()
+    for name in FIXTURE_NAMES:
+        instance = fixture(name)
+        try:
+            for diagram in instance.generators.values():
+                gen = run_soa(diagram, variant="standard")
+                for m in instance.maps.values():
+                    if m.base == diagram.base:
+                        gen.record(m)
+        except NonConvergence:
+            continue
+        converging.add(name)
+    assert converging == set(FIXTURES)
+
+
+# -- re-hashed flips ---------------------------------------------------------
+
+
+def _flips(cert: dict):
+    """Every single-entry flip of a pooled map that stays in range: (key,
+    object, index, new value)."""
+    payload = cert["payload"]
+    for key in sorted(payload["maps"]):
+        content = payload["maps"][key]
+        sizes = payload["presheaves"][content["dst"]]["at"]
+        for o, table in sorted(content["components"].items()):
+            for i, v in enumerate(table):
+                if sizes[o] > 1:
+                    yield key, o, i, (v + 1) % sizes[o]
+
+
+def _renamed(value, old: str, new: str):
+    if isinstance(value, dict):
+        return {(new if k == old else k): _renamed(v, old, new) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v, old, new) for v in value]
+    return new if value == old else value
+
+
+def _flipped(cert: dict, key: str, o: str, i: int, value: int) -> dict:
+    """`cert` with entry i of map `key` at `o` set to `value`, the map pooled
+    under its new hash and every reference to it rewritten."""
+    content = copy.deepcopy(cert["payload"]["maps"][key])
+    content["components"][o][i] = value
+    new = "m" + sha256_hex(canonical_dumps(content))[:16]
+    maps = {k: c for k, c in cert["payload"]["maps"].items() if k != key}
+    maps[new] = content
+    payload = {k: v for k, v in cert["payload"].items() if k != "maps"}
+    return {**cert, "payload": {**_renamed(payload, key, new), "maps": maps}}
+
+
+def _sweep_cases():
+    for name in FIXTURES:
+        yield name, f"soa --fixture {name} --variant standard", None
+        yield name, f"lift --fixture {name} --variant standard", None
+        yield name, f"soa --fixture {name} --variant monic", 25
+    for name in ("FIX-M", "FIX-PROJ"):
+        yield name, f"model --fixture {name}", 25
+
+
+@pytest.mark.parametrize("name, argv, sample", list(_sweep_cases()))
+def test_verify_cert_rejects_every_rehashed_flip(name, argv, sample, tmp_path):
+    instance = fixture(name)
+    cert = _certify(tmp_path, argv)
+    assert verify_certificate(instance, cert) == (True, "")
+    flips = list(_flips(cert))
+    if sample is not None:
+        flips = random.Random(f"{argv}").sample(flips, min(sample, len(flips)))
+    assert flips
+    accepted = [f for f in flips if verify_certificate(instance, _flipped(cert, *f))[0]]
+    assert accepted == []
+
+
+# -- records: one cell and one fill per square, and their own fields ------------
+
+
+def _pooled(payload: dict, kind: str, content: dict) -> str:
+    key = kind[0] + sha256_hex(canonical_dumps(content))[:16]
+    payload[kind][key] = content
+    return key
+
+
+def _with_last_cell_twice(payload: dict, fkey: str) -> None:
+    """Attach the last cell of a one-object record a second time, along the
+    same square, as a new element of a larger last stage: every cell still
+    commutes, glues and meets r, and every element is reached."""
+    entry = payload["arrows"][fkey]
+    n = entry["trace"][-1]
+    big = _pooled(payload, "presheaves", {"base": "main", "at": {"*": n + 1}, "act": {}})
+
+    def into_big(key, **change):
+        return _pooled(payload, "maps", {**payload["maps"][key], "dst": big, **change})
+
+    last = len(entry["stages"]) - 1
+    cell = entry["cells"][-1]
+    twin = dict(cell, injection=into_big(cell["injection"], components={"*": [n]}))
+    r = payload["maps"][entry["rmaps"][-1]]
+    entry["rmaps"][-1] = entry["right"] = _pooled(payload, "maps", {
+        **r, "src": big, "components": {"*": r["components"]["*"] + [r["components"]["*"][-1]]},
+    })
+    entry["stages"][-1] = entry["mid"] = big
+    entry["inclusions"][-1] = into_big(entry["inclusions"][-1])
+    entry["left"] = into_big(entry["left"])
+    for c in entry["cells"]:
+        if c["stage"] == last:
+            c["injection"] = into_big(c["injection"])
+    entry["cells"].append(twin)
+    for fill in entry["fills"]:
+        fill["top"], fill["fill"] = into_big(fill["top"]), into_big(fill["fill"])
+    entry["trace"][-1] += 1
+    for name, key in payload["named"].items():
+        if key == fkey:
+            payload["stage_tables"][name][-1] += 1
+
+
+def test_verify_cert_rejects_two_cells_along_one_square(tmp_path):
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, "soa --fixture FIX-M --variant standard --arrows f21")
+    fkey = cert["payload"]["named"]["f21"]
+    assert cert["payload"]["stage_tables"]["f21"] == [2, 3]
+    _with_last_cell_twice(cert["payload"], fkey)
+    assert verify_certificate(instance, cert) == (False, f"arrows.{fkey}: two cells share a square")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda e, maps: e["fills"].append(dict(e["fills"][0], fill=e["left"])), "two fills share a square"),
+    (lambda e, maps: e.update(mid=e["stages"][0]), "mid, trace or variant is not the certified one"),
+    (lambda e, maps: e["trace"].reverse(), "mid, trace or variant is not the certified one"),
+    (lambda e, maps: e.update(variant="standard"), "mid, trace or variant is not the certified one"),
+], ids=["padded-fills", "mid", "trace", "variant"])
+def test_verify_cert_rejects_a_record_whose_own_fields_are_off(damage, message, tmp_path):
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, "soa --fixture FIX-M --variant monic")
+    fkey = cert["payload"]["named"]["f21"]
+    damage(cert["payload"]["arrows"][fkey], cert["payload"]["maps"])
+    assert verify_certificate(instance, cert) == (False, f"arrows.{fkey}: {message}")
+
+
+def test_verify_cert_reads_the_named_arrows_and_variant_from_the_options(tmp_path):
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, "soa --fixture FIX-M --arrows f21,g31")
+    assert list(cert["payload"]["named"]) == ["f21", "g31"]
+    assert verify_certificate(instance, cert) == (True, "")
+    every = copy.deepcopy(cert)
+    del every["options"]["arrows"]
+    # every named arrow's δ needs records that the certificate does not hold
+    assert verify_certificate(instance, every) == (False, "arrows: no record for a required arrow")
+    cert["options"]["variant"] = "standard"
+    assert verify_certificate(instance, cert) == (False, "variant: differs from the options")
