@@ -13,9 +13,8 @@ from .core import (
     FiniteCategory,
     Presheaf,
     PresheafMap,
-    canonical_dumps,
     eq_witness,
-    sha256_hex,
+    pool_key,
 )
 from .instance import InstanceFile
 from .lifting import GeneratorDiagram, fill_table, generator_block, lift_blocks
@@ -53,7 +52,7 @@ class CertPool:
         if p.base not in self.base_names:
             raise KeyError("presheaf over a base not declared in the instance")
         content = {"base": self.base_names[p.base], **p.to_json()}
-        key = "p" + sha256_hex(canonical_dumps(content))[:16]
+        key = pool_key("p", content)
         self._pkeys[p] = key
         self.presheaves[key] = content
         return key
@@ -66,7 +65,7 @@ class CertPool:
             "dst": self.add_presheaf(m.dst),
             "components": m.table_json(),
         }
-        key = "m" + sha256_hex(canonical_dumps(content))[:16]
+        key = pool_key("m", content)
         self._mkeys[m] = key
         self.maps[key] = content
         return key

@@ -33,6 +33,13 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def pool_key(prefix: str, content) -> str:
+    """A certificate pool's key for a table's JSON `content`: `prefix` ("p"
+    for a presheaf, "m" for a map), then the first 16 hex digits of the
+    sha256 of its canonical JSON."""
+    return prefix + sha256_hex(canonical_dumps(content))[:16]
+
+
 class ValidationError(Exception):
     """A structural law failed, with a location path for diagnostics."""
 

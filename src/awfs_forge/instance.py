@@ -62,68 +62,15 @@ class InstanceFile:
         if name not in self.adjunctions:
             raise ValidationError(f"adjunctions.{name}", "unknown adjunction name")
         desc = self.adjunctions[name]
-        kind = desc.get("kind")
-        if kind == "identity":
+        if desc["kind"] == "identity":
             return identity_adjunction(self.bases[desc.get("base", "main")])
-        if kind == "lan_res":
-            src = self.bases[desc["from_base"]]
-            dst = self.bases[desc.get("to_base", "main")]
-            fd = FunctorData(
-                src,
-                dst,
-                dict(desc["functor"].get("objects", {})),
-                dict(desc["functor"].get("morphisms", {})),
-            )
-            return restriction_adjunction(fd)
-        if kind == "explicit":
-            return self._explicit_adjunction(name, desc)
-        raise ValidationError(f"adjunctions.{name}.kind", f"unsupported kind {kind!r}")
-
-    def _explicit_adjunction(self, name: str, desc: dict) -> AdjunctionData:
-        """Fully tabulated adjunction: functors given on named objects/maps.
-
-        Applying the functors outside the tabulated data raises, so explicit
-        adjunctions support generator transport and law verification but not
-        the constructions that evaluate functors on derived objects.
-        """
-        where = f"adjunctions.{name}"
-        m_base = self.bases[desc.get("from_base", "main")]
-        k_base = self.bases[desc.get("to_base", "main")]
-        t_obj_tab, s_obj_tab = desc.get("t_objects", {}), desc.get("s_objects", {})
-        t_map_tab, s_map_tab = desc.get("t_maps", {}), desc.get("s_maps", {})
-        unit_tab, counit_tab = desc.get("unit", {}), desc.get("counit", {})
-
-        def by_obj(tab, registry, label):
-            lookup = {self.presheaves[a]: registry[b] for a, b in tab.items()}
-
-            def fn(x):
-                if x not in lookup:
-                    raise ValidationError(where, f"explicit adjunction {label} table does not cover an object")
-                return lookup[x]
-
-            return fn
-
-        def by_map(tab, label):
-            lookup = {self.maps[a]: self.maps[b] for a, b in tab.items()}
-
-            def fn(m):
-                if m not in lookup:
-                    raise ValidationError(where, f"explicit adjunction {label} table does not cover a map")
-                return lookup[m]
-
-            return fn
-
-        return AdjunctionData(
-            "explicit",
-            m_base,
-            k_base,
-            by_obj(t_obj_tab, self.presheaves, "T"),
-            by_map(t_map_tab, "T"),
-            by_obj(s_obj_tab, self.presheaves, "S"),
-            by_map(s_map_tab, "S"),
-            by_obj(unit_tab, self.maps, "unit"),
-            by_obj(counit_tab, self.maps, "counit"),
+        fd = FunctorData(  # `lan_res`, the other kind `_check_adjunction` admits
+            self.bases[desc["from_base"]],
+            self.bases[desc.get("to_base", "main")],
+            dict(desc["functor"].get("objects", {})),
+            dict(desc["functor"].get("morphisms", {})),
         )
+        return restriction_adjunction(fd)
 
     def option(self, key: str, override, fallback):
         """Command option resolution: explicit flag, else instance default."""
@@ -225,11 +172,11 @@ def _tau(name: str, data, generators: dict[str, GeneratorDiagram]) -> TauData:
     return tau
 
 
-def _check_adjunction(name: str, desc, bases, presheaves, maps) -> None:
+def _check_adjunction(name: str, desc, bases) -> None:
     """Everything `InstanceFile.adjunction` reads from the descriptor."""
     path = f"adjunctions.{name}"
     kind = expect_object(desc, path).get("kind")
-    if kind not in ("identity", "lan_res", "explicit"):
+    if kind not in ("identity", "lan_res"):
         raise ValidationError(f"{path}.kind", f"unsupported kind {kind!r}")
 
     def base(key: str, default="main") -> FiniteCategory:
@@ -240,7 +187,7 @@ def _check_adjunction(name: str, desc, bases, presheaves, maps) -> None:
 
     if kind == "identity":
         base("base")
-    elif kind == "lan_res":
+    else:
         src, dst = base("from_base", None), base("to_base")
         fpath = f"{path}.functor"
         functor = expect_object(desc.get("functor"), fpath)
@@ -250,17 +197,6 @@ def _check_adjunction(name: str, desc, bases, presheaves, maps) -> None:
             _name_map(functor, "objects", fpath, src.objects, dst.objects, True),
             _name_map(functor, "morphisms", fpath, src.morphisms, dst.morphisms),
         ).validate(fpath)
-    else:
-        base("from_base"), base("to_base")
-        for key, keys, values in (
-            ("t_objects", presheaves, presheaves),
-            ("s_objects", presheaves, presheaves),
-            ("t_maps", maps, maps),
-            ("s_maps", maps, maps),
-            ("unit", presheaves, maps),
-            ("counit", presheaves, maps),
-        ):
-            _name_map(desc, key, path, keys, values)
 
 
 def _options(value) -> dict:
@@ -335,7 +271,7 @@ def from_json(data: dict) -> InstanceFile:
 
     adjunctions = dict(expect_object(data.get("adjunctions", {}), "adjunctions"))
     for aname, desc in adjunctions.items():
-        _check_adjunction(aname, desc, bases, presheaves, maps)
+        _check_adjunction(aname, desc, bases)
 
     return InstanceFile(
         bases=bases,

@@ -197,7 +197,31 @@ def step_one(diagram: GeneratorDiagram, f) -> Factored:
     return Factored(l1, po.apex, r1)
 
 
-class GeneratedAwfs:
+class RecordAwfs:
+    """The awfs read off per-arrow records: the factorization, the free
+    (co)algebras and the awfs itself.  A subclass gives `record` (an arrow's
+    record, with the interface the cell rules read), `e_on_square`, `mu` and
+    `delta`; the engine computes them, the verifier replays them over
+    certified records."""
+
+    def factor(self, f) -> Factored:
+        rec = self.record(f)
+        return Factored(rec.left(), rec.mid(), rec.right())
+
+    def free_algebra(self, f) -> AlgebraStructure:
+        return AlgebraStructure(ArrowObject(self.record(f).right()), self.mu(f))
+
+    def free_coalgebra(self, f) -> CoalgebraStructure:
+        return CoalgebraStructure(ArrowObject(self.record(f).left()), self.delta(f))
+
+    def as_fact(self) -> FunctorialFactorization:
+        return FunctorialFactorization(self.factor, self.e_on_square)
+
+    def as_awfs(self) -> Awfs:
+        return Awfs(self.as_fact(), self.delta, self.mu)
+
+
+class GeneratedAwfs(RecordAwfs):
     """The awfs produced by running the small object argument over a generator
     diagram, with per-arrow stage and cell bookkeeping.
 
@@ -401,10 +425,6 @@ class GeneratedAwfs:
 
     # -- derived structure -------------------------------------------------
 
-    def factor(self, f) -> Factored:
-        rec = self.record(f)
-        return Factored(rec.left(), rec.mid(), rec.right())
-
     def free_lifting_function(self, f) -> LiftingFunction:
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
         if farr not in self._lifts:
@@ -436,20 +456,6 @@ class GeneratedAwfs:
         if farr not in self._deltas:
             self._deltas[farr] = delta_rule(farr, self.record, self.e_on_square, "delta")
         return self._deltas[farr]
-
-    def free_algebra(self, f) -> AlgebraStructure:
-        rec = self.record(f)
-        return AlgebraStructure(ArrowObject(rec.right()), self.mu(f))
-
-    def free_coalgebra(self, f) -> CoalgebraStructure:
-        rec = self.record(f)
-        return CoalgebraStructure(ArrowObject(rec.left()), self.delta(f))
-
-    def as_fact(self) -> FunctorialFactorization:
-        return FunctorialFactorization(self.factor, self.e_on_square)
-
-    def as_awfs(self) -> Awfs:
-        return Awfs(self.as_fact(), self.delta, self.mu)
 
 
 def run_soa(diagram: GeneratorDiagram, variant: str = "monic", max_steps: int = 64) -> GeneratedAwfs:

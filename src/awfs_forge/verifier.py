@@ -24,11 +24,12 @@ naturality of every pooled map; each record's structure, with injective stage
 inclusions under both variants; stage completeness by its own square search
 (stage k's cells must be exactly the squares into r_{k-1} whose top edge
 leaves the image of inclusion k-2, all squares into r_0 at stage 1);
-covering; convergence; every fill against `fill_rule`, which factors through
-the inclusions by inverse lookup, so inclusions need not be prefixes, and by
-its two triangles (a natural map that passes both is one of
-`lifting.oracle_lift`'s fillers by definition, so the oracle is not rerun);
-and the fill table's coherence along the generator shape.  Since every
+covering; convergence within `max_steps` stages; every fill against
+`fill_rule`, which factors through the inclusions by inverse lookup, so
+inclusions need not be prefixes, and by its two triangles (a natural map
+that passes both is one of `lifting.oracle_lift`'s fillers by definition, so
+the oracle is not rerun); and the fill table's coherence along the generator
+shape.  Since every
 derived block is recomputed from these records, a lift certificate's fills
 must be the record's fills, ξ_f its cell replay (ξ's lifting problem can
 have several fillers) and χ the canonical two-route lift that the law suites
@@ -44,21 +45,19 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .arrows import ArrowObject, Awfs, Factored, FunctorialFactorization, Square
+from .arrows import ArrowObject, Square
 from .core import (
     Presheaf,
     PresheafMap,
     ValidationError,
-    canonical_dumps,
     eq_witness,
     expect_components,
     factor_through,
     inverse_lookup,
-    sha256_hex,
+    pool_key,
 )
 from .instance import InstanceFile
 from .lifting import (
-    AlgebraStructure,
     CoalgebraStructure,
     FillFailure,
     GeneratorDiagram,
@@ -68,14 +67,7 @@ from .lifting import (
     lift_blocks,
 )
 from .model import build_model_structure, model_blocks, replacement_candidates
-from .soa import (
-    CellRecord,
-    delta_rule,
-    e_rule,
-    lam_rule,
-    mu_rule,
-    soa_blocks,
-)
+from .soa import CellRecord, RecordAwfs, delta_rule, e_rule, lam_rule, mu_rule, soa_blocks
 
 
 class CertificateError(Exception):
@@ -95,16 +87,14 @@ class _Pools:
         self.presheaves: dict[str, Presheaf] = {}
         self.maps: dict[str, PresheafMap] = {}
         for key, content in payload.get("presheaves", {}).items():
-            recomputed = "p" + sha256_hex(canonical_dumps(content))[:16]
-            _require(recomputed == key, f"presheaves.{key}", "content hash mismatch")
+            _require(pool_key("p", content) == key, f"presheaves.{key}", "content hash mismatch")
             bname = content.get("base", "main")
             _require(bname in bases, f"presheaves.{key}", f"unknown base {bname}")
             p = Presheaf.from_json(bases[bname], content, f"presheaves.{key}")
             p.validate(f"presheaves.{key}")
             self.presheaves[key] = p
         for key, content in payload.get("maps", {}).items():
-            recomputed = "m" + sha256_hex(canonical_dumps(content))[:16]
-            _require(recomputed == key, f"maps.{key}", "content hash mismatch")
+            _require(pool_key("m", content) == key, f"maps.{key}", "content hash mismatch")
             src = self.presheaves.get(content["src"])
             dst = self.presheaves.get(content["dst"])
             _require(src is not None and dst is not None, f"maps.{key}", "dangling endpoint")
@@ -197,13 +187,20 @@ def _replayed(rule, *args, where: str) -> PresheafMap:
         raise CertificateError(where, exc.message) from None
 
 
-class CertifiedEngine:
+class CertifiedEngine(RecordAwfs):
     """The records of a certificate block, each checked as it is loaded, and
     the deterministic extraction rules replayed over them.  `variant`, when
-    given, is the variant that every record must name."""
+    given, is the variant that every record must name, and `max_steps` bounds
+    every record's stage count as it bounds the engine's (see `_step_bound`)."""
 
     def __init__(
-        self, pools: _Pools, diagram: GeneratorDiagram, block: dict, where: str, variant: str | None
+        self,
+        pools: _Pools,
+        diagram: GeneratorDiagram,
+        block: dict,
+        where: str,
+        variant: str | None,
+        max_steps: int | None,
     ):
         self.diagram = diagram
         self.where = where
@@ -222,6 +219,8 @@ class CertifiedEngine:
             inclusions = [pools.m(k, w) for k in entry["inclusions"]]
             rmaps = [pools.m(k, w) for k in entry["rmaps"]]
             _require(len(rmaps) == len(stages), w, "rmaps/stages length mismatch")
+            bounded = max_steps is None or len(stages) <= max_steps
+            _require(bounded, w, f"more stages than max_steps {max_steps} allows")
             _require(
                 pools.p(entry["mid"], w) == stages[-1]
                 and entry["trace"] == [s.total_size for s in stages]
@@ -412,16 +411,12 @@ class CertifiedEngine:
             self._deltas[f] = _replayed(delta_rule, *args, where=self.where)
         return self._deltas[f]
 
-    # -- the `GeneratedAwfs` surface that the law suites and blocks read ----
+    # -- the `RecordAwfs` hooks and λ, over the certified records ------------
 
     def record(self, f) -> _Record:
         rec = self._by_arrow.get(_map(f))
         _require(rec is not None, self.where, "no record for a required arrow")
         return rec
-
-    def factor(self, f) -> Factored:
-        rec = self.record(f)
-        return Factored(rec.left(), rec.mid(), rec.right())
 
     def lam(self, jname: str) -> CoalgebraStructure:
         return lam_rule(self.diagram, jname, self.record)
@@ -434,18 +429,6 @@ class CertifiedEngine:
 
     def delta(self, f) -> PresheafMap:
         return self.delta_replay(_map(f))
-
-    def free_algebra(self, f) -> AlgebraStructure:
-        return AlgebraStructure(ArrowObject(self.factor(f).right), self.mu(f))
-
-    def free_coalgebra(self, f) -> CoalgebraStructure:
-        return CoalgebraStructure(ArrowObject(self.factor(f).left), self.delta(f))
-
-    def as_fact(self) -> FunctorialFactorization:
-        return FunctorialFactorization(self.factor, self.e_on_square)
-
-    def as_awfs(self) -> Awfs:
-        return Awfs(self.as_fact(), self.delta, self.mu)
 
 
 def _map(f) -> PresheafMap:
@@ -516,12 +499,29 @@ def _load_diagram(
     return diagram
 
 
-def _factored(instance: InstanceFile, payload: dict, options: dict, variant: str | None):
+def _step_bound(options: dict, soa_payload: dict | None = None) -> int | None:
+    """The bound on every record's stage count: `options.max_steps` where the
+    options give one, else a `soa` payload's `max_steps`, which must equal the
+    options' where both are given; None when neither is.  The engine runs at
+    most `max_steps` passes and a converged record's last pass attaches
+    nothing, so its stages are at most E^0..E^{max_steps - 1}."""
+    bound = None
+    for where, block in (("options.max_steps", options), ("max_steps", soa_payload or {})):
+        if "max_steps" in block:
+            steps = block["max_steps"]
+            if type(steps) is not int or steps < 0:
+                raise ValidationError(where, "must be a nonnegative integer")
+            _require(bound in (None, steps), where, "differs from the options")
+            bound = steps
+    return bound
+
+
+def _factored(instance: InstanceFile, payload: dict, options: dict, variant: str | None, bound):
     """A `soa` or `lift` certificate's pools, its checked records and the
     arrows it names."""
     pools = _Pools(instance, payload)
     diagram = _load_diagram(instance, pools, payload, options, "generators")
-    engine = CertifiedEngine(pools, diagram, payload["arrows"], "arrows", variant)
+    engine = CertifiedEngine(pools, diagram, payload["arrows"], "arrows", variant, bound)
     names = options.get("arrows")
     named = instance.requested_arrows(diagram.base, names.split(",") if names else None)
     return pools, engine, named
@@ -534,7 +534,8 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) ->
         "variant",
         "differs from the options",
     )
-    pools, engine, named = _factored(instance, payload, options, variant)
+    bound = _step_bound(options, payload)
+    pools, engine, named = _factored(instance, payload, options, variant, bound)
     blocks, structure = soa_blocks(engine, named, variant)
     # δ and μ: in exactly the named arrows' entries, under the monic variant
     for fkey, entry in payload["arrows"].items():
@@ -551,7 +552,8 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) ->
 
 
 def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
-    pools, engine, named = _factored(instance, payload, options, options.get("variant"))
+    variant, bound = options.get("variant"), _step_bound(options)
+    pools, engine, named = _factored(instance, payload, options, variant, bound)
     _match_blocks(pools, payload, lift_blocks(engine, named))
 
 
@@ -570,9 +572,9 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
         "options.tau",
         "tau does not run between the certified generator diagrams",
     )
-    variant = options.get("variant")
-    engine_j = CertifiedEngine(pools, diagram_j, payload["arrows_j"], "arrows_j", variant)
-    engine_i = CertifiedEngine(pools, diagram_i, payload["arrows_i"], "arrows_i", variant)
+    limits = options.get("variant"), _step_bound(options)
+    engine_j = CertifiedEngine(pools, diagram_j, payload["arrows_j"], "arrows_j", *limits)
+    engine_i = CertifiedEngine(pools, diagram_i, payload["arrows_i"], "arrows_i", *limits)
     amstr = build_model_structure(engine_j, engine_i, tau, instance.weq)
     # the objects `model_certificate` tries, less those it reports unconverged
     candidates = replacement_candidates(instance.presheaves, diagram_j.base)

@@ -2,9 +2,10 @@
 `mu_rule`, `delta_rule`, `model.xi_rule`): μ and δ differential-tested
 against the tabulated lifting-function routes they replaced
 (`reference_structure.py`) on every record of the bundled fixtures under
-both variants, a guard that μ and δ tabulate nothing, and a guard that every
+both variants, a guard that μ and δ tabulate nothing, a guard that every
 name the benchmark's tracer wraps is defined on the class or module it is
-looked up on."""
+looked up on, and a guard that the record-derived awfs surface is defined
+once, on the base class of the engine and the verifier."""
 
 import importlib.util
 import sys
@@ -16,7 +17,8 @@ from awfs_forge.arrows import ArrowObject
 from awfs_forge.core import eq_witness
 from awfs_forge.fixtures import fixture
 from awfs_forge.lifting import LiftingFunction
-from awfs_forge.soa import MonicityViolation, NonConvergence, run_soa
+from awfs_forge.soa import GeneratedAwfs, MonicityViolation, NonConvergence, RecordAwfs, run_soa
+from awfs_forge.verifier import CertifiedEngine
 import reference_structure
 from reference_structure import reference_delta, reference_mu
 
@@ -93,3 +95,11 @@ def test_every_traced_name_is_defined_on_its_owner():
     assert len(targets) > 30
     missing = [(owner.__name__, attr) for owner, attr, _ in targets if attr not in vars(owner)]
     assert missing == []
+
+
+def test_the_record_derived_surface_is_defined_once():
+    shared = ("factor", "free_algebra", "free_coalgebra", "as_fact", "as_awfs")
+    assert [name for name in shared if name not in vars(RecordAwfs)] == []
+    for owner in (GeneratedAwfs, CertifiedEngine):
+        assert issubclass(owner, RecordAwfs)
+        assert [name for name in shared if name in vars(owner)] == [], owner.__name__

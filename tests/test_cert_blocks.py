@@ -1,8 +1,9 @@
 """`verify-cert` recomputes every derived block of a `soa`, `lift` and
 `model` certificate with the certificate writer's own functions and requires
 each block whole: cut or replaced blocks, generator blocks that do not
-describe the instance's diagram, and re-hashed single-entry flips of any
-pooled map are all rejected, and every honest certificate verifies."""
+describe the instance's diagram, re-hashed single-entry flips of any pooled
+map and records with more stages than the certificate's `max_steps` allows
+are all rejected, and every honest certificate verifies."""
 
 import copy
 import json
@@ -264,3 +265,49 @@ def test_verify_cert_reads_the_named_arrows_and_variant_from_the_options(tmp_pat
     assert verify_certificate(instance, every) == (False, "arrows: no record for a required arrow")
     cert["options"]["variant"] = "standard"
     assert verify_certificate(instance, cert) == (False, "variant: differs from the options")
+
+
+def _bounded(cert: dict, options, payload) -> dict:
+    """`cert` with `options.max_steps` set to `options` (None deletes it) and
+    the payload's `max_steps` to `payload` (None leaves it)."""
+    cert = copy.deepcopy(cert)
+    if options is None:
+        del cert["options"]["max_steps"]
+    else:
+        cert["options"]["max_steps"] = options
+    if payload is not None:
+        cert["payload"]["max_steps"] = payload
+    return cert
+
+
+@pytest.mark.parametrize("argv, options, payload, where, message", [
+    ("soa --fixture FIX-G", 1, 1, "arrows.", "more stages than max_steps 1 allows"),
+    ("soa --fixture FIX-G", None, 1, "arrows.", "more stages than max_steps 1 allows"),
+    ("soa --fixture FIX-G", 1, 7, "max_steps", "differs from the options"),
+    ("lift --fixture FIX-G", 1, None, "arrows.", "more stages than max_steps 1 allows"),
+    ("model --fixture FIX-M", 0, None, "arrows_j.", "more stages than max_steps 0 allows"),
+    ("soa --fixture FIX-G", True, 1, "malformed certificate: options.max_steps", "nonnegative"),
+    ("soa --fixture FIX-G", 3, -3, "malformed certificate: max_steps", "nonnegative"),
+    ("lift --fixture FIX-G", "3", None, "malformed certificate: options.max_steps", "nonnegative"),
+    ("model --fixture FIX-M", 2.5, None, "malformed certificate: options.max_steps", "nonnegative"),
+], ids=[
+    "soa-both-1", "soa-payload-only", "soa-payload-7-options-1", "lift-options-1",
+    "model-options-0", "options-boolean", "payload-negative", "lift-options-string",
+    "model-options-float",
+])
+def test_verify_cert_bounds_every_record_by_max_steps(argv, options, payload, where, message, tmp_path):
+    # the engine raises NonConvergence before it makes a record with more
+    # stages than max_steps; FIX-G's records have at most three
+    name = argv.split()[2]
+    cert = _bounded(_certify(tmp_path, argv), options, payload)
+    ok, msg = verify_certificate(fixture(name), cert)
+    assert not ok and msg.startswith(where) and message in msg, msg
+
+
+def test_verify_cert_accepts_max_steps_at_the_stage_count(tmp_path):
+    instance = fixture("FIX-G")
+    assert main(["soa", "--fixture", "FIX-G", "--max-steps", "2"]) == 2
+    cert = _certify(tmp_path, "soa --fixture FIX-G --max-steps 3")
+    assert max(len(e["stages"]) for e in cert["payload"]["arrows"].values()) == 3
+    assert verify_certificate(instance, cert) == (True, "")
+    assert verify_certificate(instance, _bounded(cert, None, None)) == (True, "")

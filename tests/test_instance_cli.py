@@ -599,14 +599,13 @@ def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, 
         (("adjunctions", "lan", "functor"), None, "adjunctions.lan.functor"),
         (("adjunctions", "lan", "functor", "objects"), {"0": "0"}, "adjunctions.lan.functor.objects.1"),
         (("adjunctions", "ident", "base"), "nope", "adjunctions.ident.base"),
-        (("adjunctions", "tab"), {"kind": "explicit", "from_base": "nope"}, "adjunctions.tab.from_base"),
-        (("adjunctions", "tab"), {"kind": "explicit", "unit": {"s0": "nope"}}, "adjunctions.tab.unit.s0"),
+        (("adjunctions", "tab"), {"kind": "explicit", "from_base": "main"}, "adjunctions.tab.kind"),
     ],
     ids=[
         "tau-number", "tau-no-src", "tau-objects-list", "tau-objects-unknown",
         "tau-objects-partial", "weq-number", "weq-arrows-number", "weq-kind-unknown",
         "adjunction-number", "lan-to-base-unknown", "lan-no-functor", "lan-functor-partial",
-        "identity-base-unknown", "explicit-from-base-unknown", "explicit-unit-unknown",
+        "identity-base-unknown", "explicit-kind",
     ],
 )
 def test_validate_rejects_malformed_taus_weq_and_adjunctions(keys, value, path, tmp_path, capsys):
@@ -623,6 +622,8 @@ def test_validate_rejects_malformed_taus_weq_and_adjunctions(keys, value, path, 
     err = capsys.readouterr().err
     assert err.startswith(f"invalid: {path}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if keys == ("adjunctions", "tab"):  # a tabulated kind that no command could run
+        assert err == "invalid: adjunctions.tab.kind: unsupported kind 'explicit'\n"
 
 
 @pytest.mark.parametrize(
@@ -698,55 +699,6 @@ def test_pw_soa_command(tmp_path):
     out = tmp_path / "pw.json"
     assert main(["soa", "--fixture", "FIX-PW", "--generators", "JA", "--out", str(out)]) == 0
     assert main(["verify-cert", "--fixture", "FIX-PW", str(out)]) == 0
-
-
-def test_explicit_adjunction_descriptor():
-    from awfs_forge.core import ValidationError
-    from awfs_forge.fixtures import finmap, finset
-    from awfs_forge.instance import build_raw
-    from awfs_forge.core import FiniteCategory
-    from awfs_forge.transport import transport_generators
-
-    pt = FiniteCategory.point()
-    raw = build_raw(
-        {"main": pt},
-        {"s0": ("main", finset(0)), "s1": ("main", finset(1)), "s2": ("main", finset(2))},
-        {
-            "e01": ("s0", "s1", finmap(0, 1, [])),
-            "id0": ("s0", "s0", finmap(0, 0, [])),
-            "id1": ("s1", "s1", finmap(1, 1, [0])),
-            "id2": ("s2", "s2", finmap(2, 2, [0, 1])),
-            "f21": ("s2", "s1", finmap(2, 1, [0, 0])),
-        },
-        generators={"J": {"shape": "discrete", "arrows": {"j": "e01"}}},
-        weq={"kind": "all"},
-        adjunctions={
-            "tab": {
-                "kind": "explicit",
-                "from_base": "main",
-                "to_base": "main",
-                "t_objects": {"s0": "s0", "s1": "s1", "s2": "s2"},
-                "t_maps": {"e01": "e01", "id1": "id1", "id2": "id2", "f21": "f21", "id0": "id0"},
-                "s_objects": {"s0": "s0", "s1": "s1", "s2": "s2"},
-                "s_maps": {"e01": "e01", "id1": "id1", "id2": "id2", "f21": "f21", "id0": "id0"},
-                "unit": {"s0": "id0", "s1": "id1", "s2": "id2"},
-                "counit": {"s0": "id0", "s1": "id1", "s2": "id2"},
-            }
-        },
-    )
-    inst = from_json(raw)
-    adj = inst.adjunction("tab")
-    rep = adj.verify(
-        [inst.presheaves[n] for n in ("s0", "s1", "s2")],
-        [inst.maps["f21"]],
-        [inst.presheaves[n] for n in ("s0", "s1", "s2")],
-        [inst.maps["f21"]],
-    )
-    assert rep.passed
-    tj = transport_generators(adj, inst.generators["J"])
-    assert tj.arrow_of["j"].f == inst.maps["e01"]
-    with pytest.raises(ValidationError):
-        adj.t_obj(finset(5))  # outside the tabulated data
 
 
 def test_instance_options_used_as_defaults():
