@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import certificates
 from .core import ValidationError, canonical_dumps
@@ -75,6 +75,8 @@ CERTIFYING = {
 
 def _resolve_instance(args) -> InstanceFile:
     if args.fixture:
+        if args.instance is not None:
+            raise ValidationError("cli", "give an instance path or --fixture, not both")
         return fixture(args.fixture)
     if not args.instance:
         raise ValidationError("cli", "an instance path or --fixture is required")
@@ -147,56 +149,131 @@ def cmd_verify_cert(args) -> int:
     return EXIT_LAW_FAILURE
 
 
-def _subparser(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("instance", nargs="?", help="path to an instance JSON file")
-    p.add_argument(
-        "--fixture", choices=FIXTURE_NAMES, help="use a bundled fixture instead of a file"
-    )
-    p.set_defaults(func=func)
-    return p
+class Option(NamedTuple):
+    """A `--flag VALUE` option of a subcommand.  It defaults to None; a given
+    value must be one of `choices` when there are any, and is an `int` when
+    `integer` is set."""
+
+    flag: str
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    integer: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-COMMANDS = ("validate", *CERTIFYING, "verify-cert")
+class Command(NamedTuple):
+    """A subcommand: its help, the function that runs it and its options.
+    Every subcommand takes an optional instance path; `verify-cert` takes the
+    certificate's path after it."""
+
+    help: str
+    func: Callable
+    options: tuple[Option, ...]
+    certificate: bool = False
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  Given one of `COMMANDS`, only that subcommand is
-    built, under the usage of the full parser; otherwise all of them."""
+FIXTURE = (Option("--fixture", "use a bundled fixture instead of a file", FIXTURE_NAMES),)
+RUN = (
+    Option("--variant", choices=("monic", "standard")),
+    Option("--max-steps", integer=True),
+    Option("--threads", "accepted for compatibility; has no effect", integer=True),
+    Option("--out", "write the certificate to a file instead of stdout"),
+    Option("--arrows", "comma-separated named arrows (default: all)"),
+)
+
+
+def _named(key: str) -> Option:
+    _, default, text = NAMED[key]
+    return Option("--" + key.replace("_", "-"), f"{text} (default: {default or 'first'})")
+
+
+# the one declaration of the CLI, read by both `build_parser` and `parse_plain`
+SPEC = {
+    "validate": Command("parse and exhaustively validate an instance", cmd_validate, FIXTURE),
+    **{
+        name: Command(row.help, cmd_certify, FIXTURE + RUN + tuple(map(_named, row.names)))
+        for name, row in CERTIFYING.items()
+    },
+    "verify-cert": Command(
+        "independently recheck a certificate", cmd_verify_cert, FIXTURE, certificate=True
+    ),
+}
+COMMANDS = tuple(SPEC)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="awfs-forge",
         description="Exact algebraic weak factorization systems on finite presheaf categories.",
     )
-    names, metavar = COMMANDS, None  # argparse lists the choices built
-    if command in COMMANDS:
-        names, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    if "validate" in names:
-        _subparser(sub, "validate", "parse and exhaustively validate an instance", cmd_validate)
-    for name, row in CERTIFYING.items():
-        if name not in names:
-            continue
-        p = _subparser(sub, name, row.help, cmd_certify)
-        p.add_argument("--variant", choices=("monic", "standard"), default=None)
-        p.add_argument("--max-steps", type=int, default=None)
-        p.add_argument(
-            "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
-        )
-        p.add_argument("--out", help="write the certificate to a file instead of stdout")
-        p.add_argument("--arrows", help="comma-separated named arrows (default: all)")
-        for key in row.names:
-            _, default, text = NAMED[key]
-            p.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {default or 'first'})")
-    if "verify-cert" in names:
-        p = _subparser(sub, "verify-cert", "independently recheck a certificate", cmd_verify_cert)
-        p.add_argument("certificate", help="path to the certificate JSON")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in SPEC.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("instance", nargs="?", help="path to an instance JSON file")
+        for option in command.options:
+            p.add_argument(
+                option.flag,
+                choices=option.choices,
+                type=int if option.integer else None,
+                help=option.help,
+            )
+        if command.certificate:
+            p.add_argument("certificate", help="path to the certificate JSON")
+        p.set_defaults(func=command.func)
     return parser
+
+
+def parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """What `build_parser().parse_args(argv)` returns for a well-formed
+    command, without building the parser: a command name, then `--flag value`
+    pairs (each flag in full and at most once, each value nonempty, not
+    starting with `-`, one of the option's choices and ASCII digits for an
+    `int`), then the positionals, none starting with `-`.  None for any other
+    argv, which is left to argparse: help, abbreviations, `--flag=value`,
+    `--`, and everything argparse rejects."""
+    command = SPEC.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {option.flag: option for option in command.options}
+    values = dict.fromkeys(option.dest for option in command.options)
+    i = 1
+    while i < len(argv) and argv[i].startswith("-"):
+        option = options.get(argv[i])
+        if option is None or values[option.dest] is not None or i + 1 == len(argv):
+            return None
+        value = argv[i + 1]
+        if not value or value.startswith("-"):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        if option.integer:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        values[option.dest] = value
+        i += 2
+    positionals = argv[i:]
+    if any(p.startswith("-") for p in positionals):
+        return None
+    if command.certificate:  # required, after the optional instance
+        if not positionals:
+            return None
+        values["certificate"] = positionals.pop()
+    if len(positionals) > 1:
+        return None
+    values["instance"] = positionals[0] if positionals else None
+    return argparse.Namespace(command=argv[0], func=command.func, **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option but --help before the command
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_plain(argv)
+    if args is None:  # usage, help and every parse error come from argparse
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NonConvergence as exc:

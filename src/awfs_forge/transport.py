@@ -65,7 +65,6 @@ class FunctorData:
 class AdjunctionData:
     """Adjunction T ⊣ S between presheaf categories, with unit and counit."""
 
-    kind: str
     m_base: FiniteCategory
     k_base: FiniteCategory
     t_obj: Callable[[Presheaf], Presheaf]
@@ -136,7 +135,6 @@ def identity_adjunction(base: FiniteCategory) -> AdjunctionData:
     ident_map = lambda f: f
     ident_obj = lambda x: x
     return AdjunctionData(
-        "identity",
         base,
         base,
         ident_obj,
@@ -312,9 +310,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
         value = PresheafMap.from_tables(block.cop.apex, q, value_tabs)
         return glue(block.lan, q, [(block.q, value)], "counit", "not constant on classes")
 
-    return AdjunctionData(
-        "lan_res", base0, base1, lan_obj, lan_map, restrict_obj, restrict_map, unit, counit
-    )
+    return AdjunctionData(base0, base1, lan_obj, lan_map, restrict_obj, restrict_map, unit, counit)
 
 
 def transport_generators(adj: AdjunctionData, diagram: GeneratorDiagram) -> GeneratorDiagram:

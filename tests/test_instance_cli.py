@@ -3,6 +3,8 @@ import json
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awfs_forge import certificates, cli
 from awfs_forge.cli import COMMANDS, build_parser, main
@@ -746,30 +748,6 @@ def test_cli_surface_is_pinned():
         assert choices == want, name
 
 
-def _subparsers(parser):
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-
-
-def _described(parser):
-    """What a subcommand parser accepts, and how it says so."""
-    actions = [
-        (type(a), a.option_strings, a.dest, a.nargs, a.choices, a.default, a.type, a.help)
-        for a in parser._actions
-    ]
-    return actions, parser.get_default("func"), parser.format_usage(), parser.format_help()
-
-
-def test_a_single_command_parser_matches_the_full_one():
-    full = _subparsers(build_parser())
-    assert tuple(full.choices) == COMMANDS
-    for name in COMMANDS:
-        single = _subparsers(build_parser(name))
-        assert list(single.choices) == [name]
-        assert _described(single.choices[name]) == _described(full.choices[name]), name
-    for other in (None, "bogus", "--help"):
-        assert tuple(_subparsers(build_parser(other)).choices) == COMMANDS
-
-
 def _outcome(argv, capsys):
     try:
         code = main(argv)
@@ -782,11 +760,96 @@ def _outcome(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [[], ["--help"], ["bogus"], ["soa", "--fixture", "FIX-M", "--bogus"]]
-    + [[name, "--help"] for name in COMMANDS],
+    + [[name, "--help"] for name in COMMANDS]
+    + [
+        ["soa", "--fixture", "FIX-M", "--max-steps", "-1"],
+        ["validate", "--fix", "FIX-M"],
+        ["validate", "--fixture=FIX-M"],
+        ["validate", "--", "--fixture"],
+        ["validate", "--fixture", "FIX-M", "--fixture", "FIX-PW"],
+        ["soa", "--fixture", "FIX-M", "--out", "--"],
+        ["soa", "--fixture", "FIX-DIV", "--max-steps", "٣"],
+        ["verify-cert", "--fixture", "FIX-M", "a.json", "b.json", "c.json"],
+        ["verify-cert", "--fixture", "FIX-M", "c.json", "-h"],
+    ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
-def test_usage_and_help_do_not_depend_on_the_parser_built(argv, monkeypatch, capsys):
+def test_declined_commands_run_as_argparse_parses_them(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.parse_plain(argv) is None
     capsys.readouterr()
-    single = _outcome(argv, capsys)
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-    assert _outcome(argv, capsys) == single
+    seen = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "parse_plain", lambda argv: None)
+    assert _outcome(argv, capsys) == seen
+
+
+_FLAGS = sorted({o.flag for c in cli.SPEC.values() for o in c.options})
+_VALUES = [
+    *FIXTURE_NAMES, "FIX-X", "monic", "standard", "0", "3", "12", "007", "-1", "+3", " 3", "٣",
+    "", "-", "--", "J", "I", "lan", "ident", "f21", "f21,f10", "a.json", "/tmp/c.json", "x=y",
+]
+_TOKENS = _VALUES + _FLAGS + ["-h", "--help", "--", "--fix", "--fixture=FIX-M", "--bogus"]
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed commands, with every kind of token argparse reads."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    own = [o.flag for o in cli.SPEC[command].options] if command in cli.SPEC else _FLAGS
+    flag = st.sampled_from(own) | st.sampled_from(_FLAGS)
+    chunks = st.tuples(flag, st.sampled_from(_VALUES)) | st.tuples(st.sampled_from(_TOKENS))
+    head = draw(st.lists(st.sampled_from(_VALUES), max_size=1))
+    middle = draw(st.lists(chunks, max_size=4))
+    tail = draw(st.lists(st.sampled_from(_VALUES), max_size=3))
+    return [command, *head, *(token for chunk in middle for token in chunk), *tail]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_plain_parser_agrees_with_argparse(argv):
+    plain = cli.parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(build_parser().parse_args(argv))
+
+
+def test_fixture_commands_do_not_build_a_parser(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["validate", "--fixture", "FIX-PW"]) == 0
+    certs = []
+    for i, (fx, argv) in enumerate(
+        [
+            ("FIX-M", ["soa", "--fixture", "FIX-M", "--variant", "standard"]),
+            ("FIX-G", ["lift", "--fixture", "FIX-G"]),
+            ("FIX-PROJ", ["model", "--fixture", "FIX-PROJ"]),
+            ("FIX-PROJ", ["transport", "--fixture", "FIX-PROJ", "--adjunction", "lan"]),
+            ("FIX-M", ["quillen-check", "--fixture", "FIX-M", "--adjunction", "ident"]),
+        ]
+    ):
+        out = tmp_path / f"{i}.json"
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        certs.append((fx, out))
+    assert main(["soa", "--fixture", "FIX-DIV", "--out", str(tmp_path / "div.json")]) == 2
+    for fx, out in certs:
+        assert main(["verify-cert", "--fixture", fx, str(out)]) == 0, out
+    instance = tmp_path / "m.json"
+    instance.write_text(json.dumps(fixture_raw("FIX-M")))
+    assert main(["verify-cert", str(instance), str(certs[0][1])]) == 0
+    assert capsys.readouterr().out == "ok " + fixture("FIX-PW").input_hash() + "\n" + (
+        "certificate ok\n" * (len(certs) + 1)
+    )
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("path_first", [False, True], ids=["plain", "argparse"])
+def test_an_instance_path_and_a_fixture_are_not_both_given(command, path_first, capsys):
+    paths = ["/nonexistent.json"] + (["/nonexistent-cert.json"] if command == "verify-cert" else [])
+    fixture_flag = ["--fixture", "FIX-M"]
+    argv = [command, *paths, *fixture_flag] if path_first else [command, *fixture_flag, *paths]
+    assert (cli.parse_plain(argv) is None) == path_first
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid: cli: give an instance path or --fixture, not both\n"
