@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 
@@ -105,11 +105,12 @@ class FinFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.table) != self.src.size:
+        table, n = self.table, self.dst.size
+        if len(table) != self.src.size:
             raise ValidationError("FinFunction.table", "length must equal src.size")
-        for i, v in enumerate(self.table):
-            if not (0 <= v < self.dst.size):
-                raise ValidationError("FinFunction.table", f"entry {i} -> {v} out of range")
+        if table and (min(table) < 0 or max(table) >= n):
+            i, v = next((i, v) for i, v in enumerate(table) if not 0 <= v < n)
+            raise ValidationError("FinFunction.table", f"entry {i} -> {v} out of range")
 
     @classmethod
     def _trusted(cls, src: FinSet, dst: FinSet, table: tuple[int, ...]) -> "FinFunction":
@@ -183,7 +184,21 @@ class FiniteCategory:
             full.setdefault((name, self.identities[a]), name)
         self.compose_table = full
         self._terminal = self._empty = None  # built by Presheaf.terminal / empty
-        self._key = canonical_dumps(
+        idset = set(self.identities.values())
+        self._arrows = tuple(m for m in self.morphisms if m not in idset)
+        # what the category is: equality and hash read this tuple, built once
+        self._content = (
+            self.objects,
+            tuple(sorted(self.morphisms.items())),
+            tuple(sorted(full.items())),
+            tuple(sorted(self.identities.items())),
+        )
+        self._hash = hash(self._content)
+
+    @cached_property
+    def key(self) -> str:
+        """Canonical JSON of the category's content, as law reports name it."""
+        return canonical_dumps(
             {
                 "objects": list(self.objects),
                 "morphisms": {m: list(v) for m, v in sorted(self.morphisms.items())},
@@ -192,22 +207,21 @@ class FiniteCategory:
             }
         )
 
-    @property
-    def key(self) -> str:
-        return self._key
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteCategory) and self._key == other._key
+        return self is other or (
+            isinstance(other, FiniteCategory)
+            and self._hash == other._hash
+            and self._content == other._content
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return self._homs.get((a, b), ())
 
     def nonidentity_morphisms(self) -> tuple[str, ...]:
-        idset = set(self.identities.values())
-        return tuple(m for m in self.morphisms if m not in idset)
+        return self._arrows
 
     def src(self, m: str) -> str:
         return self.morphisms[m][0]
@@ -222,41 +236,45 @@ class FiniteCategory:
     def identity(self, obj: str) -> str:
         return self.identities[obj]
 
-    def validate(self) -> None:
+    def validate(self, path: str = "base") -> None:
+        """The category laws, each failure located under `path`.  Once the
+        identities are neutral, associativity holds on every triple that
+        contains one, so it is checked on the other triples."""
         seen = set(self.objects)
         if len(seen) != len(self.objects):
-            raise ValidationError("base.objects", "duplicate object names")
+            raise ValidationError(f"{path}.objects", "duplicate object names")
         for name, (a, b) in self.morphisms.items():
             if a not in seen or b not in seen:
-                raise ValidationError(f"base.morphisms.{name}", "endpoint not an object")
+                raise ValidationError(f"{path}.morphisms.{name}", "endpoint not an object")
         for obj in self.objects:
             i = self.identities.get(obj)
             if i is None or self.morphisms.get(i) != (obj, obj):
-                raise ValidationError(f"base.identities.{obj}", "missing or ill-typed identity")
+                raise ValidationError(f"{path}.identities.{obj}", "missing or ill-typed identity")
         for (g, f), h in self.compose_table.items():
             if self.dst(f) != self.src(g):
-                raise ValidationError(f"base.compose.{g}∘{f}", "pair not composable")
+                raise ValidationError(f"{path}.compose.{g}∘{f}", "pair not composable")
             if self.morphisms.get(h) is None or (self.src(f), self.dst(g)) != self.morphisms[h]:
-                raise ValidationError(f"base.compose.{g}∘{f}", f"composite {h} ill-typed")
+                raise ValidationError(f"{path}.compose.{g}∘{f}", f"composite {h} ill-typed")
         for f in self.morphisms:
             for g in self.morphisms:
                 if self.dst(f) == self.src(g) and (g, f) not in self.compose_table:
-                    raise ValidationError(f"base.compose.{g}∘{f}", "missing composite")
+                    raise ValidationError(f"{path}.compose.{g}∘{f}", "missing composite")
         for f in self.morphisms:
             a, b = self.morphisms[f]
             if self.compose(self.identities[b], f) != f or self.compose(f, self.identities[a]) != f:
-                raise ValidationError(f"base.identity.{f}", "identity not neutral")
-        for f in self.morphisms:
-            for g in self.morphisms:
+                raise ValidationError(f"{path}.identity.{f}", "identity not neutral")
+        arrows = self._arrows
+        for f in arrows:
+            for g in arrows:
                 if self.dst(f) != self.src(g):
                     continue
                 gf = self.compose(g, f)
-                for h in self.morphisms:
+                for h in arrows:
                     if self.dst(g) != self.src(h):
                         continue
                     if self.compose(h, gf) != self.compose(self.compose(h, g), f):
                         raise ValidationError(
-                            f"base.assoc.{h}∘{g}∘{f}", "composition not associative"
+                            f"{path}.assoc.{h}∘{g}∘{f}", "composition not associative"
                         )
 
     def to_json(self) -> dict:
@@ -391,21 +409,28 @@ class Presheaf:
         return sum(s.size for s in self.at.values())
 
     def validate(self, path: str = "presheaf") -> None:
-        for m, (a, b) in self.base.morphisms.items():
-            fn = self.act.get(m)
+        """The functor laws over a validated base.  Its identities are
+        neutral, so once each acts as an identity, functoriality holds on
+        every pair that contains one; it is checked on the other pairs, table
+        against gathered table."""
+        base, act = self.base, self.act
+        for m, (a, b) in base.morphisms.items():
+            fn = act.get(m)
             if fn is None:
                 raise ValidationError(f"{path}.act.{m}", "missing action")
             if fn.src != self.at[b] or fn.dst != self.at[a]:
                 raise ValidationError(f"{path}.act.{m}", "action ill-typed (must be at[dst]->at[src])")
-        for o, i in self.base.identities.items():
-            if self.act[i] != FinFunction.identity(self.at[o]):
+        for o, i in base.identities.items():
+            if act[i].table != tuple(range(self.at[o].size)):
                 raise ValidationError(f"{path}.act.{i}", "identity action is not the identity")
-        for f in self.base.morphisms:
-            for g in self.base.morphisms:
-                if self.base.dst(f) != self.base.src(g):
+        arrows = base.nonidentity_morphisms()
+        for f in arrows:
+            t_f = act[f].table
+            for g in arrows:
+                if base.dst(f) != base.src(g):
                     continue
-                gf = self.base.compose(g, f)
-                if self.act[gf] != self.act[g].then(self.act[f]):
+                gf = base.compose(g, f)
+                if act[gf].table != tuple([t_f[v] for v in act[g].table]):
                     raise ValidationError(
                         f"{path}.act.{gf}", f"functoriality fails: act({g}∘{f}) != act({f})∘act({g})"
                     )
@@ -518,23 +543,29 @@ class PresheafMap:
         return self.tables[self.src.base._position[obj]]
 
     def validate(self, path: str = "map") -> None:
-        if self.src.base != self.dst.base:
+        """Range and naturality, between validated presheaves: each identity
+        acts as one, so naturality holds at identities and is checked at the
+        other morphisms, gathered table against gathered table."""
+        src, dst = self.src, self.dst
+        if src.base != dst.base:
             raise ValidationError(path, "source and target live over different bases")
-        objects = self.base.objects
-        if len(self.tables) != len(objects):
+        base = src.base
+        if len(self.tables) != len(base.objects):
             raise ValidationError(f"{path}.components", "not one table per base object")
-        for o, t in zip(objects, self.tables):
-            n = self.dst.at[o].size
-            if len(t) != self.src.at[o].size or not all(0 <= v < n for v in t):
+        for o, t in zip(base.objects, self.tables):
+            if len(t) != src.at[o].size or t and (min(t) < 0 or max(t) >= dst.at[o].size):
                 raise ValidationError(f"{path}.components.{o}", "component ill-typed")
-        for m, (a, b) in self.base.morphisms.items():
+        for m in base.nonidentity_morphisms():
+            a, b = base.morphisms[m]
             t_a, t_b = self.table_at(a), self.table_at(b)
-            s, d = self.src.act[m].table, self.dst.act[m].table
-            for x in range(self.src.at[b].size):
-                if t_a[s[x]] != d[t_b[x]]:
-                    raise ValidationError(
-                        f"{path}.naturality.{m}", f"square fails at element {x} of ({b})"
-                    )
+            lhs = [t_a[v] for v in src.act[m].table]
+            d = dst.act[m].table
+            rhs = [d[v] for v in t_b]
+            if lhs != rhs:
+                x = next(x for x, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                raise ValidationError(
+                    f"{path}.naturality.{m}", f"square fails at element {x} of ({b})"
+                )
 
     def then(self, other: "PresheafMap") -> "PresheafMap":
         if self.dst is not other.src and self.dst != other.src:

@@ -5,12 +5,17 @@ FIX-G    directed graphs: J = vertex into edge source, I adds 0 -> vertex
 FIX-DIV  finite sets with the diverging generator {1 -> 2}
 FIX-PW   natural transformations of finite-set arrows (diagrams over 2)
 FIX-PROJ two-base instance for the Lan ⊣ restriction transport suite
+
+Each fixture is an instance document, written out as a literal and rebuilt
+on every call (callers may mutate it); `fixture` parses and validates it as
+`instance.load` does a file.  Key order is part of a document: it orders maps,
+generators and squares in certificates.
 """
 
 from __future__ import annotations
 
 from .core import FiniteCategory, FinFunction, FinSet, Presheaf, PresheafMap
-from .instance import InstanceFile, build_raw, from_json
+from .instance import InstanceFile, from_json
 
 
 def finset(n: int) -> Presheaf:
@@ -33,203 +38,182 @@ def graph(nv: int, ne: int, src, tgt) -> Presheaf:
     )
 
 
-def graph_map(src: Presheaf, dst: Presheaf, vtab, etab) -> PresheafMap:
-    return PresheafMap.from_tables(src, dst, {"V": vtab, "E": etab})
-
-
 def _fix_m_raw() -> dict:
-    pt = FiniteCategory.point()
-    sets = {f"s{n}": ("main", finset(n)) for n in range(5)}
-    maps = {
-        "e01": ("s0", "s1", finmap(0, 1, [])),
-        "id1": ("s1", "s1", finmap(1, 1, [0])),
-        "f21": ("s2", "s1", finmap(2, 1, [0, 0])),
-        "f32": ("s3", "s2", finmap(3, 2, [0, 0, 1])),
-        "g31": ("s3", "s1", finmap(3, 1, [0, 0, 0])),
-        "m23": ("s2", "s3", finmap(2, 3, [0, 2])),
-    }
-    return build_raw(
-        {"main": pt},
-        sets,
-        maps,
-        generators={
+    return {
+        "base": {
+            "objects": ["*"],
+            "morphisms": [],
+            "composition": [],
+            "identities": {"*": "id_*"},
+        },
+        "presheaves": {
+            "s0": {"at": {"*": 0}, "act": {}},
+            "s1": {"at": {"*": 1}, "act": {}},
+            "s2": {"at": {"*": 2}, "act": {}},
+            "s3": {"at": {"*": 3}, "act": {}},
+            "s4": {"at": {"*": 4}, "act": {}},
+        },
+        "maps": {
+            "e01": {"src": "s0", "dst": "s1", "components": {"*": []}},
+            "id1": {"src": "s1", "dst": "s1", "components": {"*": [0]}},
+            "f21": {"src": "s2", "dst": "s1", "components": {"*": [0, 0]}},
+            "f32": {"src": "s3", "dst": "s2", "components": {"*": [0, 0, 1]}},
+            "g31": {"src": "s3", "dst": "s1", "components": {"*": [0, 0, 0]}},
+            "m23": {"src": "s2", "dst": "s3", "components": {"*": [0, 2]}},
+        },
+        "generators": {
             "J": {"shape": "discrete", "arrows": {"j": "e01"}},
             "I": {"shape": "discrete", "arrows": {"i": "e01"}},
         },
-        weq={"kind": "all"},
-        taus={"tau": {"src": "J", "dst": "I", "objects": {"j": "i"}}},
-        adjunctions={"ident": {"kind": "identity", "base": "main"}},
-    )
+        "weq": {"kind": "all"},
+        "taus": {"tau": {"src": "J", "dst": "I", "objects": {"j": "i"}}},
+        "adjunctions": {"ident": {"kind": "identity", "base": "main"}},
+    }
 
 
 def _fix_g_raw() -> dict:
-    base = FiniteCategory.graph_base()
-    vertex = graph(1, 0, [], [])
-    empty = graph(0, 0, [], [])
-    edge = graph(2, 1, [0], [1])
-    path = graph(3, 2, [0, 1], [1, 2])
-    presheaves = {
-        "empty": ("main", empty),
-        "vertex": ("main", vertex),
-        "edge": ("main", edge),
-        "path": ("main", path),
-    }
-    maps = {
-        "jv": ("vertex", "edge", graph_map(vertex, edge, [0], [])),
-        "j0": ("empty", "vertex", graph_map(empty, vertex, [], [])),
-        "f_vp": ("vertex", "path", graph_map(vertex, path, [0], [])),
-        "f_ep": ("edge", "path", graph_map(edge, path, [0, 1], [0])),
-        "id_v": ("vertex", "vertex", graph_map(vertex, vertex, [0], [])),
-    }
-    return build_raw(
-        {"main": base},
-        presheaves,
-        maps,
-        generators={
+    return {
+        "base": {
+            "objects": ["V", "E"],
+            "morphisms": [
+                {"name": "s", "src": "V", "dst": "E"},
+                {"name": "t", "src": "V", "dst": "E"},
+            ],
+            "composition": [],
+            "identities": {"E": "id_E", "V": "id_V"},
+        },
+        "presheaves": {
+            "empty": {"at": {"V": 0, "E": 0}, "act": {"s": [], "t": []}},
+            "vertex": {"at": {"V": 1, "E": 0}, "act": {"s": [], "t": []}},
+            "edge": {"at": {"V": 2, "E": 1}, "act": {"s": [0], "t": [1]}},
+            "path": {"at": {"V": 3, "E": 2}, "act": {"s": [0, 1], "t": [1, 2]}},
+        },
+        "maps": {
+            "jv": {"src": "vertex", "dst": "edge", "components": {"V": [0], "E": []}},
+            "j0": {"src": "empty", "dst": "vertex", "components": {"V": [], "E": []}},
+            "f_vp": {"src": "vertex", "dst": "path", "components": {"V": [0], "E": []}},
+            "f_ep": {"src": "edge", "dst": "path", "components": {"V": [0, 1], "E": [0]}},
+            "id_v": {"src": "vertex", "dst": "vertex", "components": {"V": [0], "E": []}},
+        },
+        "generators": {
             "J": {"shape": "discrete", "arrows": {"jv": "jv"}},
             "I": {"shape": "discrete", "arrows": {"iv": "jv", "i0": "j0"}},
         },
-        weq={"kind": "all"},
-        taus={"tau": {"src": "J", "dst": "I", "objects": {"jv": "iv"}}},
-        adjunctions={"ident": {"kind": "identity", "base": "main"}},
-    )
+        "weq": {"kind": "all"},
+        "taus": {"tau": {"src": "J", "dst": "I", "objects": {"jv": "iv"}}},
+        "adjunctions": {"ident": {"kind": "identity", "base": "main"}},
+    }
 
 
 def _fix_div_raw() -> dict:
-    pt = FiniteCategory.point()
-    sets = {f"s{n}": ("main", finset(n)) for n in (1, 2)}
-    maps = {
-        "idd": ("s1", "s1", finmap(1, 1, [0])),
-        "jdiv": ("s1", "s2", finmap(1, 2, [0])),
+    return {
+        "base": {
+            "objects": ["*"],
+            "morphisms": [],
+            "composition": [],
+            "identities": {"*": "id_*"},
+        },
+        "presheaves": {"s1": {"at": {"*": 1}, "act": {}}, "s2": {"at": {"*": 2}, "act": {}}},
+        "maps": {
+            "idd": {"src": "s1", "dst": "s1", "components": {"*": [0]}},
+            "jdiv": {"src": "s1", "dst": "s2", "components": {"*": [0]}},
+        },
+        "generators": {"J": {"shape": "discrete", "arrows": {"j": "jdiv"}}},
+        "weq": {"kind": "all"},
+        "options": {"max_steps": 10},
     }
-    return build_raw(
-        {"main": pt},
-        sets,
-        maps,
-        generators={"J": {"shape": "discrete", "arrows": {"j": "jdiv"}}},
-        weq={"kind": "all"},
-        options={"max_steps": 10},
-    )
 
 
 def _fix_pw_raw() -> dict:
     """Diagrams over the walking arrow, with the pointwise generators of the
-    split-epi awfs serialized explicitly (shape 2^op × J)."""
-    pt = FiniteCategory.point()
-    arrow_cat = FiniteCategory.walking_arrow()
-    prod = pt.product(arrow_cat.opposite())
-    mor = next(m for m in prod.nonidentity_morphisms())
-
-    def diag(n0: int, n1: int, act) -> Presheaf:
-        return Presheaf(
-            prod,
-            {"*|0": FinSet(n0), "*|1": FinSet(n1)},
-            {mor: FinFunction(FinSet(n0), FinSet(n1), tuple(act))},
-        )
-
-    def diag_map(src, dst, t0, t1) -> PresheafMap:
-        return PresheafMap.from_tables(src, dst, {"*|0": t0, "*|1": t1})
-
-    zero = diag(0, 0, [])
-    gen0 = diag(1, 1, [0])  # hom(0,-)·1: constant single point
-    gen1 = diag(0, 1, [])  # hom(1,-)·1
-    x1 = diag(2, 1, [0, 0])
-    y1 = diag(1, 1, [0])
-    x2 = diag(3, 2, [0, 1, 0])
-    y2 = diag(2, 1, [0, 0])
-    presheaves = {
-        "zero": ("main", zero),
-        "gen0": ("main", gen0),
-        "gen1": ("main", gen1),
-        "x1": ("main", x1),
-        "y1": ("main", y1),
-        "x2": ("main", x2),
-        "y2": ("main", y2),
-    }
-    maps = {
-        "ja0": ("zero", "gen0", diag_map(zero, gen0, [], [])),
-        "ja1": ("zero", "gen1", diag_map(zero, gen1, [], [])),
-        "zz": ("zero", "zero", diag_map(zero, zero, [], [])),
-        "conn": ("gen1", "gen0", diag_map(gen1, gen0, [], [0])),
-        "alpha1": ("x1", "y1", diag_map(x1, y1, [0, 0], [0])),
-        "alpha2": ("x2", "y2", diag_map(x2, y2, [1, 0, 1], [0, 0])),
-    }
-    shape = arrow_cat.opposite().product(FiniteCategory.discrete(("j",)))
-    conn_mor = next(m for m in shape.nonidentity_morphisms())
-    return build_raw(
-        {"main": prod},
-        presheaves,
-        maps,
-        generators={
-            "JA": {
-                "shape": shape.to_json(),
-                "arrows": {"0|j": "ja0", "1|j": "ja1"},
-                "squares": {conn_mor: {"top": "zz", "bottom": "conn"}},
-            }
+    split-epi awfs serialized explicitly (shape 2^op × J).  The base is the
+    point times 2^op; the shape is 2^op times the discrete category on j."""
+    return {
+        "base": {
+            "objects": ["*|0", "*|1"],
+            "morphisms": [{"name": "id_*|a", "src": "*|1", "dst": "*|0"}],
+            "composition": [],
+            "identities": {"*|0": "id_*|id_0", "*|1": "id_*|id_1"},
         },
-        weq={"kind": "all"},
-    )
+        "presheaves": {
+            "zero": {"at": {"*|0": 0, "*|1": 0}, "act": {"id_*|a": []}},
+            # gen0 is hom(0,-)·1, the constant single point; gen1 is hom(1,-)·1
+            "gen0": {"at": {"*|0": 1, "*|1": 1}, "act": {"id_*|a": [0]}},
+            "gen1": {"at": {"*|0": 0, "*|1": 1}, "act": {"id_*|a": []}},
+            "x1": {"at": {"*|0": 2, "*|1": 1}, "act": {"id_*|a": [0, 0]}},
+            "y1": {"at": {"*|0": 1, "*|1": 1}, "act": {"id_*|a": [0]}},
+            "x2": {"at": {"*|0": 3, "*|1": 2}, "act": {"id_*|a": [0, 1, 0]}},
+            "y2": {"at": {"*|0": 2, "*|1": 1}, "act": {"id_*|a": [0, 0]}},
+        },
+        "maps": {
+            "ja0": {"src": "zero", "dst": "gen0", "components": {"*|0": [], "*|1": []}},
+            "ja1": {"src": "zero", "dst": "gen1", "components": {"*|0": [], "*|1": []}},
+            "zz": {"src": "zero", "dst": "zero", "components": {"*|0": [], "*|1": []}},
+            "conn": {"src": "gen1", "dst": "gen0", "components": {"*|0": [], "*|1": [0]}},
+            "alpha1": {"src": "x1", "dst": "y1", "components": {"*|0": [0, 0], "*|1": [0]}},
+            "alpha2": {"src": "x2", "dst": "y2", "components": {"*|0": [1, 0, 1], "*|1": [0, 0]}},
+        },
+        "generators": {
+            "JA": {
+                "shape": {
+                    "objects": ["0|j", "1|j"],
+                    "morphisms": [{"name": "a|id_j", "src": "1|j", "dst": "0|j"}],
+                    "composition": [],
+                    "identities": {"0|j": "id_0|id_j", "1|j": "id_1|id_j"},
+                },
+                "arrows": {"0|j": "ja0", "1|j": "ja1"},
+                "squares": {"a|id_j": {"top": "zz", "bottom": "conn"}},
+            },
+        },
+        "weq": {"kind": "all"},
+    }
 
 
 def _fix_proj_raw() -> dict:
     """Two bases: discrete pair (M side) and the walking arrow (K side), with
     the inclusion functor generating Lan ⊣ restriction."""
-    disc = FiniteCategory.discrete(("0", "1"))
-    arrow_cat = FiniteCategory.walking_arrow()
-
-    def pair(n0, n1) -> Presheaf:
-        return Presheaf(disc, {"0": FinSet(n0), "1": FinSet(n1)}, {})
-
-    def map01(src, dst, t0, t1) -> PresheafMap:
-        # both bases have the objects "0" and "1"
-        return PresheafMap.from_tables(src, dst, {"0": t0, "1": t1})
-
-    def arr(n0, n1, act) -> Presheaf:
-        return Presheaf(
-            arrow_cat,
-            {"0": FinSet(n0), "1": FinSet(n1)},
-            {"a": FinFunction(FinSet(n1), FinSet(n0), tuple(act))},
-        )
-
-    p00 = pair(0, 0)
-    p10 = pair(1, 0)
-    p01 = pair(0, 1)
-    p11 = pair(1, 1)
-    p21 = pair(2, 1)
-    k_a = arr(2, 1, [0])
-    k_b = arr(1, 1, [0])
-    k_c = arr(2, 1, [1])
-    presheaves = {
-        "p00": ("disc", p00),
-        "p10": ("disc", p10),
-        "p01": ("disc", p01),
-        "p11": ("disc", p11),
-        "p21": ("disc", p21),
-        "k_a": ("main", k_a),
-        "k_b": ("main", k_b),
-        "k_c": ("main", k_c),
-    }
-    maps = {
-        "j0": ("p00", "p10", map01(p00, p10, [], [])),
-        "j1": ("p00", "p01", map01(p00, p01, [], [])),
-        "m0": ("p11", "p11", map01(p11, p11, [0], [0])),
-        "m1": ("p11", "p21", map01(p11, p21, [1], [0])),
-        "m2": ("p21", "p11", map01(p21, p11, [0, 0], [0])),
-        "g1": ("k_a", "k_b", map01(k_a, k_b, [0, 0], [0])),
-        "g2": ("k_b", "k_b", map01(k_b, k_b, [0], [0])),
-        "g3": ("k_c", "k_b", map01(k_c, k_b, [0, 0], [0])),
-    }
-    return build_raw(
-        {"main": arrow_cat, "disc": disc},
-        presheaves,
-        maps,
-        generators={
+    return {
+        "base": {
+            "objects": ["0", "1"],
+            "morphisms": [{"name": "a", "src": "0", "dst": "1"}],
+            "composition": [],
+            "identities": {"0": "id_0", "1": "id_1"},
+        },
+        "bases": {
+            "disc": {
+                "objects": ["0", "1"],
+                "morphisms": [],
+                "composition": [],
+                "identities": {"0": "id_0", "1": "id_1"},
+            },
+        },
+        "presheaves": {
+            "p00": {"at": {"0": 0, "1": 0}, "act": {}, "base": "disc"},
+            "p10": {"at": {"0": 1, "1": 0}, "act": {}, "base": "disc"},
+            "p01": {"at": {"0": 0, "1": 1}, "act": {}, "base": "disc"},
+            "p11": {"at": {"0": 1, "1": 1}, "act": {}, "base": "disc"},
+            "p21": {"at": {"0": 2, "1": 1}, "act": {}, "base": "disc"},
+            "k_a": {"at": {"0": 2, "1": 1}, "act": {"a": [0]}},
+            "k_b": {"at": {"0": 1, "1": 1}, "act": {"a": [0]}},
+            "k_c": {"at": {"0": 2, "1": 1}, "act": {"a": [1]}},
+        },
+        "maps": {  # both bases have the objects "0" and "1"
+            "j0": {"src": "p00", "dst": "p10", "components": {"0": [], "1": []}},
+            "j1": {"src": "p00", "dst": "p01", "components": {"0": [], "1": []}},
+            "m0": {"src": "p11", "dst": "p11", "components": {"0": [0], "1": [0]}},
+            "m1": {"src": "p11", "dst": "p21", "components": {"0": [1], "1": [0]}},
+            "m2": {"src": "p21", "dst": "p11", "components": {"0": [0, 0], "1": [0]}},
+            "g1": {"src": "k_a", "dst": "k_b", "components": {"0": [0, 0], "1": [0]}},
+            "g2": {"src": "k_b", "dst": "k_b", "components": {"0": [0], "1": [0]}},
+            "g3": {"src": "k_c", "dst": "k_b", "components": {"0": [0, 0], "1": [0]}},
+        },
+        "generators": {
             "J": {"shape": "discrete", "arrows": {"j0": "j0", "j1": "j1"}},
             "I": {"shape": "discrete", "arrows": {"j0": "j0", "j1": "j1"}},
         },
-        weq={"kind": "all"},
-        taus={"tau": {"src": "J", "dst": "I", "objects": {"j0": "j0", "j1": "j1"}}},
-        adjunctions={
+        "weq": {"kind": "all"},
+        "taus": {"tau": {"src": "J", "dst": "I", "objects": {"j0": "j0", "j1": "j1"}}},
+        "adjunctions": {
             "lan": {
                 "kind": "lan_res",
                 "from_base": "disc",
@@ -238,7 +222,7 @@ def _fix_proj_raw() -> dict:
             },
             "ident": {"kind": "identity", "base": "disc"},
         },
-    )
+    }
 
 
 _BUILDERS = {

@@ -224,11 +224,7 @@ def from_json(data: dict) -> InstanceFile:
     if "main" not in bases:
         raise ValidationError("base", "missing main base category")
     for bname, cat in bases.items():
-        try:
-            cat.validate()
-        except ValidationError as exc:  # its paths start with "base."
-            path = paths[bname] + exc.path.removeprefix("base")
-            raise ValidationError(path, exc.message) from None
+        cat.validate(paths[bname])
 
     presheaves: dict[str, Presheaf] = {}
     for pname, pdata in expect_object(data.get("presheaves", {}), "presheaves").items():
@@ -293,46 +289,3 @@ def load(path: str) -> InstanceFile:
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ValidationError("instance", str(exc)) from None
     return from_json(data)
-
-
-def build_raw(
-    bases: dict[str, FiniteCategory],
-    presheaves: dict[str, tuple[str, Presheaf]],
-    maps: dict[str, tuple[str, str, PresheafMap]],
-    generators: dict[str, dict] | None = None,
-    weq=None,
-    taus: dict[str, dict] | None = None,
-    adjunctions: dict[str, dict] | None = None,
-    options: dict | None = None,
-) -> dict:
-    """Assemble a raw instance document from constructed objects.
-
-    presheaves: name -> (base name, presheaf); maps: name -> (src name, dst
-    name, map).
-    """
-    out: dict = {}
-    base_items = dict(bases)
-    out["base"] = base_items.pop("main").to_json()
-    if base_items:
-        out["bases"] = {n: c.to_json() for n, c in base_items.items()}
-    out["presheaves"] = {}
-    for pname, (bname, p) in presheaves.items():
-        entry = p.to_json()
-        if bname != "main":
-            entry["base"] = bname
-        out["presheaves"][pname] = entry
-    out["maps"] = {
-        mname: {"src": s, "dst": d, "components": m.table_json()}
-        for mname, (s, d, m) in maps.items()
-    }
-    if generators:
-        out["generators"] = generators
-    if weq is not None:
-        out["weq"] = weq
-    if taus:
-        out["taus"] = taus
-    if adjunctions:
-        out["adjunctions"] = adjunctions
-    if options:
-        out["options"] = options
-    return out

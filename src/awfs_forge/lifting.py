@@ -80,6 +80,11 @@ class GeneratorDiagram:
         return not self.shape.nonidentity_morphisms()
 
     def validate(self, path: str = "generators") -> None:
+        """The shape's category laws (under `path`.shape), then the diagram's
+        functor laws.  Identity squares are checked to be identities, so
+        functoriality holds on every pair that contains an identity and is
+        checked on the other pairs."""
+        self.shape.validate(f"{path}.shape")
         for o in self.shape.objects:
             if o not in self.arrow_of:
                 raise ValidationError(f"{path}.{o}", "missing generator arrow")
@@ -96,8 +101,9 @@ class GeneratorDiagram:
                 arr, arr, PresheafMap.identity(arr.dom), PresheafMap.identity(arr.cod)
             ):
                 raise ValidationError(f"{path}.squares.{i}", "identity is not the identity square")
-        for f in self.shape.morphisms:
-            for g in self.shape.morphisms:
+        arrows = self.shape.nonidentity_morphisms()
+        for f in arrows:
+            for g in arrows:
                 if self.shape.dst(f) != self.shape.src(g):
                     continue
                 gf = self.shape.compose(g, f)
@@ -355,6 +361,8 @@ def check_lifting_function(diagram: GeneratorDiagram, lf: LiftingFunction) -> La
                 report.record("fill.present", probe, False)
                 continue
             try:
+                w.src.validate()  # the precondition of the map's validate
+                w.dst.validate()
                 w.validate()
                 report.record("fill.natural", probe, True)
             except ValidationError as exc:

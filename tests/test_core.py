@@ -25,7 +25,7 @@ from awfs_forge.core import (
     pushout,
     quotient_presheaf,
 )
-from awfs_forge.fixtures import finmap, finset, graph, graph_map
+from awfs_forge.fixtures import finmap, finset, graph
 from awfs_forge.lifting import enumerate_squares, oracle_lift, square_key
 from brute_force import brute_force_maps
 

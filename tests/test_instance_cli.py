@@ -639,6 +639,32 @@ def test_validate_rejects_unreadable_instance_files(damage, tmp_path, capsys):
     assert err.startswith("invalid: instance: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "composition, path",
+    [
+        ([], "generators.JA.shape.compose.b∘a|id_j: missing composite"),
+        (
+            [["b", "a|id_j", "a|id_j"], ["b", "b", "b"], ["a|id_j", "a|id_j", "b"]],
+            "generators.JA.shape.compose.a|id_j∘a|id_j: pair not composable",
+        ),
+    ],
+    ids=["missing-composite", "not-composable"],
+)
+def test_generator_shapes_are_law_checked(composition, path, tmp_path, capsys):
+    # FIX-PW's shape with an endomorphism b of 0|j; the shape is checked as
+    # a base is, before the diagram's functor laws
+    raw = fixture_raw("FIX-PW")
+    ja = raw["generators"]["JA"]
+    ja["shape"]["morphisms"].append({"name": "b", "src": "0|j", "dst": "0|j"})
+    ja["shape"]["composition"] = composition
+    raw["maps"]["idg0"] = {"src": "gen0", "dst": "gen0", "components": {"*|0": [0], "*|1": [0]}}
+    ja["squares"]["b"] = {"top": "zz", "bottom": "idg0"}
+    inst = tmp_path / "shape.json"
+    inst.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["validate", str(inst)]) == 1
+    assert capsys.readouterr().err == f"invalid: {path}\n"
+
+
 @pytest.mark.parametrize("damage", ["truncate", "stage_tables"])
 def test_verify_cert_rejects_malformed_certificates(damage, tmp_path, capsys):
     out = tmp_path / "cert.json"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import PresheafMap, all_maps, eq_witness
-from awfs_forge.fixtures import finmap, finset, fixture, graph, graph_map
+from awfs_forge.fixtures import finmap, finset, fixture, graph
 from awfs_forge.lifting import (
     AlgebraStructure,
     CoalgebraStructure,

@@ -2,7 +2,7 @@ import pytest
 
 from awfs_forge.arrows import ArrowObject, Square, verify_awfs
 from awfs_forge.core import PresheafMap, eq_witness
-from awfs_forge.fixtures import FIXTURE_NAMES, finmap, finset, fixture, graph, graph_map
+from awfs_forge.fixtures import FIXTURE_NAMES, finmap, finset, fixture, graph
 from awfs_forge.lifting import (
     GeneratorDiagram,
     check_coalgebra_laws,
