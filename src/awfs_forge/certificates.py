@@ -17,7 +17,7 @@ from .core import (
     pool_key,
 )
 from .instance import InstanceFile
-from .lifting import GeneratorDiagram, fill_table, generator_block, lift_blocks
+from .lifting import GeneratorDiagram, generator_block, lift_blocks
 from .model import (
     ReplacementMonad,
     TauData,
@@ -25,7 +25,7 @@ from .model import (
     model_blocks,
     replacement_candidates,
 )
-from .soa import GeneratedAwfs, NonConvergence, run_soa, soa_blocks
+from .soa import GeneratedAwfs, NonConvergence, record_block, run_soa, soa_blocks
 from .transport import (
     build_mates,
     lift_T_coalg,
@@ -83,50 +83,12 @@ class CertPool:
         return block
 
 
-def _arrow_entry(pool: CertPool, gen: GeneratedAwfs, rec, structure=None) -> dict:
-    """The record's certificate entry, with the pooled `structure` (its δ and
-    μ, from `soa_blocks`) when given."""
-    entry = {
-        "f": pool.add_map(rec.f.f),
-        "stages": [pool.add_presheaf(s) for s in rec.stages],
-        "inclusions": [pool.add_map(m) for m in rec.inclusions],
-        "rmaps": [pool.add_map(m) for m in rec.rmaps],
-        "cells": [
-            {
-                "stage": c.stage,
-                "j": c.jname,
-                "top": pool.add_map(c.square.u),
-                "bottom": pool.add_map(c.square.v),
-                "injection": pool.add_map(c.injection),
-            }
-            for c in rec.cells
-        ],
-        "left": pool.add_map(rec.left()),
-        "mid": pool.add_presheaf(rec.mid()),
-        "right": pool.add_map(rec.right()),
-        "trace": rec.trace,
-        "variant": rec.variant,
-        "fills": [
-            {
-                "j": jname,
-                "top": pool.add_map(sq.u),
-                "bottom": pool.add_map(sq.v),
-                "fill": pool.add_map(fill),
-            }
-            for jname, sq, fill in fill_table(gen.diagram, rec)
-        ],
-    }
-    if structure:
-        entry.update(pool.add(structure))
-    return entry
-
-
 def _arrow_entries(pool: CertPool, gen: GeneratedAwfs, structure=None) -> dict:
     """Every record the engine made, by pooled arrow, with its δ and μ where
     `structure` (by arrow) holds them."""
     structure = structure or {}
     return {
-        pool.add_map(rec.f.f): _arrow_entry(pool, gen, rec, structure.get(rec.f))
+        pool.add_map(rec.f.f): pool.add(record_block(gen.diagram, rec, structure.get(rec.f)))
         for rec in list(gen.records.values())
     }
 

@@ -116,21 +116,25 @@ def _parse_generators(name: str, data: dict, maps: dict[str, PresheafMap]) -> Ge
     shape_data = expect_object(data, path).get("shape", "discrete")
     arrows = {}
     for obj, mname in expect_object(data.get("arrows", {}), f"{path}.arrows").items():
-        if mname not in maps:
-            raise ValidationError(f"generators.{name}.arrows.{obj}", f"unknown map {mname}")
+        if not isinstance(mname, str) or mname not in maps:
+            raise ValidationError(f"{path}.arrows.{obj}", f"unknown map {mname}")
         arrows[obj] = ArrowObject(maps[mname])
     if shape_data == "discrete":
         diagram = GeneratorDiagram.discrete(arrows)
     else:
         shape = _category(shape_data, f"{path}.shape")
+        for obj in shape.objects:
+            if obj not in arrows:
+                raise ValidationError(f"{path}.arrows.{obj}", "missing generator arrow")
         squares = {}
-        for mor, sq in data.get("squares", {}).items():
-            top, bottom = sq["top"], sq["bottom"]
+        for mor, sq in expect_object(data.get("squares", {}), f"{path}.squares").items():
+            where = f"{path}.squares.{mor}"
+            if mor not in shape.morphisms:
+                raise ValidationError(where, "unknown shape morphism")
+            top, bottom = expect_object(sq, where).get("top"), sq.get("bottom")
             for m in (top, bottom):
-                if m not in maps:
-                    raise ValidationError(
-                        f"generators.{name}.squares.{mor}", f"unknown map {m}"
-                    )
+                if not isinstance(m, str) or m not in maps:
+                    raise ValidationError(where, f"unknown map {m}")
             squares[mor] = Square(
                 arrows[shape.src(mor)], arrows[shape.dst(mor)], maps[top], maps[bottom]
             )

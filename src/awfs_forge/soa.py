@@ -20,6 +20,7 @@ such generators and stops at a stage that merged old elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .arrows import (
@@ -51,6 +52,7 @@ from .lifting import (
     LiftingFunction,
     enumerate_new_squares,
     enumerate_squares,
+    fill_table,
 )
 
 
@@ -98,14 +100,18 @@ class ArrowRecord:
     cells: list[CellRecord]
     variant: str
 
-    def __post_init__(self):
-        self.cell_index = {
-            (c.stage, c.jname, c.square.u.tables, c.square.v): c for c in self.cells
-        }
-        self.cells_by_stage: list[list[CellRecord]] = [[] for _ in self.stages]
+    @cached_property
+    def cell_index(self) -> dict[tuple, CellRecord]:
+        """(stage, j, top tables, bottom) -> the cell attached along that square."""
+        return {(c.stage, c.jname, c.square.u.tables, c.square.v): c for c in self.cells}
+
+    @cached_property
+    def cells_by_stage(self) -> list[list[CellRecord]]:
+        """stage -> its cells, in record order."""
+        out: list[list[CellRecord]] = [[] for _ in self.stages]
         for c in self.cells:
-            self.cells_by_stage[c.stage].append(c)
-        self._left = self.inclusion_range(0, len(self.stages) - 1)
+            out[c.stage].append(c)
+        return out
 
     @property
     def trace(self) -> list[int]:
@@ -114,6 +120,10 @@ class ArrowRecord:
     def inclusion_range(self, lo: int, hi: int) -> PresheafMap:
         """E^lo -> E^hi: stage inclusions are prefixes, so a change of codomain."""
         return PresheafMap.identity(self.stages[lo]).retarget(self.stages[hi])
+
+    @cached_property
+    def _left(self) -> PresheafMap:
+        return self.inclusion_range(0, len(self.stages) - 1)
 
     def left(self) -> PresheafMap:
         return self._left
@@ -127,6 +137,41 @@ class ArrowRecord:
     def fill(self, jname: str, sq: Square) -> PresheafMap:
         """Fill of a square from generator `jname` into the right factor."""
         return _minimal_fill(self.stages, self.cell_index, jname, sq)
+
+
+def record_block(diagram: GeneratorDiagram, rec, structure: dict | None = None) -> dict:
+    """A record's certificate entry: its arrow, stages, inclusions, right
+    maps, cells and variant; what these determine, its factors, stage sizes
+    and fill table (`lifting.fill_table`); and `structure` (its δ and μ, from
+    `soa_blocks`) when given."""
+    cells = [
+        {
+            "stage": c.stage,
+            "j": c.jname,
+            "top": c.square.u,
+            "bottom": c.square.v,
+            "injection": c.injection,
+        }
+        for c in rec.cells
+    ]
+    fills = [
+        {"j": jname, "top": sq.u, "bottom": sq.v, "fill": fill}
+        for jname, sq, fill in fill_table(diagram, rec)
+    ]
+    return {
+        "f": rec.f.f,
+        "stages": rec.stages,
+        "inclusions": rec.inclusions,
+        "rmaps": rec.rmaps,
+        "cells": cells,
+        "left": rec.left(),
+        "mid": rec.mid(),
+        "right": rec.right(),
+        "trace": rec.trace,
+        "variant": rec.variant,
+        "fills": fills,
+        **(structure or {}),
+    }
 
 
 def _minimal_fill(stages, cell_index, jname, sq: Square) -> PresheafMap:

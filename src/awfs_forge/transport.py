@@ -56,6 +56,9 @@ class FunctorData:
                 raise ValidationError(f"{path}.{m}", "missing morphism image")
             if self.dst.morphisms[mm] != (self.on_objects[a], self.on_objects[b]):
                 raise ValidationError(f"{path}.{m}", "image ill-typed")
+        for o, i in self.src.identities.items():
+            if self.mor(i) != self.dst.identities[self.obj(o)]:
+                raise ValidationError(f"{path}.{i}", "does not preserve identities")
         for (g, f), h in self.src.compose_table.items():
             if self.dst.compose(self.mor(g), self.mor(f)) != self.mor(h):
                 raise ValidationError(f"{path}.compose.{g}∘{f}", "does not preserve composition")

@@ -8,28 +8,32 @@ It shares three things with the engine.  One is the cell rules, which fix a
 map out of a cellular object by where each cell goes: E on squares, μ, δ and
 λ (`soa.e_rule`, `mu_rule`, `delta_rule`, `lam_rule`) and the comparison map
 ξ (`model.xi_rule`).  It runs them over certified records, whose fills are
-the certified fill tables; `CertifiedEngine.check_record` matches every table
-entry against the verifier's own `fill_rule` before any rule reads it.  The
-second is the law suites, rerun over the certified records.  The third is the
-functions that derive each block of a certificate from the instance and the
-records (`lifting.generator_block`, `lift_blocks`, `soa.soa_blocks`,
+its own `CertifiedEngine.fill_rule`, once per square.  The second is the law
+suites, rerun over the certified records.  The third is the functions that
+derive each block of a certificate from the instance and the records
+(`lifting.generator_block`, `lift_blocks`, `soa.record_block`, `soa_blocks`,
 `model.model_blocks`, over `InstanceFile.requested_arrows`): the verifier
 recomputes every block over the certified records and requires the
 certificate's block whole, with the same keys and equal tables behind its
-pool keys.  Each generator block must describe the instance's generator
-diagram that its label names, and everything runs over that diagram.
+pool keys.  Of a record entry it parses only the primary fields, `f`,
+`stages`, `inclusions`, `rmaps`, `cells` and `variant` (the options'
+variant where they name one); after `check_record`, and `soa_blocks` for δ
+and μ, the entry must be `soa.record_block` of its record, which recomputes
+`left`, `mid`, `right`, `trace`, the fill table and the named arrows' δ and
+μ, so no field can be added, dropped or changed.  Each generator block must
+describe the instance's generator diagram that its label names, and
+everything runs over that diagram.
 
 The records themselves it checks on its own: content addressing and the
 naturality of every pooled map; each record's structure, with injective stage
 inclusions under both variants; stage completeness by its own square search
 (stage k's cells must be exactly the squares into r_{k-1} whose top edge
 leaves the image of inclusion k-2, all squares into r_0 at stage 1);
-covering; convergence within `max_steps` stages; every fill against
-`fill_rule`, which factors through the inclusions by inverse lookup, so
-inclusions need not be prefixes, and by its two triangles (a natural map
-that passes both is one of `lifting.oracle_lift`'s fillers by definition, so
-the oracle is not rerun); and the fill table's coherence along the generator
-shape.  Since every
+covering; convergence within `max_steps` stages; both triangles of every
+fill, which `fill_rule` finds by factoring through the inclusions by inverse
+lookup, so inclusions need not be prefixes (a natural map that passes both is
+one of `lifting.oracle_lift`'s fillers by definition, so the oracle is not
+rerun); and the fills' coherence along the generator shape.  Since every
 derived block is recomputed from these records, a lift certificate's fills
 must be the record's fills, ξ_f its cell replay (ξ's lifting problem can
 have several fillers) and χ the canonical two-route lift that the law suites
@@ -42,8 +46,9 @@ on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import partial
 from itertools import chain
+from typing import Callable
 
 from .arrows import ArrowObject, Square
 from .core import (
@@ -67,7 +72,17 @@ from .lifting import (
     lift_blocks,
 )
 from .model import build_model_structure, model_blocks, replacement_candidates
-from .soa import CellRecord, RecordAwfs, delta_rule, e_rule, lam_rule, mu_rule, soa_blocks
+from .soa import (
+    ArrowRecord,
+    CellRecord,
+    RecordAwfs,
+    delta_rule,
+    e_rule,
+    lam_rule,
+    mu_rule,
+    record_block,
+    soa_blocks,
+)
 
 
 class CertificateError(Exception):
@@ -113,33 +128,22 @@ class _Pools:
 
 
 @dataclass
-class _Record:
-    """A certified record, with the interface the cell rules read (see
-    `soa.e_rule`); its fills come from the certified fill table, which
-    `CertifiedEngine.check_record` matches against `fill_rule`."""
+class _Record(ArrowRecord):
+    """A certified record.  It differs from the engine's in what it may not
+    assume: stage inclusions need not be prefixes, so maps factor through
+    them by inverse lookup, and each fill is `rule`, the verifier's
+    `fill_rule` bound to the record's path, run once per square."""
 
-    f: PresheafMap
-    stages: list[Presheaf]
-    inclusions: list[PresheafMap]
-    rmaps: list[PresheafMap]
-    cells: list[CellRecord]
-    fills: dict[tuple[str, PresheafMap, PresheafMap], PresheafMap]  # (j, top, bottom) -> fill
-    left_map: PresheafMap
-    right_map: PresheafMap
+    rule: Callable[..., PresheafMap]  # (record, j, square) -> fill
     _lookups: dict[int, dict] = field(default_factory=dict)  # inclusion -> its inverse
     _ranges: dict[tuple[int, int], PresheafMap] = field(default_factory=dict)
-
-    def left(self) -> PresheafMap:
-        return self.left_map
-
-    def right(self) -> PresheafMap:
-        return self.right_map
-
-    def mid(self) -> Presheaf:
-        return self.stages[-1]
+    _fills: dict[tuple, PresheafMap] = field(default_factory=dict)  # (j, top, bottom) -> fill
 
     def fill(self, jname: str, sq: Square) -> PresheafMap:
-        return self.fills[(jname, sq.u, sq.v)]
+        key = (jname, sq.u, sq.v)
+        if key not in self._fills:
+            self._fills[key] = self.rule(self, jname, sq)
+        return self._fills[key]
 
     def inclusion_range(self, lo: int, hi: int) -> PresheafMap:
         if (lo, hi) not in self._ranges:
@@ -159,22 +163,6 @@ class _Record:
     def factor(self, u: PresheafMap, b: int) -> PresheafMap | None:
         """`u` factored through inclusion b, or None."""
         return factor_through(u, self.inclusions[b], self.lookup(b))
-
-    @cached_property
-    def cells_by_stage(self) -> list[list[CellRecord]]:
-        """stage -> its cells, in certificate order."""
-        out: list[list[CellRecord]] = [[] for _ in self.stages]
-        for c in self.cells:
-            out[c.stage].append(c)
-        return out
-
-    @cached_property
-    def cell_index(self) -> dict[tuple, CellRecord]:
-        """(stage, j, top, bottom) -> the first cell with those fields."""
-        out: dict[tuple, CellRecord] = {}
-        for c in self.cells:
-            out.setdefault((c.stage, c.jname, c.square.u, c.square.v), c)
-        return out
 
 
 def _replayed(rule, *args, where: str) -> PresheafMap:
@@ -221,13 +209,6 @@ class CertifiedEngine(RecordAwfs):
             _require(len(rmaps) == len(stages), w, "rmaps/stages length mismatch")
             bounded = max_steps is None or len(stages) <= max_steps
             _require(bounded, w, f"more stages than max_steps {max_steps} allows")
-            _require(
-                pools.p(entry["mid"], w) == stages[-1]
-                and entry["trace"] == [s.total_size for s in stages]
-                and variant in (None, entry["variant"]),
-                w,
-                "mid, trace or variant is not the certified one",
-            )
             cells = []
             for c in entry["cells"]:
                 stage = c["stage"]
@@ -241,21 +222,11 @@ class CertifiedEngine(RecordAwfs):
                     pools.m(c["bottom"], w),
                 )
                 cells.append(CellRecord(stage, c["j"], sq, pools.m(c["injection"], w)))
-            fills = {}
-            for fill in entry["fills"]:
-                top = pools.m(fill["top"], w)
-                bottom = pools.m(fill["bottom"], w)
-                fills[(fill["j"], top, bottom)] = pools.m(fill["fill"], w)
-            _require(len(fills) == len(entry["fills"]), w, "two fills share a square")
+            # a given variant is the one that the entry must name
+            rec_variant = entry["variant"] if variant is None else variant
+            rule = partial(self.fill_rule, where=w)
             self.records[fkey] = _Record(
-                f,
-                stages,
-                inclusions,
-                rmaps,
-                cells,
-                fills,
-                pools.m(entry["left"], w),
-                pools.m(entry["right"], w),
+                ArrowObject(f), stages, inclusions, rmaps, cells, rec_variant, rule
             )
             self._by_arrow.setdefault(f, self.records[fkey])
         for fkey in self.records:
@@ -266,14 +237,9 @@ class CertifiedEngine(RecordAwfs):
     def check_record(self, fkey: str) -> None:
         rec = self.records[fkey]
         w = f"{self.where}.{fkey}"
-        _require(rec.stages[0] == rec.f.src, w, "stage 0 is not the domain")
-        _require(rec.rmaps[0] == rec.f, w, "r_0 is not the arrow")
+        _require(rec.stages[0] == rec.f.dom, w, "stage 0 is not the domain")
+        _require(rec.rmaps[0] == rec.f.f, w, "r_0 is not the arrow")
         _require(len(rec.inclusions) == len(rec.stages) - 1, w, "inclusions length mismatch")
-        left, right = rec.left(), rec.right()
-        _require(rec.stages[-1] == left.dst, w, "left factor lands off the last stage")
-        _require(left == rec.inclusion_range(0, len(rec.stages) - 1), w, "left factor is not the stage composite")
-        _require(right == rec.rmaps[-1], w, "right factor is not the last r")
-        _require(eq_witness(left.then(right), rec.f) is None, w, "R∘L ≠ f")
         for b, incl in enumerate(rec.inclusions):
             _require(incl.src == rec.stages[b] and incl.dst == rec.stages[b + 1], w, "inclusion ill-typed")
             _require(incl.is_injective(), w, f"stage inclusion {b} not injective")
@@ -282,8 +248,8 @@ class CertifiedEngine(RecordAwfs):
                 w,
                 f"r_{b + 1} does not restrict to r_{b}",
             )
+        _require(eq_witness(rec.left().then(rec.right()), rec.f.f) is None, w, "R∘L ≠ f")
         # cells: attaching data and gluing laws
-        by_stage: dict[int, dict[tuple, CellRecord]] = {}
         for c in rec.cells:  # stages are in range: the loader checked them
             stage, sq = c.stage, c.square
             _require(sq.commutes(), w, "cell attaching square does not commute")
@@ -298,9 +264,7 @@ class CertifiedEngine(RecordAwfs):
                 w,
                 "cell injection incompatible with r",
             )
-            attached = by_stage.setdefault(stage, {})
-            _require((c.jname, sq.u, sq.v) not in attached, w, "two cells share a square")
-            attached[(c.jname, sq.u, sq.v)] = c
+        _require(len(rec.cell_index) == len(rec.cells), w, "two cells share a square")
         # stage completeness and convergence: past stage 1, the new squares
         # are those whose top edge leaves the image of the inclusion before,
         # so a cell whose top edge stays inside it is rejected here
@@ -315,23 +279,8 @@ class CertifiedEngine(RecordAwfs):
                     else enumerate_new_squares(j, r_prev, rec.lookup(stage - 2))
                 )
                 expected.update((jname, sq.u, sq.v) for sq in squares)
-            got = by_stage.get(stage, {})
-            _require(
-                expected == set(got),
-                w,
-                f"stage {stage} cells do not match the new squares",
-            )
-        r_last = ArrowObject(rec.rmaps[-1])
-        for jname in self.diagram.objects():
-            j = self.diagram.arrow_of[jname]
-            for sq in enumerate_squares(j, r_last):
-                if len(rec.inclusions) == 0:
-                    raise CertificateError(w, "unconverged: squares remain at stage 0")
-                _require(
-                    rec.factor(sq.u, len(rec.inclusions) - 1) is not None,
-                    w,
-                    "not converged: a square does not factor through the last stage",
-                )
+            got = {(c.jname, c.square.u, c.square.v) for c in rec.cells_by_stage[stage]}
+            _require(expected == got, w, f"stage {stage} cells do not match the new squares")
         # covering: every stage element reached by the inclusion or a cell
         for stage in range(1, len(rec.stages)):
             target = rec.stages[stage]
@@ -343,41 +292,39 @@ class CertifiedEngine(RecordAwfs):
                         hit[v] = True
             for o, hit in zip(target.base.objects, seen):
                 _require(all(hit), w, f"stage {stage} has unreachable elements at {o}")
-        # fills: completeness, the minimal-stage rule and both triangles (a
-        # natural map passing both is one of the square's fillers)
-        expected_fills = set()
+        # convergence, and each square's fill (`fill_rule`) by both triangles:
+        # a natural map passing both is one of the square's fillers
+        r_last = ArrowObject(rec.rmaps[-1])
         for jname in self.diagram.objects():
             j = self.diagram.arrow_of[jname]
             for sq in enumerate_squares(j, r_last):
-                key = (jname, sq.u, sq.v)
-                expected_fills.add(key)
-                _require(key in rec.fills, w, "missing fill for a square")
-                fill = rec.fills[key]
+                if len(rec.inclusions) == 0:
+                    raise CertificateError(w, "unconverged: squares remain at stage 0")
                 _require(
-                    eq_witness(fill, self.fill_rule(rec, jname, sq, w)) is None,
+                    rec.factor(sq.u, len(rec.inclusions) - 1) is not None,
                     w,
-                    "fill differs from the minimal-stage cell",
+                    "not converged: a square does not factor through the last stage",
                 )
+                fill = rec.fill(jname, sq)
                 _require(eq_witness(j.f.then(fill), sq.u) is None, w, "fill top triangle fails")
                 _require(
                     eq_witness(fill.then(rec.rmaps[-1]), sq.v) is None,
                     w,
                     "fill bottom triangle fails",
                 )
-        _require(set(rec.fills) == expected_fills, w, "extra fills present")
         # coherence along the generator shape (`lifting.check_lifting_function`):
         # the fill of a square composed with a connecting square is the
         # connecting square's bottom edge followed by the fill
         shape = self.diagram.shape
         for m in shape.nonidentity_morphisms():
             jp, jn, conn = shape.src(m), shape.dst(m), self.diagram.square_of[m]
-            for (jname, u, v), fill in rec.fills.items():
-                if jname == jn:
-                    _require(
-                        rec.fills[(jp, conn.u.then(u), conn.v.then(v))] == conn.v.then(fill),
-                        w,
-                        f"fills are not coherent along {m}",
-                    )
+            for sq in enumerate_squares(self.diagram.arrow_of[jn], r_last):
+                composite = Square(conn.src, r_last, conn.u.then(sq.u), conn.v.then(sq.v))
+                _require(
+                    rec.fill(jp, composite) == conn.v.then(rec.fill(jn, sq)),
+                    w,
+                    f"fills are not coherent along {m}",
+                )
 
     # -- replay rules --------------------------------------------------------
 
@@ -388,7 +335,7 @@ class CertifiedEngine(RecordAwfs):
             if down is None:
                 break
             gamma, u_min = gamma - 1, down
-        c = rec.cell_index.get((gamma + 1, jname, u_min, sq.v))
+        c = rec.cell_index.get((gamma + 1, jname, u_min.tables, sq.v))
         _require(c is not None, where, "no minimal-stage cell for a fill")
         return c.injection.then(rec.inclusion_range(gamma + 1, len(rec.stages) - 1))
 
@@ -439,8 +386,6 @@ _MISMATCH = {  # block -> what a differing entry of it means
     "named": "certified arrow differs from the instance map",
     "stage_tables": "trace does not match the certified stages",
     "lambdas": "unit coalgebra differs from the fill rule",
-    "delta": "delta differs from the composite replay",
-    "mu": "mu differs from the stage-collapse replay",
     "lifting_functions": "fill table differs from the certified record",
     "xi": "xi differs from the cell replay",
     "replacement": "table differs from the replacement (co)monads",
@@ -527,6 +472,16 @@ def _factored(instance: InstanceFile, payload: dict, options: dict, variant: str
     return pools, engine, named
 
 
+def _match_records(pools: _Pools, engine: CertifiedEngine, block: dict, structure=None) -> None:
+    """Each record entry of `block` is `soa.record_block` of its checked
+    record whole, with its δ and μ where `structure` (by arrow) holds them."""
+    structure = structure or {}
+    for fkey, rec in engine.records.items():
+        want = record_block(engine.diagram, rec, structure.get(rec.f))
+        where = f"{engine.where}.{fkey}"
+        _match(pools, block[fkey], want, where, "differs from the recomputed record entry")
+
+
 def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
     variant = payload["variant"]
     _require(
@@ -537,23 +492,14 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) ->
     bound = _step_bound(options, payload)
     pools, engine, named = _factored(instance, payload, options, variant, bound)
     blocks, structure = soa_blocks(engine, named, variant)
-    # δ and μ: in exactly the named arrows' entries, under the monic variant
-    for fkey, entry in payload["arrows"].items():
-        where = f"arrows.{fkey}"
-        want = structure.get(ArrowObject(engine.records[fkey].f), {})
-        _require(
-            entry.keys() & {"delta", "mu"} == want.keys(),
-            where,
-            "delta and mu are not those of a named arrow under the monic variant",
-        )
-        for key, value in want.items():
-            _match(pools, entry[key], value, f"{where}.{key}", _MISMATCH[key])
+    _match_records(pools, engine, payload["arrows"], structure)
     _match_blocks(pools, payload, blocks)
 
 
 def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
     variant, bound = options.get("variant"), _step_bound(options)
     pools, engine, named = _factored(instance, payload, options, variant, bound)
+    _match_records(pools, engine, payload["arrows"])
     _match_blocks(pools, payload, lift_blocks(engine, named))
 
 
@@ -575,6 +521,8 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
     limits = options.get("variant"), _step_bound(options)
     engine_j = CertifiedEngine(pools, diagram_j, payload["arrows_j"], "arrows_j", *limits)
     engine_i = CertifiedEngine(pools, diagram_i, payload["arrows_i"], "arrows_i", *limits)
+    _match_records(pools, engine_j, payload["arrows_j"])
+    _match_records(pools, engine_i, payload["arrows_i"])
     amstr = build_model_structure(engine_j, engine_i, tau, instance.weq)
     # the objects `model_certificate` tries, less those it reports unconverged
     candidates = replacement_candidates(instance.presheaves, diagram_j.base)

@@ -2,8 +2,9 @@
 `model` certificate with the certificate writer's own functions and requires
 each block whole: cut or replaced blocks, generator blocks that do not
 describe the instance's diagram, re-hashed single-entry flips of any pooled
-map and records with more stages than the certificate's `max_steps` allows
-are all rejected, and every honest certificate verifies."""
+map, record entries with a key more or less or a derived field flipped, and
+records with more stages than the certificate's `max_steps` allows are all
+rejected, and every honest certificate verifies."""
 
 import copy
 import json
@@ -12,7 +13,14 @@ import random
 import pytest
 
 from awfs_forge.cli import main
-from awfs_forge.core import canonical_dumps, sha256_hex
+from awfs_forge.core import (
+    Presheaf,
+    PresheafMap,
+    ValidationError,
+    all_maps,
+    canonical_dumps,
+    sha256_hex,
+)
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.instance import from_json
 from awfs_forge.soa import NonConvergence, run_soa
@@ -61,7 +69,7 @@ def _other_lambda(payload):
 
 
 @pytest.mark.parametrize("variant, damage, where, message", [
-    ("monic", _cut_structure, "arrows.", "delta and mu are not those of a named arrow"),
+    ("monic", _cut_structure, "arrows.", "entries differ from the recomputed ones"),
     ("monic", lambda p: p.update(lambdas={}), "lambdas", "entries differ"),
     ("monic", _cut_named, "named", "entries differ"),
     ("standard", _other_lambda, "lambdas.j", "unit coalgebra differs from the fill rule"),
@@ -189,6 +197,118 @@ def test_verify_cert_rejects_every_rehashed_flip(name, argv, sample, tmp_path):
     assert accepted == []
 
 
+def _other_maps(instance, payload: dict, key: str):
+    """The contents of natural maps with the endpoints of pooled map `key`
+    and other tables: the other pooled ones, those that differ from it in one
+    table entry and, when its domain has at most 9 elements, every one."""
+    content = payload["maps"][key]
+    for k, other in sorted(payload["maps"].items()):
+        if k != key and (other["src"], other["dst"]) == (content["src"], content["dst"]):
+            yield other
+    src, dst = (
+        Presheaf.from_json(instance.bases[c["base"]], c)
+        for c in (payload["presheaves"][content["src"]], payload["presheaves"][content["dst"]])
+    )
+    for o, table in sorted(content["components"].items()):
+        for i, v in enumerate(table):
+            for w in range(payload["presheaves"][content["dst"]]["at"][o]):
+                if w == v:
+                    continue
+                tables = copy.deepcopy(content["components"])
+                tables[o][i] = w
+                try:
+                    PresheafMap.from_tables(src, dst, tables).validate()
+                except ValidationError:
+                    continue
+                yield dict(content, components=tables)
+    if src.total_size <= 9:
+        for m in all_maps(src, dst):
+            if m.table_json() != content["components"]:
+                yield dict(content, components=m.table_json())
+
+
+def _field_flips(instance, payload: dict, fields: tuple[str, ...]):
+    """Single-field flips of the record entries under `arrows`: (record key,
+    field, change), where `change(payload, entry)` points a map field at
+    another natural map with its endpoints, pooled under its own hash, points
+    `mid` at another pooled presheaf, or moves one `trace` entry by one."""
+
+    def repoint(field, content, i=None):
+        def change(payload, entry):
+            (entry if i is None else entry["fills"][i])[field] = _pooled(payload, "maps", content)
+        return change
+
+    def bump(k):
+        def change(payload, entry):
+            entry["trace"][k] += 1
+        return change
+
+    for fkey, entry in sorted(payload["arrows"].items()):
+        for field in fields:
+            if field == "mid":
+                for p in sorted(set(payload["presheaves"]) - {entry["mid"]}):
+                    yield fkey, field, lambda payload, e, p=p: e.update(mid=p)
+            elif field == "trace":
+                for k in range(len(entry["trace"])):
+                    yield fkey, field, bump(k)
+            elif field == "fill":
+                for i, fill in enumerate(entry["fills"]):
+                    for content in _other_maps(instance, payload, fill["fill"]):
+                        yield fkey, field, repoint("fill", content, i)
+            elif field in entry:
+                for content in _other_maps(instance, payload, entry[field]):
+                    yield fkey, field, repoint(field, content)
+
+
+@pytest.mark.parametrize("name, argv, fields", [
+    ("FIX-G", "soa --fixture FIX-G", ("left", "mid", "trace", "fill", "delta")),
+    ("FIX-PW", "lift --fixture FIX-PW", ("left", "mid", "trace", "fill")),
+], ids=["FIX-G-soa", "FIX-PW-lift"])
+def test_verify_cert_rejects_field_flips_of_record_entries(name, argv, fields, tmp_path):
+    # each flip keeps the pools well formed and natural, so only the match of
+    # the record entry against `soa.record_block` can reject it
+    instance = fixture(name)
+    cert = _certify(tmp_path, argv)
+    flips = list(_field_flips(instance, cert["payload"], fields))
+    rng = random.Random(argv)
+    sample = []
+    for field in fields:
+        of_field = [f for f in flips if f[1] == field]
+        assert of_field, field
+        sample += rng.sample(of_field, min(8, len(of_field)))
+    for fkey, field, change in sample:
+        flipped = copy.deepcopy(cert)
+        change(flipped["payload"], flipped["payload"]["arrows"][fkey])
+        ok, msg = verify_certificate(instance, flipped)
+        assert not ok and msg.startswith(f"arrows.{fkey}"), (field, msg)
+
+
+@pytest.mark.parametrize("argv, blocks", [
+    ("soa --fixture FIX-M", ("arrows",)),
+    ("lift --fixture FIX-M", ("arrows",)),
+    ("model --fixture FIX-M", ("arrows_j", "arrows_i")),
+], ids=["soa", "lift", "model"])
+def test_verify_cert_rejects_a_record_entry_with_a_key_more_or_less(argv, blocks, tmp_path):
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, argv)
+    differ = "entries differ from the recomputed ones"
+    for block in blocks:
+        fkey, entry = max(cert["payload"][block].items(), key=lambda kv: len(kv[1]))
+        assert "delta" in entry or not argv.startswith("soa")
+        more = copy.deepcopy(cert)
+        more["payload"][block][fkey]["note"] = entry["left"]
+        assert verify_certificate(instance, more) == (False, f"{block}.{fkey}: {differ}")
+        more = copy.deepcopy(cert)
+        more["payload"][block][fkey]["cells"][0]["note"] = 0
+        assert verify_certificate(instance, more) == (False, f"{block}.{fkey}.cells[0]: {differ}")
+        for key in entry:
+            less = copy.deepcopy(cert)
+            del less["payload"][block][fkey][key]
+            parsed = key in ("f", "stages", "inclusions", "rmaps", "cells")
+            want = f"malformed certificate: '{key}'" if parsed else f"{block}.{fkey}: {differ}"
+            assert verify_certificate(instance, less) == (False, want), key
+
+
 # -- records: one cell and one fill per square, and their own fields ------------
 
 
@@ -240,18 +360,22 @@ def test_verify_cert_rejects_two_cells_along_one_square(tmp_path):
     assert verify_certificate(instance, cert) == (False, f"arrows.{fkey}: two cells share a square")
 
 
-@pytest.mark.parametrize("damage, message", [
-    (lambda e, maps: e["fills"].append(dict(e["fills"][0], fill=e["left"])), "two fills share a square"),
-    (lambda e, maps: e.update(mid=e["stages"][0]), "mid, trace or variant is not the certified one"),
-    (lambda e, maps: e["trace"].reverse(), "mid, trace or variant is not the certified one"),
-    (lambda e, maps: e.update(variant="standard"), "mid, trace or variant is not the certified one"),
+RECOMPUTED = "differs from the recomputed record entry"
+
+
+@pytest.mark.parametrize("damage, where, message", [
+    (lambda e: e["fills"].append(dict(e["fills"][0], fill=e["left"])), ".fills", "entries differ"),
+    (lambda e: e.update(mid=e["stages"][0]), ".mid", RECOMPUTED),
+    (lambda e: e["trace"].reverse(), ".trace[0]", RECOMPUTED),
+    (lambda e: e.update(variant="standard"), ".variant", RECOMPUTED),
 ], ids=["padded-fills", "mid", "trace", "variant"])
-def test_verify_cert_rejects_a_record_whose_own_fields_are_off(damage, message, tmp_path):
+def test_verify_cert_rejects_a_record_whose_own_fields_are_off(damage, where, message, tmp_path):
     instance = fixture("FIX-M")
     cert = _certify(tmp_path, "soa --fixture FIX-M --variant monic")
     fkey = cert["payload"]["named"]["f21"]
-    damage(cert["payload"]["arrows"][fkey], cert["payload"]["maps"])
-    assert verify_certificate(instance, cert) == (False, f"arrows.{fkey}: {message}")
+    damage(cert["payload"]["arrows"][fkey])
+    ok, msg = verify_certificate(instance, cert)
+    assert not ok and msg.startswith(f"arrows.{fkey}{where}: {message}"), msg
 
 
 def test_verify_cert_reads_the_named_arrows_and_variant_from_the_options(tmp_path):

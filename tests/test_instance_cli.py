@@ -319,11 +319,8 @@ def test_verify_cert_rejects_a_cell_whose_top_edge_is_an_old_square(tmp_path):
     )
 
 
-@pytest.mark.parametrize("key,problem", [
-    ("delta", "delta differs from the composite replay"),
-    ("mu", "mu differs from the stage-collapse replay"),
-])
-def test_verify_cert_rejects_another_natural_delta_or_mu(key, problem, tmp_path):
+@pytest.mark.parametrize("key", ["delta", "mu"])
+def test_verify_cert_rejects_another_natural_delta_or_mu(key, tmp_path):
     # swap one arrow's δ or μ for another natural map with the same
     # endpoints, pooled under its own hash: the (once-per-arrow) replay
     # still tells them apart
@@ -351,7 +348,9 @@ def test_verify_cert_rejects_another_natural_delta_or_mu(key, problem, tmp_path)
             break
     else:
         pytest.fail(f"no arrow has a second natural map in place of its {key}")
-    assert verify_certificate(instance, cert) == (False, f"arrows.{fkey}.{key}: {problem}")
+    assert verify_certificate(instance, cert) == (
+        False, f"arrows.{fkey}.{key}: differs from the recomputed record entry"
+    )
 
 
 def test_verify_cert_rejects_flipped_fill_reference(tmp_path):
@@ -559,6 +558,11 @@ def _set(raw, keys, value):
         (("options",), {"max_steps": True}, "options.max_steps"),
         (("options",), {"max_steps": -1}, "options.max_steps"),
         (("options",), {"variant": "fast"}, "options.variant"),
+        (("generators", "JA", "squares"), {"zz": {"top": "zz", "bottom": "conn"}},
+         "generators.JA.squares.zz"),
+        (("generators", "JA", "squares", "a|id_j"), 5, "generators.JA.squares.a|id_j"),
+        (("generators", "JA", "squares"), [], "generators.JA.squares"),
+        (("generators", "JA", "arrows"), {"0|j": "ja0"}, "generators.JA.arrows.1|j"),
     ],
     ids=[
         "top-level-list", "act-string", "components-null", "generators-string",
@@ -572,10 +576,13 @@ def _set(raw, keys, value):
         "components-unknown-object", "at-unknown-object",
         "max-steps-string", "max-steps-list", "max-steps-null", "max-steps-float",
         "max-steps-boolean", "max-steps-negative", "variant-unknown",
+        "square-of-no-shape-morphism", "square-number", "squares-list", "shape-object-no-arrow",
     ],
 )
 def test_validate_rejects_wrongly_shaped_instances(keys, value, path, tmp_path, capsys):
-    raw = value if not keys else fixture_raw("FIX-G")
+    # FIX-PW's generators JA are the bundled diagram over a non-discrete shape
+    name = "FIX-PW" if keys[:2] == ("generators", "JA") else "FIX-G"
+    raw = value if not keys else fixture_raw(name)
     if keys:
         _set(raw, keys, value)
     inst = tmp_path / "bad.json"
@@ -626,6 +633,34 @@ def test_validate_rejects_malformed_taus_weq_and_adjunctions(keys, value, path, 
     assert "Traceback" not in err
     if keys == ("adjunctions", "tab"):  # a tabulated kind that no command could run
         assert err == "invalid: adjunctions.tab.kind: unsupported kind 'explicit'\n"
+
+
+def _idempotent_lan(raw: dict) -> dict:
+    """`raw` (FIX-PROJ) with a base `idem`, one object x and e: x → x with
+    e∘e = e, and an adjunction `bad` restricting along a functor from `disc`
+    that sends both identities to e."""
+    raw["bases"]["idem"] = {
+        "objects": ["x"],
+        "morphisms": [{"name": "e", "src": "x", "dst": "x"}],
+        "composition": [["e", "e", "e"]],
+        "identities": {"x": "id_x"},
+    }
+    raw["adjunctions"]["bad"] = {
+        "kind": "lan_res", "from_base": "disc", "to_base": "idem",
+        "functor": {"objects": {"0": "x", "1": "x"}, "morphisms": {"id_0": "e", "id_1": "e"}},
+    }
+    return raw
+
+
+@pytest.mark.parametrize("argv", ["validate", "transport --adjunction bad"])
+def test_a_functor_must_send_identities_to_identities(argv, tmp_path, capsys):
+    # restricting along it would give "presheaves" whose identities act as e
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(_idempotent_lan(fixture_raw("FIX-PROJ"))), encoding="utf-8")
+    assert main([*argv.split(), str(inst)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid: adjunctions.bad.functor.id_0: does not preserve identities\n"
+    )
 
 
 @pytest.mark.parametrize(
