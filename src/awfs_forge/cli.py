@@ -138,7 +138,7 @@ def cmd_verify_cert(args) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as handle:
             cert = json.load(handle)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         ok, message = False, f"malformed certificate: {exc}"
     else:
         ok, message = verify_certificate(instance, cert)

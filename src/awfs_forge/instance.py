@@ -290,6 +290,6 @@ def load(path: str) -> InstanceFile:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ValidationError("instance", str(exc)) from None
     return from_json(data)

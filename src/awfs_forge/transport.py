@@ -1,10 +1,16 @@
 """Adjunctions between finite presheaf categories, transport of generators,
 lifted functors on algebras/coalgebras, mates, lax/colax morphism checks,
-pointwise and projective generators, and the algebraic Quillen law suite."""
+pointwise and projective generators, and the algebraic Quillen law suite.
+
+Lan_u ⊣ u^* reads Lan_u p straight off its coend: at each object a, the
+classes of triples (c, α: a → u c, x ∈ p(c)) under
+(c2, u(m)∘α, x) ~ (c1, α, p(m) x), labelled in the order of their first
+triple."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .arrows import ArrowObject, LawReport, Square
@@ -14,10 +20,8 @@ from .core import (
     FiniteCategory,
     Presheaf,
     PresheafMap,
+    UnionFind,
     ValidationError,
-    coproduct,
-    glue,
-    quotient_presheaf,
 )
 from .lifting import (
     CoalgebraStructure,
@@ -149,80 +153,64 @@ def identity_adjunction(base: FiniteCategory) -> AdjunctionData:
     )
 
 
-def rep_copower(base: FiniteCategory, w: str, size: int) -> Presheaf:
-    """The copower hom(−, w) · {0..size-1}: elements at a are pairs
-    (hom index, point), flattened as hom_index * size + point."""
-    at = {o: FinSet(len(base.hom(o, w)) * size) for o in base.objects}
-    act = {}
-    for m, (a, b) in base.morphisms.items():
-        homs_b = base.hom(b, w)
-        homs_a = base.hom(a, w)
-        idx_a = {h: i for i, h in enumerate(homs_a)}
-        table = []
-        for hi, h in enumerate(homs_b):
-            composite = base.compose(h, m)  # a -> b -> w
-            for x in range(size):
-                table.append(idx_a[composite] * size + x)
-        act[m] = FinFunction(at[b], at[a], tuple(table))
-    return Presheaf(base, at, act)
-
-
-class _LanBlock:
-    """Pointwise left Kan extension of one presheaf along a base functor."""
+class _LanClasses:
+    """Lan_u p straight from its coend.  At each object a of u.dst its
+    elements are the classes of triples (c, α: a → u c, x ∈ p(c)), listed by
+    c, then α in hom order, then x, under (c2, u(m)∘α, x) ~ (c1, α, p(m) x)
+    for every m: c1 → c2; each class is labelled in the order of its first
+    triple."""
 
     def __init__(self, u: FunctorData, p: Presheaf):
-        self.u = u
-        self.p = p
         base0, base1 = u.src, u.dst
-        self.pieces = []  # (c, presheaf over base1)
-        for c in base0.objects:
-            self.pieces.append((c, rep_copower(base1, u.obj(c), p.at[c].size)))
-        self.cop = coproduct([q for _, q in self.pieces], base1)
-        rels = []
-        for m in base0.nonidentity_morphisms():
-            c1, c2 = base0.src(m), base0.dst(m)  # m: c1 -> c2
-            block1 = rep_copower(base1, u.obj(c1), p.at[c2].size)
-            # left: (alpha: a -> u c1, x in P(c2)) -> (u(m)∘alpha, x) in block c2
-            # right: -> (alpha, P(m) x) in block c1
-            i1 = self._piece_index(c1)
-            i2 = self._piece_index(c2)
-            left_tabs, right_tabs = {}, {}
-            for a in base1.objects:
-                homs1 = base1.hom(a, u.obj(c1))
-                homs2 = {h: i for i, h in enumerate(base1.hom(a, u.obj(c2)))}
-                n2 = p.at[c2].size
-                n1 = p.at[c1].size
-                lt, rt = [], []
-                for hi, h in enumerate(homs1):
-                    comp = base1.compose(u.mor(m), h)
-                    for x in range(n2):
-                        lt.append(homs2[comp] * n2 + x)
-                        rt.append(hi * n1 + p.act[m].table[x])
-                left_tabs[a] = lt
-                right_tabs[a] = rt
-            left = PresheafMap.from_tables(block1, self.cop.apex, {
-                a: [self.cop.legs[i2].table_at(a)[v] for v in left_tabs[a]]
-                for a in base1.objects
-            })
-            right = PresheafMap.from_tables(block1, self.cop.apex, {
-                a: [self.cop.legs[i1].table_at(a)[v] for v in right_tabs[a]]
-                for a in base1.objects
-            })
-            rels.append((left, right))
-        self.lan, self.q = quotient_presheaf(self.cop.apex, rels)
-
-    def _piece_index(self, c: str) -> int:
-        for i, (cc, _) in enumerate(self.pieces):
-            if cc == c:
-                return i
-        raise KeyError(c)
+        self.triples: dict[str, list[tuple[str, str, int]]] = {}
+        self.start: dict[tuple[str, str, str], int] = {}  # (a, c, α) -> index of (c, α, 0)
+        self.labels: dict[str, list[int]] = {}
+        self.sizes: dict[str, int] = {}  # a -> number of classes
+        for a in base1.objects:
+            triples = self.triples[a] = []
+            for c in base0.objects:
+                for alpha in base1.hom(a, u.obj(c)):
+                    self.start[a, c, alpha] = len(triples)
+                    triples += [(c, alpha, x) for x in range(p.at[c].size)]
+            uf = UnionFind(len(triples))
+            for m in base0.nonidentity_morphisms():
+                c1, c2 = base0.src(m), base0.dst(m)
+                for alpha in base1.hom(a, u.obj(c1)):
+                    i1 = self.start[a, c1, alpha]
+                    i2 = self.start[a, c2, base1.compose(u.mor(m), alpha)]
+                    for x, y in enumerate(p.act[m].table):
+                        uf.union(i2 + x, i1 + y)
+            # a root is its class's smallest index, so sorted roots are first triples
+            roots = [uf.find(i) for i in range(len(triples))]
+            label = {r: k for k, r in enumerate(sorted(set(roots)))}
+            self.labels[a] = [label[r] for r in roots]
+            self.sizes[a] = len(label)
+        act = {}
+        for m, (a, b) in base1.morphisms.items():
+            move = lambda c, alpha, x: self.class_of(a, c, base1.compose(alpha, m), x)
+            act[m] = FinFunction(FinSet(self.sizes[b]), FinSet(self.sizes[a]),
+                                 self.table(b, move, f"lan.act.{m}"))
+        self.lan = Presheaf(base1, self.sizes, act)
 
     def class_of(self, a: str, c: str, alpha: str, x: int) -> int:
-        """Class of the element (alpha: a -> u c, x in P(c))."""
-        i = self._piece_index(c)
-        homs = self.u.dst.hom(a, self.u.obj(c))
-        flat = homs.index(alpha) * self.p.at[c].size + x
-        return self.q.table_at(a)[self.cop.legs[i].table_at(a)[flat]]
+        """Class of the triple (c, alpha: a -> u c, x in p(c))."""
+        return self.labels[a][self.start[a, c, alpha] + x]
+
+    def table(self, a: str, value: Callable, where: str) -> tuple[int, ...]:
+        """Each class at a -> `value` of its triples, which must agree."""
+        out = [-1] * self.sizes[a]
+        for (c, alpha, x), k in zip(self.triples[a], self.labels[a]):
+            v = value(c, alpha, x)
+            if out[k] == -1:
+                out[k] = v
+            elif out[k] != v:
+                raise ValidationError(where, f"not constant on classes at {a}")
+        return tuple(out)
+
+    def map_to(self, dst: Presheaf, value: Callable, where: str) -> PresheafMap:
+        """Lan_u p -> dst, sending the class of (c, α, x) at a to value(a, c, α, x)."""
+        tables = tuple(self.table(a, partial(value, a), where) for a in self.lan.base.objects)
+        return PresheafMap(self.lan, dst, tables)
 
 
 def _per_argument(fn: Callable) -> Callable:
@@ -261,31 +249,17 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
         )
 
     @_per_argument
-    def lan_block(p: Presheaf) -> _LanBlock:
-        return _LanBlock(u, p)
+    def lan_block(p: Presheaf) -> _LanClasses:
+        return _LanClasses(u, p)
 
     def lan_obj(p: Presheaf) -> Presheaf:
         return lan_block(p).lan
 
     @_per_argument
     def lan_map(phi: PresheafMap) -> PresheafMap:
-        b1, b2 = lan_block(phi.src), lan_block(phi.dst)
-        raw_tabs = {}
-        for a in base1.objects:
-            t = []
-            for i, (c, piece) in enumerate(b1.pieces):
-                homs = base1.hom(a, u.obj(c))
-                n = phi.src.at[c].size
-                for hi in range(len(homs)):
-                    for x in range(n):
-                        t.append(
-                            b2.cop.legs[i].table_at(a)[
-                                hi * phi.dst.at[c].size + phi.table_at(c)[x]
-                            ]
-                        )
-            raw_tabs[a] = t
-        raw = PresheafMap.from_tables(b1.cop.apex, b2.cop.apex, raw_tabs)
-        return glue(b1.lan, b2.lan, [(b1.q, raw.then(b2.q))], "lan_map", "not constant on classes")
+        target = lan_block(phi.dst)
+        value = lambda a, c, alpha, x: target.class_of(a, c, alpha, phi.table_at(c)[x])
+        return lan_block(phi.src).map_to(target.lan, value, "lan_map")
 
     @_per_argument
     def unit(p: Presheaf) -> PresheafMap:
@@ -293,25 +267,13 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
         tabs = {}
         for c in base0.objects:
             a = u.obj(c)
-            ident = base1.identities[a]
-            tabs[c] = [block.class_of(a, c, ident, x) for x in range(p.at[c].size)]
+            tabs[c] = [block.class_of(a, c, base1.identities[a], x) for x in range(p.at[c].size)]
         return PresheafMap.from_tables(p, restrict_obj(block.lan), tabs)
 
     @_per_argument
     def counit(q: Presheaf) -> PresheafMap:
-        p = restrict_obj(q)
-        block = lan_block(p)
-        value_tabs = {}
-        for a in base1.objects:
-            t = []
-            for c, piece in block.pieces:
-                homs = base1.hom(a, u.obj(c))
-                for alpha in homs:
-                    for y in range(p.at[c].size):
-                        t.append(q.act[alpha].table[y])
-            value_tabs[a] = t
-        value = PresheafMap.from_tables(block.cop.apex, q, value_tabs)
-        return glue(block.lan, q, [(block.q, value)], "counit", "not constant on classes")
+        value = lambda a, c, alpha, y: q.act[alpha].table[y]
+        return lan_block(restrict_obj(q)).map_to(q, value, "counit")
 
     return AdjunctionData(base0, base1, lan_obj, lan_map, restrict_obj, restrict_map, unit, counit)
 
@@ -625,36 +587,41 @@ def copower_square(
     return PresheafMap.from_tables(src, dst, tables)
 
 
+def _copowered_generators(
+    diagram: GeneratorDiagram, index: FiniteCategory, outer: FiniteCategory, along: dict
+) -> tuple[GeneratorDiagram, FiniteCategory]:
+    """Generators on diagrams over inner × index^op, of shape outer × J:
+    objects index(a,−)·j, and for each n|m the square of m copowered along
+    the index morphism along[n]: a_dst -> a_src, where n: a_src -> a_dst in
+    outer."""
+    prod_base = diagram_base(diagram.base, index)
+    shape = outer.product(diagram.shape)
+    arrow_of = {}
+    for o in shape.objects:
+        a, j = o.split("|")
+        arrow_of[o] = ArrowObject(
+            copower_square(index, index.identities[a], diagram.arrow_of[j].f, a, a, prod_base)
+        )
+    square_of = {}
+    for nm in shape.nonidentity_morphisms():
+        n, m = nm.split("|")
+        a_src, a_dst = outer.src(n), outer.dst(n)
+        conn = diagram.square_of[m]
+        square_of[nm] = Square(
+            arrow_of[f"{a_src}|{diagram.shape.src(m)}"],
+            arrow_of[f"{a_dst}|{diagram.shape.dst(m)}"],
+            copower_square(index, along[n], conn.u, a_src, a_dst, prod_base),
+            copower_square(index, along[n], conn.v, a_src, a_dst, prod_base),
+        )
+    return GeneratorDiagram(shape, arrow_of, square_of), prod_base
+
+
 def pointwise_generators(
     diagram: GeneratorDiagram, index: FiniteCategory
 ) -> tuple[GeneratorDiagram, FiniteCategory]:
     """Generators for the pointwise awfs on diagrams: shape index^op × J,
     objects index(a,−)·j, with reindexing squares for index morphisms."""
-    inner = diagram.base
-    prod_base = diagram_base(inner, index)
-    shape = index.opposite().product(diagram.shape)
-    arrow_of = {}
-    square_of = {}
-    for a in index.objects:
-        for j in diagram.objects():
-            arrow_of[f"{a}|{j}"] = ArrowObject(
-                copower_square(
-                    index, index.identities[a], diagram.arrow_of[j].f, a, a, prod_base
-                )
-            )
-    for nm in shape.nonidentity_morphisms():
-        n, m = nm.split("|")
-        # n: index^op morphism from a_src to a_dst, i.e. n: a_dst -> a_src in index
-        a_src = index.opposite().src(n)
-        a_dst = index.opposite().dst(n)
-        conn = diagram.square_of[m]
-        square_of[nm] = Square(
-            arrow_of[f"{a_src}|{diagram.shape.src(m)}"],
-            arrow_of[f"{a_dst}|{diagram.shape.dst(m)}"],
-            copower_square(index, n, conn.u, a_src, a_dst, prod_base),
-            copower_square(index, n, conn.v, a_src, a_dst, prod_base),
-        )
-    return GeneratorDiagram(shape, arrow_of, square_of), prod_base
+    return _copowered_generators(diagram, index, index.opposite(), {n: n for n in index.morphisms})
 
 
 def projective_generators(
@@ -662,28 +629,9 @@ def projective_generators(
 ) -> tuple[GeneratorDiagram, FiniteCategory]:
     """Projective generators: same copowered objects but only the squares
     induced by the original diagram (no reindexing morphisms)."""
-    inner = diagram.base
-    prod_base = diagram_base(inner, index)
     disc = FiniteCategory.discrete(index.objects)
-    shape = disc.product(diagram.shape)
-    arrow_of = {}
-    square_of = {}
-    for o in shape.objects:
-        a, j = o.split("|")
-        arrow_of[o] = ArrowObject(
-            copower_square(index, index.identities[a], diagram.arrow_of[j].f, a, a, prod_base)
-        )
-    for nm in shape.nonidentity_morphisms():
-        n, m = nm.split("|")
-        a = disc.src(n)
-        conn = diagram.square_of[m]
-        square_of[nm] = Square(
-            arrow_of[f"{a}|{diagram.shape.src(m)}"],
-            arrow_of[f"{a}|{diagram.shape.dst(m)}"],
-            copower_square(index, index.identities[a], conn.u, a, a, prod_base),
-            copower_square(index, index.identities[a], conn.v, a, a, prod_base),
-        )
-    return GeneratorDiagram(shape, arrow_of, square_of), prod_base
+    along = {disc.identities[a]: index.identities[a] for a in index.objects}
+    return _copowered_generators(diagram, index, disc, along)
 
 
 def extract_component(

@@ -664,7 +664,9 @@ def test_a_functor_must_send_identities_to_identities(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "damage", [lambda b: b[:50], lambda b: b"\xff" + b], ids=["truncated", "not-utf8"]
+    "damage",
+    [lambda b: b[:50], lambda b: b"\xff" + b, lambda b: b"[" * 200_000 + b"]" * 200_000],
+    ids=["truncated", "not-utf8", "nested"],
 )
 def test_validate_rejects_unreadable_instance_files(damage, tmp_path, capsys):
     inst = tmp_path / "bad.json"
@@ -700,13 +702,15 @@ def test_generator_shapes_are_law_checked(composition, path, tmp_path, capsys):
     assert capsys.readouterr().err == f"invalid: {path}\n"
 
 
-@pytest.mark.parametrize("damage", ["truncate", "stage_tables"])
+@pytest.mark.parametrize("damage", ["truncate", "stage_tables", "nested"])
 def test_verify_cert_rejects_malformed_certificates(damage, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["soa", "--fixture", "FIX-M", "--out", str(out)]) == 0
     text = out.read_text()
     if damage == "truncate":
         text = text[: len(text) // 2]
+    elif damage == "nested":  # deeper than the JSON decoder's recursion limit
+        text = "[" * 200_000 + "]" * 200_000
     else:
         cert = json.loads(text)
         cert["payload"]["stage_tables"] = "x"
