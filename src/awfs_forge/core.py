@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from types import MappingProxyType
 
 
@@ -868,14 +869,20 @@ def check_cocone_factor(record: ColimitRecord, cocone: list[PresheafMap]) -> Pre
 
 def search_maps(src: Presheaf, dst: Presheaf, allowed=None) -> tuple[PresheafMap, ...]:
     """Every natural transformation src -> dst whose value at each element x of
-    src(o) lies in `allowed(o, x)`, an iterable of elements of dst(o) (all of
-    them when `allowed` is None), in lexicographic table order.
+    src(o) lies in `allowed(o, x)`, a set of elements of dst(o) (all of them
+    when `allowed` is None), in lexicographic table order.
 
     One variable per element, in base-object order and then element order,
-    tried in ascending order.  Naturality at m: a -> b is a binary constraint
-    value(a, src.act[m][x]) == dst.act[m][value(b, x)] for each x in src(b);
-    each assignment prunes the domains of the later variables it constrains
-    (forward checking), and a branch that empties one is cut.
+    tried in ascending order.  Naturality at m: a -> b is an equation
+    value(a, src.act[m][x]) == dst.act[m][value(b, x)] for each x in src(b),
+    indexed from both ends: a known value(b, x) narrows value(a, ...) to one
+    value, a known value(a, ...) narrows value(b, x) to a fibre of dst.act[m].
+    An assignment narrows the later variables its equations reach, and a
+    variable narrowed to one value applies its own equations at once, as far
+    as the chain reaches (singleton propagation); a branch that empties a
+    domain is cut.  Past the last variable that shares an equation with a
+    later one, every combination of the domains is a map: the rows of
+    `itertools.product`, streamed.
     """
     base = src.base
     spans, n = {}, 0  # the variables of src(o) are range(*spans[o])
@@ -887,10 +894,11 @@ def search_maps(src: Presheaf, dst: Presheaf, allowed=None) -> tuple[PresheafMap
         domains = [tuple(range(dst.at[o].size)) for o, _ in cells]
     else:
         domains = [tuple(sorted(allowed(o, x))) for o, x in cells]
-    # forward[i]: (j, table, forces) for each later variable j that variable i
-    # constrains; `forces` when value(j) == table[value(i)], else when
-    # table[value(j)] == value(i).
-    forward: list[list[tuple[int, tuple[int, ...], bool]]] = [[] for _ in cells]
+    # eqs[i]: (j, table, m) for each equation between variables i and j:
+    # value(j) == table[value(i)] when m is None, else table[value(j)] ==
+    # value(i), answered by fibres[m], built on first use
+    eqs: list[list[tuple[int, tuple[int, ...], str | None]]] = [[] for _ in cells]
+    free = 0  # from `free` on no variable shares an equation with a later one
     identities = set(base.identities.values())
     for m, (a, b) in base.morphisms.items():
         if m in identities:
@@ -900,30 +908,21 @@ def search_maps(src: Presheaf, dst: Presheaf, allowed=None) -> tuple[PresheafMap
             i, j = spans[b][0] + x, spans[a][0] + y
             if i == j:
                 domains[i] = tuple(v for v in domains[i] if d[v] == v)
-            elif i < j:
-                forward[i].append((j, d, True))
             else:
-                forward[j].append((i, d, False))
+                eqs[i].append((j, d, None))
+                eqs[j].append((i, d, m))
+                free = max(free, min(i, j) + 1)
     if not all(domains):
         return ()
-
-    # from `free` on no variable constrains a later one, so their domains stay
-    # fixed there and every combination of them is a solution
-    free = n
-    while free and not forward[free - 1]:
-        free -= 1
-    value = [0] * free
+    fibres: dict[str, dict[int, tuple[int, ...]]] = {}
     bounds = list(spans.values())
     maps: list[PresheafMap] = []
 
     def emit() -> None:
-        tails = [()]
-        for dom in domains[free:]:
-            tails = [t + (v,) for t in tails for v in dom]
-        head = tuple(value)
-        for t in tails:
-            row = head + t
-            maps.append(PresheafMap(src, dst, tuple([row[lo:hi] for lo, hi in bounds])))
+        # an assigned variable's domain is its value; per object, its tables
+        # are the product of its domains, and the maps the product of those
+        rows = product(*[product(*domains[lo:hi]) for lo, hi in bounds])
+        maps.extend([PresheafMap(src, dst, row) for row in rows])
 
     # depth-first without recursion: untried[i] holds the values variable i
     # has not yet taken, pruned[i] the domains its current value narrowed
@@ -935,22 +934,39 @@ def search_maps(src: Presheaf, dst: Presheaf, allowed=None) -> tuple[PresheafMap
         i = len(untried) - 1
         for j, dom in reversed(pruned[i]):
             domains[j] = dom
-        pruned[i] = []
         v = next(untried[i], None)
         if v is None:
             untried.pop()
             pruned.pop()
             continue
-        value[i] = v
-        for j, d, forces in forward[i]:
-            dom = domains[j]
-            pruned[i].append((j, dom))
-            if forces:
-                w = d[v]
-                domains[j] = (w,) if w in dom else ()
-            else:
-                domains[j] = tuple(e for e in dom if d[e] == v)
-            if not domains[j]:
+        pruned[i] = trail = [(i, domains[i])]
+        domains[i] = (v,)
+        known = [(i, v)]  # variables with one value whose equations wait
+        while known:
+            k, w = known.pop()
+            for j, d, m in eqs[k]:
+                if j <= i:
+                    continue
+                dom = domains[j]
+                if m is None:
+                    new = (d[w],) if d[w] in dom else ()
+                elif len(dom) == len(d):  # all of dst(b): the fibre itself
+                    if m not in fibres:
+                        fibres[m] = fib = {}
+                        for e, u in enumerate(d):
+                            fib[u] = fib.get(u, ()) + (e,)
+                    new = fibres[m].get(w, ())
+                else:
+                    new = tuple([e for e in dom if d[e] == w])
+                if len(new) < len(dom):
+                    trail.append((j, dom))
+                    domains[j] = new
+                    if not new:
+                        known = None
+                        break
+                    if len(new) == 1:
+                        known.append((j, new[0]))
+            if known is None:
                 break
         else:
             if i + 1 == free:

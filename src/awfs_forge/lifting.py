@@ -161,11 +161,13 @@ def enumerate_new_squares(
     when they form a sub-presheaf, the squares whose top edge does not factor
     through it.  Same order as `enumerate_squares`.
 
-    The top edges are searched once per variable of dom j (as `search_maps`
-    orders them), that variable being the first to take a new value: the
-    earlier ones range over old elements, the later ones over all.  The
-    searches partition the new top edges, and each is joined with the bottom
-    edges of the same composite j;v."""
+    The top edges are searched once per variable of dom j, that variable
+    being the first to take a new value: the earlier ones range over old
+    elements, the later ones over all.  This relies on `search_maps`'s
+    variable order, one variable per element in base-object order and then
+    element order, which `start` and `owner` restate.  The searches partition
+    the new top edges, and each is joined with the bottom edges of the same
+    composite j;v."""
     src, dst = j.dom, g.dom
     old_values, new_values = {}, {}
     for o, kept, n in zip(src.base.objects, old, dst.sizes):

@@ -504,10 +504,6 @@ def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -
 
 
 def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
-    for entry in payload.get("law_report", []):
-        _require(
-            entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
-        )
     pools = _Pools(instance, payload)
     diagram_j = _load_diagram(instance, pools, payload, options, "generators_j")
     diagram_i = _load_diagram(instance, pools, payload, options, "generators_i")
@@ -533,6 +529,11 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
     objects = {n: instance.presheaves[n] for n in candidates if n not in skipped}
     blocks = model_blocks(amstr, instance.requested_arrows(diagram_j.base), objects)
     _match_blocks(pools, payload, blocks)
+    # a failure is reported only once the recomputed report confirms it
+    for entry in payload["law_report"]:
+        _require(
+            entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
+        )
 
 
 def _verify_report_only(instance: InstanceFile, payload: dict) -> None:

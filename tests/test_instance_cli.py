@@ -463,6 +463,18 @@ def test_verify_cert_rejects_a_cut_model_law_report(name, keep):
     )
 
 
+def test_verify_cert_rechecks_a_model_law_failure_before_reporting_it():
+    # a forged failure differs from the recomputed report; a real one (FIX-G,
+    # test_model_command_reports_failed_axiom_graph) matches it and is reported
+    instance = fixture("FIX-M")
+    payload = certificates.model_certificate(instance, "J", "I", "tau", "monic", 64)
+    cert = json.loads(canonical_dumps(certificates.envelope("model", instance, {"tau": "tau"}, payload)))
+    cert["payload"]["law_report"][3]["status"] = "fail"
+    assert verify_certificate(instance, cert) == (
+        False, "law_report: embedded law report differs from the recomputed one"
+    )
+
+
 def test_verify_cert_requires_injective_stage_inclusions_in_both_variants():
     # f21's inclusion 0 made to send both elements of E^0 to one, with the
     # left factor (the same single inclusion) repointed: R∘L = f still holds
