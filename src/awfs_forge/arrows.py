@@ -3,7 +3,6 @@ records, and exhaustive comonad/monad/distributive-law verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -15,11 +14,13 @@ from .core import (
 )
 
 
-@dataclass(eq=False)
 class ArrowObject:
     """An object of the arrow category: a single presheaf map."""
 
-    f: PresheafMap
+    __slots__ = ("f",)
+
+    def __init__(self, f: PresheafMap):
+        self.f = f
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ArrowObject) and self.f == other.f
@@ -40,17 +41,19 @@ class ArrowObject:
         return self.f.base
 
 
-@dataclass(eq=False)
 class Square:
     """Morphism (u, v): src => dst of the arrow category: a commutative square.
 
     u maps domains, v maps codomains, and dst.f ∘ u = v ∘ src.f.
     """
 
-    src: ArrowObject
-    dst: ArrowObject
-    u: PresheafMap
-    v: PresheafMap
+    __slots__ = ("src", "dst", "u", "v")
+
+    def __init__(self, src: ArrowObject, dst: ArrowObject, u: PresheafMap, v: PresheafMap):
+        self.src = src
+        self.dst = dst
+        self.u = u
+        self.v = v
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Square) and self.u == other.u and self.v == other.v
@@ -90,7 +93,6 @@ class Factored(NamedTuple):
     right: PresheafMap  # Rf: Ef -> cod f
 
 
-@dataclass
 class FunctorialFactorization:
     """Section of the composition functor, materialized as a pair of callables.
 
@@ -98,8 +100,14 @@ class FunctorialFactorization:
     this record only packages them behind a uniform interface.
     """
 
-    on_object: Callable[[ArrowObject], Factored]
-    on_square: Callable[[Square], PresheafMap]
+    __slots__ = ("on_object", "on_square")
+
+    def __init__(
+        self, on_object: Callable[[ArrowObject], Factored],
+        on_square: Callable[[Square], PresheafMap],
+    ):
+        self.on_object = on_object
+        self.on_square = on_square
 
     def factor(self, x) -> Factored:
         a = x if isinstance(x, ArrowObject) else ArrowObject(x)
@@ -129,7 +137,6 @@ def apply_factorization(fact: FunctorialFactorization, x):
     return out
 
 
-@dataclass
 class Awfs:
     """Algebraic weak factorization system: factorization plus δ and μ.
 
@@ -137,9 +144,15 @@ class Awfs:
     mu(f): ERf -> Ef is the domain part of the multiplication.
     """
 
-    fact: FunctorialFactorization
-    delta: Callable[[ArrowObject], PresheafMap]
-    mu: Callable[[ArrowObject], PresheafMap]
+    __slots__ = ("fact", "delta", "mu")
+
+    def __init__(
+        self, fact: FunctorialFactorization, delta: Callable[[ArrowObject], PresheafMap],
+        mu: Callable[[ArrowObject], PresheafMap],
+    ):
+        self.fact = fact
+        self.delta = delta
+        self.mu = mu
 
     def factor(self, x) -> Factored:
         return self.fact.factor(x)
@@ -148,23 +161,27 @@ class Awfs:
         return self.fact.e(sq)
 
 
-@dataclass
 class AwfsMorphism:
     """Morphism of awfs: a natural family xi(f): Ef -> E'f."""
 
-    xi: Callable[[ArrowObject], PresheafMap]
+    __slots__ = ("xi",)
+
+    def __init__(self, xi: Callable[[ArrowObject], PresheafMap]):
+        self.xi = xi
 
     def at(self, x) -> PresheafMap:
         a = x if isinstance(x, ArrowObject) else ArrowObject(x)
         return self.xi(a)
 
 
-@dataclass
 class LawEntry:
-    law: str
-    probe: str
-    status: str  # "pass" | "fail"
-    witness: dict | None = None
+    __slots__ = ("law", "probe", "status", "witness")
+
+    def __init__(self, law: str, probe: str, status: str, witness: dict | None = None):
+        self.law = law
+        self.probe = probe
+        self.status = status  # "pass" | "fail"
+        self.witness = witness
 
     def to_json(self) -> dict:
         out = {"law": self.law, "probe": self.probe, "status": self.status}
@@ -173,9 +190,11 @@ class LawEntry:
         return out
 
 
-@dataclass
 class LawReport:
-    entries: list[LawEntry] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[LawEntry] | None = None):
+        self.entries = [] if entries is None else entries
 
     @property
     def passed(self) -> bool:

@@ -8,9 +8,9 @@ Exit codes: 0 success, 1 validation or usage error, 2 non-convergence,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import certificates
@@ -204,8 +204,12 @@ SPEC = {
 COMMANDS = tuple(SPEC)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, with every subcommand."""
+def build_parser():
+    """The CLI's `argparse.ArgumentParser`, with every subcommand.  argparse
+    is imported here, as only the commands that `parse_plain` declines need
+    it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="awfs-forge",
         description="Exact algebraic weak factorization systems on finite presheaf categories.",
@@ -227,14 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_plain(argv: list[str]) -> argparse.Namespace | None:
+def parse_plain(argv: list[str]) -> SimpleNamespace | None:
     """What `build_parser().parse_args(argv)` returns for a well-formed
-    command, without building the parser: a command name, then `--flag value`
-    pairs (each flag in full and at most once, each value nonempty, not
-    starting with `-`, one of the option's choices and ASCII digits for an
-    `int`), then the positionals, none starting with `-`.  None for any other
-    argv, which is left to argparse: help, abbreviations, `--flag=value`,
-    `--`, and everything argparse rejects."""
+    command, with the same attributes, without building the parser or
+    importing argparse: a command name, then `--flag value` pairs (each flag
+    in full and at most once, each value nonempty, not starting with `-`,
+    one of the option's choices and ASCII digits for an `int`), then the
+    positionals, none starting with `-`.  None for any other argv, which is
+    left to argparse: help, abbreviations, `--flag=value`, `--`, and
+    everything argparse rejects."""
     command = SPEC.get(argv[0]) if argv else None
     if command is None:
         return None
@@ -266,7 +271,7 @@ def parse_plain(argv: list[str]) -> argparse.Namespace | None:
     if len(positionals) > 1:
         return None
     values["instance"] = positionals[0] if positionals else None
-    return argparse.Namespace(command=argv[0], func=command.func, **values)
+    return SimpleNamespace(command=argv[0], func=command.func, **values)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -86,24 +85,36 @@ class NonCommutingCocone(Exception):
         super().__init__(f"cocone fails to commute at ({base_object}, {element}) {detail}")
 
 
-@dataclass(frozen=True)
 class FinSet:
     """The set {0, ..., size-1}."""
 
-    size: int
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        self.size = size
+        self.__post_init__()
 
     def __post_init__(self):
         if self.size < 0:
             raise ValidationError("FinSet.size", "must be nonnegative")
 
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is FinSet and self.size == other.size)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.size,))
+
+
 class FinFunction:
     """Total function between FinSets, stored as a lookup table."""
 
-    src: FinSet
-    dst: FinSet
-    table: tuple[int, ...]
+    __slots__ = ("src", "dst", "table")
+
+    def __init__(self, src: FinSet, dst: FinSet, table: tuple[int, ...]):
+        self.src = src
+        self.dst = dst
+        self.table = table
+        self.__post_init__()
 
     def __post_init__(self):
         table, n = self.table, self.dst.size
@@ -113,16 +124,25 @@ class FinFunction:
             i, v = next((i, v) for i, v in enumerate(table) if not 0 <= v < n)
             raise ValidationError("FinFunction.table", f"entry {i} -> {v} out of range")
 
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is FinFunction
+            and self.table == other.table
+            and self.src == other.src
+            and self.dst == other.dst
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.table))
+
     @classmethod
     def _trusted(cls, src: FinSet, dst: FinSet, table: tuple[int, ...]) -> "FinFunction":
         """A kernel result whose table is known to fit src and dst: built
         without the check that input tables go through."""
         fn = object.__new__(cls)
-        # field by field, as the frozen __init__ does: keeps the compact
-        # attribute storage that a __dict__ update would give up
-        object.__setattr__(fn, "src", src)
-        object.__setattr__(fn, "dst", dst)
-        object.__setattr__(fn, "table", table)
+        fn.src = src
+        fn.dst = dst
+        fn.table = table
         return fn
 
     def __call__(self, x: int) -> int:
@@ -158,7 +178,6 @@ class FinFunction:
         return FinFunction(self.dst, self.src, tuple(inv))
 
 
-@dataclass(eq=False)
 class FiniteCategory:
     """Finite category with named objects and morphisms.
 
@@ -167,10 +186,15 @@ class FiniteCategory:
     includes identity compositions.
     """
 
-    objects: tuple[str, ...]
-    morphisms: dict[str, tuple[str, str]]  # name -> (src, dst)
-    compose_table: dict[tuple[str, str], str]  # (g, f) -> g∘f
-    identities: dict[str, str]  # object -> identity morphism name
+    def __init__(
+        self, objects: tuple[str, ...], morphisms: dict[str, tuple[str, str]],
+        compose_table: dict[tuple[str, str], str], identities: dict[str, str],
+    ):
+        self.objects = objects
+        self.morphisms = morphisms  # name -> (src, dst)
+        self.compose_table = compose_table  # (g, f) -> g∘f
+        self.identities = identities  # object -> identity morphism name
+        self.__post_init__()
 
     def __post_init__(self):
         self.objects = tuple(self.objects)
@@ -363,7 +387,6 @@ class FiniteCategory:
         return FiniteCategory(objects, morphisms, compose, identities)
 
 
-@dataclass(eq=False)
 class Presheaf:
     """Finite-set-valued presheaf: contravariant functor base^op -> FinSet.
 
@@ -371,9 +394,13 @@ class Presheaf:
     Actions for identities are filled in automatically.
     """
 
-    base: FiniteCategory
-    at: dict[str, FinSet]
-    act: dict[str, FinFunction]
+    __slots__ = ("base", "at", "act", "_id", "_hash")
+
+    def __init__(self, base: FiniteCategory, at: dict[str, FinSet], act: dict[str, FinFunction]):
+        self.base = base
+        self.at = at
+        self.act = act
+        self.__post_init__()
 
     def __post_init__(self):
         at = {}
@@ -687,7 +714,6 @@ class UnionFind:
                 self.parent[rx] = ry
 
 
-@dataclass
 class ColimitRecord:
     """A computed colimit: the apex with legs from the diagram's targets.
 
@@ -695,10 +721,16 @@ class ColimitRecord:
     the cocone must commute with (empty for coproducts).
     """
 
-    kind: str
-    diagram: tuple[PresheafMap, ...]
-    apex: Presheaf
-    legs: tuple[PresheafMap, ...]
+    __slots__ = ("kind", "diagram", "apex", "legs")
+
+    def __init__(
+        self, kind: str, diagram: tuple[PresheafMap, ...], apex: Presheaf,
+        legs: tuple[PresheafMap, ...],
+    ):
+        self.kind = kind
+        self.diagram = diagram
+        self.apex = apex
+        self.legs = legs
 
 
 def coproduct(parts: list[Presheaf], base: FiniteCategory | None = None) -> ColimitRecord:

@@ -8,7 +8,6 @@ between generator diagrams, and adjunction descriptors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .arrows import ArrowObject, Square
 from .core import (
@@ -26,17 +25,25 @@ from .model import TauData, WeqPredicate
 from .transport import AdjunctionData, FunctorData, identity_adjunction, restriction_adjunction
 
 
-@dataclass
 class InstanceFile:
-    bases: dict[str, FiniteCategory]
-    presheaves: dict[str, Presheaf]
-    maps: dict[str, PresheafMap]
-    generators: dict[str, GeneratorDiagram]
-    weq: WeqPredicate
-    taus: dict[str, TauData]
-    adjunctions: dict[str, dict]
-    options: dict
-    raw: dict
+    __slots__ = (
+        "bases", "presheaves", "maps", "generators", "weq", "taus", "adjunctions", "options", "raw"
+    )
+
+    def __init__(
+        self, bases: dict[str, FiniteCategory], presheaves: dict[str, Presheaf],
+        maps: dict[str, PresheafMap], generators: dict[str, GeneratorDiagram], weq: WeqPredicate,
+        taus: dict[str, TauData], adjunctions: dict[str, dict], options: dict, raw: dict,
+    ):
+        self.bases = bases
+        self.presheaves = presheaves
+        self.maps = maps
+        self.generators = generators
+        self.weq = weq
+        self.taus = taus
+        self.adjunctions = adjunctions
+        self.options = options
+        self.raw = raw
 
     def canonical_json(self) -> str:
         return canonical_dumps(self.raw)

@@ -5,7 +5,6 @@ value in the test suite."""
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -29,16 +28,22 @@ class FillFailure(Exception):
         super().__init__(f"canonical lift does not fill: {witness}")
 
 
-@dataclass(eq=False)
 class GeneratorDiagram:
     """A functor from a finite shape category into the arrow category.
 
     Objects name generating arrows; morphisms name connecting squares.
     """
 
-    shape: FiniteCategory
-    arrow_of: dict[str, ArrowObject]
-    square_of: dict[str, Square] = field(default_factory=dict)
+    __slots__ = ("shape", "arrow_of", "square_of")
+
+    def __init__(
+        self, shape: FiniteCategory, arrow_of: dict[str, ArrowObject],
+        square_of: dict[str, Square] | None = None,
+    ):
+        self.shape = shape
+        self.arrow_of = arrow_of
+        self.square_of = {} if square_of is None else square_of
+        self.__post_init__()
 
     def __post_init__(self):
         squares = dict(self.square_of)
@@ -223,7 +228,6 @@ def oracle_lift(j: ArrowObject, g: ArrowObject, sq: Square) -> list[PresheafMap]
     return list(search_maps(j.cod, g.dom, allowed))
 
 
-@dataclass(eq=False)
 class LiftingFunction:
     """Coherent choice of filler for every square from every generator into g.
 
@@ -231,9 +235,15 @@ class LiftingFunction:
     tabulated table is read-only, so that one can be shared.
     """
 
-    diagram: GeneratorDiagram
-    g: ArrowObject
-    fills: Mapping[tuple[str, Square], PresheafMap]  # (j name, square) -> filler
+    __slots__ = ("diagram", "g", "fills")
+
+    def __init__(
+        self, diagram: GeneratorDiagram, g: ArrowObject,
+        fills: Mapping[tuple[str, Square], PresheafMap],
+    ):
+        self.diagram = diagram
+        self.g = g
+        self.fills = fills  # (j name, square) -> filler
 
     def phi(self, jname: str, sq: Square) -> PresheafMap:
         key = (jname, sq)
@@ -251,20 +261,24 @@ class LiftingFunction:
         return LiftingFunction(diagram, g, MappingProxyType(fills))
 
 
-@dataclass(eq=False)
 class AlgebraStructure:
     """Algebra datum (g, t): a chosen retraction t: Eg -> dom g."""
 
-    g: ArrowObject
-    t: PresheafMap
+    __slots__ = ("g", "t")
+
+    def __init__(self, g: ArrowObject, t: PresheafMap):
+        self.g = g
+        self.t = t
 
 
-@dataclass(eq=False)
 class CoalgebraStructure:
     """Coalgebra datum (f, s): a chosen section s: cod f -> Ef."""
 
-    f: ArrowObject
-    s: PresheafMap
+    __slots__ = ("f", "s")
+
+    def __init__(self, f: ArrowObject, s: PresheafMap):
+        self.f = f
+        self.s = s
 
 
 def check_algebra_unit(a: AlgebraStructure, fact: FunctorialFactorization) -> LawReport:
@@ -390,16 +404,21 @@ def check_lifting_function(diagram: GeneratorDiagram, lf: LiftingFunction) -> La
     return report
 
 
-@dataclass
 class RetractData:
     """h as a retract of g: sections i and retractions r on both levels."""
 
-    h: ArrowObject
-    g: ArrowObject
-    i1: PresheafMap  # dom h -> dom g
-    i2: PresheafMap  # cod h -> cod g
-    r1: PresheafMap  # dom g -> dom h
-    r2: PresheafMap  # cod g -> cod h
+    __slots__ = ("h", "g", "i1", "i2", "r1", "r2")
+
+    def __init__(
+        self, h: ArrowObject, g: ArrowObject,
+        i1: PresheafMap, i2: PresheafMap, r1: PresheafMap, r2: PresheafMap,
+    ):
+        self.h = h
+        self.g = g
+        self.i1 = i1  # dom h -> dom g
+        self.i2 = i2  # cod h -> cod g
+        self.r1 = r1  # dom g -> dom h
+        self.r2 = r2  # cod g -> cod h
 
     def validate(self) -> None:
         checks = [

@@ -4,7 +4,6 @@ generator pruning, replacement (co)monads on objects, and the comparison
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .arrows import (
@@ -27,15 +26,21 @@ from .lifting import (
 from .soa import ArrowRecord, CellRecord, GeneratedAwfs, walk_stages
 
 
-@dataclass
 class TauData:
     """Functor between generator diagrams over the arrow category: a full
     inclusion whose image splits off as a coproduct of shapes."""
 
-    src: GeneratorDiagram
-    dst: GeneratorDiagram
-    on_objects: dict[str, str]
-    on_morphisms: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("src", "dst", "on_objects", "on_morphisms")
+
+    def __init__(
+        self, src: GeneratorDiagram, dst: GeneratorDiagram, on_objects: dict[str, str],
+        on_morphisms: dict[str, str] | None = None,
+    ):
+        self.src = src
+        self.dst = dst
+        self.on_objects = on_objects
+        self.on_morphisms = {} if on_morphisms is None else on_morphisms
+        self.__post_init__()
 
     def __post_init__(self):
         for o, i in self.src.shape.identities.items():
@@ -67,7 +72,6 @@ class TauData:
                 )
 
 
-@dataclass
 class WeqPredicate:
     """User-supplied weak equivalence class.
 
@@ -75,8 +79,11 @@ class WeqPredicate:
     "list" exactly the listed arrows (by table identity).
     """
 
-    kind: str = "all"
-    arrows: frozenset = frozenset()
+    __slots__ = ("kind", "arrows")
+
+    def __init__(self, kind: str = "all", arrows: frozenset = frozenset()):
+        self.kind = kind
+        self.arrows = arrows
 
     def __call__(self, f) -> bool:
         arr = f if isinstance(f, ArrowObject) else ArrowObject(f)
@@ -172,18 +179,21 @@ def build_comparison(
     return AwfsMorphism(xi)
 
 
-@dataclass
 class AlgebraicModelStructure:
     """Two generated awfs with a comparison map and a weak equivalence class."""
 
-    gen_t: GeneratedAwfs  # (trivial cofibration, fibration) side, from J
-    gen: GeneratedAwfs  # (cofibration, trivial fibration) side, from I
-    tau: TauData
-    xi: AwfsMorphism
-    weq: WeqPredicate
-    _chis: dict[Presheaf, PresheafMap] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )  # object -> χ, filled by `chi`
+    __slots__ = ("gen_t", "gen", "tau", "xi", "weq", "_chis")
+
+    def __init__(
+        self, gen_t: GeneratedAwfs, gen: GeneratedAwfs, tau: TauData, xi: AwfsMorphism,
+        weq: WeqPredicate,
+    ):
+        self.gen_t = gen_t  # (trivial cofibration, fibration) side, from J
+        self.gen = gen  # (cofibration, trivial fibration) side, from I
+        self.tau = tau
+        self.xi = xi
+        self.weq = weq
+        self._chis: dict[Presheaf, PresheafMap] = {}  # object -> χ, filled by `chi`
 
 
 def build_model_structure(
@@ -230,12 +240,14 @@ def cobang(x: Presheaf) -> PresheafMap:
     return PresheafMap(zero, x, ((),) * len(x.sizes))
 
 
-@dataclass
 class ReplacementMonad:
     """Fibrant replacement monad R and cofibrant replacement comonad Q on
     objects, induced by slicing over the terminal / under the initial."""
 
-    amstr: AlgebraicModelStructure
+    __slots__ = ("amstr",)
+
+    def __init__(self, amstr: AlgebraicModelStructure):
+        self.amstr = amstr
 
     def r_obj(self, x: Presheaf) -> Presheaf:
         return self.amstr.gen_t.factor(bang(x)).mid
@@ -342,12 +354,17 @@ def check_replacement_laws(amstr: AlgebraicModelStructure, objects: list[Preshea
 # Generator pruning (replace J by the left factors of its arrows)
 
 
-@dataclass
 class PrunedGenerators:
-    diagram: GeneratorDiagram  # J': arrows C j
-    zeta: dict[str, CoalgebraStructure]  # J'-name -> free coalgebra (Cj, δ_j)
-    sections: dict[str, PresheafMap]  # original J-name -> section s: cod j -> Qj
-    renamed: dict[str, str]  # original J-name -> J'-name
+    __slots__ = ("diagram", "zeta", "sections", "renamed")
+
+    def __init__(
+        self, diagram: GeneratorDiagram, zeta: dict[str, CoalgebraStructure],
+        sections: dict[str, PresheafMap], renamed: dict[str, str],
+    ):
+        self.diagram = diagram  # J': arrows C j
+        self.zeta = zeta  # J'-name -> free coalgebra (Cj, δ_j)
+        self.sections = sections  # original J-name -> section s: cod j -> Qj
+        self.renamed = renamed  # original J-name -> J'-name
 
 
 class PruneError(Exception):

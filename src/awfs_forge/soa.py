@@ -19,7 +19,6 @@ such generators and stops at a stage that merged old elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -72,15 +71,22 @@ class MonicityViolation(Exception):
         super().__init__(f"monic variant inapplicable: {where}")
 
 
-@dataclass
 class CellRecord:
     """One attached cell: generator, attaching square into the previous stage's
     right factor, the stage it entered at, and its injection into that stage."""
 
-    stage: int
-    jname: str
-    square: Square
-    injection: PresheafMap  # cod j -> E^{stage}
+    __slots__ = ("stage", "jname", "square", "injection")
+
+    def __init__(self, stage: int, jname: str, square: Square, injection: PresheafMap):
+        self.stage = stage
+        self.jname = jname
+        self.square = square
+        self.injection = injection  # cod j -> E^{stage}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CellRecord and (
+            self.stage, self.jname, self.square, self.injection
+        ) == (other.stage, other.jname, other.square, other.injection)
 
 
 def _bounded(m: PresheafMap, p: Presheaf) -> bool:
@@ -89,16 +95,19 @@ def _bounded(m: PresheafMap, p: Presheaf) -> bool:
     return all(max(t, default=-1) < k for t, k in zip(m.tables, p.sizes))
 
 
-@dataclass
 class ArrowRecord:
     """Full stage bookkeeping for one factored arrow."""
 
-    f: ArrowObject
-    stages: list[Presheaf]  # E^0 .. E^N with E^0 = dom f
-    inclusions: list[PresheafMap]  # E^b -> E^{b+1}
-    rmaps: list[PresheafMap]  # r_b: E^b -> cod f
-    cells: list[CellRecord]
-    variant: str
+    def __init__(
+        self, f: ArrowObject, stages: list[Presheaf], inclusions: list[PresheafMap],
+        rmaps: list[PresheafMap], cells: list[CellRecord], variant: str,
+    ):
+        self.f = f
+        self.stages = stages  # E^0 .. E^N with E^0 = dom f
+        self.inclusions = inclusions  # E^b -> E^{b+1}
+        self.rmaps = rmaps  # r_b: E^b -> cod f
+        self.cells = cells
+        self.variant = variant
 
     @cached_property
     def cell_index(self) -> dict[tuple, CellRecord]:

@@ -9,7 +9,6 @@ triple."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -34,14 +33,20 @@ from .model import AlgebraicModelStructure
 from .soa import CellRecord, GeneratedAwfs, walk_stages
 
 
-@dataclass
 class FunctorData:
     """A functor between finite base categories, tabulated."""
 
-    src: FiniteCategory
-    dst: FiniteCategory
-    on_objects: dict[str, str]
-    on_morphisms: dict[str, str]
+    __slots__ = ("src", "dst", "on_objects", "on_morphisms")
+
+    def __init__(
+        self, src: FiniteCategory, dst: FiniteCategory, on_objects: dict[str, str],
+        on_morphisms: dict[str, str],
+    ):
+        self.src = src
+        self.dst = dst
+        self.on_objects = on_objects
+        self.on_morphisms = on_morphisms
+        self.__post_init__()
 
     def __post_init__(self):
         for o, i in self.src.identities.items():
@@ -68,18 +73,25 @@ class FunctorData:
                 raise ValidationError(f"{path}.compose.{g}∘{f}", "does not preserve composition")
 
 
-@dataclass
 class AdjunctionData:
     """Adjunction T ⊣ S between presheaf categories, with unit and counit."""
 
-    m_base: FiniteCategory
-    k_base: FiniteCategory
-    t_obj: Callable[[Presheaf], Presheaf]
-    t_map: Callable[[PresheafMap], PresheafMap]
-    s_obj: Callable[[Presheaf], Presheaf]
-    s_map: Callable[[PresheafMap], PresheafMap]
-    unit: Callable[[Presheaf], PresheafMap]  # ι_X: X -> STX
-    counit: Callable[[Presheaf], PresheafMap]  # ν_Y: TSY -> Y
+    __slots__ = ("m_base", "k_base", "t_obj", "t_map", "s_obj", "s_map", "unit", "counit")
+
+    def __init__(
+        self, m_base: FiniteCategory, k_base: FiniteCategory,
+        t_obj: Callable[[Presheaf], Presheaf], t_map: Callable[[PresheafMap], PresheafMap],
+        s_obj: Callable[[Presheaf], Presheaf], s_map: Callable[[PresheafMap], PresheafMap],
+        unit: Callable[[Presheaf], PresheafMap], counit: Callable[[Presheaf], PresheafMap],
+    ):
+        self.m_base = m_base
+        self.k_base = k_base
+        self.t_obj = t_obj
+        self.t_map = t_map
+        self.s_obj = s_obj
+        self.s_map = s_map
+        self.unit = unit  # ι_X: X -> STX
+        self.counit = counit  # ν_Y: TSY -> Y
 
     def t_arrow(self, f: ArrowObject) -> ArrowObject:
         return ArrowObject(self.t_map(f.f))
@@ -330,13 +342,17 @@ def adjunct_lifting_T(
     return LiftingFunction.tabulate(diagram_k, f, fn)
 
 
-@dataclass
 class MateData:
     """The mate pair of an adjunction of awfs candidates: rho at arrows of the
     right-adjoint side, gamma at arrows of the left-adjoint side."""
 
-    rho: Callable[[ArrowObject], PresheafMap]  # Q(Sg) -> S(Eg)
-    gamma: Callable[[ArrowObject], PresheafMap]  # T(Qf) -> E(Tf)
+    __slots__ = ("rho", "gamma")
+
+    def __init__(
+        self, rho: Callable[[ArrowObject], PresheafMap], gamma: Callable[[ArrowObject], PresheafMap]
+    ):
+        self.rho = rho  # Q(Sg) -> S(Eg)
+        self.gamma = gamma  # T(Qf) -> E(Tf)
 
 
 def rho_from_lift(

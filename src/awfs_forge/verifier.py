@@ -45,7 +45,6 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Callable
@@ -57,6 +56,7 @@ from .core import (
     ValidationError,
     eq_witness,
     expect_components,
+    expect_object,
     factor_through,
     inverse_lookup,
     pool_key,
@@ -102,20 +102,23 @@ class _Pools:
         self.presheaves: dict[str, Presheaf] = {}
         self.maps: dict[str, PresheafMap] = {}
         for key, content in payload.get("presheaves", {}).items():
-            _require(pool_key("p", content) == key, f"presheaves.{key}", "content hash mismatch")
-            bname = content.get("base", "main")
-            _require(bname in bases, f"presheaves.{key}", f"unknown base {bname}")
-            p = Presheaf.from_json(bases[bname], content, f"presheaves.{key}")
-            p.validate(f"presheaves.{key}")
+            where = f"presheaves.{key}"
+            _require(pool_key("p", content) == key, where, "content hash mismatch")
+            bname = expect_object(content, where).get("base", "main")
+            _require(type(bname) is str and bname in bases, where, f"unknown base {bname}")
+            p = Presheaf.from_json(bases[bname], content, where)
+            p.validate(where)
             self.presheaves[key] = p
         for key, content in payload.get("maps", {}).items():
-            _require(pool_key("m", content) == key, f"maps.{key}", "content hash mismatch")
-            src = self.presheaves.get(content["src"])
-            dst = self.presheaves.get(content["dst"])
-            _require(src is not None and dst is not None, f"maps.{key}", "dangling endpoint")
-            tables = expect_components(content["components"], src.base, f"maps.{key}.components")
+            where = f"maps.{key}"
+            _require(pool_key("m", content) == key, where, "content hash mismatch")
+            ends = (expect_object(content, where).get("src"), content.get("dst"))
+            known = all(type(e) is str and e in self.presheaves for e in ends)
+            _require(known, where, "dangling endpoint")
+            src, dst = (self.presheaves[e] for e in ends)
+            tables = expect_components(content.get("components"), src.base, f"{where}.components")
             m = PresheafMap.from_tables(src, dst, tables)
-            m.validate(f"maps.{key}")
+            m.validate(where)
             self.maps[key] = m
 
     def m(self, key: str, where: str) -> PresheafMap:
@@ -127,17 +130,21 @@ class _Pools:
         return self.presheaves[key]
 
 
-@dataclass
 class _Record(ArrowRecord):
     """A certified record.  It differs from the engine's in what it may not
     assume: stage inclusions need not be prefixes, so maps factor through
     them by inverse lookup, and each fill is `rule`, the verifier's
     `fill_rule` bound to the record's path, run once per square."""
 
-    rule: Callable[..., PresheafMap]  # (record, j, square) -> fill
-    _lookups: dict[int, dict] = field(default_factory=dict)  # inclusion -> its inverse
-    _ranges: dict[tuple[int, int], PresheafMap] = field(default_factory=dict)
-    _fills: dict[tuple, PresheafMap] = field(default_factory=dict)  # (j, top, bottom) -> fill
+    def __init__(
+        self, f, stages, inclusions, rmaps, cells, variant,
+        rule: Callable[..., PresheafMap],  # (record, j, square) -> fill
+    ):
+        super().__init__(f, stages, inclusions, rmaps, cells, variant)
+        self.rule = rule
+        self._lookups: dict[int, dict] = {}  # inclusion -> its inverse
+        self._ranges: dict[tuple[int, int], PresheafMap] = {}
+        self._fills: dict[tuple, PresheafMap] = {}  # (j, top, bottom) -> fill
 
     def fill(self, jname: str, sq: Square) -> PresheafMap:
         key = (jname, sq.u, sq.v)

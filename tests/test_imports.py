@@ -10,9 +10,16 @@ import cycle, so an import of the package inside a function is flagged too.
 A stand-in for a dead-code rule as well: every function, method and class
 the package defines must be referenced from the package, the tests, the
 scripts or the benchmark.
+
+And a start-up guard: every CLI command is its own process, so importing the
+CLI or the kernel must not load `dataclasses`, `inspect` or `argparse`
+(argparse is imported only for the commands its plain parser declines).
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,3 +144,16 @@ def test_module_uses_every_import(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_imports_the_package_at_top_level(module):
     assert local_package_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", ["awfs_forge.cli", "awfs_forge.core"])
+def test_importing_the_package_loads_no_start_up_heavy_module(module):
+    # -S: no site hooks, so only the import itself loads modules
+    code = (
+        f"import json, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}; "
+        "print(json.dumps(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert json.loads(out) == []

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from awfs_forge import certificates, cli
 from awfs_forge.cli import COMMANDS, build_parser, main
 from awfs_forge.arrows import ArrowObject, Square
-from awfs_forge.core import Presheaf, ValidationError, all_maps, canonical_dumps, sha256_hex
+from awfs_forge.core import (
+    Presheaf, ValidationError, all_maps, canonical_dumps, pool_key, sha256_hex
+)
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.instance import from_json, load
 from awfs_forge.lifting import oracle_lift
@@ -714,24 +716,55 @@ def test_generator_shapes_are_law_checked(composition, path, tmp_path, capsys):
     assert capsys.readouterr().err == f"invalid: {path}\n"
 
 
-@pytest.mark.parametrize("damage", ["truncate", "stage_tables", "nested"])
+MALFORMED = "malformed certificate: "
+
+
+def _without(field):
+    return lambda content: {k: v for k, v in content.items() if k != field}
+
+
+# a pool entry of the wrong shape, pooled under its own key: (pool, key
+# prefix, the entry made from the pool's first entry, the rejection at `{key}`)
+POOL_DAMAGE = {
+    "presheaf-list": ("presheaves", "p", lambda c: [1], MALFORMED + "{key}: must be a JSON object"),
+    "presheaf-base-list": ("presheaves", "p", lambda c: dict(c, base=[1]), "{key}: unknown base [1]"),
+    "map-list": ("maps", "m", lambda c: [1], MALFORMED + "{key}: must be a JSON object"),
+    "map-no-src": ("maps", "m", _without("src"), "{key}: dangling endpoint"),
+    "map-src-list": ("maps", "m", lambda c: dict(c, src=[1]), "{key}: dangling endpoint"),
+    "map-no-components": (
+        "maps", "m", _without("components"),
+        MALFORMED + "{key}.components: must be a JSON object",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", ["truncate", "stage_tables", "nested", *POOL_DAMAGE])
 def test_verify_cert_rejects_malformed_certificates(damage, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["soa", "--fixture", "FIX-M", "--out", str(out)]) == 0
     text = out.read_text()
+    expected = MALFORMED
     if damage == "truncate":
         text = text[: len(text) // 2]
     elif damage == "nested":  # deeper than the JSON decoder's recursion limit
         text = "[" * 200_000 + "]" * 200_000
     else:
         cert = json.loads(text)
-        cert["payload"]["stage_tables"] = "x"
+        if damage == "stage_tables":
+            cert["payload"]["stage_tables"] = "x"
+        else:
+            pool, prefix, change, expected = POOL_DAMAGE[damage]
+            entries = cert["payload"][pool]
+            content = change(next(iter(entries.values())))
+            key = pool_key(prefix, content)
+            entries[key] = content
+            expected = expected.format(key=f"{pool}.{key}")
         text = json.dumps(cert)
     out.write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 3
     captured = capsys.readouterr()
-    assert captured.out.startswith("certificate REJECTED: malformed certificate: ")
+    assert captured.out.startswith("certificate REJECTED: " + expected), captured.out
     assert "Traceback" not in captured.out + captured.err
 
 
