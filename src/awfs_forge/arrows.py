@@ -23,7 +23,7 @@ class ArrowObject:
         self.f = f
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ArrowObject) and self.f == other.f
+        return isinstance(other, ArrowObject) and (self.f is other.f or self.f == other.f)
 
     def __hash__(self) -> int:
         return hash(self.f)
@@ -56,7 +56,9 @@ class Square:
         self.v = v
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Square) and self.u == other.u and self.v == other.v
+        return isinstance(other, Square) and (
+            (self.u is other.u or self.u == other.u) and (self.v is other.v or self.v == other.v)
+        )
 
     def __hash__(self) -> int:
         return hash((self.u, self.v))

@@ -47,8 +47,9 @@ class CertPool:
         self._mkeys: dict[PresheafMap, str] = {}
 
     def add_presheaf(self, p: Presheaf) -> str:
-        if p in self._pkeys:
-            return self._pkeys[p]
+        key = self._pkeys.get(p)
+        if key is not None:
+            return key
         if p.base not in self.base_names:
             raise KeyError("presheaf over a base not declared in the instance")
         content = {"base": self.base_names[p.base], **p.to_json()}
@@ -58,8 +59,9 @@ class CertPool:
         return key
 
     def add_map(self, m: PresheafMap) -> str:
-        if m in self._mkeys:
-            return self._mkeys[m]
+        key = self._mkeys.get(m)
+        if key is not None:
+            return key
         content = {
             "src": self.add_presheaf(m.src),
             "dst": self.add_presheaf(m.dst),
@@ -72,14 +74,16 @@ class CertPool:
 
     def add(self, block):
         """`block` with each presheaf and map in it replaced by its pool key."""
-        if isinstance(block, dict):
+        kind = type(block)
+        if kind is dict:
             return {k: self.add(v) for k, v in block.items()}
-        if isinstance(block, list):
+        if kind is list:
             return [self.add(v) for v in block]
-        if isinstance(block, Presheaf):
+        if kind is PresheafMap:
+            key = self._mkeys.get(block)
+            return self.add_map(block) if key is None else key
+        if kind is Presheaf:
             return self.add_presheaf(block)
-        if isinstance(block, PresheafMap):
-            return self.add_map(block)
         return block
 
 

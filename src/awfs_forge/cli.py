@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 non-convergence,
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from types import SimpleNamespace
@@ -274,7 +275,18 @@ def parse_plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=command.func, **values)
 
 
+# whether `main` has moved the objects left over from import into the
+# collector's permanent generation; it does so once per process
+_heap_frozen = False
+
+
 def main(argv=None) -> int:
+    global _heap_frozen
+    if not _heap_frozen:
+        # the import heap lives as long as the process: every collection
+        # that a command's allocations trigger would scan it again
+        gc.freeze()
+        _heap_frozen = True
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parse_plain(argv)
     if args is None:  # usage, help and every parse error come from argparse

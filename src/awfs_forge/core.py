@@ -22,11 +22,26 @@ from types import MappingProxyType
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# `_CANONICAL.encode` builds a C encoder per call; this one is built once, with
+# the same settings.  A failed call can leave its circular-reference markers
+# behind, so they are cleared after one.
+_MARKERS: dict = {}
+_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    _MARKERS, _CANONICAL.default, json.encoder.encode_basestring_ascii, None,
+    _CANONICAL.key_separator, _CANONICAL.item_separator, _CANONICAL.sort_keys,
+    _CANONICAL.skipkeys, _CANONICAL.allow_nan,
+)
 
 
 def canonical_dumps(obj) -> str:
     """Bit-exact canonical JSON: sorted keys, no whitespace."""
-    return _CANONICAL.encode(obj)
+    if _ENCODE is None or isinstance(obj, str):
+        return _CANONICAL.encode(obj)
+    try:
+        return "".join(_ENCODE(obj, 0))
+    except BaseException:
+        _MARKERS.clear()
+        raise
 
 
 def sha256_hex(text: str) -> str:
@@ -394,7 +409,7 @@ class Presheaf:
     Actions for identities are filled in automatically.
     """
 
-    __slots__ = ("base", "at", "act", "_id", "_hash")
+    __slots__ = ("base", "at", "act", "_id", "_hash", "_identity")
 
     def __init__(self, base: FiniteCategory, at: dict[str, FinSet], act: dict[str, FinFunction]):
         self.base = base
@@ -415,6 +430,7 @@ class Presheaf:
         sizes = tuple(self.at[o].size for o in self.base.objects)
         self._id = (self.base, sizes, tuple(sorted((m, fn.table) for m, fn in act.items())))
         self._hash = hash(self._id)
+        self._identity = None  # built by PresheafMap.identity
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -540,13 +556,13 @@ class PresheafMap:
         return self is other or (
             type(other) is PresheafMap
             and self.tables == other.tables
-            and self.src == other.src
-            and self.dst == other.dst
+            and (self.src is other.src or self.src == other.src)
+            and (self.dst is other.dst or self.dst == other.dst)
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.src, self.dst, self.tables))
+            self._hash = hash((self.src._hash, self.dst._hash, self.tables))
         return self._hash
 
     def __repr__(self) -> str:
@@ -583,6 +599,11 @@ class PresheafMap:
         for o, t in zip(base.objects, self.tables):
             if len(t) != src.at[o].size or t and (min(t) < 0 or max(t) >= dst.at[o].size):
                 raise ValidationError(f"{path}.components.{o}", "component ill-typed")
+        self.check_naturality(path)
+
+    def check_naturality(self, path: str = "map") -> None:
+        """The naturality part of `validate`, for tables known to fit."""
+        src, dst, base = self.src, self.dst, self.src.base
         for m in base.nonidentity_morphisms():
             a, b = base.morphisms[m]
             t_a, t_b = self.table_at(a), self.table_at(b)
@@ -598,6 +619,16 @@ class PresheafMap:
     def then(self, other: "PresheafMap") -> "PresheafMap":
         if self.dst is not other.src and self.dst != other.src:
             raise ValidationError("map.then", "codomain/domain mismatch")
+        # a shared identity on either side: the other map, on the composite's
+        # endpoints
+        if self is self.src._identity:
+            if other.src is self.src:
+                return other
+            return PresheafMap(self.src, other.dst, other.tables)
+        if other is other.src._identity:
+            if self.dst is other.dst:
+                return self
+            return PresheafMap(self.src, other.dst, self.tables)
         tables = tuple([tuple([t[v] for v in s]) for s, t in zip(self.tables, other.tables)])
         return PresheafMap(self.src, other.dst, tables)
 
@@ -613,7 +644,10 @@ class PresheafMap:
 
     @staticmethod
     def identity(p: Presheaf) -> "PresheafMap":
-        return PresheafMap(p, p, tuple([tuple(range(n)) for n in p.sizes]))
+        """The identity of `p`, built once per presheaf and shared."""
+        if p._identity is None:
+            p._identity = PresheafMap(p, p, tuple([tuple(range(n)) for n in p.sizes]))
+        return p._identity
 
     def is_injective(self) -> bool:
         return all(len(set(t)) == len(t) for t in self.tables)
@@ -652,7 +686,7 @@ def eq_witness(m1: PresheafMap, m2: PresheafMap):
     """None when the maps agree; otherwise a (object, element, lhs, rhs) witness.
     Equal tables are compared as tuples; elements are walked only to name the
     first difference."""
-    if m1.src != m2.src or m1.dst != m2.dst:
+    if not (m1.src is m2.src or m1.src == m2.src) or not (m1.dst is m2.dst or m1.dst == m2.dst):
         lhs, rhs = _identity_json(m1), _identity_json(m2)
         return {"object": "<type>", "element": -1, "lhs": lhs, "rhs": rhs}
     if m1.tables == m2.tables:
@@ -856,7 +890,8 @@ def glue(target: Presheaf, dst: Presheaf, parts, where: str, problem: str) -> Pr
     objects = target.base.objects
     tables = [[-1] * n for n in target.sizes]
     for leg, value in parts:
-        if leg.dst != target or value.dst != dst:
+        lands = (leg.dst is target or leg.dst == target) and (value.dst is dst or value.dst == dst)
+        if not lands:
             raise ValidationError(where, "a part lands off the glued map's endpoints")
         for o, t, lt, vt in zip(objects, tables, leg.tables, value.tables):
             for idx, w in zip(lt, vt):

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping, Sequence
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 from .arrows import ArrowObject, Awfs, FunctorialFactorization, LawReport, Square
 from .core import (
     FiniteCategory,
+    Presheaf,
     PresheafMap,
     ValidationError,
     all_maps,
@@ -135,17 +137,37 @@ def square_key(u: PresheafMap, v: PresheafMap) -> str:
     return repr([[list(t) for t in u.tables], [list(t) for t in v.tables]])
 
 
+@lru_cache(maxsize=None)
+def _bottoms(j: ArrowObject, cod: Presheaf) -> dict[PresheafMap, list[PresheafMap]]:
+    """The maps v: cod j -> cod by their composite j;v, in table order: one
+    table for every square j => g with g.cod == cod, read and never changed."""
+    bottoms: dict[PresheafMap, list[PresheafMap]] = {}
+    for v in all_maps(j.cod, cod):
+        bottoms.setdefault(j.f.then(v), []).append(v)
+    return bottoms
+
+
 def _squares_with_tops(j: ArrowObject, g: ArrowObject, tops) -> tuple[Square, ...]:
     """The squares j => g whose top edge is in `tops`, in canonical order."""
     if not tops:
         return ()
     # (u, v) commutes exactly when u;g == j;v: join the two homs on that map
-    bottoms: dict[PresheafMap, list[PresheafMap]] = {}
-    for v in all_maps(j.cod, g.cod):
-        bottoms.setdefault(j.f.then(v), []).append(v)
-    out = [Square(j, g, u, v) for u in tops for v in bottoms.get(u.then(g.f), ())]
-    out.sort(key=lambda s: square_key(s.u, s.v))
-    return tuple(out)
+    bottoms = _bottoms(j, g.cod)
+    # sorted by `square_key`, with each edge's table text built once
+    keyed: list[tuple[str, Square]] = []
+    texts: dict[int, str] = {}  # id of a bottom edge -> the repr of its tables
+    for u in tops:
+        vs = bottoms.get(u.then(g.f))
+        if not vs:
+            continue
+        text_u = repr([list(t) for t in u.tables])
+        for v in vs:
+            text_v = texts.get(id(v))
+            if text_v is None:
+                text_v = texts[id(v)] = repr([list(t) for t in v.tables])
+            keyed.append((f"[{text_u}, {text_v}]", Square(j, g, u, v)))
+    keyed.sort(key=itemgetter(0))
+    return tuple([sq for _, sq in keyed])
 
 
 @lru_cache(maxsize=None)

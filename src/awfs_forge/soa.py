@@ -89,10 +89,18 @@ class CellRecord:
         ) == (other.stage, other.jname, other.square, other.injection)
 
 
-def _bounded(m: PresheafMap, p: Presheaf) -> bool:
+def _maxima(m: PresheafMap) -> list[int]:
+    """m's largest value at each base object, -1 where it has none."""
+    return [max(t, default=-1) for t in m.tables]
+
+
+def _bounded(m: PresheafMap, p: Presheaf, maxima: list[int] | None = None) -> bool:
     """Every value of m at each base object is below p's size there: m factors
-    through p when p is a prefix sub-presheaf of m.dst."""
-    return all(max(t, default=-1) < k for t, k in zip(m.tables, p.sizes))
+    through p when p is a prefix sub-presheaf of m.dst.  `maxima` is
+    `_maxima(m)`, when the caller keeps it."""
+    if maxima is None:
+        maxima = _maxima(m)
+    return all(v < k for v, k in zip(maxima, p.sizes))
 
 
 class ArrowRecord:
@@ -188,7 +196,8 @@ def _minimal_fill(stages, cell_index, jname, sq: Square) -> PresheafMap:
     of `stages`, carried up into the last stage object.  The cell sits one
     stage above the first stage E^gamma whose sizes bound u."""
     last = len(stages) - 1
-    gamma = next((s for s, st in enumerate(stages) if _bounded(sq.u, st)), last)
+    maxima = _maxima(sq.u)
+    gamma = next((s for s, st in enumerate(stages) if _bounded(sq.u, st, maxima)), last)
     cell = cell_index.get((gamma + 1, jname, sq.u.tables, sq.v))
     if cell is None:
         raise ValidationError(
@@ -305,8 +314,9 @@ class GeneratedAwfs(RecordAwfs):
 
     def record(self, f) -> ArrowRecord:
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        if farr in self.records:
-            return self.records[farr]
+        rec = self.records.get(farr)
+        if rec is not None:
+            return rec
         if farr in self._failures:
             raise self._failures[farr]
         try:
@@ -387,8 +397,11 @@ class GeneratedAwfs(RecordAwfs):
             for p, (jt, ut) in enumerate(zip(j.f.tables, sq.u.tables)):
                 for y, x in zip(jt, ut):
                     union(p, offsets[idx][p] + y, x)
-        index = {(jname, sq.u, sq.v): i for i, (jname, sq) in enumerate(attached)}
-        for m in self.diagram.shape.nonidentity_morphisms():
+        connecting = self.diagram.shape.nonidentity_morphisms()
+        index = {}  # attached square -> its position, read along connecting squares
+        if connecting:
+            index = {(jname, sq.u, sq.v): i for i, (jname, sq) in enumerate(attached)}
+        for m in connecting:
             jp, jn = self.diagram.shape.src(m), self.diagram.shape.dst(m)
             conn = self.diagram.square_of[m]
             for idx, (jname, sq) in enumerate(attached):
@@ -493,23 +506,26 @@ class GeneratedAwfs(RecordAwfs):
 
     def e_on_square(self, sq: Square) -> PresheafMap:
         """E(u, v), once per square (`e_rule`)."""
-        if sq not in self._esquares:
-            self._esquares[sq] = e_rule(sq, self.record, "e_on_square")
-        return self._esquares[sq]
+        e = self._esquares.get(sq)
+        if e is None:
+            e = self._esquares[sq] = e_rule(sq, self.record, "e_on_square")
+        return e
 
     def mu(self, f) -> PresheafMap:
         """Multiplication E(R f) -> E f, once per arrow (`mu_rule`)."""
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        if farr not in self._mus:
-            self._mus[farr] = mu_rule(farr, self.record, "mu")
-        return self._mus[farr]
+        mu = self._mus.get(farr)
+        if mu is None:
+            mu = self._mus[farr] = mu_rule(farr, self.record, "mu")
+        return mu
 
     def delta(self, f) -> PresheafMap:
         """Comultiplication E f -> E L f, once per arrow (`delta_rule`)."""
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        if farr not in self._deltas:
-            self._deltas[farr] = delta_rule(farr, self.record, self.e_on_square, "delta")
-        return self._deltas[farr]
+        delta = self._deltas.get(farr)
+        if delta is None:
+            delta = self._deltas[farr] = delta_rule(farr, self.record, self.e_on_square, "delta")
+        return delta
 
 
 def run_soa(diagram: GeneratorDiagram, variant: str = "monic", max_steps: int = 64) -> GeneratedAwfs:

@@ -55,7 +55,6 @@ from .core import (
     PresheafMap,
     ValidationError,
     eq_witness,
-    expect_components,
     expect_object,
     factor_through,
     inverse_lookup,
@@ -96,12 +95,41 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise CertificateError(where, message)
 
 
+def _pooled_map(src: Presheaf, dst: Presheaf, components, where: str) -> PresheafMap:
+    """The natural map src -> dst with the tables `components` of the pooled
+    map at `where`, each table read in one pass.  It checks what
+    `expect_components`, `PresheafMap.from_tables` and `validate` check, in
+    their order and with their messages (`tests/reference_maps.py` keeps that
+    route)."""
+    base, path = src.base, f"{where}.components"
+    given = expect_object(components, path)
+    for o, t in given.items():
+        if o not in base._position:
+            raise ValidationError(f"{path}.{o}", "unknown base object")
+        if type(t) is not list or any(type(v) is not int for v in t):
+            raise ValidationError(f"{path}.{o}", "must be a JSON list of integers")
+    tables = []
+    for o in base.objects:
+        n, t = dst.at[o].size, given[o]
+        if len(t) != src.at[o].size:
+            raise ValidationError("FinFunction.table", "length must equal src.size")
+        if t and (min(t) < 0 or max(t) >= n):
+            i, v = next((i, v) for i, v in enumerate(t) if not 0 <= v < n)
+            raise ValidationError("FinFunction.table", f"entry {i} -> {v} out of range")
+        tables.append(tuple(t))
+    if base != dst.base:
+        raise ValidationError(where, "source and target live over different bases")
+    m = PresheafMap(src, dst, tuple(tables))
+    m.check_naturality(where)
+    return m
+
+
 class _Pools:
     def __init__(self, instance: InstanceFile, payload: dict):
         bases = {name: cat for name, cat in instance.bases.items()}
         self.presheaves: dict[str, Presheaf] = {}
         self.maps: dict[str, PresheafMap] = {}
-        for key, content in payload.get("presheaves", {}).items():
+        for key, content in expect_object(payload.get("presheaves", {}), "presheaves").items():
             where = f"presheaves.{key}"
             _require(pool_key("p", content) == key, where, "content hash mismatch")
             bname = expect_object(content, where).get("base", "main")
@@ -109,17 +137,14 @@ class _Pools:
             p = Presheaf.from_json(bases[bname], content, where)
             p.validate(where)
             self.presheaves[key] = p
-        for key, content in payload.get("maps", {}).items():
+        for key, content in expect_object(payload.get("maps", {}), "maps").items():
             where = f"maps.{key}"
             _require(pool_key("m", content) == key, where, "content hash mismatch")
             ends = (expect_object(content, where).get("src"), content.get("dst"))
             known = all(type(e) is str and e in self.presheaves for e in ends)
             _require(known, where, "dangling endpoint")
             src, dst = (self.presheaves[e] for e in ends)
-            tables = expect_components(content.get("components"), src.base, f"{where}.components")
-            m = PresheafMap.from_tables(src, dst, tables)
-            m.validate(where)
-            self.maps[key] = m
+            self.maps[key] = _pooled_map(src, dst, content.get("components"), where)
 
     def m(self, key: str, where: str) -> PresheafMap:
         _require(key in self.maps, where, f"dangling map reference {key}")
@@ -148,24 +173,27 @@ class _Record(ArrowRecord):
 
     def fill(self, jname: str, sq: Square) -> PresheafMap:
         key = (jname, sq.u, sq.v)
-        if key not in self._fills:
-            self._fills[key] = self.rule(self, jname, sq)
-        return self._fills[key]
+        fill = self._fills.get(key)
+        if fill is None:
+            fill = self._fills[key] = self.rule(self, jname, sq)
+        return fill
 
     def inclusion_range(self, lo: int, hi: int) -> PresheafMap:
-        if (lo, hi) not in self._ranges:
+        out = self._ranges.get((lo, hi))
+        if out is None:
             out = PresheafMap.identity(self.stages[lo])
             for b in range(lo, hi):
                 out = out.then(self.inclusions[b])
             self._ranges[(lo, hi)] = out
-        return self._ranges[(lo, hi)]
+        return out
 
     def lookup(self, b: int) -> tuple[dict[int, int], ...]:
         """The inverse of inclusion b (stage b -> b + 1), built once: per base
         object, each element of its image -> its preimage."""
-        if b not in self._lookups:
-            self._lookups[b] = inverse_lookup(self.inclusions[b])
-        return self._lookups[b]
+        inverse = self._lookups.get(b)
+        if inverse is None:
+            inverse = self._lookups[b] = inverse_lookup(self.inclusions[b])
+        return inverse
 
     def factor(self, u: PresheafMap, b: int) -> PresheafMap | None:
         """`u` factored through inclusion b, or None."""
@@ -206,7 +234,7 @@ class CertifiedEngine(RecordAwfs):
         self._esquares: dict[Square, PresheafMap] = {}
         self._mus: dict[PresheafMap, PresheafMap] = {}
         self._deltas: dict[PresheafMap, PresheafMap] = {}
-        for fkey, entry in block.items():
+        for fkey, entry in expect_object(block, where).items():
             w = f"{where}.{fkey}"
             f = pools.m(entry["f"], w)
             _require(entry["f"] == fkey, w, "entry key differs from arrow key")
@@ -348,22 +376,25 @@ class CertifiedEngine(RecordAwfs):
 
     def e_walk(self, sq: Square) -> PresheafMap:
         """E on a square, replayed once per square."""
-        if sq not in self._esquares:
-            self._esquares[sq] = _replayed(e_rule, sq, self.record, where=self.where)
-        return self._esquares[sq]
+        e = self._esquares.get(sq)
+        if e is None:
+            e = self._esquares[sq] = _replayed(e_rule, sq, self.record, where=self.where)
+        return e
 
     def mu_replay(self, f: PresheafMap) -> PresheafMap:
         """Algebra structure of R f, replayed once per arrow."""
-        if f not in self._mus:
-            self._mus[f] = _replayed(mu_rule, ArrowObject(f), self.record, where=self.where)
-        return self._mus[f]
+        mu = self._mus.get(f)
+        if mu is None:
+            mu = self._mus[f] = _replayed(mu_rule, ArrowObject(f), self.record, where=self.where)
+        return mu
 
     def delta_replay(self, f: PresheafMap) -> PresheafMap:
         """Coalgebra structure of L f, replayed once per arrow."""
-        if f not in self._deltas:
+        delta = self._deltas.get(f)
+        if delta is None:
             args = ArrowObject(f), self.record, self.e_walk
-            self._deltas[f] = _replayed(delta_rule, *args, where=self.where)
-        return self._deltas[f]
+            delta = self._deltas[f] = _replayed(delta_rule, *args, where=self.where)
+        return delta
 
     # -- the `RecordAwfs` hooks and λ, over the certified records ------------
 

@@ -7,7 +7,14 @@ object at a time with `FinFunction`'s own composition and range check, so a
 table that does not fit its endpoints raises here.
 """
 
-from awfs_forge.core import FinFunction, FinSet, Presheaf, PresheafMap, _identity_json
+from awfs_forge.core import (
+    FinFunction,
+    FinSet,
+    Presheaf,
+    PresheafMap,
+    _identity_json,
+    expect_components,
+)
 
 Components = dict[str, FinFunction]
 
@@ -104,3 +111,13 @@ def ref_quotient_tables(x: Presheaf, relations) -> dict[str, tuple[int, ...]]:
         firsts = sorted(set(cls))
         out[o] = tuple(firsts.index(c) for c in cls)
     return out
+
+
+def ref_pooled_map(src: Presheaf, dst: Presheaf, value, where: str) -> PresheafMap:
+    """A pooled map loaded the way the verifier loaded it before it read each
+    table once: `expect_components`, then `PresheafMap.from_tables` (one
+    range-checked `FinFunction` per base object), then `validate`."""
+    tables = expect_components(value, src.base, f"{where}.components")
+    m = PresheafMap.from_tables(src, dst, tables)
+    m.validate(where)
+    return m

@@ -283,6 +283,22 @@ def test_verify_cert_rejects_field_flips_of_record_entries(name, argv, fields, t
         assert not ok and msg.startswith(f"arrows.{fkey}"), (field, msg)
 
 
+@pytest.mark.parametrize("value, written", [(3, 3.0), (1, True), (0, False)])
+def test_verify_cert_matches_record_entries_type_strictly(value, written, tmp_path):
+    # the written value equals the recomputed one under ==, but is a float or
+    # a boolean where the record entry holds an integer
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, "soa --fixture FIX-M")
+    fkey = next(k for k, e in cert["payload"]["arrows"].items() if e["trace"][0] == value)
+    cert["payload"]["arrows"][fkey]["trace"][0] = written
+    assert verify_certificate(instance, cert) == (
+        False, f"arrows.{fkey}.trace[0]: differs from the recomputed record entry"
+    )
+    out = tmp_path / "flipped.json"
+    out.write_text(json.dumps(cert), encoding="utf-8")
+    assert main(["verify-cert", "--fixture", "FIX-M", str(out)]) == 3
+
+
 @pytest.mark.parametrize("argv, blocks", [
     ("soa --fixture FIX-M", ("arrows",)),
     ("lift --fixture FIX-M", ("arrows",)),

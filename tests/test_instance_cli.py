@@ -738,10 +738,24 @@ POOL_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", ["truncate", "stage_tables", "nested", *POOL_DAMAGE])
+# a whole pool or record block of the wrong shape: (command, block)
+BLOCK_DAMAGE = {
+    "presheaves-block": ("soa", "presheaves"),
+    "maps-block": ("soa", "maps"),
+    "arrows-block": ("soa", "arrows"),
+    "model-arrows_j-block": ("model", "arrows_j"),
+    "model-arrows_i-block": ("model", "arrows_i"),
+    "lift-arrows-block": ("lift", "arrows"),
+}
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncate", "stage_tables", "nested", *POOL_DAMAGE, *BLOCK_DAMAGE]
+)
 def test_verify_cert_rejects_malformed_certificates(damage, tmp_path, capsys):
     out = tmp_path / "cert.json"
-    assert main(["soa", "--fixture", "FIX-M", "--out", str(out)]) == 0
+    command = BLOCK_DAMAGE[damage][0] if damage in BLOCK_DAMAGE else "soa"
+    assert main([command, "--fixture", "FIX-M", "--out", str(out)]) == 0
     text = out.read_text()
     expected = MALFORMED
     if damage == "truncate":
@@ -752,6 +766,10 @@ def test_verify_cert_rejects_malformed_certificates(damage, tmp_path, capsys):
         cert = json.loads(text)
         if damage == "stage_tables":
             cert["payload"]["stage_tables"] = "x"
+        elif damage in BLOCK_DAMAGE:
+            block = BLOCK_DAMAGE[damage][1]
+            cert["payload"][block] = [1]
+            expected = MALFORMED + f"{block}: must be a JSON object"
         else:
             pool, prefix, change, expected = POOL_DAMAGE[damage]
             entries = cert["payload"][pool]
