@@ -181,8 +181,10 @@ class _Record(ArrowRecord):
     def inclusion_range(self, lo: int, hi: int) -> PresheafMap:
         out = self._ranges.get((lo, hi))
         if out is None:
-            out = PresheafMap.identity(self.stages[lo])
-            for b in range(lo, hi):
+            # from inclusion lo on, so that no stage keeps an identity map it
+            # does not need
+            out = self.inclusions[lo] if lo < hi else PresheafMap.identity(self.stages[lo])
+            for b in range(lo + 1, hi):
                 out = out.then(self.inclusions[b])
             self._ranges[(lo, hi)] = out
         return out
