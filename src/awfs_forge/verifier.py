@@ -99,8 +99,7 @@ def _pooled_map(src: Presheaf, dst: Presheaf, components, where: str) -> Preshea
     """The natural map src -> dst with the tables `components` of the pooled
     map at `where`, each table read in one pass.  It checks what
     `expect_components`, `PresheafMap.from_tables` and `validate` check, in
-    their order and with their messages (`tests/reference_maps.py` keeps that
-    route)."""
+    their order and with their messages."""
     base, path = src.base, f"{where}.components"
     given = expect_object(components, path)
     for o, t in given.items():
