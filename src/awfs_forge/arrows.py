@@ -78,17 +78,6 @@ class Square:
         return eq_witness(self.u.then(self.dst.f), self.src.f.then(self.v)) is None
 
 
-def identity_square(a: ArrowObject) -> Square:
-    return Square(a, a, PresheafMap.identity(a.dom), PresheafMap.identity(a.cod))
-
-
-def compose_squares_v(a: Square, b: Square) -> Square:
-    """Composite of a: f => g and b: g => h in the arrow category."""
-    if a.dst != b.src:
-        raise ValidationError("compose_squares_v", "middle arrows disagree")
-    return Square(a.src, b.dst, a.u.then(b.u), a.v.then(b.v))
-
-
 class Factored(NamedTuple):
     left: PresheafMap  # Lf: dom f -> Ef
     mid: Presheaf  # Ef
@@ -123,20 +112,6 @@ class FunctorialFactorization:
 
     def e(self, sq: Square) -> PresheafMap:
         return self.on_square(sq)
-
-
-def apply_factorization(fact: FunctorialFactorization, x):
-    """Factor an arrow or push a square through the factorization's E functor."""
-    if isinstance(x, Square):
-        return fact.e(x)
-    out = fact.factor(x)
-    arrow = x if isinstance(x, ArrowObject) else ArrowObject(x)
-    w = eq_witness(out.left.then(out.right), arrow.f)
-    if w is not None:
-        raise ValidationError(
-            "apply_factorization", f"Rf∘Lf != f at ({w['object']}, {w['element']})"
-        )
-    return out
 
 
 class Awfs:

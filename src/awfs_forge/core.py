@@ -91,15 +91,6 @@ def expect_components(value, base: "FiniteCategory", path: str) -> dict[str, tup
     return tables
 
 
-class NonCommutingCocone(Exception):
-    """A claimed cocone does not commute; carries a (base object, element) witness."""
-
-    def __init__(self, base_object: str, element: int, detail: str = ""):
-        self.base_object = base_object
-        self.element = element
-        super().__init__(f"cocone fails to commute at ({base_object}, {element}) {detail}")
-
-
 class FinSet:
     """The set {0, ..., size-1}."""
 
@@ -169,10 +160,6 @@ class FinFunction:
             raise ValidationError("FinFunction.then", "codomain/domain mismatch")
         t = other.table
         return FinFunction._trusted(self.src, other.dst, tuple([t[v] for v in self.table]))
-
-    def after(self, other: "FinFunction") -> "FinFunction":
-        """Classical composite self ∘ other."""
-        return other.then(self)
 
     @staticmethod
     def identity(s: FinSet) -> "FinFunction":
@@ -444,9 +431,6 @@ class Presheaf:
     def sizes(self) -> tuple[int, ...]:
         """The size at each base object, in base-object order."""
         return self._id[1]
-
-    def size_at(self, obj: str) -> int:
-        return self.at[obj].size
 
     @property
     def total_size(self) -> int:
@@ -903,31 +887,6 @@ def glue(target: Presheaf, dst: Presheaf, parts, where: str, problem: str) -> Pr
         if -1 in t:
             raise ValidationError(where, f"no leg reaches an element at {o}")
     return PresheafMap(target, dst, tuple([tuple(t) for t in tables]))
-
-
-def check_cocone_factor(record: ColimitRecord, cocone: list[PresheafMap]) -> PresheafMap:
-    """Unique factoring of a commuting cocone through a computed colimit.
-
-    Raises NonCommutingCocone (with a base object / element witness) when the
-    cocone fails to commute with the colimit's diagram.
-    """
-    if len(cocone) != len(record.legs):
-        raise ValidationError("cocone", "wrong number of legs")
-    target = cocone[0].dst
-    for leg, c in zip(record.legs, cocone):
-        if c.src != leg.src or c.dst != target:
-            raise ValidationError("cocone", "leg endpoints do not match the diagram")
-    if record.kind == "pushout":
-        f, g = record.diagram
-        w = eq_witness(f.then(cocone[0]), g.then(cocone[1]))
-        if w is not None:
-            raise NonCommutingCocone(w["object"], w["element"], "pushout cocone")
-    elif record.kind == "coequalizer":
-        f, g = record.diagram
-        w = eq_witness(f.then(cocone[0]), g.then(cocone[0]))
-        if w is not None:
-            raise NonCommutingCocone(w["object"], w["element"], "coequalizer cocone")
-    return glue(record.apex, target, zip(record.legs, cocone), "cocone", "not constant on a class")
 
 
 # ---------------------------------------------------------------------------

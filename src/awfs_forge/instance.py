@@ -240,7 +240,7 @@ def from_json(data: dict) -> InstanceFile:
     presheaves: dict[str, Presheaf] = {}
     for pname, pdata in expect_object(data.get("presheaves", {}), "presheaves").items():
         bname = expect_object(pdata, f"presheaves.{pname}").get("base", "main")
-        if bname not in bases:
+        if not isinstance(bname, str) or bname not in bases:
             raise ValidationError(f"presheaves.{pname}.base", f"unknown base {bname}")
         try:
             p = Presheaf.from_json(bases[bname], pdata, f"presheaves.{pname}")

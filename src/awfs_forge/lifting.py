@@ -517,21 +517,6 @@ def check_algebra_map(
     return eq_witness(fact.e(sq).then(a_g.t), a_f.t.then(sq.u)) is None
 
 
-def algebra_to_lifting_function(
-    diagram: GeneratorDiagram,
-    a: AlgebraStructure,
-    lam,
-    fact: FunctorialFactorization,
-) -> LiftingFunction:
-    """The `lift` direction of the algebra/lifting-function dictionary:
-    φ(j, u, v) = t ∘ E(u,v) ∘ s_j, with s_j the unit coalgebra structure."""
-
-    def fn(jname: str, sq: Square) -> PresheafMap:
-        return solve_lift(lam(jname), a, sq, fact)
-
-    return LiftingFunction.tabulate(diagram, a.g, fn)
-
-
 # -- the blocks a certificate derives from the instance and its records, here
 # and in `soa.soa_blocks` and `model.model_blocks`.  Each takes an engine: a
 # `soa.GeneratedAwfs`, or the verifier's engine over certified records, which

@@ -38,11 +38,7 @@ from .core import (
     PresheafMap,
     UnionFind,
     ValidationError,
-    coproduct,
-    check_cocone_factor,
     glue,
-    pushout,
-    quotient_presheaf,
 )
 from .lifting import (
     AlgebraStructure,
@@ -204,60 +200,6 @@ def _minimal_fill(stages, cell_index, jname, sq: Square) -> PresheafMap:
             "soa.fill", f"no cell for generator {jname} at minimal stage {gamma + 1}"
         )
     return cell.injection.retarget(stages[-1])
-
-
-def density_comonad(diagram: GeneratorDiagram, f) -> tuple[ArrowObject, Square]:
-    """Left Kan extension of the generator diagram along itself, evaluated at f:
-    the coend over generators of squares-weighted copies, with its counit."""
-    farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-    base = farr.base
-    squares = [
-        (jname, sq)
-        for jname in diagram.objects()
-        for sq in enumerate_squares(diagram.arrow_of[jname], farr)
-    ]
-    if not squares:
-        empty = Presheaf.empty(base)
-        nothing = PresheafMap.identity(empty)
-        l0_arr = ArrowObject(nothing)
-        to_dom = PresheafMap(empty, farr.dom, nothing.tables)
-        to_cod = PresheafMap(empty, farr.cod, nothing.tables)
-        return l0_arr, Square(l0_arr, farr, to_dom, to_cod)
-    dom_cop = coproduct([diagram.arrow_of[j].dom for j, _ in squares], base)
-    cod_cop = coproduct([diagram.arrow_of[j].cod for j, _ in squares], base)
-    index = {(j, sq.u, sq.v): i for i, (j, sq) in enumerate(squares)}
-    dom_rels, cod_rels = [], []
-    for m in diagram.shape.nonidentity_morphisms():
-        jp, jn = diagram.shape.src(m), diagram.shape.dst(m)
-        conn = diagram.square_of[m]
-        for i, (jname, sq) in enumerate(squares):
-            if jname != jn:
-                continue
-            i2 = index[(jp, conn.u.then(sq.u), conn.v.then(sq.v))]
-            dom_rels.append((dom_cop.legs[i2], conn.u.then(dom_cop.legs[i])))
-            cod_rels.append((cod_cop.legs[i2], conn.v.then(cod_cop.legs[i])))
-    dom_q, dq = quotient_presheaf(dom_cop.apex, dom_rels)
-    cod_q, cq = quotient_presheaf(cod_cop.apex, cod_rels)
-    dom_legs = [leg.then(dq) for leg in dom_cop.legs]
-    cod_legs = [leg.then(cq) for leg in cod_cop.legs]
-    blocks = [diagram.arrow_of[j].f.then(leg) for (j, _), leg in zip(squares, cod_legs)]
-    where, problem = "density_comonad", "not constant on classes"
-    l0 = glue(dom_q, cod_q, zip(dom_legs, blocks), where, problem)
-    top = glue(dom_q, farr.dom, zip(dom_legs, (sq.u for _, sq in squares)), where, problem)
-    bottom = glue(cod_q, farr.cod, zip(cod_legs, (sq.v for _, sq in squares)), where, problem)
-    l0_arr = ArrowObject(l0)
-    counit = Square(l0_arr, farr, top, bottom)
-    return l0_arr, counit
-
-
-def step_one(diagram: GeneratorDiagram, f) -> Factored:
-    """One-step factorization: push out the density counit, then factor."""
-    farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-    l0, counit = density_comonad(diagram, farr)
-    po = pushout(counit.u, l0.f)
-    l1 = po.legs[0]
-    r1 = check_cocone_factor(po, [farr.f, counit.v])
-    return Factored(l1, po.apex, r1)
 
 
 class RecordAwfs:

@@ -320,28 +320,6 @@ def adjunct_lifting_S(
     return LiftingFunction.tabulate(diagram_m, sf, fn)
 
 
-def adjunct_lifting_T(
-    adj: AdjunctionData,
-    diagram_k: GeneratorDiagram,
-    lf: LiftingFunction,
-    f: ArrowObject,
-) -> LiftingFunction:
-    """Flat direction: a lifting function for S f over the source generators
-    becomes one for f over the transported generators, fill by adjunct."""
-    sf = adj.s_arrow(f)
-    if lf.g != sf:
-        raise ValidationError("adjunct_lifting_T", "lifting function is not for S f")
-
-    def fn(jname: str, sq: Square) -> PresheafMap:
-        j = lf.diagram.arrow_of[jname]
-        sharp_u = adj.unit(j.dom).then(adj.s_map(sq.u))
-        sharp_v = adj.unit(j.cod).then(adj.s_map(sq.v))
-        fill = lf.phi(jname, Square(j, sf, sharp_u, sharp_v))
-        return adj.t_map(fill).then(adj.counit(f.dom))
-
-    return LiftingFunction.tabulate(diagram_k, f, fn)
-
-
 class MateData:
     """The mate pair of an adjunction of awfs candidates: rho at arrows of the
     right-adjoint side, gamma at arrows of the left-adjoint side."""

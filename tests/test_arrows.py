@@ -4,9 +4,6 @@ from awfs_forge.arrows import (
     ArrowObject,
     Awfs,
     Square,
-    apply_factorization,
-    compose_squares_v,
-    identity_square,
     verify_awfs,
     verify_awfs_morphism,
     AwfsMorphism,
@@ -31,26 +28,6 @@ def mutate(m: PresheafMap, obj: str, idx: int, val: int) -> PresheafMap:
     return PresheafMap.from_tables(m.src, m.dst, tables)
 
 
-def test_identity_square_composition():
-    i = identity_square(F21)
-    assert compose_squares_v(i, i) == i
-
-
-def test_compose_with_identity():
-    sq = Square(E01, F21, finmap(0, 2, []), finmap(1, 1, [0]))
-    sq.validate()
-    assert compose_squares_v(sq, identity_square(F21)) == sq
-
-
-def test_square_composite_tables():
-    a = Square(F21, F21, finmap(2, 2, [1, 0]), finmap(1, 1, [0]))
-    b = Square(F21, F21, finmap(2, 2, [1, 0]), finmap(1, 1, [0]))
-    a.validate(), b.validate()
-    c = compose_squares_v(a, b)
-    assert c.u.components["*"].table == (0, 1)
-    assert c.v.components["*"].table == (0,)
-
-
 def test_square_validation_rejects_noncommuting():
     bad = Square(E01, F21, finmap(0, 2, []), finmap(1, 1, [0]))
     bad.validate()  # commutes (empty domain)
@@ -62,7 +39,7 @@ def test_square_validation_rejects_noncommuting():
 
 def test_empty_generator_factorization_is_trivial():
     gen = run_soa(GeneratorDiagram.discrete({}))
-    fac = apply_factorization(gen.as_fact(), F21)
+    fac = gen.factor(F21)
     assert fac.left == PresheafMap.identity(F21.dom)
     assert fac.mid == F21.dom
     assert fac.right == F21.f
@@ -70,7 +47,7 @@ def test_empty_generator_factorization_is_trivial():
 
 def test_split_epi_factorization_tables():
     gen = split_epi_gen()
-    fac = apply_factorization(gen.as_fact(), F21)
+    fac = gen.factor(F21)
     assert fac.left.components["*"].table == (0, 1)
     assert fac.mid == finset(3)
     assert fac.right.components["*"].table == (0, 0, 0)
@@ -78,7 +55,8 @@ def test_split_epi_factorization_tables():
 
 def test_e_of_identity_square_is_identity():
     gen = split_epi_gen()
-    e = apply_factorization(gen.as_fact(), identity_square(F21))
+    identity = Square(F21, F21, PresheafMap.identity(F21.dom), PresheafMap.identity(F21.cod))
+    e = gen.e_on_square(identity)
     assert e == PresheafMap.identity(gen.factor(F21).mid)
 
 

@@ -7,9 +7,16 @@ import statement anywhere in the module (functions included) must appear as a
 so none are exempt.  No module needs a function-local import to break an
 import cycle, so an import of the package inside a function is flagged too.
 
-A stand-in for a dead-code rule as well: every function, method and class
-the package defines must be referenced from the package, the tests, the
-scripts or the benchmark.
+A reachability gate as well: every function, method and class the package
+defines must be reached by name from `cli.main`, from a module's top-level
+statements, from `scripts/`, from `perfbench/` or from
+`tests/test_acceptance.py`, directly or through definitions reached so.  A
+name is read as a `Name`, an attribute or a string constant, so the
+benchmark's tracer, which binds functions by their names as strings, reaches
+them too.  Other tests do not: code that only unit tests call is not code the
+system needs.  `ALLOWLIST` names the paper results that only unit tests
+exercise, each with its reason; an entry that no longer exists, or that is
+reached anyway, fails the gate.
 
 And a start-up guard: every CLI command is its own process, so importing the
 CLI or the kernel must not load `dataclasses`, `inspect` or `argparse`
@@ -63,28 +70,92 @@ def local_package_imports(source: str) -> list[str]:
     return [f"line {line}" for line in sorted(lines)]
 
 
-def definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of every function, method and class but dunder methods."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return sorted(
-        (node.lineno, node.name)
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
-    )
+# The paper results that only unit tests exercise: no command runs them.
+ALLOWLIST = {
+    "check_algebra_unit": "R-algebra unit law, dual of the coalgebra checks `model` runs",
+    "check_algebra_laws": "R-algebra laws, dual of the coalgebra checks `model` runs",
+    "check_algebra_map": "maps of R-algebras, dual of the coalgebra maps",
+    "RetractData": "closure under retracts: the retract a lifting function moves along",
+    "retract_transfer": "closure under retracts: lifting functions move along a retract",
+    "PrunedGenerators": "generator pruning: the pruned generators with their sections",
+    "PruneError": "generator pruning: a generator that no free coalgebra retracts onto",
+    "prune_generators": "generator pruning: J' = {Cj} generates the same model structure",
+    "transfer_pruned_lifting": "generator pruning: lifting functions move to the pruned set",
+    "projective_generators": "the algebraic projective model structure's generators",
+}
+# What reaches the package besides `cli.main` and its modules' top levels.
+ROOTS = ("scripts/**/*.py", "perfbench/**/*.py", "tests/test_acceptance.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reference(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
 def references(source: str) -> set[str]:
     """Names, attribute names and string constants: a definition looked up
     with `getattr` by name is referenced by the string."""
-    out = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+    return {ref for node in ast.walk(ast.parse(source)) if (ref := _reference(node)) is not None}
+
+
+def _scope(nodes: list[ast.AST], units: list) -> set[str]:
+    """The references in `nodes` outside the definitions among them; each
+    definition but a dunder method is appended to `units` as (line, name,
+    its own references).  A dunder method belongs to its class."""
+    refs: set[str] = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__")):
+            units.append((node.lineno, node.name, _scope(list(ast.iter_child_nodes(node)), units)))
+            continue
+        if (ref := _reference(node)) is not None:
+            refs.add(ref)
+        stack.extend(ast.iter_child_nodes(node))
+    return refs
+
+
+def _unreached(units: list, live: set[str]) -> list:
+    """Close `live` over the references of the units it names; the units left."""
+    while reached := [u for u in units if u[2] in live]:
+        units = [u for u in units if u[2] not in live]
+        for u in reached:
+            live |= u[3]
+    return units
+
+
+def unreached(modules: dict[str, str], roots: set[str], allowlist) -> tuple[list[str], list[str]]:
+    """("module:line: name" of each definition in `modules` that no root
+    reaches, stale allowlist entries).  Every module's top-level statements
+    are roots.  An allowlist entry is stale unless it names a definition the
+    roots leave unreached; the entries are then roots too, so what only they
+    reach is not flagged."""
+    units, live = [], set(roots)
+    for module, source in modules.items():
+        found: list = []
+        live |= _scope(ast.parse(source).body, found)
+        units += [(module, line, name, refs) for line, name, refs in found]
+    dead = _unreached(units, live)
+    stale = sorted(set(allowlist) - {name for _, _, name, _ in dead})
+    dead = _unreached(dead, live | set(allowlist))
+    return [f"{module}:{line}: {name}" for module, line, name, _ in sorted(dead)], stale
+
+
+def gate(root: Path, allowlist) -> tuple[list[str], list[str]]:
+    """`unreached` over the package under `root`, from `cli.main` and `ROOTS`."""
+    package = root / "src" / "awfs_forge"
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    roots = {"main"}
+    for pattern in ROOTS:
+        for path in root.glob(pattern):
+            roots |= references(path.read_text(encoding="utf-8"))
+    return unreached(modules, roots, allowlist)
 
 
 def test_scanner_flags_an_unreferenced_definition():
@@ -97,22 +168,41 @@ def test_scanner_flags_an_unreferenced_definition():
         "def dead(): pass\n"
         "A().used(); getattr(A, 'by_name')\n"
     )
-    refs = references(source)
-    assert [d for d in definitions(source) if d[1] not in refs] == [(4, "unused"), (6, "dead")]
+    assert unreached({"m.py": source}, set(), {}) == (["m.py:4: unused", "m.py:6: dead"], [])
+
+
+def test_gate_flags_what_only_dead_code_or_unit_tests_reach(tmp_path):
+    files = {
+        "src/awfs_forge/cli.py": "def main(): helper()\ndef helper(): pass\n",
+        "src/awfs_forge/m.py": (
+            "TABLE = [listed]\n"
+            "def listed(): pass\n"
+            "def dead(): only_dead()\n"
+            "def only_dead(): pass\n"
+            "def unit_tested(): pass\n"
+            "def traced(): pass\n"
+            "def result(): result_helper()\n"
+            "def result_helper(): pass\n"
+            "def accepted(): pass\n"
+            "def scripted(): pass\n"
+        ),
+        "tests/test_m.py": "from awfs_forge.m import unit_tested\nunit_tested()\n",
+        "tests/test_acceptance.py": "from awfs_forge import m\nm.accepted()\n",
+        "perfbench/tracing.py": "NAMES = ['traced']\n",
+        "scripts/demo.py": "from awfs_forge.m import scripted\nscripted()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    flagged = ["m.py:3: dead", "m.py:4: only_dead", "m.py:5: unit_tested"]
+    assert gate(tmp_path, {"result": "a paper result"}) == (flagged, [])
+    assert gate(tmp_path, {}) == (sorted(flagged + ["m.py:7: result", "m.py:8: result_helper"]), [])
+    # an entry that names nothing, or something reached anyway, is stale
+    assert gate(tmp_path, {"gone": "", "listed": "", "dead": ""})[1] == ["gone", "listed"]
 
 
 def test_every_package_definition_is_referenced():
-    refs: set[str] = set()
-    for folder in ("src", "tests", "scripts", "perfbench"):
-        for path in (ROOT / folder).rglob("*.py"):
-            refs |= references(path.read_text(encoding="utf-8"))
-    dead = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line, name in definitions(path.read_text(encoding="utf-8"))
-        if name not in refs
-    ]
-    assert dead == []
+    assert gate(ROOT, ALLOWLIST) == ([], [])
 
 
 def test_scanner_flags_an_unused_name():

@@ -565,6 +565,8 @@ def _set(raw, keys, value):
         (("bases",), {"extra": {"objects": ["a", "a"]}}, "bases.extra.objects"),
         (("maps", "f_vp", "components", "Q"), [7], "maps.f_vp.components.Q"),
         (("presheaves", "edge", "at", "Q"), 3, "presheaves.edge.at.Q"),
+        (("presheaves", "edge", "base"), ["main"], "presheaves.edge.base"),
+        (("presheaves", "edge", "base"), {"a": 1}, "presheaves.edge.base"),
         (("options",), {"max_steps": "abc"}, "options.max_steps"),
         (("options",), {"max_steps": [1]}, "options.max_steps"),
         (("options",), {"max_steps": None}, "options.max_steps"),
@@ -588,6 +590,7 @@ def _set(raw, keys, value):
         "act-wrong-length", "act-boolean", "at-float", "at-boolean", "components-boolean",
         "base-duplicate-objects", "extra-base-duplicate-objects",
         "components-unknown-object", "at-unknown-object",
+        "presheaf-base-list", "presheaf-base-object",
         "max-steps-string", "max-steps-list", "max-steps-null", "max-steps-float",
         "max-steps-boolean", "max-steps-negative", "variant-unknown",
         "square-of-no-shape-morphism", "square-number", "squares-list", "shape-object-no-arrow",

@@ -14,12 +14,10 @@ from awfs_forge.soa import (
     GeneratedAwfs,
     MonicityViolation,
     NonConvergence,
-    density_comonad,
     lifting_function_to_algebra,
     run_soa,
-    step_one,
 )
-from reference_stage import converged
+from reference_stage import converged, reference_stage
 
 E01 = ArrowObject(finmap(0, 1, []))
 F21 = ArrowObject(finmap(2, 1, [0, 0]))
@@ -30,69 +28,21 @@ def split_epi_gen(**kw):
     return run_soa(GeneratorDiagram.discrete({"j": E01}), **kw)
 
 
-# -- density comonad ------------------------------------------------------------
+# -- the first stage -------------------------------------------------------------
 
 
-def test_density_empty_generators():
-    l0, counit = density_comonad(GeneratorDiagram.discrete({}), F21)
-    assert l0.dom.total_size == 0 and l0.cod.total_size == 0
-    counit.validate()
-
-
-def test_density_split_epi_single_square():
-    l0, counit = density_comonad(GeneratorDiagram.discrete({"j": E01}), F21)
-    # one square (the single point of the codomain): L0 = the generator itself
-    assert l0.dom.total_size == 0 and l0.cod.total_size == 1
-    assert counit.v.components["*"].table == (0,)
-
-
-def test_density_discrete_coend_is_coproduct():
-    j2 = ArrowObject(finmap(0, 2, []))
-    diagram = GeneratorDiagram.discrete({"a": E01, "b": j2})
-    f = ArrowObject(finmap(0, 2, []))
-    l0, counit = density_comonad(diagram, f)
-    # squares: |cod f| copies of a, |cod f|^2 copies of b
-    assert l0.cod.total_size == 2 * 1 + 4 * 2
-    counit.validate()
-
-
-def test_density_counit_commutes(fixg, fixg_gen):
-    jv = fixg_gen.diagram.arrow_of["jv"]
-    f = ArrowObject(fixg.maps["f_vp"])
-    l0, counit = density_comonad(fixg_gen.diagram, f)
-    counit.validate()
-
-
-# -- step one --------------------------------------------------------------------
-
-
-def test_step_one_empty_generators():
-    fac = step_one(GeneratorDiagram.discrete({}), F21)
-    assert fac.left == PresheafMap.identity(F21.dom)
-    assert fac.right == F21.f
-
-
-def test_step_one_split_epi():
-    fac = step_one(GeneratorDiagram.discrete({"j": E01}), F21)
-    assert fac.left.components["*"].table == (0, 1)
-    assert fac.mid == finset(3)
-    assert fac.right.components["*"].table == (0, 0, 0)
-
-
-def test_step_one_divergent_generator_first_stage():
+def test_divergent_generator_first_stage():
+    # j: 1 -> 2 has one square into ID1, whose cell glues cod j on at its image
     jdiv = ArrowObject(finmap(1, 2, [0]))
-    fac = step_one(GeneratorDiagram.discrete({"j": jdiv}), ID1)
-    assert fac.left.components["*"].table == (0,)
-    assert fac.mid == finset(2)
-    assert fac.right.components["*"].table == (0, 0)
-
-
-def test_step_one_matches_first_stage_of_run():
-    gen = split_epi_gen()
-    fac = step_one(gen.diagram, F21)
-    rec = gen.record(F21)
-    assert fac.mid == rec.stages[1]
-    assert fac.right == rec.rmaps[1]
+    gen = run_soa(GeneratorDiagram.discrete({"j": jdiv}))
+    attached = [("j", sq) for sq in enumerate_squares(jdiv, ID1)]
+    args = [ID1.dom], [ID1.f], {}, attached
+    got = gen._build_stage(1, *args)
+    assert got == reference_stage(gen, *args)
+    stage, iota, _, r = got
+    assert iota.components["*"].table == (0,)
+    assert stage == finset(2)
+    assert r.components["*"].table == (0, 0)
 
 
 # -- run_soa ----------------------------------------------------------------------
