@@ -28,6 +28,19 @@ def mutate(m: PresheafMap, obj: str, idx: int, val: int) -> PresheafMap:
     return PresheafMap.from_tables(m.src, m.dst, tables)
 
 
+def test_e_on_square_preserves_vertical_composites():
+    # E of a composite of two squares is the composite of their E's
+    gen = split_epi_gen()
+    swap = Square(F21, F21, finmap(2, 2, [1, 0]), finmap(1, 1, [0]))
+    swap.validate()
+    both = Square(F21, F21, swap.u.then(swap.u), swap.v.then(swap.v))
+    both.validate()
+    assert both.u.components["*"].table == (0, 1)
+    assert both.v.components["*"].table == (0,)
+    assert gen.e_on_square(both) == gen.e_on_square(swap).then(gen.e_on_square(swap))
+    assert gen.e_on_square(swap) != gen.e_on_square(both)
+
+
 def test_square_validation_rejects_noncommuting():
     bad = Square(E01, F21, finmap(0, 2, []), finmap(1, 1, [0]))
     bad.validate()  # commutes (empty domain)

@@ -171,6 +171,12 @@ def test_scanner_flags_an_unreferenced_definition():
     assert unreached({"m.py": source}, set(), {}) == (["m.py:4: unused", "m.py:6: dead"], [])
 
 
+def _write_tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+
+
 def test_gate_flags_what_only_dead_code_or_unit_tests_reach(tmp_path):
     files = {
         "src/awfs_forge/cli.py": "def main(): helper()\ndef helper(): pass\n",
@@ -191,14 +197,21 @@ def test_gate_flags_what_only_dead_code_or_unit_tests_reach(tmp_path):
         "perfbench/tracing.py": "NAMES = ['traced']\n",
         "scripts/demo.py": "from awfs_forge.m import scripted\nscripted()\n",
     }
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    _write_tree(tmp_path, files)
     flagged = ["m.py:3: dead", "m.py:4: only_dead", "m.py:5: unit_tested"]
     assert gate(tmp_path, {"result": "a paper result"}) == (flagged, [])
     assert gate(tmp_path, {}) == (sorted(flagged + ["m.py:7: result", "m.py:8: result_helper"]), [])
+
+
+def test_gate_reports_a_stale_allowlist_entry(tmp_path):
+    files = {
+        "src/awfs_forge/cli.py": "def main(): listed()\ndef listed(): pass\n",
+        "src/awfs_forge/m.py": "def dead(): pass\n",
+    }
+    _write_tree(tmp_path, files)
     # an entry that names nothing, or something reached anyway, is stale
-    assert gate(tmp_path, {"gone": "", "listed": "", "dead": ""})[1] == ["gone", "listed"]
+    assert gate(tmp_path, {"gone": "", "listed": "", "dead": ""}) == ([], ["gone", "listed"])
+    assert gate(tmp_path, {"dead": ""}) == ([], [])
 
 
 def test_every_package_definition_is_referenced():

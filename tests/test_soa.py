@@ -45,6 +45,74 @@ def test_divergent_generator_first_stage():
     assert r.components["*"].table == (0, 0)
 
 
+def _first_stage(gen, f, jnames=None):
+    """Stage 1 of f's record, built from every square of the generators into
+    f, checked against `reference_stage`."""
+    names = gen.diagram.objects() if jnames is None else jnames
+    attached = [(j, sq) for j in names for sq in enumerate_squares(gen.diagram.arrow_of[j], f)]
+    args = [f.dom], [f.f], {}, attached
+    got = gen._build_stage(1, *args)
+    assert got == reference_stage(gen, *args)
+    return got
+
+
+def test_first_stage_with_no_cells_is_the_identity():
+    stage, iota, injections, r = _first_stage(run_soa(GeneratorDiagram.discrete({})), F21)
+    assert stage == F21.dom and injections == []
+    assert iota == PresheafMap.identity(F21.dom)
+    assert r == F21.f
+
+
+def test_empty_generators_attach_no_cells():
+    rec = run_soa(GeneratorDiagram.discrete({})).record(F21)
+    assert rec.stages == [F21.dom] and rec.cells == []
+    assert rec.left() == PresheafMap.identity(F21.dom)
+
+
+def test_split_epi_has_one_square_into_f21():
+    # the single point of cod F21 is the one square, so one cell attaches
+    (sq,) = enumerate_squares(E01, F21)
+    sq.validate()
+    assert sq.v.components["*"].table == (0,)
+    _, _, (injection,), _ = _first_stage(split_epi_gen(), F21)
+    assert injection.components["*"].table == (2,)
+
+
+def test_split_epi_first_stage():
+    stage, iota, _, r = _first_stage(split_epi_gen(), F21)
+    assert iota.components["*"].table == (0, 1)
+    assert stage == finset(3)
+    assert r.components["*"].table == (0, 0, 0)
+
+
+def test_first_stage_is_the_first_stage_of_run():
+    gen = split_epi_gen()
+    stage, iota, _, r = _first_stage(gen, F21)
+    rec = gen.record(F21)
+    assert (rec.stages[1], rec.inclusions[0], rec.rmaps[1]) == (stage, iota, r)
+
+
+def test_discrete_first_stage_is_a_coproduct_of_cells():
+    # empty domains glue nothing: |cod f| cells of a, |cod f|^2 cells of b
+    j2 = ArrowObject(finmap(0, 2, []))
+    gen = run_soa(GeneratorDiagram.discrete({"a": E01, "b": j2}))
+    f = ArrowObject(finmap(0, 2, []))
+    stage, _, injections, _ = _first_stage(gen, f)
+    assert len(injections) == 2 + 4
+    assert stage.total_size == 2 * 1 + 4 * 2
+
+
+def test_first_stage_cells_of_the_graph_fixture_commute(fixg, fixg_gen):
+    f = ArrowObject(fixg.maps["f_vp"])
+    squares = enumerate_squares(fixg_gen.diagram.arrow_of["jv"], f)
+    assert squares
+    for sq in squares:
+        sq.validate()
+    stage, _, _, r = _first_stage(fixg_gen, f)
+    rec = fixg_gen.record(f)
+    assert (rec.stages[1], rec.rmaps[1]) == (stage, r)
+
+
 # -- run_soa ----------------------------------------------------------------------
 
 
