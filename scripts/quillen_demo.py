@@ -47,8 +47,7 @@ def main() -> None:
         (mates_t, gen_t_m, gen_t_k, "trivial-cofibration pair"),
         (mates, gen_m, gen_k, "cofibration pair"),
     ):
-        report.extend(verify_lax_colax(md, gm, gk, adj, "lax", arrows_k))
-        report.extend(verify_lax_colax(md, gm, gk, adj, "colax", arrows_m))
+        report.extend(verify_lax_colax(md, gm, gk, adj, arrows_k, arrows_m))
 
     counts = Counter(e.law for e in report.entries)
     width = max(len(law) for law in counts)

@@ -231,8 +231,7 @@ def transport_certificate(
 
     arrows_m = list(instance.requested_arrows(adj.m_base).values())
     arrows_k = list(instance.requested_arrows(adj.k_base).values())
-    report = verify_lax_colax(md, gen_m, gen_k, adj, "lax", arrows_k)
-    report.extend(verify_lax_colax(md, gen_m, gen_k, adj, "colax", arrows_m))
+    report = verify_lax_colax(md, gen_m, gen_k, adj, arrows_k, arrows_m)
 
     rho2 = rho_from_mate(adj, gen_m, gen_k, md.gamma)
     for i, g in enumerate(arrows_k):
@@ -297,10 +296,8 @@ def quillen_certificate(
     report = verify_algebraic_quillen(
         amstr_m, amstr_k, adj, mates_t, mates, arrows_m, arrows_k
     )
-    report.extend(verify_lax_colax(mates_t, gen_t_m, gen_t_k, adj, "lax", arrows_k))
-    report.extend(verify_lax_colax(mates_t, gen_t_m, gen_t_k, adj, "colax", arrows_m))
-    report.extend(verify_lax_colax(mates, gen_m, gen_k, adj, "lax", arrows_k))
-    report.extend(verify_lax_colax(mates, gen_m, gen_k, adj, "colax", arrows_m))
+    report.extend(verify_lax_colax(mates_t, gen_t_m, gen_t_k, adj, arrows_k, arrows_m))
+    report.extend(verify_lax_colax(mates, gen_m, gen_k, adj, arrows_k, arrows_m))
 
     pool = CertPool(instance.bases)
     payload: dict = {

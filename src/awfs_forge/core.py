@@ -6,7 +6,7 @@ function.  Presheaves and maps compare and hash by their tables (a tuple
 built once per value, its hash cached); canonical JSON and sha256 appear only
 at the certificate boundary, where content is written or checked.  A map is
 its tuple of per-object tables and nothing else.  Tables from input are
-range-checked once, where they are parsed (`PresheafMap.from_tables`,
+range-checked once, where they are parsed (`PresheafMap.from_json`,
 `Presheaf.from_json`); the kernel's own results (composites, identities,
 colimits, glued maps, factorizations, searched maps) are built directly from
 tables, without that check.
@@ -77,18 +77,6 @@ def expect_table(value, path: str) -> tuple[int, ...]:
     if not isinstance(value, list) or any(type(v) is not int for v in value):
         raise ValidationError(path, "must be a JSON list of integers")
     return tuple(value)
-
-
-def expect_components(value, base: "FiniteCategory", path: str) -> dict[str, tuple[int, ...]]:
-    """`value` as per-object tables if it is a JSON object whose keys are
-    objects of `base` and whose values are tables, else a ValidationError
-    under `path`."""
-    tables = {}
-    for o, t in expect_object(value, path).items():
-        if o not in base._position:
-            raise ValidationError(f"{path}.{o}", "unknown base object")
-        tables[o] = expect_table(t, f"{path}.{o}")
-    return tables
 
 
 class FinSet:
@@ -520,7 +508,7 @@ class PresheafMap:
     """Natural transformation between presheaves on the same base, held as
     its component tables: `tables[i]` is the component at the i-th base
     object.  The constructor trusts its tables (kernel results); tables from
-    input go through `from_tables`, which range-checks them."""
+    input go through `from_json` or `from_tables`, which range-check them."""
 
     __slots__ = ("src", "dst", "tables", "_hash", "_components")
 
@@ -652,6 +640,35 @@ class PresheafMap:
         return PresheafMap(src, dst, tuple(
             FinFunction(src.at[o], dst.at[o], tuple(tables[o])).table for o in src.base.objects
         ))
+
+    @staticmethod
+    def from_json(src: Presheaf, dst: Presheaf, components, path: str) -> "PresheafMap":
+        """The natural map src -> dst with the JSON tables `components`, each
+        read once: endpoints over different bases are rejected at `path`
+        before any table is read, a table that does not fit at
+        `path.components.<o>`."""
+        base = src.base
+        if base != dst.base:
+            raise ValidationError(path, "source and target live over different bases")
+        where, given = f"{path}.components", {}
+        for o, t in expect_object(components, where).items():
+            if o not in base._position:
+                raise ValidationError(f"{where}.{o}", "unknown base object")
+            given[o] = expect_table(t, f"{where}.{o}")
+        tables = []
+        for o in base.objects:
+            t, n = given.get(o), dst.at[o].size
+            if t is None:
+                raise ValidationError(f"{where}.{o}", "missing object")
+            if len(t) != src.at[o].size:
+                raise ValidationError(f"{where}.{o}", "length must equal src.size")
+            if t and (min(t) < 0 or max(t) >= n):
+                i, v = next((i, v) for i, v in enumerate(t) if not 0 <= v < n)
+                raise ValidationError(f"{where}.{o}", f"entry {i} -> {v} out of range")
+            tables.append(t)
+        m = PresheafMap(src, dst, tuple(tables))
+        m.check_naturality(path)
+        return m
 
 
 def _identity_json(m: PresheafMap) -> str:

@@ -16,7 +16,6 @@ from .core import (
     PresheafMap,
     ValidationError,
     canonical_dumps,
-    expect_components,
     expect_object,
     sha256_hex,
 )
@@ -33,7 +32,8 @@ class InstanceFile:
     def __init__(
         self, bases: dict[str, FiniteCategory], presheaves: dict[str, Presheaf],
         maps: dict[str, PresheafMap], generators: dict[str, GeneratorDiagram], weq: WeqPredicate,
-        taus: dict[str, TauData], adjunctions: dict[str, dict], options: dict, raw: dict,
+        taus: dict[str, TauData], adjunctions: dict[str, FiniteCategory | FunctorData],
+        options: dict, raw: dict,
     ):
         self.bases = bases
         self.presheaves = presheaves
@@ -68,16 +68,10 @@ class InstanceFile:
     def adjunction(self, name: str) -> AdjunctionData:
         if name not in self.adjunctions:
             raise ValidationError(f"adjunctions.{name}", "unknown adjunction name")
-        desc = self.adjunctions[name]
-        if desc["kind"] == "identity":
-            return identity_adjunction(self.bases[desc.get("base", "main")])
-        fd = FunctorData(  # `lan_res`, the other kind `_check_adjunction` admits
-            self.bases[desc["from_base"]],
-            self.bases[desc.get("to_base", "main")],
-            dict(desc["functor"].get("objects", {})),
-            dict(desc["functor"].get("morphisms", {})),
-        )
-        return restriction_adjunction(fd)
+        parsed = self.adjunctions[name]
+        if isinstance(parsed, FunctorData):
+            return restriction_adjunction(parsed)
+        return identity_adjunction(parsed)
 
     def option(self, key: str, override, fallback):
         """Command option resolution: explicit flag, else instance default."""
@@ -183,8 +177,9 @@ def _tau(name: str, data, generators: dict[str, GeneratorDiagram]) -> TauData:
     return tau
 
 
-def _check_adjunction(name: str, desc, bases) -> None:
-    """Everything `InstanceFile.adjunction` reads from the descriptor."""
+def _adjunction(name: str, desc, bases) -> FiniteCategory | FunctorData:
+    """The descriptor parsed: the base of an identity adjunction, or the
+    functor of a Lan ⊣ restriction adjunction (kind `lan_res`)."""
     path = f"adjunctions.{name}"
     kind = expect_object(desc, path).get("kind")
     if kind not in ("identity", "lan_res"):
@@ -197,17 +192,18 @@ def _check_adjunction(name: str, desc, bases) -> None:
         return bases[bname]
 
     if kind == "identity":
-        base("base")
-    else:
-        src, dst = base("from_base", None), base("to_base")
-        fpath = f"{path}.functor"
-        functor = expect_object(desc.get("functor"), fpath)
-        FunctorData(
-            src,
-            dst,
-            _name_map(functor, "objects", fpath, src.objects, dst.objects, True),
-            _name_map(functor, "morphisms", fpath, src.morphisms, dst.morphisms),
-        ).validate(fpath)
+        return base("base")
+    src, dst = base("from_base", None), base("to_base")
+    fpath = f"{path}.functor"
+    functor = expect_object(desc.get("functor"), fpath)
+    u = FunctorData(
+        src,
+        dst,
+        _name_map(functor, "objects", fpath, src.objects, dst.objects, True),
+        _name_map(functor, "morphisms", fpath, src.morphisms, dst.morphisms),
+    )
+    u.validate(fpath)
+    return u
 
 
 def _options(value) -> dict:
@@ -256,13 +252,7 @@ def from_json(data: dict) -> InstanceFile:
             if not isinstance(mdata.get(end), str) or mdata[end] not in presheaves:
                 raise ValidationError(f"maps.{mname}.{end}", f"unknown presheaf {mdata.get(end)}")
         src, dst = presheaves[mdata["src"]], presheaves[mdata["dst"]]
-        tables = expect_components(mdata.get("components"), src.base, f"maps.{mname}.components")
-        try:
-            m = PresheafMap.from_tables(src, dst, tables)
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"maps.{mname}", str(exc)) from None
-        m.validate(f"maps.{mname}")
-        maps[mname] = m
+        maps[mname] = PresheafMap.from_json(src, dst, mdata.get("components"), f"maps.{mname}")
 
     generators = {
         gname: _parse_generators(gname, gdata, maps)
@@ -276,9 +266,10 @@ def from_json(data: dict) -> InstanceFile:
         for tname, tdata in expect_object(data.get("taus", {}), "taus").items()
     }
 
-    adjunctions = dict(expect_object(data.get("adjunctions", {}), "adjunctions"))
-    for aname, desc in adjunctions.items():
-        _check_adjunction(aname, desc, bases)
+    adjunctions = {
+        aname: _adjunction(aname, desc, bases)
+        for aname, desc in expect_object(data.get("adjunctions", {}), "adjunctions").items()
+    }
 
     return InstanceFile(
         bases=bases,

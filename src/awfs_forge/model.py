@@ -11,6 +11,7 @@ from .arrows import (
     AwfsMorphism,
     LawReport,
     Square,
+    per_argument,
     verify_awfs_morphism,
 )
 from .core import FiniteCategory, Presheaf, PresheafMap, ValidationError, eq_witness
@@ -169,12 +170,10 @@ def build_comparison(
 ) -> AwfsMorphism:
     """Comparison map ξ, once per arrow (`xi_rule`)."""
     tau.validate()
-    cache: dict[ArrowObject, PresheafMap] = {}
 
+    @per_argument
     def xi(f: ArrowObject) -> PresheafMap:
-        if f not in cache:
-            cache[f] = xi_rule(f, gen_t.record, gen.record, tau, "build_comparison")
-        return cache[f]
+        return xi_rule(f, gen_t.record, gen.record, tau, "build_comparison")
 
     return AwfsMorphism(xi)
 

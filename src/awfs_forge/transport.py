@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .arrows import ArrowObject, LawReport, Square
+from .arrows import ArrowObject, LawReport, Square, per_argument
 from .core import (
     FinFunction,
     FinSet,
@@ -225,20 +225,6 @@ class _LanClasses:
         return PresheafMap(self.lan, dst, tables)
 
 
-def _per_argument(fn: Callable) -> Callable:
-    """`fn` of one hashable argument, run once per distinct argument: results
-    live in a dict owned by the returned closure, and a call that raises
-    stores nothing."""
-    results: dict = {}
-
-    def once(x):
-        if x not in results:
-            results[x] = fn(x)
-        return results[x]
-
-    return once
-
-
 def restriction_adjunction(u: FunctorData) -> AdjunctionData:
     """Lan_u ⊣ u^* for a functor u between base categories.  Each functor,
     the unit and the counit are computed once per argument for the life of
@@ -246,13 +232,13 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
     u.validate()
     base0, base1 = u.src, u.dst
 
-    @_per_argument
+    @per_argument
     def restrict_obj(q: Presheaf) -> Presheaf:
         at = {c: q.at[u.obj(c)] for c in base0.objects}
         act = {m: q.act[u.mor(m)] for m in base0.morphisms}
         return Presheaf(base0, at, act)
 
-    @_per_argument
+    @per_argument
     def restrict_map(g: PresheafMap) -> PresheafMap:
         return PresheafMap(
             restrict_obj(g.src),
@@ -260,20 +246,20 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tuple(g.table_at(u.obj(c)) for c in base0.objects),
         )
 
-    @_per_argument
+    @per_argument
     def lan_block(p: Presheaf) -> _LanClasses:
         return _LanClasses(u, p)
 
     def lan_obj(p: Presheaf) -> Presheaf:
         return lan_block(p).lan
 
-    @_per_argument
+    @per_argument
     def lan_map(phi: PresheafMap) -> PresheafMap:
         target = lan_block(phi.dst)
         value = lambda a, c, alpha, x: target.class_of(a, c, alpha, phi.table_at(c)[x])
         return lan_block(phi.src).map_to(target.lan, value, "lan_map")
 
-    @_per_argument
+    @per_argument
     def unit(p: Presheaf) -> PresheafMap:
         block = lan_block(p)
         tabs = {}
@@ -282,7 +268,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tabs[c] = [block.class_of(a, c, base1.identities[a], x) for x in range(p.at[c].size)]
         return PresheafMap.from_tables(p, restrict_obj(block.lan), tabs)
 
-    @_per_argument
+    @per_argument
     def counit(q: Presheaf) -> PresheafMap:
         value = lambda a, c, alpha, y: q.act[alpha].table[y]
         return lan_block(restrict_obj(q)).map_to(q, value, "counit")
@@ -339,11 +325,9 @@ def rho_from_lift(
     """ρ_g: Q(Sg) -> S(Eg), cell by cell: Q(Sg)'s stage 0 goes by S(Lg), and
     each cell (a generator j) to the adjunct of gen_k's minimal-stage fill of
     the transposed square from Tj into Rg."""
-    cache: dict[ArrowObject, PresheafMap] = {}
 
+    @per_argument
     def rho(g: ArrowObject) -> PresheafMap:
-        if g in cache:
-            return cache[g]
         rec = gen_k.record(g)
         rg = ArrowObject(rec.right())
         eg = rec.mid()
@@ -355,12 +339,10 @@ def rho_from_lift(
             cod_j = gen_m.diagram.arrow_of[cell.jname].cod
             return adj.unit(cod_j).then(adj.s_map(rec.fill(cell.jname, sq)))
 
-        out = walk_stages(
+        return walk_stages(
             gen_m.record(adj.s_arrow(g)), adj.s_map(rec.left()), adj.s_obj(eg), fill,
             "rho_from_lift", "inconsistent adjunct assembly",
         )
-        cache[g] = out
-        return out
 
     return rho
 
@@ -372,17 +354,13 @@ def gamma_from_mate(
     rho: Callable[[ArrowObject], PresheafMap],
 ) -> Callable[[ArrowObject], PresheafMap]:
     """gamma_f = ν_{E(Tf)} ∘ T(rho_{Tf}) ∘ T Q(ι_f)."""
-    cache: dict[ArrowObject, PresheafMap] = {}
 
+    @per_argument
     def gamma(f: ArrowObject) -> PresheafMap:
-        if f in cache:
-            return cache[f]
         tf = adj.t_arrow(f)
         q_unit = gen_m.e_on_square(adj.unit_square(f))
         etf = gen_k.factor(tf).mid
-        out = adj.t_map(q_unit).then(adj.t_map(rho(tf))).then(adj.counit(etf))
-        cache[f] = out
-        return out
+        return adj.t_map(q_unit).then(adj.t_map(rho(tf))).then(adj.counit(etf))
 
     return gamma
 
@@ -417,84 +395,79 @@ def verify_lax_colax(
     gen_m: GeneratedAwfs,
     gen_k: GeneratedAwfs,
     adj: AdjunctionData,
-    side: str,
-    probes: list[ArrowObject],
+    arrows_k: list[ArrowObject],
+    arrows_m: list[ArrowObject],
 ) -> LawReport:
-    """Evaluate the three lax (rho) or colax (gamma) diagrams per probe arrow.
-
-    Lax probes live over the right-adjoint's source (K); colax over M.
-    """
+    """The three lax (ρ) diagrams per arrow of `arrows_k`, over the right
+    adjoint's source K, then the three colax (γ) diagrams per arrow of
+    `arrows_m`, over M."""
     report = LawReport()
-    if side == "lax":
-        for i, g in enumerate(probes):
-            name = f"arrow[{i}]"
-            rec = gen_k.record(g)
-            sg = adj.s_arrow(g)
-            fac = gen_m.factor(sg)
-            rho_g = md.rho(g)
-            report.check("lax.triangle.left", name, fac.left.then(rho_g), adj.s_map(rec.left()))
-            report.check(
-                "lax.triangle.right", name, rho_g.then(adj.s_map(rec.right())), fac.right
-            )
-            # comonad: S(δ_g) ∘ ρ_g = ρ_{Lg} ∘ Q(1, ρ_g) ∘ δ_{Sg}
-            lg = ArrowObject(rec.left())
-            slg = adj.s_arrow(lg)
-            csg = ArrowObject(fac.left)
-            mid_sq = Square(csg, slg, PresheafMap.identity(sg.dom), rho_g)
-            report.check(
-                "lax.comonad",
-                name,
-                rho_g.then(adj.s_map(gen_k.delta(g))),
-                gen_m.delta(sg).then(gen_m.e_on_square(mid_sq)).then(md.rho(lg)),
-            )
-            # monad: S(μ_g) ∘ ρ_{Rg} ∘ Q(ρ_g, 1) = ρ_g ∘ μ_{Sg}
-            rg = ArrowObject(rec.right())
-            srg = adj.s_arrow(rg)
-            fsg = ArrowObject(fac.right)
-            top_sq = Square(fsg, srg, rho_g, PresheafMap.identity(sg.cod))
-            report.check(
-                "lax.monad",
-                name,
-                gen_m.e_on_square(top_sq).then(md.rho(rg)).then(adj.s_map(gen_k.mu(g))),
-                gen_m.mu(sg).then(rho_g),
-            )
-    elif side == "colax":
-        for i, f in enumerate(probes):
-            name = f"arrow[{i}]"
-            rec = gen_m.record(f)
-            tf = adj.t_arrow(f)
-            fac = gen_k.factor(tf)
-            gamma_f = md.gamma(f)
-            report.check(
-                "colax.triangle.left", name, adj.t_map(rec.left()).then(gamma_f), fac.left
-            )
-            report.check(
-                "colax.triangle.right", name, gamma_f.then(fac.right), adj.t_map(rec.right())
-            )
-            # comonad: δ_{Tf} ∘ γ_f = E(1, γ_f) ∘ γ_{Cf} ∘ T(δ_f)
-            cf = ArrowObject(rec.left())
-            tcf = adj.t_arrow(cf)
-            ltf = ArrowObject(fac.left)
-            mid_sq = Square(tcf, ltf, PresheafMap.identity(tf.dom), gamma_f)
-            report.check(
-                "colax.comonad",
-                name,
-                gamma_f.then(gen_k.delta(tf)),
-                adj.t_map(gen_m.delta(f)).then(md.gamma(cf)).then(gen_k.e_on_square(mid_sq)),
-            )
-            # monad: γ_f ∘ T(μ_f) = μ_{Tf} ∘ E(γ_f, 1) ∘ γ_{Ff}
-            ff = ArrowObject(rec.right())
-            tff = adj.t_arrow(ff)
-            rtf = ArrowObject(fac.right)
-            top_sq = Square(tff, rtf, gamma_f, PresheafMap.identity(tf.cod))
-            report.check(
-                "colax.monad",
-                name,
-                adj.t_map(gen_m.mu(f)).then(gamma_f),
-                md.gamma(ff).then(gen_k.e_on_square(top_sq)).then(gen_k.mu(tf)),
-            )
-    else:
-        raise ValidationError("verify_lax_colax.side", f"unknown side {side!r}")
+    for i, g in enumerate(arrows_k):
+        name = f"arrow[{i}]"
+        rec = gen_k.record(g)
+        sg = adj.s_arrow(g)
+        fac = gen_m.factor(sg)
+        rho_g = md.rho(g)
+        report.check("lax.triangle.left", name, fac.left.then(rho_g), adj.s_map(rec.left()))
+        report.check(
+            "lax.triangle.right", name, rho_g.then(adj.s_map(rec.right())), fac.right
+        )
+        # comonad: S(δ_g) ∘ ρ_g = ρ_{Lg} ∘ Q(1, ρ_g) ∘ δ_{Sg}
+        lg = ArrowObject(rec.left())
+        slg = adj.s_arrow(lg)
+        csg = ArrowObject(fac.left)
+        mid_sq = Square(csg, slg, PresheafMap.identity(sg.dom), rho_g)
+        report.check(
+            "lax.comonad",
+            name,
+            rho_g.then(adj.s_map(gen_k.delta(g))),
+            gen_m.delta(sg).then(gen_m.e_on_square(mid_sq)).then(md.rho(lg)),
+        )
+        # monad: S(μ_g) ∘ ρ_{Rg} ∘ Q(ρ_g, 1) = ρ_g ∘ μ_{Sg}
+        rg = ArrowObject(rec.right())
+        srg = adj.s_arrow(rg)
+        fsg = ArrowObject(fac.right)
+        top_sq = Square(fsg, srg, rho_g, PresheafMap.identity(sg.cod))
+        report.check(
+            "lax.monad",
+            name,
+            gen_m.e_on_square(top_sq).then(md.rho(rg)).then(adj.s_map(gen_k.mu(g))),
+            gen_m.mu(sg).then(rho_g),
+        )
+    for i, f in enumerate(arrows_m):
+        name = f"arrow[{i}]"
+        rec = gen_m.record(f)
+        tf = adj.t_arrow(f)
+        fac = gen_k.factor(tf)
+        gamma_f = md.gamma(f)
+        report.check(
+            "colax.triangle.left", name, adj.t_map(rec.left()).then(gamma_f), fac.left
+        )
+        report.check(
+            "colax.triangle.right", name, gamma_f.then(fac.right), adj.t_map(rec.right())
+        )
+        # comonad: δ_{Tf} ∘ γ_f = E(1, γ_f) ∘ γ_{Cf} ∘ T(δ_f)
+        cf = ArrowObject(rec.left())
+        tcf = adj.t_arrow(cf)
+        ltf = ArrowObject(fac.left)
+        mid_sq = Square(tcf, ltf, PresheafMap.identity(tf.dom), gamma_f)
+        report.check(
+            "colax.comonad",
+            name,
+            gamma_f.then(gen_k.delta(tf)),
+            adj.t_map(gen_m.delta(f)).then(md.gamma(cf)).then(gen_k.e_on_square(mid_sq)),
+        )
+        # monad: γ_f ∘ T(μ_f) = μ_{Tf} ∘ E(γ_f, 1) ∘ γ_{Ff}
+        ff = ArrowObject(rec.right())
+        tff = adj.t_arrow(ff)
+        rtf = ArrowObject(fac.right)
+        top_sq = Square(tff, rtf, gamma_f, PresheafMap.identity(tf.cod))
+        report.check(
+            "colax.monad",
+            name,
+            adj.t_map(gen_m.mu(f)).then(gamma_f),
+            md.gamma(ff).then(gen_k.e_on_square(top_sq)).then(gen_k.mu(tf)),
+        )
     return report
 
 

@@ -24,11 +24,13 @@ and μ, the entry must be `soa.record_block` of its record, which recomputes
 describe the instance's generator diagram that its label names, and
 everything runs over that diagram.
 
-The records themselves it checks on its own: content addressing and the
-naturality of every pooled map; each record's structure, with injective stage
-inclusions under both variants; stage completeness by its own square search
-(stage k's cells must be exactly the squares into r_{k-1} whose top edge
-leaves the image of inclusion k-2, all squares into r_0 at stage 1);
+The records themselves it checks on its own: content addressing of every pool
+entry; each pooled map's tables and naturality, read by
+`PresheafMap.from_json` as an instance's maps are, so a table that does not
+fit is rejected at `maps.<key>.components.<o>`; each record's structure, with
+injective stage inclusions under both variants; stage completeness by its own
+square search (stage k's cells must be exactly the squares into r_{k-1} whose
+top edge leaves the image of inclusion k-2, all squares into r_0 at stage 1);
 covering; convergence within `max_steps` stages; both triangles of every
 fill, which `fill_rule` finds by factoring through the inclusions by inverse
 lookup, so inclusions need not be prefixes (a natural map that passes both is
@@ -95,34 +97,6 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise CertificateError(where, message)
 
 
-def _pooled_map(src: Presheaf, dst: Presheaf, components, where: str) -> PresheafMap:
-    """The natural map src -> dst with the tables `components` of the pooled
-    map at `where`, each table read in one pass.  It checks what
-    `expect_components`, `PresheafMap.from_tables` and `validate` check, in
-    their order and with their messages."""
-    base, path = src.base, f"{where}.components"
-    given = expect_object(components, path)
-    for o, t in given.items():
-        if o not in base._position:
-            raise ValidationError(f"{path}.{o}", "unknown base object")
-        if type(t) is not list or any(type(v) is not int for v in t):
-            raise ValidationError(f"{path}.{o}", "must be a JSON list of integers")
-    tables = []
-    for o in base.objects:
-        n, t = dst.at[o].size, given[o]
-        if len(t) != src.at[o].size:
-            raise ValidationError("FinFunction.table", "length must equal src.size")
-        if t and (min(t) < 0 or max(t) >= n):
-            i, v = next((i, v) for i, v in enumerate(t) if not 0 <= v < n)
-            raise ValidationError("FinFunction.table", f"entry {i} -> {v} out of range")
-        tables.append(tuple(t))
-    if base != dst.base:
-        raise ValidationError(where, "source and target live over different bases")
-    m = PresheafMap(src, dst, tuple(tables))
-    m.check_naturality(where)
-    return m
-
-
 class _Pools:
     def __init__(self, instance: InstanceFile, payload: dict):
         bases = {name: cat for name, cat in instance.bases.items()}
@@ -143,7 +117,7 @@ class _Pools:
             known = all(type(e) is str and e in self.presheaves for e in ends)
             _require(known, where, "dangling endpoint")
             src, dst = (self.presheaves[e] for e in ends)
-            self.maps[key] = _pooled_map(src, dst, content.get("components"), where)
+            self.maps[key] = PresheafMap.from_json(src, dst, content.get("components"), where)
 
     def m(self, key: str, where: str) -> PresheafMap:
         _require(key in self.maps, where, f"dangling map reference {key}")

@@ -5,6 +5,7 @@ coend.  Lan_u p is built as a coproduct of representable copowers
 smallest-member labels), and maps out of it are glued over the quotient
 (`core.glue`)."""
 
+from awfs_forge.arrows import per_argument
 from awfs_forge.core import (
     FinFunction,
     FinSet,
@@ -15,7 +16,7 @@ from awfs_forge.core import (
     glue,
     quotient_presheaf,
 )
-from awfs_forge.transport import AdjunctionData, FunctorData, _per_argument
+from awfs_forge.transport import AdjunctionData, FunctorData
 
 
 def rep_copower(base: FiniteCategory, w: str, size: int) -> Presheaf:
@@ -102,13 +103,13 @@ def reference_restriction_adjunction(u: FunctorData) -> AdjunctionData:
     u.validate()
     base0, base1 = u.src, u.dst
 
-    @_per_argument
+    @per_argument
     def restrict_obj(q: Presheaf) -> Presheaf:
         at = {c: q.at[u.obj(c)] for c in base0.objects}
         act = {m: q.act[u.mor(m)] for m in base0.morphisms}
         return Presheaf(base0, at, act)
 
-    @_per_argument
+    @per_argument
     def restrict_map(g: PresheafMap) -> PresheafMap:
         return PresheafMap(
             restrict_obj(g.src),
@@ -116,14 +117,14 @@ def reference_restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tuple(g.table_at(u.obj(c)) for c in base0.objects),
         )
 
-    @_per_argument
+    @per_argument
     def lan_block(p: Presheaf) -> _LanBlock:
         return _LanBlock(u, p)
 
     def lan_obj(p: Presheaf) -> Presheaf:
         return lan_block(p).lan
 
-    @_per_argument
+    @per_argument
     def lan_map(phi: PresheafMap) -> PresheafMap:
         b1, b2 = lan_block(phi.src), lan_block(phi.dst)
         raw_tabs = {}
@@ -143,7 +144,7 @@ def reference_restriction_adjunction(u: FunctorData) -> AdjunctionData:
         raw = PresheafMap.from_tables(b1.cop.apex, b2.cop.apex, raw_tabs)
         return glue(b1.lan, b2.lan, [(b1.q, raw.then(b2.q))], "lan_map", "not constant on classes")
 
-    @_per_argument
+    @per_argument
     def unit(p: Presheaf) -> PresheafMap:
         block = lan_block(p)
         tabs = {}
@@ -153,7 +154,7 @@ def reference_restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tabs[c] = [block.class_of(a, c, ident, x) for x in range(p.at[c].size)]
         return PresheafMap.from_tables(p, restrict_obj(block.lan), tabs)
 
-    @_per_argument
+    @per_argument
     def counit(q: Presheaf) -> PresheafMap:
         p = restrict_obj(q)
         block = lan_block(p)

@@ -10,10 +10,13 @@ table that does not fit its endpoints raises here.
 from awfs_forge.core import (
     FinFunction,
     FinSet,
+    FiniteCategory,
     Presheaf,
     PresheafMap,
+    ValidationError,
     _identity_json,
-    expect_components,
+    expect_object,
+    expect_table,
 )
 
 Components = dict[str, FinFunction]
@@ -113,11 +116,36 @@ def ref_quotient_tables(x: Presheaf, relations) -> dict[str, tuple[int, ...]]:
     return out
 
 
+def expect_components(value, base: FiniteCategory, path: str) -> dict[str, tuple[int, ...]]:
+    """`value` as per-object tables if it is a JSON object whose keys are
+    objects of `base` and whose values are tables, else a ValidationError
+    under `path`."""
+    tables = {}
+    for o, t in expect_object(value, path).items():
+        if o not in base._position:
+            raise ValidationError(f"{path}.{o}", "unknown base object")
+        tables[o] = expect_table(t, f"{path}.{o}")
+    return tables
+
+
 def ref_pooled_map(src: Presheaf, dst: Presheaf, value, where: str) -> PresheafMap:
-    """A pooled map loaded the way the verifier loaded it before it read each
-    table once: `expect_components`, then `PresheafMap.from_tables` (one
-    range-checked `FinFunction` per base object), then `validate`."""
-    tables = expect_components(value, src.base, f"{where}.components")
+    """A map read from JSON components by three calls, the way the package
+    read them before `PresheafMap.from_json` read each table once:
+    `expect_components`, then `PresheafMap.from_tables` (one range-checked
+    `FinFunction` per base object), then `validate`.  Endpoints over
+    different bases are refused first, and a missing or ill-fitting table is
+    located at `where.components.<o>`, as `from_json` locates them."""
+    if src.base != dst.base:
+        raise ValidationError(where, "source and target live over different bases")
+    path = f"{where}.components"
+    tables = expect_components(value, src.base, path)
+    for o in src.base.objects:
+        if o not in tables:
+            raise ValidationError(f"{path}.{o}", "missing object")
+        try:
+            FinFunction(src.at[o], dst.at[o], tables[o])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}.{o}", exc.message) from None
     m = PresheafMap.from_tables(src, dst, tables)
     m.validate(where)
     return m

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from awfs_forge.arrows import ArrowObject, Awfs, Square, verify_awfs
+from awfs_forge.arrows import ArrowObject, Awfs, verify_awfs
 from awfs_forge.cli import main
 from awfs_forge.core import FiniteCategory, PresheafMap, eq_witness
 from awfs_forge.fixtures import finmap, finset, fixture
@@ -31,9 +31,8 @@ from awfs_forge.model import (
     two_lift_agreement,
     verify_comparison,
 )
-from awfs_forge.soa import GeneratedAwfs, NonConvergence, lifting_function_to_algebra, run_soa
+from awfs_forge.soa import NonConvergence, lifting_function_to_algebra, run_soa
 from awfs_forge.transport import (
-    MateData,
     adjunct_lifting_S,
     build_mates,
     lift_T_coalg,
@@ -293,8 +292,7 @@ def test_criterion_8_transport_quillen_suite():
         assert pairs >= 1
 
         for md, gm, gk in ((mates_t, amstr_m.gen_t, amstr_k.gen_t), (mates, amstr_m.gen, amstr_k.gen)):
-            assert verify_lax_colax(md, gm, gk, adj, "lax", arrows_k).passed
-            assert verify_lax_colax(md, gm, gk, adj, "colax", arrows_m).passed
+            assert verify_lax_colax(md, gm, gk, adj, arrows_k, arrows_m).passed
             rho_again = rho_from_mate(adj, gm, gk, md.gamma)
             for g in arrows_k:
                 assert eq_witness(md.rho(g), rho_again(g)) is None

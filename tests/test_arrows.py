@@ -8,7 +8,7 @@ from awfs_forge.arrows import (
     verify_awfs_morphism,
     AwfsMorphism,
 )
-from awfs_forge.core import FinFunction, FinSet, PresheafMap, ValidationError
+from awfs_forge.core import PresheafMap, ValidationError
 from awfs_forge.fixtures import finmap, finset
 from awfs_forge.lifting import GeneratorDiagram
 from awfs_forge.soa import run_soa

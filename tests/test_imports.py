@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and package
-imports sit at the top of the module.
+"""Every name a package or test module imports is used in that module, and
+package imports sit at the top of the package's modules.
 
 A stdlib-`ast` stand-in for a linter's unused-import rule: a name bound by an
 import statement anywhere in the module (functions included) must appear as a
@@ -33,6 +33,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "awfs_forge"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -242,6 +243,11 @@ def test_scanner_flags_a_function_local_package_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_module_uses_every_import(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

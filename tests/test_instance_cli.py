@@ -13,7 +13,7 @@ from awfs_forge.core import (
     Presheaf, ValidationError, all_maps, canonical_dumps, pool_key, sha256_hex
 )
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
-from awfs_forge.instance import from_json, load
+from awfs_forge.instance import from_json
 from awfs_forge.lifting import oracle_lift
 from awfs_forge.soa import run_soa
 from awfs_forge.verifier import verify_certificate
@@ -564,6 +564,9 @@ def _set(raw, keys, value):
         (("base", "objects"), ["V", "E", "V"], "base.objects"),
         (("bases",), {"extra": {"objects": ["a", "a"]}}, "bases.extra.objects"),
         (("maps", "f_vp", "components", "Q"), [7], "maps.f_vp.components.Q"),
+        (("maps", "f_vp", "components", "V"), [99], "maps.f_vp.components.V"),
+        (("maps", "f_vp", "components", "V"), [0, 0], "maps.f_vp.components.V"),
+        (("maps", "f_vp", "components"), {"V": [0]}, "maps.f_vp.components.E"),
         (("presheaves", "edge", "at", "Q"), 3, "presheaves.edge.at.Q"),
         (("presheaves", "edge", "base"), ["main"], "presheaves.edge.base"),
         (("presheaves", "edge", "base"), {"a": 1}, "presheaves.edge.base"),
@@ -589,7 +592,8 @@ def _set(raw, keys, value):
         "identities-incomplete", "composition-not-a-triple", "act-out-of-range",
         "act-wrong-length", "act-boolean", "at-float", "at-boolean", "components-boolean",
         "base-duplicate-objects", "extra-base-duplicate-objects",
-        "components-unknown-object", "at-unknown-object",
+        "components-unknown-object", "components-out-of-range", "components-too-long",
+        "components-missing-object", "at-unknown-object",
         "presheaf-base-list", "presheaf-base-object",
         "max-steps-string", "max-steps-list", "max-steps-null", "max-steps-float",
         "max-steps-boolean", "max-steps-negative", "variant-unknown",
@@ -719,11 +723,28 @@ def test_generator_shapes_are_law_checked(composition, path, tmp_path, capsys):
     assert capsys.readouterr().err == f"invalid: {path}\n"
 
 
+def test_validate_rejects_map_endpoints_over_different_bases(tmp_path, capsys):
+    # FIX-PROJ's m0: p11 -> p11 over its base "disc"; k_b lives over "main"
+    raw = fixture_raw("FIX-PROJ")
+    raw["maps"]["m0"]["dst"] = "k_b"
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["validate", str(inst)]) == 1
+    assert capsys.readouterr().err == "invalid: maps.m0: source and target live over different bases\n"
+
+
 MALFORMED = "malformed certificate: "
 
 
 def _without(field):
     return lambda content: {k: v for k, v in content.items() if k != field}
+
+
+def _tables(change):
+    """The entry with `change` applied to each of its component tables."""
+    return lambda content: dict(
+        content, components={o: change(t) for o, t in content["components"].items()}
+    )
 
 
 # a pool entry of the wrong shape, pooled under its own key: (pool, key
@@ -738,7 +759,47 @@ POOL_DAMAGE = {
         "maps", "m", _without("components"),
         MALFORMED + "{key}.components: must be a JSON object",
     ),
+    # FIX-M's first pooled map has the one table [0, 1, 2] into 7 elements
+    "map-entry-out-of-range": (
+        "maps", "m", _tables(lambda t: [99, *t[1:]]),
+        MALFORMED + "{key}.components.*: entry 0 -> 99 out of range",
+    ),
+    "map-table-too-long": (
+        "maps", "m", _tables(lambda t: [*t, 0]),
+        MALFORMED + "{key}.components.*: length must equal src.size",
+    ),
+    "map-table-missing": (
+        "maps", "m", lambda c: dict(c, components={}),
+        MALFORMED + "{key}.components.*: missing object",
+    ),
+    "map-entry-boolean": (
+        "maps", "m", _tables(lambda t: [True, *t[1:]]),
+        MALFORMED + "{key}.components.*: must be a JSON list of integers",
+    ),
+    "map-unknown-object": (
+        "maps", "m", lambda c: dict(c, components=dict(c["components"], zz=[])),
+        MALFORMED + "{key}.components.zz: unknown base object",
+    ),
 }
+
+
+def test_verify_cert_rejects_a_pooled_map_between_bases(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    argv = ["--fixture", "FIX-PROJ", "--adjunction", "lan", "--generators", "J", "--out", str(out)]
+    assert main(["transport", *argv]) == 0
+    cert = json.loads(out.read_text())
+    first = {}  # base -> its first pooled presheaf
+    for key, content in sorted(cert["payload"]["presheaves"].items()):
+        first.setdefault(content["base"], key)
+    entry = {"src": first["disc"], "dst": first["main"], "components": {}}
+    key = pool_key("m", entry)
+    cert["payload"]["maps"][key] = entry
+    out.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify-cert", "--fixture", "FIX-PROJ", str(out)]) == 3
+    assert capsys.readouterr().out == (
+        f"certificate REJECTED: {MALFORMED}maps.{key}: source and target live over different bases\n"
+    )
 
 
 # a whole pool or record block of the wrong shape: (command, block)

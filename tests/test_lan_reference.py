@@ -113,7 +113,7 @@ def assert_same(u: FunctorData, m_presheaves, m_maps, k_presheaves) -> None:
 
 def test_lan_matches_the_reference_on_fix_proj():
     proj = fixture("FIX-PROJ")
-    desc = proj.adjunctions["lan"]
+    desc = proj.raw["adjunctions"]["lan"]
     u = FunctorData(
         proj.bases[desc["from_base"]], proj.bases[desc["to_base"]],
         dict(desc["functor"]["objects"]), dict(desc["functor"]["morphisms"]),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import PresheafMap, all_maps, eq_witness
-from awfs_forge.fixtures import finmap, finset, fixture, graph
+from awfs_forge.fixtures import finmap, fixture
 from awfs_forge.lifting import (
     AlgebraStructure,
     CoalgebraStructure,
@@ -16,7 +16,6 @@ from awfs_forge.lifting import (
     RetractData,
     check_algebra_laws,
     check_algebra_map,
-    check_coalgebra_laws,
     check_lifting_function,
     compose_algebras_free,
     compose_lifting,
@@ -24,7 +23,6 @@ from awfs_forge.lifting import (
     oracle_lift,
     retract_transfer,
     solve_lift,
-    square_key,
 )
 from awfs_forge.soa import lifting_function_to_algebra, run_soa
 

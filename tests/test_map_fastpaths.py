@@ -1,9 +1,9 @@
 """Fast paths that skip settled per-map work, each against the route it
 replaces: composing with a shared identity map, the square sort text built
-once per edge, the verifier's one-pass load of a pooled map
-(`reference_maps.ref_pooled_map` keeps the three-call route), the canonical
-JSON encoder built once, and the CLI freezing its import heap once per
-process."""
+once per edge, the one-pass reader of map tables from instances and
+certificates (`reference_maps.ref_pooled_map` keeps the three-call route),
+the canonical JSON encoder built once, and the CLI freezing its import heap
+once per process."""
 
 import copy
 import gc
@@ -26,7 +26,7 @@ from awfs_forge.core import (
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.lifting import enumerate_new_squares, enumerate_squares, square_key
 from awfs_forge.soa import run_soa
-from awfs_forge.verifier import _pooled_map, _Pools
+from awfs_forge.verifier import _Pools
 from reference_maps import components, ref_pooled_map, ref_then
 
 FIXTURES = ("FIX-M", "FIX-G", "FIX-PW", "FIX-PROJ")  # FIX-DIV does not converge
@@ -161,14 +161,14 @@ def test_square_hashes_are_square_key_hashes(certificates):
     assert checked > 0
 
 
-# -- pooled maps, read in one pass ---------------------------------------------
+# -- map tables, read in one pass ----------------------------------------------
 
 
 def _outcome(load, *args):
     try:
         m = load(*args)
-    except (ValidationError, KeyError) as exc:
-        return type(exc).__name__, str(exc)
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
     return "ok", m.src, m.dst, m.tables
 
 
@@ -182,7 +182,7 @@ def _pooled_presheaves(instance, payload) -> dict[str, Presheaf]:
 def _both(presheaves, content, where):
     src, dst = presheaves[content["src"]], presheaves[content["dst"]]
     args = (src, dst, content.get("components"), where)
-    return _outcome(_pooled_map, *args), _outcome(ref_pooled_map, *args)
+    return _outcome(PresheafMap.from_json, *args), _outcome(ref_pooled_map, *args)
 
 
 def test_one_pass_load_matches_the_three_calls_on_every_pooled_map(certificates):
@@ -256,6 +256,23 @@ def test_one_pass_load_matches_the_three_calls_on_corrupted_entries(argv, certif
     verdicts = set()
     for key, content in rng.sample(entries, min(60, len(entries))):
         for _ in range(4):
+            bad = _corrupt(rng, content, pkeys)
+            new, ref = _both(presheaves, bad, f"maps.{key}")
+            assert new == ref, (key, bad)
+            verdicts.add(new[0])
+    assert "ValidationError" in verdicts
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_one_pass_load_matches_the_three_calls_on_corrupted_instance_maps(name):
+    presheaves = fixture(name).presheaves
+    pkeys = sorted(presheaves)
+    rng = random.Random(name)
+    verdicts = set()
+    for key, content in sorted(fixture_raw(name)["maps"].items()):
+        new, ref = _both(presheaves, content, f"maps.{key}")
+        assert new == ref and new[0] == "ok", key
+        for _ in range(12):
             bad = _corrupt(rng, content, pkeys)
             new, ref = _both(presheaves, bad, f"maps.{key}")
             assert new == ref, (key, bad)

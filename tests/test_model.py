@@ -3,7 +3,7 @@ from functools import partial
 import pytest
 
 from awfs_forge import lifting, model
-from awfs_forge.arrows import ArrowObject, Square
+from awfs_forge.arrows import ArrowObject
 from awfs_forge.core import Presheaf, PresheafMap, ValidationError, eq_witness
 from awfs_forge.fixtures import finmap, finset, fixture
 from awfs_forge.lifting import (
@@ -19,7 +19,6 @@ from awfs_forge.model import (
     TauData,
     WeqPredicate,
     bang,
-    build_comparison,
     build_model_structure,
     chi,
     check_replacement_laws,

@@ -2,7 +2,7 @@ import pytest
 
 from awfs_forge.arrows import ArrowObject, Square, verify_awfs
 from awfs_forge.core import PresheafMap, eq_witness
-from awfs_forge.fixtures import FIXTURE_NAMES, finmap, finset, fixture, graph
+from awfs_forge.fixtures import FIXTURE_NAMES, finmap, finset, fixture
 from awfs_forge.lifting import (
     GeneratorDiagram,
     check_coalgebra_laws,
@@ -11,7 +11,6 @@ from awfs_forge.lifting import (
     oracle_lift,
 )
 from awfs_forge.soa import (
-    GeneratedAwfs,
     MonicityViolation,
     NonConvergence,
     lifting_function_to_algebra,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awfs_forge import core, lifting, soa, verifier
+from awfs_forge import core, soa, verifier
 from awfs_forge.arrows import ArrowObject
 from awfs_forge.cli import main
 from awfs_forge.core import (

@@ -5,15 +5,8 @@ from functools import partial
 import pytest
 
 from awfs_forge import certificates, transport, verifier
-from awfs_forge.arrows import ArrowObject, Square
-from awfs_forge.core import (
-    FinFunction,
-    FinSet,
-    FiniteCategory,
-    Presheaf,
-    PresheafMap,
-    eq_witness,
-)
+from awfs_forge.arrows import ArrowObject
+from awfs_forge.core import FiniteCategory, PresheafMap, eq_witness
 from awfs_forge.certificates import envelope, quillen_certificate, soa_certificate
 from awfs_forge.fixtures import finmap, finset, fixture
 from awfs_forge.lifting import (
@@ -22,7 +15,6 @@ from awfs_forge.lifting import (
     check_coalgebra_laws,
     check_lifting_function,
     compose_lifting,
-    enumerate_squares,
     oracle_lift,
 )
 from awfs_forge.model import TauData, build_model_structure
@@ -32,7 +24,6 @@ from awfs_forge.transport import (
     MateData,
     adjunct_lifting_S,
     build_mates,
-    extract_component_map,
     gamma_from_mate,
     identity_adjunction,
     lift_T_coalg,
@@ -141,25 +132,25 @@ def test_restriction_functors_match_a_fresh_adjunction(proj):
 @pytest.fixture
 def body_runs(monkeypatch):
     """Counts, per (function, argument), the runs of every function that
-    `restriction_adjunction` memoizes."""
+    `transport` memoizes: the restriction functors, ρ and γ."""
     runs = Counter()
-    memoize = transport._per_argument
+    memoize = transport.per_argument
 
     def counted(fn):
         def body(x):
-            runs[(fn.__name__, x)] += 1
+            runs[(fn, x)] += 1
             return fn(x)
 
         return memoize(body)
 
-    monkeypatch.setattr(transport, "_per_argument", counted)
+    monkeypatch.setattr(transport, "per_argument", counted)
     return runs
 
 
 def test_quillen_check_runs_each_restriction_functor_once_per_argument(proj, body_runs):
     quillen_certificate(proj, "lan", "J", "I", "tau", "monic", 64)
-    assert {name for name, _ in body_runs} == {
-        "restrict_obj", "restrict_map", "lan_block", "lan_map", "unit", "counit"
+    assert {fn.__name__ for fn, _ in body_runs} == {
+        "restrict_obj", "restrict_map", "lan_block", "lan_map", "unit", "counit", "rho", "gamma"
     }
     assert max(body_runs.values()) == 1
 
@@ -324,8 +315,8 @@ def test_mate_round_trip(lan_setup):
 
 def test_lax_colax_pass_over_lan(lan_setup):
     proj, adj, J, gen_m, tj, gen_k, mates = lan_setup
-    assert verify_lax_colax(mates, gen_m, gen_k, adj, "lax", k_arrows(proj)).passed
-    assert verify_lax_colax(mates, gen_m, gen_k, adj, "colax", m_arrows(proj)).passed
+    report = verify_lax_colax(mates, gen_m, gen_k, adj, k_arrows(proj), m_arrows(proj))
+    assert report.passed
 
 
 def test_corrupted_rho_fails_middle_diagram(lan_setup):
@@ -337,7 +328,7 @@ def test_corrupted_rho_fails_middle_diagram(lan_setup):
     tables[obj][0] = (tables[obj][0] + 1) % rho_g.dst.at[obj].size
     bad_rho = PresheafMap.from_tables(rho_g.src, rho_g.dst, tables)
     corrupted = MateData(lambda a: bad_rho if a == g else mates.rho(a), mates.gamma)
-    report = verify_lax_colax(corrupted, gen_m, gen_k, adj, "lax", [g])
+    report = verify_lax_colax(corrupted, gen_m, gen_k, adj, [g], [])
     assert not report.passed
     assert all(e.witness is not None for e in report.failures())
 
