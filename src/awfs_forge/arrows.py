@@ -138,20 +138,6 @@ class Awfs:
         return self.fact.e(sq)
 
 
-def per_argument(fn: Callable) -> Callable:
-    """`fn` of one hashable argument, run once per distinct argument: results
-    live in a dict owned by the returned closure, and a call that raises
-    stores nothing."""
-    results: dict = {}
-
-    def once(x):
-        if x not in results:
-            results[x] = fn(x)
-        return results[x]
-
-    return once
-
-
 class AwfsMorphism:
     """Morphism of awfs: a natural family xi(f): Ef -> E'f."""
 

@@ -8,6 +8,8 @@ between generator diagrams, and adjunction descriptors.
 from __future__ import annotations
 
 import json
+from functools import partial
+from typing import Callable
 
 from .arrows import ArrowObject, Square
 from .core import (
@@ -32,7 +34,7 @@ class InstanceFile:
     def __init__(
         self, bases: dict[str, FiniteCategory], presheaves: dict[str, Presheaf],
         maps: dict[str, PresheafMap], generators: dict[str, GeneratorDiagram], weq: WeqPredicate,
-        taus: dict[str, TauData], adjunctions: dict[str, FiniteCategory | FunctorData],
+        taus: dict[str, TauData], adjunctions: dict[str, Callable[[], AdjunctionData]],
         options: dict, raw: dict,
     ):
         self.bases = bases
@@ -68,10 +70,7 @@ class InstanceFile:
     def adjunction(self, name: str) -> AdjunctionData:
         if name not in self.adjunctions:
             raise ValidationError(f"adjunctions.{name}", "unknown adjunction name")
-        parsed = self.adjunctions[name]
-        if isinstance(parsed, FunctorData):
-            return restriction_adjunction(parsed)
-        return identity_adjunction(parsed)
+        return self.adjunctions[name]()
 
     def option(self, key: str, override, fallback):
         """Command option resolution: explicit flag, else instance default."""
@@ -177,9 +176,10 @@ def _tau(name: str, data, generators: dict[str, GeneratorDiagram]) -> TauData:
     return tau
 
 
-def _adjunction(name: str, desc, bases) -> FiniteCategory | FunctorData:
-    """The descriptor parsed: the base of an identity adjunction, or the
-    functor of a Lan ⊣ restriction adjunction (kind `lan_res`)."""
+def _adjunction(name: str, desc, bases) -> Callable[[], AdjunctionData]:
+    """The descriptor parsed, as the constructor of its adjunction bound to
+    its argument: the base of an identity adjunction, or the functor of a
+    Lan ⊣ restriction adjunction (kind `lan_res`)."""
     path = f"adjunctions.{name}"
     kind = expect_object(desc, path).get("kind")
     if kind not in ("identity", "lan_res"):
@@ -192,7 +192,7 @@ def _adjunction(name: str, desc, bases) -> FiniteCategory | FunctorData:
         return bases[bname]
 
     if kind == "identity":
-        return base("base")
+        return partial(identity_adjunction, base("base"))
     src, dst = base("from_base", None), base("to_base")
     fpath = f"{path}.functor"
     functor = expect_object(desc.get("functor"), fpath)
@@ -203,7 +203,7 @@ def _adjunction(name: str, desc, bases) -> FiniteCategory | FunctorData:
         _name_map(functor, "morphisms", fpath, src.morphisms, dst.morphisms),
     )
     u.validate(fpath)
-    return u
+    return partial(restriction_adjunction, u)
 
 
 def _options(value) -> dict:

@@ -4,6 +4,7 @@ generator pruning, replacement (co)monads on objects, and the comparison
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 from .arrows import (
@@ -11,7 +12,6 @@ from .arrows import (
     AwfsMorphism,
     LawReport,
     Square,
-    per_argument,
     verify_awfs_morphism,
 )
 from .core import FiniteCategory, Presheaf, PresheafMap, ValidationError, eq_witness
@@ -171,7 +171,7 @@ def build_comparison(
     """Comparison map ξ, once per arrow (`xi_rule`)."""
     tau.validate()
 
-    @per_argument
+    @cache
     def xi(f: ArrowObject) -> PresheafMap:
         return xi_rule(f, gen_t.record, gen.record, tau, "build_comparison")
 

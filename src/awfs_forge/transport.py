@@ -9,10 +9,10 @@ triple."""
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
-from .arrows import ArrowObject, LawReport, Square, per_argument
+from .arrows import ArrowObject, LawReport, Square
 from .core import (
     FinFunction,
     FinSet,
@@ -232,13 +232,13 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
     u.validate()
     base0, base1 = u.src, u.dst
 
-    @per_argument
+    @cache
     def restrict_obj(q: Presheaf) -> Presheaf:
         at = {c: q.at[u.obj(c)] for c in base0.objects}
         act = {m: q.act[u.mor(m)] for m in base0.morphisms}
         return Presheaf(base0, at, act)
 
-    @per_argument
+    @cache
     def restrict_map(g: PresheafMap) -> PresheafMap:
         return PresheafMap(
             restrict_obj(g.src),
@@ -246,20 +246,20 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tuple(g.table_at(u.obj(c)) for c in base0.objects),
         )
 
-    @per_argument
+    @cache
     def lan_block(p: Presheaf) -> _LanClasses:
         return _LanClasses(u, p)
 
     def lan_obj(p: Presheaf) -> Presheaf:
         return lan_block(p).lan
 
-    @per_argument
+    @cache
     def lan_map(phi: PresheafMap) -> PresheafMap:
         target = lan_block(phi.dst)
         value = lambda a, c, alpha, x: target.class_of(a, c, alpha, phi.table_at(c)[x])
         return lan_block(phi.src).map_to(target.lan, value, "lan_map")
 
-    @per_argument
+    @cache
     def unit(p: Presheaf) -> PresheafMap:
         block = lan_block(p)
         tabs = {}
@@ -268,7 +268,7 @@ def restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tabs[c] = [block.class_of(a, c, base1.identities[a], x) for x in range(p.at[c].size)]
         return PresheafMap.from_tables(p, restrict_obj(block.lan), tabs)
 
-    @per_argument
+    @cache
     def counit(q: Presheaf) -> PresheafMap:
         value = lambda a, c, alpha, y: q.act[alpha].table[y]
         return lan_block(restrict_obj(q)).map_to(q, value, "counit")
@@ -326,7 +326,7 @@ def rho_from_lift(
     each cell (a generator j) to the adjunct of gen_k's minimal-stage fill of
     the transposed square from Tj into Rg."""
 
-    @per_argument
+    @cache
     def rho(g: ArrowObject) -> PresheafMap:
         rec = gen_k.record(g)
         rg = ArrowObject(rec.right())
@@ -355,7 +355,7 @@ def gamma_from_mate(
 ) -> Callable[[ArrowObject], PresheafMap]:
     """gamma_f = ν_{E(Tf)} ∘ T(rho_{Tf}) ∘ T Q(ι_f)."""
 
-    @per_argument
+    @cache
     def gamma(f: ArrowObject) -> PresheafMap:
         tf = adj.t_arrow(f)
         q_unit = gen_m.e_on_square(adj.unit_square(f))

@@ -5,7 +5,8 @@ coend.  Lan_u p is built as a coproduct of representable copowers
 smallest-member labels), and maps out of it are glued over the quotient
 (`core.glue`)."""
 
-from awfs_forge.arrows import per_argument
+from functools import cache
+
 from awfs_forge.core import (
     FinFunction,
     FinSet,
@@ -103,13 +104,13 @@ def reference_restriction_adjunction(u: FunctorData) -> AdjunctionData:
     u.validate()
     base0, base1 = u.src, u.dst
 
-    @per_argument
+    @cache
     def restrict_obj(q: Presheaf) -> Presheaf:
         at = {c: q.at[u.obj(c)] for c in base0.objects}
         act = {m: q.act[u.mor(m)] for m in base0.morphisms}
         return Presheaf(base0, at, act)
 
-    @per_argument
+    @cache
     def restrict_map(g: PresheafMap) -> PresheafMap:
         return PresheafMap(
             restrict_obj(g.src),
@@ -117,14 +118,14 @@ def reference_restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tuple(g.table_at(u.obj(c)) for c in base0.objects),
         )
 
-    @per_argument
+    @cache
     def lan_block(p: Presheaf) -> _LanBlock:
         return _LanBlock(u, p)
 
     def lan_obj(p: Presheaf) -> Presheaf:
         return lan_block(p).lan
 
-    @per_argument
+    @cache
     def lan_map(phi: PresheafMap) -> PresheafMap:
         b1, b2 = lan_block(phi.src), lan_block(phi.dst)
         raw_tabs = {}
@@ -144,7 +145,7 @@ def reference_restriction_adjunction(u: FunctorData) -> AdjunctionData:
         raw = PresheafMap.from_tables(b1.cop.apex, b2.cop.apex, raw_tabs)
         return glue(b1.lan, b2.lan, [(b1.q, raw.then(b2.q))], "lan_map", "not constant on classes")
 
-    @per_argument
+    @cache
     def unit(p: Presheaf) -> PresheafMap:
         block = lan_block(p)
         tabs = {}
@@ -154,7 +155,7 @@ def reference_restriction_adjunction(u: FunctorData) -> AdjunctionData:
             tabs[c] = [block.class_of(a, c, ident, x) for x in range(p.at[c].size)]
         return PresheafMap.from_tables(p, restrict_obj(block.lan), tabs)
 
-    @per_argument
+    @cache
     def counit(q: Presheaf) -> PresheafMap:
         p = restrict_obj(q)
         block = lan_block(p)
