@@ -558,23 +558,11 @@ class PresheafMap:
         """The component table at base object `obj`."""
         return self.tables[self.src.base._position[obj]]
 
-    def validate(self, path: str = "map") -> None:
-        """Range and naturality, between validated presheaves: each identity
-        acts as one, so naturality holds at identities and is checked at the
-        other morphisms, gathered table against gathered table."""
-        src, dst = self.src, self.dst
-        if src.base != dst.base:
-            raise ValidationError(path, "source and target live over different bases")
-        base = src.base
-        if len(self.tables) != len(base.objects):
-            raise ValidationError(f"{path}.components", "not one table per base object")
-        for o, t in zip(base.objects, self.tables):
-            if len(t) != src.at[o].size or t and (min(t) < 0 or max(t) >= dst.at[o].size):
-                raise ValidationError(f"{path}.components.{o}", "component ill-typed")
-        self.check_naturality(path)
-
     def check_naturality(self, path: str = "map") -> None:
-        """The naturality part of `validate`, for tables known to fit."""
+        """Naturality, for tables known to fit, between validated presheaves:
+        each identity acts as one, so naturality holds at identities and is
+        checked at the other morphisms, gathered table against gathered
+        table."""
         src, dst, base = self.src, self.dst, self.src.base
         for m in base.nonidentity_morphisms():
             a, b = base.morphisms[m]
@@ -699,32 +687,6 @@ def eq_witness(m1: PresheafMap, m2: PresheafMap):
     return None
 
 
-def inverse_lookup(incl: PresheafMap) -> tuple[dict[int, int], ...]:
-    """Per base object, in base-object order, each value of an injective map's
-    table -> its element."""
-    lookup = []
-    for t in incl.tables:
-        inv = {v: x for x, v in enumerate(t)}
-        if len(inv) != len(t):
-            raise ValidationError("factor_through", "inclusion is not injective")
-        lookup.append(inv)
-    return tuple(lookup)
-
-
-def factor_through(
-    u: PresheafMap, incl: PresheafMap, lookup: tuple[dict[int, int], ...] | None = None
-) -> PresheafMap | None:
-    """The unique u' with incl ∘ u' = u, when it exists (incl injective).
-    `lookup` is `inverse_lookup(incl)`, when the caller keeps it."""
-    if lookup is None:
-        lookup = inverse_lookup(incl)
-    try:
-        tables = tuple([tuple([inv[v] for v in t]) for inv, t in zip(lookup, u.tables)])
-    except KeyError:
-        return None
-    return PresheafMap(u.src, incl.src, tables)
-
-
 # ---------------------------------------------------------------------------
 # Colimits
 
@@ -750,20 +712,11 @@ class UnionFind:
 
 
 class ColimitRecord:
-    """A computed colimit: the apex with legs from the diagram's targets.
+    """A computed colimit: the apex with legs from the diagram's targets."""
 
-    `kind` is one of coproduct/pushout/coequalizer; `diagram` holds the maps
-    the cocone must commute with (empty for coproducts).
-    """
+    __slots__ = ("apex", "legs")
 
-    __slots__ = ("kind", "diagram", "apex", "legs")
-
-    def __init__(
-        self, kind: str, diagram: tuple[PresheafMap, ...], apex: Presheaf,
-        legs: tuple[PresheafMap, ...],
-    ):
-        self.kind = kind
-        self.diagram = diagram
+    def __init__(self, apex: Presheaf, legs: tuple[PresheafMap, ...]):
         self.apex = apex
         self.legs = legs
 
@@ -802,7 +755,7 @@ def coproduct(parts: list[Presheaf], base: FiniteCategory | None = None) -> Coli
         )
         for i, p in enumerate(parts)
     )
-    return ColimitRecord("coproduct", (), apex, legs)
+    return ColimitRecord(apex, legs)
 
 
 def quotient_presheaf(
@@ -870,7 +823,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> ColimitRecord:
     rec = coproduct([f.dst, g.dst])
     inj_b, inj_c = rec.legs
     apex, q = quotient_presheaf(rec.apex, [(f.then(inj_b), g.then(inj_c))])
-    return ColimitRecord("pushout", (f, g), apex, (inj_b.then(q), inj_c.then(q)))
+    return ColimitRecord(apex, (inj_b.then(q), inj_c.then(q)))
 
 
 def coequalizer(f: PresheafMap, g: PresheafMap) -> ColimitRecord:
@@ -878,7 +831,7 @@ def coequalizer(f: PresheafMap, g: PresheafMap) -> ColimitRecord:
     if f.src != g.src or f.dst != g.dst:
         raise ValidationError("coequalizer", "maps must be parallel")
     apex, q = quotient_presheaf(f.dst, [(f, g)])
-    return ColimitRecord("coequalizer", (f, g), apex, (q,))
+    return ColimitRecord(apex, (q,))
 
 
 def glue(target: Presheaf, dst: Presheaf, parts, where: str, problem: str) -> PresheafMap:

@@ -399,9 +399,7 @@ def check_lifting_function(diagram: GeneratorDiagram, lf: LiftingFunction) -> La
                 report.record("fill.present", probe, False)
                 continue
             try:
-                w.src.validate()  # the precondition of the map's validate
-                w.dst.validate()
-                w.validate()
+                w.check_naturality()
                 report.record("fill.natural", probe, True)
             except ValidationError as exc:
                 report.record("fill.natural", probe, False, {"error": str(exc)})

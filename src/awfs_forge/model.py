@@ -213,14 +213,14 @@ def two_lift_agreement(
     coalg: CoalgebraStructure,
     alg: AlgebraStructure,
     sq: Square,
-) -> bool:
+) -> PresheafMap | None:
     """Lift through ξ_*(coalgebra) in (C, F_t) versus through ξ^*(algebra) in
-    (C_t, F); the two canonical solutions must agree."""
+    (C_t, F): the canonical solution when the two agree, else None."""
     pushed = CoalgebraStructure(coalg.f, coalg.s.then(amstr.xi.at(coalg.f)))
     w1 = solve_lift(pushed, alg, sq, amstr.gen.as_fact())
     pulled = AlgebraStructure(alg.g, amstr.xi.at(alg.g).then(alg.t))
     w2 = solve_lift(coalg, pulled, sq, amstr.gen_t.as_fact())
-    return eq_witness(w1, w2) is None
+    return w1 if eq_witness(w1, w2) is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +289,11 @@ def chi(amstr: AlgebraicModelStructure, x: Presheaf) -> PresheafMap:
     q_alg = amstr.gen.free_algebra(cobang(rep.r_obj(x)))  # ε_{RX} free algebra
     u = rep.q_map(rep.unit(x))  # Qη_X: QX -> QRX
     v = rep.r_map(rep.counit(x))  # Rε_X: RQX -> RX
-    sq = Square(j.f, q_alg.g, u, v)
-    pushed = CoalgebraStructure(j.f, j.s.then(amstr.xi.at(j.f)))
-    w1 = solve_lift(pushed, q_alg, sq, amstr.gen.as_fact())
-    pulled = AlgebraStructure(q_alg.g, amstr.xi.at(q_alg.g).then(q_alg.t))
-    w2 = solve_lift(j, pulled, sq, amstr.gen_t.as_fact())
-    if eq_witness(w1, w2) is not None:
+    w = two_lift_agreement(amstr, j, q_alg, Square(j.f, q_alg.g, u, v))
+    if w is None:
         raise ValidationError("chi", "the two canonical lifts disagree")
-    amstr._chis[x] = w1
-    return w1
+    amstr._chis[x] = w
+    return w
 
 
 def check_replacement_laws(amstr: AlgebraicModelStructure, objects: list[Presheaf]) -> LawReport:

@@ -9,12 +9,13 @@ those whose top edge reaches an element that the previous stage added
 (`lifting.enumerate_new_squares`), and the new stage object is the previous
 one with the classes of the new cells' elements appended (a union-find that
 joins those elements alone).  Old elements keep their labels and no two of them
-merge, so stage inclusions are prefix inclusions x ↦ x, and a map factors
-through stage k exactly when its tables are bounded by the sizes of E^k: a
-cell's stage is read off the image of its top edge.  Both variants run this
-one loop and differ only in their monicity checks: the monic variant rejects
-a non-injective generator or stage inclusion, the standard variant accepts
-such generators and stops at a stage that merged old elements.
+merge, so stage inclusions are prefix inclusions x ↦ x and a map into a
+stage keeps its tables in every later one.  A square's cell is therefore
+found by one lookup, keyed by its generator, its top edge's tables and its
+bottom edge.  Both variants run this one loop and differ only in their
+monicity checks: the monic variant rejects a non-injective generator or
+stage inclusion, the standard variant accepts such generators and stops at a
+stage that merged old elements.
 """
 
 from __future__ import annotations
@@ -85,20 +86,6 @@ class CellRecord:
         ) == (other.stage, other.jname, other.square, other.injection)
 
 
-def _maxima(m: PresheafMap) -> list[int]:
-    """m's largest value at each base object, -1 where it has none."""
-    return [max(t, default=-1) for t in m.tables]
-
-
-def _bounded(m: PresheafMap, p: Presheaf, maxima: list[int] | None = None) -> bool:
-    """Every value of m at each base object is below p's size there: m factors
-    through p when p is a prefix sub-presheaf of m.dst.  `maxima` is
-    `_maxima(m)`, when the caller keeps it."""
-    if maxima is None:
-        maxima = _maxima(m)
-    return all(v < k for v, k in zip(maxima, p.sizes))
-
-
 class ArrowRecord:
     """Full stage bookkeeping for one factored arrow."""
 
@@ -115,8 +102,8 @@ class ArrowRecord:
 
     @cached_property
     def cell_index(self) -> dict[tuple, CellRecord]:
-        """(stage, j, top tables, bottom) -> the cell attached along that square."""
-        return {(c.stage, c.jname, c.square.u.tables, c.square.v): c for c in self.cells}
+        """(j, top tables, bottom) -> the cell attached along that square."""
+        return {(c.jname, c.square.u.tables, c.square.v): c for c in self.cells}
 
     @cached_property
     def cells_by_stage(self) -> list[list[CellRecord]]:
@@ -189,16 +176,11 @@ def record_block(diagram: GeneratorDiagram, rec, structure: dict | None = None) 
 
 def _minimal_fill(stages, cell_index, jname, sq: Square) -> PresheafMap:
     """Minimal-stage cell injection for a square into the last right factor
-    of `stages`, carried up into the last stage object.  The cell sits one
-    stage above the first stage E^gamma whose sizes bound u."""
-    last = len(stages) - 1
-    maxima = _maxima(sq.u)
-    gamma = next((s for s, st in enumerate(stages) if _bounded(sq.u, st, maxima)), last)
-    cell = cell_index.get((gamma + 1, jname, sq.u.tables, sq.v))
+    of `stages`, carried up into the last stage object.  Inclusions are
+    prefixes, so the cell's top edge has u's tables."""
+    cell = cell_index.get((jname, sq.u.tables, sq.v))
     if cell is None:
-        raise ValidationError(
-            "soa.fill", f"no cell for generator {jname} at minimal stage {gamma + 1}"
-        )
+        raise ValidationError("soa.fill", f"no cell for generator {jname}")
     return cell.injection.retarget(stages[-1])
 
 
@@ -301,7 +283,7 @@ class GeneratedAwfs(RecordAwfs):
             for (jname, sq), inj in zip(attached, injections):
                 cell = CellRecord(stage, jname, sq, inj)
                 cells.append(cell)
-                cell_index[(stage, jname, sq.u.tables, sq.v)] = cell
+                cell_index[(jname, sq.u.tables, sq.v)] = cell
         raise NonConvergence([s.total_size for s in stages])
 
     def _build_stage(self, stage, stages, rmaps, cell_index, attached):
@@ -388,7 +370,7 @@ class GeneratedAwfs(RecordAwfs):
             # two old elements share a class: the stage inclusion is not injective
             if self.variant == "monic":
                 raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage}")
-            if stage < self.max_steps:  # past a merge, sizes no longer place cells
+            if stage < self.max_steps:  # past a merge, tables no longer name cells
                 raise ValidationError("factor_through", "inclusion is not injective")
             raise NonConvergence([s.total_size for s in stages] + [sum(sizes)])
 

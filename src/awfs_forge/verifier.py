@@ -32,10 +32,17 @@ injective stage inclusions under both variants; stage completeness by its own
 square search (stage k's cells must be exactly the squares into r_{k-1} whose
 top edge leaves the image of inclusion k-2, all squares into r_0 at stage 1);
 covering; convergence within `max_steps` stages; both triangles of every
-fill, which `fill_rule` finds by factoring through the inclusions by inverse
-lookup, so inclusions need not be prefixes (a natural map that passes both is
-one of `lifting.oracle_lift`'s fillers by definition, so the oracle is not
-rerun); and the fills' coherence along the generator shape.  Since every
+fill (a natural map that passes both is one of `lifting.oracle_lift`'s
+fillers by definition, so the oracle is not rerun); and the fills' coherence
+along the generator shape.  Inclusions need not be prefixes: `fill_rule`
+finds a square's cell by one lookup, keyed by the cell's top edge carried
+into the last stage.  That finds the minimal-stage cell because inclusions
+are checked injective and stages complete before any fill: a cell whose
+carried-up top edge matched at a stage above the minimal one would have a
+top edge that factors through the stage before, so its square is not new and
+completeness rejects it.  Every pooled map must be read by some check, and
+every pooled presheaf too or be an endpoint of such a map, so that one claim
+has one certificate.  Since every
 derived block is recomputed from these records, a lift certificate's fills
 must be the record's fills, ξ_f its cell replay (ξ's lifting problem can
 have several fillers) and χ the canonical two-route lift that the law suites
@@ -47,7 +54,7 @@ on.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import Callable
 
@@ -58,8 +65,6 @@ from .core import (
     ValidationError,
     eq_witness,
     expect_object,
-    factor_through,
-    inverse_lookup,
     pool_key,
 )
 from .instance import InstanceFile
@@ -98,10 +103,15 @@ def _require(cond: bool, where: str, message: str) -> None:
 
 
 class _Pools:
+    """A certificate's pools, each entry checked as it is loaded.  `m` and `p`
+    note each key they are asked for, for `check_referenced`."""
+
     def __init__(self, instance: InstanceFile, payload: dict):
         bases = {name: cat for name, cat in instance.bases.items()}
         self.presheaves: dict[str, Presheaf] = {}
         self.maps: dict[str, PresheafMap] = {}
+        self.ends: dict[str, tuple[str, str]] = {}  # map key -> its endpoints' keys
+        self.read: set[str] = set()
         for key, content in expect_object(payload.get("presheaves", {}), "presheaves").items():
             where = f"presheaves.{key}"
             _require(pool_key("p", content) == key, where, "content hash mismatch")
@@ -118,21 +128,32 @@ class _Pools:
             _require(known, where, "dangling endpoint")
             src, dst = (self.presheaves[e] for e in ends)
             self.maps[key] = PresheafMap.from_json(src, dst, content.get("components"), where)
+            self.ends[key] = ends
 
     def m(self, key: str, where: str) -> PresheafMap:
         _require(key in self.maps, where, f"dangling map reference {key}")
+        self.read.add(key)
         return self.maps[key]
 
     def p(self, key: str, where: str) -> Presheaf:
         _require(key in self.presheaves, where, f"dangling presheaf reference {key}")
+        self.read.add(key)
         return self.presheaves[key]
+
+    def check_referenced(self) -> None:
+        """Every pooled map was read through `m`, and every pooled presheaf
+        through `p` or as an endpoint of such a map."""
+        read = self.read.union(*(self.ends[k] for k in self.read if k in self.ends))
+        for kind, pool in (("maps", self.maps), ("presheaves", self.presheaves)):
+            for key in pool:
+                _require(key in read, f"{kind}.{key}", "no block references this entry")
 
 
 class _Record(ArrowRecord):
     """A certified record.  It differs from the engine's in what it may not
-    assume: stage inclusions need not be prefixes, so maps factor through
-    them by inverse lookup, and each fill is `rule`, the verifier's
-    `fill_rule` bound to the record's path, run once per square."""
+    assume: stage inclusions need not be prefixes, so a cell is indexed by
+    its top edge carried into the last stage, and each fill is `rule`, the
+    verifier's `fill_rule` bound to the record's path, run once per square."""
 
     def __init__(
         self, f, stages, inclusions, rmaps, cells, variant,
@@ -140,9 +161,15 @@ class _Record(ArrowRecord):
     ):
         super().__init__(f, stages, inclusions, rmaps, cells, variant)
         self.rule = rule
-        self._lookups: dict[int, dict] = {}  # inclusion -> its inverse
         self._ranges: dict[tuple[int, int], PresheafMap] = {}
         self._fills: dict[tuple, PresheafMap] = {}  # (j, top, bottom) -> fill
+
+    @cached_property
+    def cell_index(self) -> dict[tuple, CellRecord]:
+        """(j, top tables carried into the last stage, bottom) -> the cell."""
+        last = len(self.stages) - 1
+        up = (c.square.u.then(self.inclusion_range(c.stage - 1, last)) for c in self.cells)
+        return {(c.jname, u.tables, c.square.v): c for c, u in zip(self.cells, up)}
 
     def fill(self, jname: str, sq: Square) -> PresheafMap:
         key = (jname, sq.u, sq.v)
@@ -161,18 +188,6 @@ class _Record(ArrowRecord):
                 out = out.then(self.inclusions[b])
             self._ranges[(lo, hi)] = out
         return out
-
-    def lookup(self, b: int) -> tuple[dict[int, int], ...]:
-        """The inverse of inclusion b (stage b -> b + 1), built once: per base
-        object, each element of its image -> its preimage."""
-        inverse = self._lookups.get(b)
-        if inverse is None:
-            inverse = self._lookups[b] = inverse_lookup(self.inclusions[b])
-        return inverse
-
-    def factor(self, u: PresheafMap, b: int) -> PresheafMap | None:
-        """`u` factored through inclusion b, or None."""
-        return factor_through(u, self.inclusions[b], self.lookup(b))
 
 
 def _replayed(rule, *args, where: str) -> PresheafMap:
@@ -274,19 +289,21 @@ class CertifiedEngine(RecordAwfs):
                 w,
                 "cell injection incompatible with r",
             )
-        _require(len(rec.cell_index) == len(rec.cells), w, "two cells share a square")
+        attached = {(c.stage, c.jname, c.square.u.tables, c.square.v) for c in rec.cells}
+        _require(len(attached) == len(rec.cells), w, "two cells share a square")
         # stage completeness and convergence: past stage 1, the new squares
         # are those whose top edge leaves the image of the inclusion before,
         # so a cell whose top edge stays inside it is rejected here
         for stage in range(1, len(rec.stages)):
             expected = set()
             r_prev = ArrowObject(rec.rmaps[stage - 1])
+            old = [set(t) for t in rec.inclusions[stage - 2].tables] if stage > 1 else None
             for jname in self.diagram.objects():
                 j = self.diagram.arrow_of[jname]
                 squares = (
                     enumerate_squares(j, r_prev)
-                    if stage == 1
-                    else enumerate_new_squares(j, r_prev, rec.lookup(stage - 2))
+                    if old is None
+                    else enumerate_new_squares(j, r_prev, old)
                 )
                 expected.update((jname, sq.u, sq.v) for sq in squares)
             got = {(c.jname, c.square.u, c.square.v) for c in rec.cells_by_stage[stage]}
@@ -302,8 +319,10 @@ class CertifiedEngine(RecordAwfs):
                         hit[v] = True
             for o, hit in zip(target.base.objects, seen):
                 _require(all(hit), w, f"stage {stage} has unreachable elements at {o}")
-        # convergence, and each square's fill (`fill_rule`) by both triangles:
-        # a natural map passing both is one of the square's fillers
+        # convergence (with the stages complete, a top edge factors through the
+        # last stage exactly when it is a cell's carried up), and each square's
+        # fill (`fill_rule`) by both triangles: a natural map passing both is
+        # one of the square's fillers
         r_last = ArrowObject(rec.rmaps[-1])
         for jname in self.diagram.objects():
             j = self.diagram.arrow_of[jname]
@@ -311,7 +330,7 @@ class CertifiedEngine(RecordAwfs):
                 if len(rec.inclusions) == 0:
                     raise CertificateError(w, "unconverged: squares remain at stage 0")
                 _require(
-                    rec.factor(sq.u, len(rec.inclusions) - 1) is not None,
+                    (jname, sq.u.tables, sq.v) in rec.cell_index,
                     w,
                     "not converged: a square does not factor through the last stage",
                 )
@@ -339,15 +358,9 @@ class CertifiedEngine(RecordAwfs):
     # -- replay rules --------------------------------------------------------
 
     def fill_rule(self, rec: _Record, jname: str, sq: Square, where: str) -> PresheafMap:
-        gamma, u_min = len(rec.stages) - 1, sq.u
-        while gamma >= 1:
-            down = rec.factor(u_min, gamma - 1)
-            if down is None:
-                break
-            gamma, u_min = gamma - 1, down
-        c = rec.cell_index.get((gamma + 1, jname, u_min.tables, sq.v))
+        c = rec.cell_index.get((jname, sq.u.tables, sq.v))
         _require(c is not None, where, "no minimal-stage cell for a fill")
-        return c.injection.then(rec.inclusion_range(gamma + 1, len(rec.stages) - 1))
+        return c.injection.then(rec.inclusion_range(c.stage, len(rec.stages) - 1))
 
     def e_walk(self, sq: Square) -> PresheafMap:
         """E on a square, replayed once per square."""
@@ -507,6 +520,7 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) ->
     blocks, structure = soa_blocks(engine, named, variant)
     _match_records(pools, engine, payload["arrows"], structure)
     _match_blocks(pools, payload, blocks)
+    pools.check_referenced()
 
 
 def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
@@ -514,6 +528,7 @@ def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -
     pools, engine, named = _factored(instance, payload, options, variant, bound)
     _match_records(pools, engine, payload["arrows"])
     _match_blocks(pools, payload, lift_blocks(engine, named))
+    pools.check_referenced()
 
 
 def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
@@ -547,6 +562,7 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
         _require(
             entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
         )
+    pools.check_referenced()
 
 
 def _verify_report_only(instance: InstanceFile, payload: dict) -> None:

@@ -1,16 +1,27 @@
 """Test-only reference for the small object argument's fill rule: the
-walk-down that `soa.GeneratedAwfs._partial_fill` used before monic stage
-inclusions were read as prefix inclusions.
+walk-down that the engine and the verifier used before a square's cell was
+found by one index lookup.
 
 The top edge u of a square into the right factor is factored down the stage
-inclusions with `core.factor_through` for as long as it factors; the cell
+inclusions with `factor_through` for as long as it factors; the cell
 attached one stage above the lowest stage reached is the square's cell, and
 its injection is composed back up the inclusions with `then`.
 """
 
 from awfs_forge.arrows import Square
-from awfs_forge.core import PresheafMap, ValidationError, factor_through
+from awfs_forge.core import PresheafMap, ValidationError
 from awfs_forge.soa import ArrowRecord
+
+
+def factor_through(u: PresheafMap, incl: PresheafMap) -> PresheafMap | None:
+    """The unique u' with incl ∘ u' = u, when it exists (incl injective),
+    found through each table's inverse."""
+    inverses = [{v: x for x, v in enumerate(t)} for t in incl.tables]
+    try:
+        tables = tuple(tuple(inv[v] for v in t) for inv, t in zip(inverses, u.tables))
+    except KeyError:
+        return None
+    return PresheafMap(u.src, incl.src, tables)
 
 
 def reference_fill(rec: ArrowRecord, jname: str, sq: Square) -> PresheafMap:

@@ -73,19 +73,6 @@ def ref_glue(target: Presheaf, dst: Presheaf, parts) -> Components:
     return out
 
 
-def ref_factor_through(u: PresheafMap, incl: PresheafMap) -> Components | None:
-    """u' with incl ∘ u' = u, found by scanning incl's table; None when u
-    leaves incl's image."""
-    cu, ci = components(u), components(incl)
-    out = {}
-    for o in u.base.objects:
-        t = ci[o].table
-        if any(v not in t for v in cu[o].table):
-            return None
-        out[o] = FinFunction(u.src.at[o], incl.src.at[o], tuple(t.index(v) for v in cu[o].table))
-    return out
-
-
 def ref_coproduct_legs(parts: list[Presheaf]) -> list[Components]:
     """The legs of the disjoint union, parts laid end to end in input order."""
     base = parts[0].base
@@ -132,7 +119,7 @@ def ref_pooled_map(src: Presheaf, dst: Presheaf, value, where: str) -> PresheafM
     """A map read from JSON components by three calls, the way the package
     read them before `PresheafMap.from_json` read each table once:
     `expect_components`, then `PresheafMap.from_tables` (one range-checked
-    `FinFunction` per base object), then `validate`.  Endpoints over
+    `FinFunction` per base object), then `check_naturality`.  Endpoints over
     different bases are refused first, and a missing or ill-fitting table is
     located at `where.components.<o>`, as `from_json` locates them."""
     if src.base != dst.base:
@@ -147,5 +134,5 @@ def ref_pooled_map(src: Presheaf, dst: Presheaf, value, where: str) -> PresheafM
         except ValidationError as exc:
             raise ValidationError(f"{path}.{o}", exc.message) from None
     m = PresheafMap.from_tables(src, dst, tables)
-    m.validate(where)
+    m.check_naturality(where)
     return m

@@ -11,7 +11,8 @@ condition read off a finished record.
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import PresheafMap, coproduct, glue, quotient_presheaf
 from awfs_forge.lifting import enumerate_squares
-from awfs_forge.soa import ArrowRecord, GeneratedAwfs, _bounded, _minimal_fill
+from awfs_forge.soa import ArrowRecord, GeneratedAwfs, _minimal_fill
+from reference_fill import factor_through
 
 
 def reference_stage(gen: GeneratedAwfs, stages, rmaps, cell_index, attached):
@@ -62,4 +63,4 @@ def converged(gen: GeneratedAwfs, rec: ArrowRecord) -> bool:
     squares = [sq for j in gen.diagram.arrow_of.values() for sq in enumerate_squares(j, rf)]
     if len(rec.stages) < 2:
         return not squares
-    return all(_bounded(sq.u, rec.stages[-2]) for sq in squares)
+    return all(factor_through(sq.u, rec.inclusions[-1]) is not None for sq in squares)

@@ -2,8 +2,9 @@
 `model` certificate with the certificate writer's own functions and requires
 each block whole: cut or replaced blocks, generator blocks that do not
 describe the instance's diagram, re-hashed single-entry flips of any pooled
-map, record entries with a key more or less or a derived field flipped, and
-records with more stages than the certificate's `max_steps` allows are all
+map, record entries with a key more or less or a derived field flipped,
+records with more stages than the certificate's `max_steps` allows or cut
+short of convergence, and pool entries that no block references are all
 rejected, and every honest certificate verifies."""
 
 import copy
@@ -217,7 +218,7 @@ def _other_maps(instance, payload: dict, key: str):
                 tables = copy.deepcopy(content["components"])
                 tables[o][i] = w
                 try:
-                    PresheafMap.from_tables(src, dst, tables).validate()
+                    PresheafMap.from_tables(src, dst, tables).check_naturality()
                 except ValidationError:
                     continue
                 yield dict(content, components=tables)
@@ -376,6 +377,22 @@ def test_verify_cert_rejects_two_cells_along_one_square(tmp_path):
     assert verify_certificate(instance, cert) == (False, f"arrows.{fkey}: two cells share a square")
 
 
+def test_verify_cert_rejects_a_record_cut_before_its_last_stage(tmp_path):
+    # the longest record, less its last stage and that stage's cells: every
+    # check up to convergence still passes, and the squares that the cut
+    # stage attached are left unfilled
+    instance = fixture("FIX-G")
+    cert = _certify(tmp_path, "soa --fixture FIX-G")
+    fkey, entry = max(cert["payload"]["arrows"].items(), key=lambda kv: len(kv[1]["stages"]))
+    assert len(entry["stages"]) == 3
+    for field in ("stages", "inclusions", "rmaps"):
+        entry[field].pop()
+    entry["cells"] = [c for c in entry["cells"] if c["stage"] < len(entry["stages"])]
+    assert verify_certificate(instance, cert) == (
+        False, f"arrows.{fkey}: not converged: a square does not factor through the last stage"
+    )
+
+
 RECOMPUTED = "differs from the recomputed record entry"
 
 
@@ -451,3 +468,35 @@ def test_verify_cert_accepts_max_steps_at_the_stage_count(tmp_path):
     assert max(len(e["stages"]) for e in cert["payload"]["arrows"].values()) == 3
     assert verify_certificate(instance, cert) == (True, "")
     assert verify_certificate(instance, _bounded(cert, None, None)) == (True, "")
+
+
+# -- pools: every entry is referenced ----------------------------------------
+
+
+def _unreferenced_identity(payload: dict) -> str:
+    """Pool the identity map of the first pooled presheaf whose identity is
+    not pooled yet, under its own key."""
+    pooled = {(c["src"], c["dst"], canonical_dumps(c["components"])) for c in payload["maps"].values()}
+    for pkey, content in payload["presheaves"].items():
+        tables = {o: list(range(n)) for o, n in content["at"].items()}
+        if (pkey, pkey, canonical_dumps(tables)) not in pooled:
+            return _pooled(payload, "maps", {"src": pkey, "dst": pkey, "components": tables})
+    raise AssertionError("every pooled presheaf's identity is pooled")
+
+
+def _unreferenced_presheaf(payload: dict) -> str:
+    """Pool a set over FIX-M's one-object base, one element larger than the
+    largest pooled one."""
+    n = max(c["at"]["*"] for c in payload["presheaves"].values())
+    return _pooled(payload, "presheaves", {"base": "main", "at": {"*": n + 1}, "act": {}})
+
+
+@pytest.mark.parametrize("argv", ["soa --fixture FIX-M", "lift --fixture FIX-M", "model --fixture FIX-M"])
+@pytest.mark.parametrize("kind", ["maps", "presheaves"])
+def test_verify_cert_rejects_a_pool_entry_that_no_block_references(argv, kind, tmp_path):
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, argv)
+    assert verify_certificate(instance, cert) == (True, "")
+    add = _unreferenced_identity if kind == "maps" else _unreferenced_presheaf
+    key = add(cert["payload"])
+    assert verify_certificate(instance, cert) == (False, f"{kind}.{key}: no block references this entry")

@@ -76,7 +76,7 @@ def test_naturality_validation():
     e2 = graph(2, 1, [1], [0])  # reversed edge
     swap = PresheafMap.from_tables(e1, e2, {"V": (0, 1), "E": (0,)})
     with pytest.raises(ValidationError):
-        swap.validate()
+        swap.check_naturality()
 
 
 def test_empty_coproduct_is_initial():

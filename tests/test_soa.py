@@ -16,6 +16,7 @@ from awfs_forge.soa import (
     lifting_function_to_algebra,
     run_soa,
 )
+from reference_fill import factor_through
 from reference_stage import converged, reference_stage
 
 E01 = ArrowObject(finmap(0, 1, []))
@@ -249,8 +250,6 @@ def test_underlying_wfs_sanity(fixm_gen):
 
 
 def test_convergence_certificate(fixm_gen):
-    from awfs_forge.core import factor_through
-
     rec = fixm_gen.record(F21)
     rf = ArrowObject(rec.right())
     for jname in fixm_gen.diagram.objects():

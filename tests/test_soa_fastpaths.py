@@ -1,10 +1,10 @@
 """Differential tests of the small object argument's fast paths, under both
-variants: the fill rule against the walk-down reference in
-`reference_fill.py`, the new-squares search against the filtered full
-enumeration, and appended stages against the colimit reference in
-`reference_stage.py`.  Guards keep `core.factor_through`, the colimits and
-all but the first stage's full square enumeration out of the stage loop, and
-count the engines that one command builds."""
+variants: the fill rule, the engine's and the verifier's, against the
+walk-down reference in `reference_fill.py`, the new-squares search against
+the filtered full enumeration, and appended stages against the colimit
+reference in `reference_stage.py`.  Guards keep the colimits and all but the
+first stage's full square enumeration out of the stage loop, and count the
+engines that one command builds."""
 
 import json
 import sys
@@ -23,11 +23,10 @@ from awfs_forge.core import (
     Presheaf,
     PresheafMap,
     all_maps,
-    factor_through,
 )
 from awfs_forge.fixtures import finmap, fixture
 from awfs_forge.lifting import GeneratorDiagram, enumerate_new_squares, enumerate_squares
-from awfs_forge.soa import GeneratedAwfs, MonicityViolation, NonConvergence, _bounded, run_soa
+from awfs_forge.soa import GeneratedAwfs, MonicityViolation, NonConvergence, run_soa
 from reference_fill import reference_fill
 from reference_stage import reference_stage
 
@@ -62,50 +61,11 @@ def records():
     return out
 
 
-def _stage_squares(gen, rec):
-    """(k, u) for the top edge u of every square into r_k, k >= 1."""
-    for k in range(1, len(rec.stages)):
-        r_k = ArrowObject(rec.rmaps[k])
-        for j in gen.diagram.arrow_of.values():
-            for sq in enumerate_squares(j, r_k):
-                yield k, sq.u
-
-
 def test_monic_stage_inclusions_are_prefixes(records):
     assert len({label for label, _, _ in records}) == 14
     for label, _, rec in records:
         for incl in rec.inclusions:
             assert incl.tables == tuple(tuple(range(n)) for n in incl.src.sizes), label
-
-
-def test_size_check_agrees_with_factor_through_on_squares(records):
-    checked = 0
-    for label, gen, rec in records:
-        for k, u in _stage_squares(gen, rec):
-            incl = rec.inclusions[k - 1]
-            assert _bounded(u, rec.stages[k - 1]) == (factor_through(u, incl) is not None), label
-            checked += 1
-    assert checked > 100
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_size_check_agrees_with_factor_through_on_any_tables(records, data):
-    # indices, not records, are drawn: a record's repr is long
-    i = data.draw(st.sampled_from([i for i, r in enumerate(records) if r[2].inclusions]))
-    _, gen, rec = records[i]
-    k = data.draw(st.integers(1, len(rec.stages) - 1))
-    dst = rec.stages[k]
-    sources = [j.dom for j in gen.diagram.arrow_of.values()]
-    src = sources[data.draw(st.integers(0, len(sources) - 1))]
-    if any(n and not k_o for n, k_o in zip(src.sizes, dst.sizes)):
-        return  # no table fits: src(o) nonempty, dst(o) empty
-    tables = {
-        o: data.draw(st.lists(st.integers(0, max(k_o - 1, 0)), min_size=n, max_size=n))
-        for o, n, k_o in zip(src.base.objects, src.sizes, dst.sizes)
-    }
-    u = PresheafMap.from_tables(src, dst, tables)  # not natural: the check reads tables only
-    assert _bounded(u, rec.stages[k - 1]) == (factor_through(u, rec.inclusions[k - 1]) is not None)
 
 
 def test_fill_matches_the_walk_down(records):
@@ -119,6 +79,32 @@ def test_fill_matches_the_walk_down(records):
     assert filled > 100
 
 
+def test_verifier_fill_matches_the_walk_down(monkeypatch, tmp_path):
+    # the certified records of every soa and lift certificate, under both
+    # variants, as the verifier loads them
+    engines = []
+    _log_calls(monkeypatch, verifier.CertifiedEngine, "__init__", engines)
+    out, runs, filled = tmp_path / "cert.json", 0, 0
+    for name in FIXTURES:
+        for gname in fixture(name).generators:
+            for command in ("soa", "lift"):
+                for variant in ("monic", "standard"):
+                    argv = [command, "--fixture", name, "--generators", gname, "--variant", variant]
+                    assert main(argv + ["--out", str(out)]) == 0
+                    cert = json.loads(out.read_text(encoding="utf-8"))
+                    assert verifier.verify_certificate(fixture(name), cert) == (True, ""), argv
+                    runs += 1
+    assert len(engines) == runs == 28
+    for engine, *_ in engines:
+        for rec in engine.records.values():
+            rf = ArrowObject(rec.right())
+            for jname, j in engine.diagram.arrow_of.items():
+                for sq in enumerate_squares(j, rf):
+                    assert rec.fill(jname, sq) == reference_fill(rec, jname, sq), engine.where
+                    filled += 1
+    assert filled > 300
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 3), st.integers(1, 3), st.data())
 def test_split_epi_fill_matches_the_walk_down(m, n, data):
@@ -127,9 +113,6 @@ def test_split_epi_fill_matches_the_walk_down(m, n, data):
     for rec in _factor_all(gen, [ArrowObject(finmap(m, n, table))]):
         for incl in rec.inclusions:
             assert incl.tables == tuple(tuple(range(k)) for k in incl.src.sizes)
-        for k, u in _stage_squares(gen, rec):
-            incl = rec.inclusions[k - 1]
-            assert _bounded(u, rec.stages[k - 1]) == (factor_through(u, incl) is not None)
         j = gen.diagram.arrow_of["j"]
         for sq in enumerate_squares(j, ArrowObject(rec.right())):
             assert rec.fill("j", sq) == reference_fill(rec, "j", sq)
@@ -159,9 +142,8 @@ def _table_key(components: dict) -> tuple:
 
 
 @pytest.mark.parametrize("fx", ["FIX-M", "FIX-G"])
-def test_soa_never_calls_factor_through(fx, monkeypatch, tmp_path):
-    # nor glues a stage with a colimit, nor lists all squares past stage 1
-    kernel = {name: [] for name in ("factor_through", "coproduct", "quotient_presheaf")}
+def test_soa_glues_no_colimit_and_lists_new_squares_past_stage_1(fx, monkeypatch, tmp_path):
+    kernel = {name: [] for name in ("coproduct", "quotient_presheaf")}
     for name, log in kernel.items():
         _log_kernel_calls(monkeypatch, name, log)
     factoring, loop_squares, verified_squares = [], [], []
@@ -181,10 +163,10 @@ def test_soa_never_calls_factor_through(fx, monkeypatch, tmp_path):
         assert kernel == {name: [] for name in kernel}
         # stage 1 only: the squares into r_0, which is the arrow itself
         assert loop_squares and all(f == g for f, g in loop_squares)
-        # positive controls: the verifier factors through inclusions and
-        # searches squares into every r_k (past stage 1, the new ones alone)
+        # positive control: the verifier searches squares into every r_k
+        # (past stage 1, the new ones alone)
         assert main(["verify-cert", "--fixture", fx, str(out)]) == 0
-        assert kernel["factor_through"]
+        assert kernel == {name: [] for name in kernel}
         payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
         rmaps = {
             _table_key(payload["maps"][key]["components"])
@@ -193,8 +175,12 @@ def test_soa_never_calls_factor_through(fx, monkeypatch, tmp_path):
         }
         assert len(rmaps) > len(payload["arrows"])
         assert rmaps <= {_table_key(args[1].f.table_json()) for args in verified_squares}
-        for log in (*kernel.values(), factoring, loop_squares, verified_squares):
+        for log in (factoring, loop_squares, verified_squares):
             log.clear()
+    # positive control: the kernel logs do record a colimit
+    p = Presheaf.terminal(FiniteCategory.point())
+    core.quotient_presheaf(core.coproduct([p, p]).apex, [])
+    assert [len(log) for log in kernel.values()] == [1, 1]
 
 
 @pytest.mark.parametrize(
