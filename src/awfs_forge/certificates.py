@@ -120,14 +120,12 @@ def _sealed(payload: dict, pool: CertPool, report: LawReport | None = None) -> d
     return payload
 
 
+ENGINE = f"awfs-forge {__version__}"  # every certificate's `engine` field
+ENVELOPE = ("engine", "command", "options", "input_hash", "payload")  # its fields
+
+
 def envelope(command: str, instance: InstanceFile, options: dict, payload: dict) -> dict:
-    return {
-        "engine": f"awfs-forge {__version__}",
-        "command": command,
-        "options": options,
-        "input_hash": instance.input_hash(),
-        "payload": payload,
-    }
+    return dict(zip(ENVELOPE, (ENGINE, command, options, instance.input_hash(), payload)))
 
 
 def soa_certificate(

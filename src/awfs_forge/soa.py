@@ -371,7 +371,9 @@ class GeneratedAwfs(RecordAwfs):
             if self.variant == "monic":
                 raise MonicityViolation(f"stage inclusion E^{stage - 1} -> E^{stage}")
             if stage < self.max_steps:  # past a merge, tables no longer name cells
-                raise ValidationError("factor_through", "inclusion is not injective")
+                raise ValidationError(
+                    "soa.stage", f"stage inclusion E^{stage - 1} -> E^{stage} is not injective"
+                )
             raise NonConvergence([s.total_size for s in stages] + [sum(sizes)])
 
         at = {o: FinSet(n) for o, n in zip(objects, sizes)}

@@ -28,23 +28,22 @@ The records themselves it checks on its own: content addressing of every pool
 entry; each pooled map's tables and naturality, read by
 `PresheafMap.from_json` as an instance's maps are, so a table that does not
 fit is rejected at `maps.<key>.components.<o>`; each record's structure, with
-injective stage inclusions under both variants; stage completeness by its own
-square search (stage k's cells must be exactly the squares into r_{k-1} whose
-top edge leaves the image of inclusion k-2, all squares into r_0 at stage 1);
-covering; convergence within `max_steps` stages; both triangles of every
-fill (a natural map that passes both is one of `lifting.oracle_lift`'s
-fillers by definition, so the oracle is not rerun); and the fills' coherence
-along the generator shape.  Inclusions need not be prefixes: `fill_rule`
-finds a square's cell by one lookup, keyed by the cell's top edge carried
-into the last stage.  That finds the minimal-stage cell because inclusions
-are checked injective and stages complete before any fill: a cell whose
-carried-up top edge matched at a stage above the minimal one would have a
-top edge that factors through the stage before, so its square is not new and
-completeness rejects it.  Every pooled map must be read by some check, and
-every pooled presheaf too or be an endpoint of such a map, so that one claim
-has one certificate.  Since every
-derived block is recomputed from these records, a lift certificate's fills
-must be the record's fills, ξ_f its cell replay (ξ's lifting problem can
+every stage inclusion the prefix inclusion x ↦ x under both variants, as the
+engine writes it; stage completeness by its own square search (stage k's
+cells must be exactly the squares into r_{k-1} whose top edge leaves E^{k-2},
+all squares into r_0 at stage 1); covering; convergence within `max_steps`
+stages; both triangles of every fill (a natural map that passes both is one
+of `lifting.oracle_lift`'s fillers by definition, so the oracle is not
+rerun); and the fills' coherence along the generator shape.  With prefix
+inclusions a map into a stage keeps its tables in every later one, so
+`fill_rule` is the engine's own rule, `soa.ArrowRecord.fill`: one lookup in
+the record's cell index, keyed by each cell's own top edge.  Every pooled
+map must be read by some check, and every pooled presheaf too or be an
+endpoint of such a map; every envelope, and a `soa`, `lift` or `model`
+payload, must hold exactly the fields that `certificates` writes, with the
+envelope's `engine` its `ENGINE`; so one claim has one certificate.  Since
+every derived block is recomputed from these records, a lift certificate's
+fills must be the record's fills, ξ_f its cell replay (ξ's lifting problem can
 have several fillers) and χ the canonical two-route lift that the law suites
 compute and check to fill its lifting problem.  The engine computes ξ and ρ
 cell by cell, so ξ factors only f on either side: a `model` certificate's
@@ -54,11 +53,11 @@ on.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
 from itertools import chain
 from typing import Callable
 
 from .arrows import ArrowObject, Square
+from .certificates import ENGINE, ENVELOPE
 from .core import (
     Presheaf,
     PresheafMap,
@@ -150,10 +149,8 @@ class _Pools:
 
 
 class _Record(ArrowRecord):
-    """A certified record.  It differs from the engine's in what it may not
-    assume: stage inclusions need not be prefixes, so a cell is indexed by
-    its top edge carried into the last stage, and each fill is `rule`, the
-    verifier's `fill_rule` bound to the record's path, run once per square."""
+    """A certified record, whose fills are `rule`, the verifier's `fill_rule`,
+    run once per square."""
 
     def __init__(
         self, f, stages, inclusions, rmaps, cells, variant,
@@ -161,15 +158,7 @@ class _Record(ArrowRecord):
     ):
         super().__init__(f, stages, inclusions, rmaps, cells, variant)
         self.rule = rule
-        self._ranges: dict[tuple[int, int], PresheafMap] = {}
         self._fills: dict[tuple, PresheafMap] = {}  # (j, top, bottom) -> fill
-
-    @cached_property
-    def cell_index(self) -> dict[tuple, CellRecord]:
-        """(j, top tables carried into the last stage, bottom) -> the cell."""
-        last = len(self.stages) - 1
-        up = (c.square.u.then(self.inclusion_range(c.stage - 1, last)) for c in self.cells)
-        return {(c.jname, u.tables, c.square.v): c for c, u in zip(self.cells, up)}
 
     def fill(self, jname: str, sq: Square) -> PresheafMap:
         key = (jname, sq.u, sq.v)
@@ -177,17 +166,6 @@ class _Record(ArrowRecord):
         if fill is None:
             fill = self._fills[key] = self.rule(self, jname, sq)
         return fill
-
-    def inclusion_range(self, lo: int, hi: int) -> PresheafMap:
-        out = self._ranges.get((lo, hi))
-        if out is None:
-            # from inclusion lo on, so that no stage keeps an identity map it
-            # does not need
-            out = self.inclusions[lo] if lo < hi else PresheafMap.identity(self.stages[lo])
-            for b in range(lo + 1, hi):
-                out = out.then(self.inclusions[b])
-            self._ranges[(lo, hi)] = out
-        return out
 
 
 def _replayed(rule, *args, where: str) -> PresheafMap:
@@ -249,9 +227,8 @@ class CertifiedEngine(RecordAwfs):
                 cells.append(CellRecord(stage, c["j"], sq, pools.m(c["injection"], w)))
             # a given variant is the one that the entry must name
             rec_variant = entry["variant"] if variant is None else variant
-            rule = partial(self.fill_rule, where=w)
             self.records[fkey] = _Record(
-                ArrowObject(f), stages, inclusions, rmaps, cells, rec_variant, rule
+                ArrowObject(f), stages, inclusions, rmaps, cells, rec_variant, self.fill_rule
             )
             self._by_arrow.setdefault(f, self.records[fkey])
         for fkey in self.records:
@@ -267,7 +244,8 @@ class CertifiedEngine(RecordAwfs):
         _require(len(rec.inclusions) == len(rec.stages) - 1, w, "inclusions length mismatch")
         for b, incl in enumerate(rec.inclusions):
             _require(incl.src == rec.stages[b] and incl.dst == rec.stages[b + 1], w, "inclusion ill-typed")
-            _require(incl.is_injective(), w, f"stage inclusion {b} not injective")
+            prefix = incl.tables == PresheafMap.identity(rec.stages[b]).tables
+            _require(prefix, w, f"stage inclusion {b} is not the prefix inclusion")
             _require(
                 eq_witness(incl.then(rec.rmaps[b + 1]), rec.rmaps[b]) is None,
                 w,
@@ -291,13 +269,13 @@ class CertifiedEngine(RecordAwfs):
             )
         attached = {(c.stage, c.jname, c.square.u.tables, c.square.v) for c in rec.cells}
         _require(len(attached) == len(rec.cells), w, "two cells share a square")
-        # stage completeness and convergence: past stage 1, the new squares
-        # are those whose top edge leaves the image of the inclusion before,
-        # so a cell whose top edge stays inside it is rejected here
+        # stage completeness: past stage 1, the new squares are those whose
+        # top edge leaves the stage before, so a cell whose top edge stays
+        # inside it is rejected here
         for stage in range(1, len(rec.stages)):
             expected = set()
             r_prev = ArrowObject(rec.rmaps[stage - 1])
-            old = [set(t) for t in rec.inclusions[stage - 2].tables] if stage > 1 else None
+            old = [range(n) for n in rec.stages[stage - 2].sizes] if stage > 1 else None
             for jname in self.diagram.objects():
                 j = self.diagram.arrow_of[jname]
                 squares = (
@@ -320,7 +298,7 @@ class CertifiedEngine(RecordAwfs):
             for o, hit in zip(target.base.objects, seen):
                 _require(all(hit), w, f"stage {stage} has unreachable elements at {o}")
         # convergence (with the stages complete, a top edge factors through the
-        # last stage exactly when it is a cell's carried up), and each square's
+        # last stage exactly when it is a cell's), and each square's
         # fill (`fill_rule`) by both triangles: a natural map passing both is
         # one of the square's fillers
         r_last = ArrowObject(rec.rmaps[-1])
@@ -357,10 +335,8 @@ class CertifiedEngine(RecordAwfs):
 
     # -- replay rules --------------------------------------------------------
 
-    def fill_rule(self, rec: _Record, jname: str, sq: Square, where: str) -> PresheafMap:
-        c = rec.cell_index.get((jname, sq.u.tables, sq.v))
-        _require(c is not None, where, "no minimal-stage cell for a fill")
-        return c.injection.then(rec.inclusion_range(c.stage, len(rec.stages) - 1))
+    def fill_rule(self, rec: _Record, jname: str, sq: Square) -> PresheafMap:
+        return ArrowRecord.fill(rec, jname, sq)  # the engine's rule
 
     def e_walk(self, sq: Square) -> PresheafMap:
         """E on a square, replayed once per square."""
@@ -443,6 +419,18 @@ def _match(pools: _Pools, got, want, where: str, message: str) -> None:
         _require(type(got) is type(want) and got == want, where, message)
 
 
+_POOLS = ("presheaves", "maps")
+
+
+def _require_fields(block: dict, fields, where: str) -> None:
+    """`block` has exactly the keys `fields`: the first other key, in sorted
+    order, fails at `where.<key>`."""
+    odd = sorted(block.keys() ^ set(fields))
+    if odd:
+        message = "unexpected field" if odd[0] in block else "missing field"
+        raise CertificateError(f"{where}.{odd[0]}", message)
+
+
 def _match_blocks(pools: _Pools, payload: dict, blocks: dict) -> None:
     """Each recomputed block against the certificate's, the law report last."""
     for key, want in blocks.items():
@@ -520,6 +508,8 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) ->
     blocks, structure = soa_blocks(engine, named, variant)
     _match_records(pools, engine, payload["arrows"], structure)
     _match_blocks(pools, payload, blocks)
+    fields = ("generators", "variant", "max_steps", "arrows", *blocks, *_POOLS)
+    _require_fields(payload, fields, "payload")
     pools.check_referenced()
 
 
@@ -527,7 +517,9 @@ def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -
     variant, bound = options.get("variant"), _step_bound(options)
     pools, engine, named = _factored(instance, payload, options, variant, bound)
     _match_records(pools, engine, payload["arrows"])
-    _match_blocks(pools, payload, lift_blocks(engine, named))
+    blocks = lift_blocks(engine, named)
+    _match_blocks(pools, payload, blocks)
+    _require_fields(payload, ("generators", "arrows", *blocks, *_POOLS), "payload")
     pools.check_referenced()
 
 
@@ -557,6 +549,8 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
     objects = {n: instance.presheaves[n] for n in candidates if n not in skipped}
     blocks = model_blocks(amstr, instance.requested_arrows(diagram_j.base), objects)
     _match_blocks(pools, payload, blocks)
+    fields = ("generators_j", "generators_i", "replacement_skipped", "arrows_j", "arrows_i")
+    _require_fields(payload, (*fields, *blocks, *_POOLS), "payload")
     # a failure is reported only once the recomputed report confirms it
     for entry in payload["law_report"]:
         _require(
@@ -576,7 +570,8 @@ def _verify_report_only(instance: InstanceFile, payload: dict) -> None:
 def verify_certificate(instance: InstanceFile, cert: dict) -> tuple[bool, str]:
     """Recheck every claim of a certificate; (True, "") or (False, first failure)."""
     try:
-        _require("payload" in cert and "command" in cert, "envelope", "missing fields")
+        _require_fields(expect_object(cert, "envelope"), ENVELOPE, "envelope")
+        _require(cert["engine"] == ENGINE, "envelope.engine", f"differs from {ENGINE!r}")
         _require(
             cert.get("input_hash") == instance.input_hash(),
             "envelope.input_hash",
@@ -584,7 +579,7 @@ def verify_certificate(instance: InstanceFile, cert: dict) -> tuple[bool, str]:
         )
         command = cert["command"]
         payload = cert["payload"]
-        options = cert.get("options", {})
+        options = cert["options"]
         if command == "soa":
             _verify_soa_payload(instance, payload, options)
         elif command == "lift":

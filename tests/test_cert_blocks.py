@@ -4,8 +4,9 @@ each block whole: cut or replaced blocks, generator blocks that do not
 describe the instance's diagram, re-hashed single-entry flips of any pooled
 map, record entries with a key more or less or a derived field flipped,
 records with more stages than the certificate's `max_steps` allows or cut
-short of convergence, and pool entries that no block references are all
-rejected, and every honest certificate verifies."""
+short of convergence, pool entries that no block references, and payload or
+envelope fields other than the writer's are all rejected, and every honest
+certificate verifies."""
 
 import copy
 import json
@@ -13,6 +14,7 @@ import random
 
 import pytest
 
+from awfs_forge.certificates import ENGINE
 from awfs_forge.cli import main
 from awfs_forge.core import (
     Presheaf,
@@ -491,12 +493,36 @@ def _unreferenced_presheaf(payload: dict) -> str:
     return _pooled(payload, "presheaves", {"base": "main", "at": {"*": n + 1}, "act": {}})
 
 
+# an entry that no check reads, in a pool, the payload or the envelope, or an
+# envelope that `certificates.envelope` did not write: kind -> (change, and
+# the rejection, with `{key}` the pool key that the change returns)
+UNREAD = {
+    "maps": (
+        lambda cert: _unreferenced_identity(cert["payload"]),
+        "maps.{key}: no block references this entry",
+    ),
+    "presheaves": (
+        lambda cert: _unreferenced_presheaf(cert["payload"]),
+        "presheaves.{key}: no block references this entry",
+    ),
+    "envelope-key": (lambda cert: cert.update(extra=1), "envelope.extra: unexpected field"),
+    "payload-block": (
+        lambda cert: cert["payload"].update(extra=1), "payload.extra: unexpected field"
+    ),
+    "engine-changed": (
+        lambda cert: cert.update(engine="awfs-forge 9.9"),
+        f"envelope.engine: differs from {ENGINE!r}",
+    ),
+    "engine-removed": (lambda cert: cert.pop("engine"), "envelope.engine: missing field"),
+}
+
+
 @pytest.mark.parametrize("argv", ["soa --fixture FIX-M", "lift --fixture FIX-M", "model --fixture FIX-M"])
-@pytest.mark.parametrize("kind", ["maps", "presheaves"])
+@pytest.mark.parametrize("kind", list(UNREAD))
 def test_verify_cert_rejects_a_pool_entry_that_no_block_references(argv, kind, tmp_path):
     instance = fixture("FIX-M")
     cert = _certify(tmp_path, argv)
     assert verify_certificate(instance, cert) == (True, "")
-    add = _unreferenced_identity if kind == "maps" else _unreferenced_presheaf
-    key = add(cert["payload"])
-    assert verify_certificate(instance, cert) == (False, f"{kind}.{key}: no block references this entry")
+    change, rejection = UNREAD[kind]
+    key = change(cert)
+    assert verify_certificate(instance, cert) == (False, rejection.format(key=key))

@@ -120,7 +120,10 @@ def test_soa_keeps_a_stage_whose_cells_add_no_element(variant, tmp_path):
 @pytest.mark.parametrize(
     "options, code, err",
     [
-        (["--variant", "standard"], 1, "invalid: factor_through: inclusion is not injective\n"),
+        (
+            ["--variant", "standard"], 1,
+            "invalid: soa.stage: stage inclusion E^0 -> E^1 is not injective\n",
+        ),
         (["--variant", "standard", "--max-steps", "1"], 2, "non-convergence: trace [2, 1]\n"),
         (["--variant", "monic"], 4, "monicity violation: generator j "),
     ],
@@ -248,16 +251,18 @@ def _drop_unreferenced(payload: dict) -> None:
             del pool[key]
 
 
-def test_verify_cert_accepts_injective_inclusions_that_are_not_prefixes(tmp_path):
+def test_verify_cert_rejects_injective_inclusions_that_are_not_prefixes(tmp_path):
     # relabel an intermediate stage E^1 of a record by reversing each of its
     # sets: every map into or out of it is rewritten to match, and the
-    # inclusion E^0 -> E^1 stops being x -> x
+    # inclusion E^0 -> E^1 stops being x -> x.  The engine writes every stage
+    # inclusion as a prefix inclusion, so this relabelling of an honest
+    # record is rejected at its first stage inclusion
     out = tmp_path / "cert.json"
     assert main(["soa", "--fixture", "FIX-G", "--out", str(out)]) == 0
     cert = json.loads(out.read_text())
     payload = cert["payload"]
     pres, maps = payload["presheaves"], payload["maps"]
-    entry = next(e for e in payload["arrows"].values() if len(e["inclusions"]) >= 2)
+    fkey, entry = next((k, e) for k, e in payload["arrows"].items() if len(e["inclusions"]) >= 2)
     stage = pres[entry["stages"][1]]
     flip = {o: list(range(n))[::-1] for o, n in stage["at"].items()}
     base = fixture_raw("FIX-G")["base"]
@@ -295,7 +300,9 @@ def test_verify_cert_accepts_injective_inclusions_that_are_not_prefixes(tmp_path
             c["top"] = relabel(c["top"], into=True)
     assert any(t != list(range(len(t))) for t in maps[entry["inclusions"][0]]["components"].values())
     _drop_unreferenced(payload)
-    assert verify_certificate(fixture("FIX-G"), cert) == (True, "")
+    assert verify_certificate(fixture("FIX-G"), cert) == (
+        False, f"arrows.{fkey}: stage inclusion 0 is not the prefix inclusion"
+    )
 
 
 def _pool_map(maps: dict, content: dict) -> str:
@@ -511,7 +518,7 @@ def test_verify_cert_requires_injective_stage_inclusions_in_both_variants():
     key = _pool_map(payload["maps"], dict(content, components={"*": [0, 0]}))
     entry["inclusions"][0] = entry["left"] = key
     assert verify_certificate(instance, cert) == (
-        False, f"arrows.{fkey}: stage inclusion 0 not injective"
+        False, f"arrows.{fkey}: stage inclusion 0 is not the prefix inclusion"
     )
 
 
