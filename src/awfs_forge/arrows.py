@@ -74,9 +74,6 @@ class Square:
                 f"{path}", f"square does not commute at ({w['object']}, {w['element']})"
             )
 
-    def commutes(self) -> bool:
-        return eq_witness(self.u.then(self.dst.f), self.src.f.then(self.v)) is None
-
 
 class Factored(NamedTuple):
     left: PresheafMap  # Lf: dom f -> Ef

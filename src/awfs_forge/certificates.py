@@ -7,6 +7,8 @@ the independent verifier can recheck every claim without engine state.
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 from . import __version__
 from .arrows import LawReport
 from .core import (
@@ -17,7 +19,7 @@ from .core import (
     pool_key,
 )
 from .instance import InstanceFile
-from .lifting import GeneratorDiagram, generator_block, lift_blocks
+from .lifting import generator_block, lift_blocks
 from .model import (
     ReplacementMonad,
     TauData,
@@ -95,20 +97,6 @@ def _arrow_entries(pool: CertPool, gen: GeneratedAwfs, structure=None) -> dict:
         pool.add_map(rec.f.f): pool.add(record_block(gen.diagram, rec, structure.get(rec.f)))
         for rec in list(gen.records.values())
     }
-
-
-def _engine_per_diagram(variant: str, max_steps: int):
-    """`run_soa` under one variant and step bound that builds one engine per
-    distinct generator diagram: equal diagrams share it, and with it their
-    records and structure maps."""
-    engines: dict[GeneratorDiagram, GeneratedAwfs] = {}
-
-    def engine(diagram: GeneratorDiagram) -> GeneratedAwfs:
-        if diagram not in engines:
-            engines[diagram] = run_soa(diagram, variant=variant, max_steps=max_steps)
-        return engines[diagram]
-
-    return engine
 
 
 def _sealed(payload: dict, pool: CertPool, report: LawReport | None = None) -> dict:
@@ -221,7 +209,8 @@ def transport_certificate(
     """Transported generators, mates, and the lax/colax/naturality report."""
     adj = instance.adjunction(adjunction)
     diagram = instance.generators[generators]
-    engine = _engine_per_diagram(variant, max_steps)
+    # one engine per distinct generator diagram: equal diagrams share its records
+    engine = cache(partial(run_soa, variant=variant, max_steps=max_steps))
     gen_m = engine(diagram)
     tj = transport_generators(adj, diagram)
     gen_k = engine(tj)
@@ -271,7 +260,8 @@ def quillen_certificate(
     diagram_j = instance.generators[generators_j]
     diagram_i = instance.generators[generators_i]
     tau_data = instance.taus[tau]
-    engine = _engine_per_diagram(variant, max_steps)
+    # one engine per distinct generator diagram: equal diagrams share its records
+    engine = cache(partial(run_soa, variant=variant, max_steps=max_steps))
     gen_t_m = engine(diagram_j)
     gen_m = engine(diagram_i)
     amstr_m = build_model_structure(gen_t_m, gen_m, tau_data, instance.weq)

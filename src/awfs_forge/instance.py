@@ -53,11 +53,6 @@ class InstanceFile:
     def input_hash(self) -> str:
         return sha256_hex(self.canonical_json())
 
-    def arrow(self, name: str) -> ArrowObject:
-        if name not in self.maps:
-            raise ValidationError(f"maps.{name}", "unknown map name")
-        return ArrowObject(self.maps[name])
-
     def requested_arrows(self, base: FiniteCategory, names=None) -> dict[str, ArrowObject]:
         """The named maps over `base` that a command certifies: all of them,
         or those in `names`, in instance order."""

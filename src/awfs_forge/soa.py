@@ -6,7 +6,7 @@ acquires a unique minimal-stage cell and no coequalizer bookkeeping is
 needed.  Stages are enumerated and glued semi-naively: each stage touches
 only what the one before added.  Past stage 1, the squares searched for are
 those whose top edge reaches an element that the previous stage added
-(`lifting.enumerate_new_squares`), and the new stage object is the previous
+(`new_squares`, as in the verifier), and the new stage object is the previous
 one with the classes of the new cells' elements appended (a union-find that
 joins those elements alone).  Old elements keep their labels and no two of them
 merge, so stage inclusions are prefix inclusions x ↦ x and a map into a
@@ -184,6 +184,19 @@ def _minimal_fill(stages, cell_index, jname, sq: Square) -> PresheafMap:
     return cell.injection.retarget(stages[-1])
 
 
+def new_squares(diagram: GeneratorDiagram, stages, r: PresheafMap) -> list[tuple[str, Square]]:
+    """The (generator, square) pairs that the stage after `stages` attaches,
+    generator by generator in `diagram.objects()` order: every square into
+    `r` at stage 1, and past it those whose top edge leaves `stages[-2]` (a
+    top edge that factors through it already has its cell)."""
+    g = ArrowObject(r)
+    arrows = [(jname, diagram.arrow_of[jname]) for jname in diagram.objects()]
+    if len(stages) == 1:
+        return [(jname, sq) for jname, j in arrows for sq in enumerate_squares(j, g)]
+    old = [range(n) for n in stages[-2].sizes]
+    return [(jname, sq) for jname, j in arrows for sq in enumerate_new_squares(j, g, old)]
+
+
 class RecordAwfs:
     """The awfs read off per-arrow records: the factorization, the free
     (co)algebras and the awfs itself.  A subclass gives `record` (an arrow's
@@ -258,20 +271,7 @@ class GeneratedAwfs(RecordAwfs):
         cells: list[CellRecord] = []
         cell_index: dict[tuple, CellRecord] = {}
         for stage in range(1, self.max_steps + 1):
-            r_arr = ArrowObject(rmaps[-1])
-            # a square whose top edge factors through E^{stage-2} has its
-            # cell, so past stage 1 only squares reaching E^{stage-1}'s new
-            # elements attach
-            old = [range(n) for n in stages[-2].sizes] if stage > 1 else None
-            attached = [
-                (jname, sq)
-                for jname in self.diagram.objects()
-                for sq in (
-                    enumerate_squares(self.diagram.arrow_of[jname], r_arr)
-                    if old is None
-                    else enumerate_new_squares(self.diagram.arrow_of[jname], r_arr, old)
-                )
-            ]
+            attached = new_squares(self.diagram, stages, rmaps[-1])
             if not attached:
                 return ArrowRecord(farr, stages, inclusions, rmaps, cells, self.variant)
             new_stage, iota, injections, r_new = self._build_stage(

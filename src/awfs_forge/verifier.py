@@ -4,16 +4,17 @@ The verifier never runs the engine's small object argument: it rebuilds
 presheaf and map tables from the certificate pools and rechecks every claim
 over the certified records.
 
-It shares three things with the engine.  One is the cell rules, which fix a
+It shares four things with the engine.  One is the cell rules, which fix a
 map out of a cellular object by where each cell goes: E on squares, μ, δ and
 λ (`soa.e_rule`, `mu_rule`, `delta_rule`, `lam_rule`) and the comparison map
 ξ (`model.xi_rule`).  It runs them over certified records, whose fills are
-its own `CertifiedEngine.fill_rule`, once per square.  The second is the law
-suites, rerun over the certified records.  The third is the functions that
-derive each block of a certificate from the instance and the records
-(`lifting.generator_block`, `lift_blocks`, `soa.record_block`, `soa_blocks`,
-`model.model_blocks`, over `InstanceFile.requested_arrows`): the verifier
-recomputes every block over the certified records and requires the
+its own `CertifiedEngine.fill_rule`, once per square.  The second is the
+stage rule, `soa.new_squares`: the squares that each stage attaches.  The
+third is the law suites, rerun over the certified records.  The fourth is
+the functions that derive each block of a certificate from the instance and
+the records (`lifting.generator_block`, `lift_blocks`, `soa.record_block`,
+`soa_blocks`, `model.model_blocks`, over `InstanceFile.requested_arrows`):
+the verifier recomputes every block over the certified records and requires the
 certificate's block whole, with the same keys and equal tables behind its
 pool keys.  Of a record entry it parses only the primary fields, `f`,
 `stages`, `inclusions`, `rmaps`, `cells` and `variant` (the options'
@@ -25,19 +26,23 @@ describe the instance's generator diagram that its label names, and
 everything runs over that diagram.
 
 The records themselves it checks on its own: content addressing of every pool
-entry; each pooled map's tables and naturality, read by
-`PresheafMap.from_json` as an instance's maps are, so a table that does not
-fit is rejected at `maps.<key>.components.<o>`; each record's structure, with
-every stage inclusion the prefix inclusion x ↦ x under both variants, as the
-engine writes it; stage completeness by its own square search (stage k's
-cells must be exactly the squares into r_{k-1} whose top edge leaves E^{k-2},
-all squares into r_0 at stage 1); covering; convergence within `max_steps`
-stages; both triangles of every fill (a natural map that passes both is one
-of `lifting.oracle_lift`'s fillers by definition, so the oracle is not
-rerun); and the fills' coherence along the generator shape.  With prefix
+entry; each pooled map's tables and naturality, read by `PresheafMap.from_json`
+as an instance's maps are, so a table that does not fit is rejected at
+`maps.<key>.components.<o>`; each record's structure, with every stage
+inclusion the prefix inclusion x ↦ x under both variants, as the engine writes
+it, and each cell's gluing equations, which with the restrictions of r make its
+attaching square commute; stage completeness (stage k's cells must be exactly
+`soa.new_squares`); covering of the new elements by the cells; convergence
+within `max_steps` stages; both triangles of every fill (a natural map that
+passes both is one of `lifting.oracle_lift`'s fillers by definition, so the
+oracle is not rerun); the fills' coherence along the generator shape; and the
+count of each stage's new elements, which must be the number of classes of its
+cell elements under the connecting squares' identifications that no top edge or
+older fill pins to an old element (counted here, not by the stage builder), so
+that each stage is the colimit of the one before and its cells.  With prefix
 inclusions a map into a stage keeps its tables in every later one, so
-`fill_rule` is the engine's own rule, `soa.ArrowRecord.fill`: one lookup in
-the record's cell index, keyed by each cell's own top edge.  Every pooled
+`fill_rule` is the engine's own rule, `soa.ArrowRecord.fill`: one lookup in the
+record's cell index, keyed by each cell's own top edge.  Every pooled
 map must be read by some check, and every pooled presheaf too or be an
 endpoint of such a map; every envelope, and a `soa`, `lift` or `model`
 payload, must hold exactly the fields that `certificates` writes, with the
@@ -53,7 +58,6 @@ on.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable
 
 from .arrows import ArrowObject, Square
@@ -61,6 +65,7 @@ from .certificates import ENGINE, ENVELOPE
 from .core import (
     Presheaf,
     PresheafMap,
+    UnionFind,
     ValidationError,
     eq_witness,
     expect_object,
@@ -71,7 +76,6 @@ from .lifting import (
     CoalgebraStructure,
     FillFailure,
     GeneratorDiagram,
-    enumerate_new_squares,
     enumerate_squares,
     generator_block,
     lift_blocks,
@@ -85,6 +89,7 @@ from .soa import (
     e_rule,
     lam_rule,
     mu_rule,
+    new_squares,
     record_block,
     soa_blocks,
 )
@@ -251,11 +256,10 @@ class CertifiedEngine(RecordAwfs):
                 w,
                 f"r_{b + 1} does not restrict to r_{b}",
             )
-        _require(eq_witness(rec.left().then(rec.right()), rec.f.f) is None, w, "R∘L ≠ f")
-        # cells: attaching data and gluing laws
+        # cells: gluing laws, which with the restrictions above make each
+        # attaching square commute: j;v = j;inj;r_k = u;incl;r_k = u;r_{k-1}
         for c in rec.cells:  # stages are in range: the loader checked them
             stage, sq = c.stage, c.square
-            _require(sq.commutes(), w, "cell attaching square does not commute")
             _require(
                 eq_witness(sq.src.f.then(c.injection), sq.u.then(rec.inclusions[stage - 1]))
                 is None,
@@ -269,34 +273,25 @@ class CertifiedEngine(RecordAwfs):
             )
         attached = {(c.stage, c.jname, c.square.u.tables, c.square.v) for c in rec.cells}
         _require(len(attached) == len(rec.cells), w, "two cells share a square")
-        # stage completeness: past stage 1, the new squares are those whose
-        # top edge leaves the stage before, so a cell whose top edge stays
-        # inside it is rejected here
+        # stage completeness: stage k's cells are the squares that the engine
+        # attaches there (`soa.new_squares`), so a cell whose top edge stays
+        # inside E^{k-2} is rejected here
         for stage in range(1, len(rec.stages)):
-            expected = set()
-            r_prev = ArrowObject(rec.rmaps[stage - 1])
-            old = [range(n) for n in rec.stages[stage - 2].sizes] if stage > 1 else None
-            for jname in self.diagram.objects():
-                j = self.diagram.arrow_of[jname]
-                squares = (
-                    enumerate_squares(j, r_prev)
-                    if old is None
-                    else enumerate_new_squares(j, r_prev, old)
-                )
-                expected.update((jname, sq.u, sq.v) for sq in squares)
+            squares = new_squares(self.diagram, rec.stages[:stage], rec.rmaps[stage - 1])
+            expected = {(jname, sq.u, sq.v) for jname, sq in squares}
             got = {(c.jname, c.square.u, c.square.v) for c in rec.cells_by_stage[stage]}
             _require(expected == got, w, f"stage {stage} cells do not match the new squares")
-        # covering: every stage element reached by the inclusion or a cell
+        # covering: the prefix inclusion reaches the old elements, and the
+        # cells every new one
         for stage in range(1, len(rec.stages)):
-            target = rec.stages[stage]
-            seen = [[False] * n for n in target.sizes]
-            cells = rec.cells_by_stage[stage]
-            for into in chain([rec.inclusions[stage - 1]], (c.injection for c in cells)):
-                for hit, t in zip(seen, into.tables):
-                    for v in t:
-                        hit[v] = True
-            for o, hit in zip(target.base.objects, seen):
-                _require(all(hit), w, f"stage {stage} has unreachable elements at {o}")
+            seen = [set() for _ in rec.f.base.objects]
+            for c in rec.cells_by_stage[stage]:
+                for hit, t in zip(seen, c.injection.tables):
+                    hit.update(t)
+            sizes = zip(rec.stages[stage - 1].sizes, rec.stages[stage].sizes)
+            for o, hit, (n_old, n) in zip(rec.f.base.objects, seen, sizes):
+                reached = hit.issuperset(range(n_old, n))
+                _require(reached, w, f"stage {stage} has unreachable elements at {o}")
         # convergence (with the stages complete, a top edge factors through the
         # last stage exactly when it is a cell's), and each square's
         # fill (`fill_rule`) by both triangles: a natural map passing both is
@@ -332,6 +327,49 @@ class CertifiedEngine(RecordAwfs):
                     w,
                     f"fills are not coherent along {m}",
                 )
+        # the new elements are the colimit's: the injections respect every
+        # identification (the glue and coherence checks) and reach every new
+        # element (covering), so they are at most as many as the classes that
+        # nothing pins to an old element, and fewer when the stage merged two
+        for stage in range(1, len(rec.stages)):
+            sizes = zip(rec.stages[stage - 1].sizes, rec.stages[stage].sizes)
+            counts = zip(rec.f.base.objects, sizes, self._new_classes(rec, stage))
+            for o, (n_old, n), classes in counts:
+                _require(
+                    n - n_old == classes,
+                    w,
+                    f"stage {stage} identifies new elements at {o} that its cells keep apart",
+                )
+
+    def _new_classes(self, rec: _Record, stage: int) -> list[int]:
+        """Per base object, the classes of stage `stage`'s cell elements
+        under the connecting squares' identifications, less those that a top
+        edge or an older square's fill pins to an old element."""
+        cells = rec.cells_by_stage[stage]
+        # element 0 stands for every old element; cell i's element e at
+        # object p is starts[i][p] + e
+        starts, ends = [], (1,) * len(rec.f.base.objects)
+        for c in cells:
+            starts.append(ends)
+            ends = tuple(a + b for a, b in zip(ends, c.square.src.cod.sizes))
+        start_of = {(c.jname, c.square.u.tables, c.square.v): s for c, s in zip(cells, starts)}
+        classes = [UnionFind(n) for n in ends]
+        for off, c in zip(starts, cells):
+            for uf, o, t in zip(classes, off, c.square.src.f.tables):  # along the top edge
+                for y in t:
+                    uf.union(0, o + y)
+        shape = self.diagram.shape
+        for m in shape.nonidentity_morphisms():
+            jp, jn, conn = shape.src(m), shape.dst(m), self.diagram.square_of[m]
+            for off, c in zip(starts, cells):
+                if c.jname != jn:
+                    continue
+                key = (jp, conn.u.then(c.square.u).tables, conn.v.then(c.square.v))
+                other = start_of.get(key)  # None: an older cell's fill, into old elements
+                for p, (uf, t) in enumerate(zip(classes, conn.v.tables)):
+                    for y, x in enumerate(t):
+                        uf.union(0 if other is None else other[p] + y, off[p] + x)
+        return [len({uf.find(x) for x in range(n)}) - 1 for uf, n in zip(classes, ends)]
 
     # -- replay rules --------------------------------------------------------
 

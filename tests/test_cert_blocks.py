@@ -126,6 +126,38 @@ def test_every_soa_and_lift_certificate_verifies(name, argv, tmp_path):
     assert verify_certificate(fixture(name), _certify(tmp_path, argv)) == (True, "")
 
 
+def _spike_raw() -> dict:
+    """FIX-G's graph base with generators S of shape p -> n: jv, a vertex to
+    the source of an edge, and jn, two vertices a and b to a spike (an edge
+    out of a, and b), connected along a's edge; and f: two -> edge."""
+    raw = fixture_raw("FIX-G")
+    raw["presheaves"]["two"] = {"at": {"V": 2, "E": 0}, "act": {"s": [], "t": []}}
+    raw["presheaves"]["spike"] = {"at": {"V": 3, "E": 1}, "act": {"s": [0], "t": [2]}}
+    raw["maps"].update({
+        "jn": {"src": "two", "dst": "spike", "components": {"V": [0, 1], "E": []}},
+        "cu": {"src": "vertex", "dst": "two", "components": {"V": [0], "E": []}},
+        "cv": {"src": "edge", "dst": "spike", "components": {"V": [0, 2], "E": [0]}},
+        "f": {"src": "two", "dst": "edge", "components": {"V": [0, 1], "E": []}},
+    })
+    shape = {"objects": ["p", "n"], "morphisms": [{"name": "c", "src": "p", "dst": "n"}],
+             "composition": [], "identities": {"p": "id_p", "n": "id_n"}}
+    raw["generators"]["S"] = {"shape": shape, "arrows": {"p": "jv", "n": "jn"},
+                              "squares": {"c": {"top": "cu", "bottom": "cv"}}}
+    return raw
+
+
+@pytest.mark.parametrize("variant", ["monic", "standard"])
+def test_a_stage_whose_cells_an_older_fill_pins_verifies(variant, tmp_path):
+    # f's stage 2 attaches one jn cell, along (a, b) = (0, the vertex that
+    # stage 1 added).  Its composite with the connecting square is stage 1's
+    # jv cell, whose fill pins the spike's edge to an old one, so the stage
+    # adds no element and the verifier's count of new classes must say 0
+    raw = _spike_raw()
+    cert = _certify(tmp_path, f"soa --generators S --arrows f --variant {variant}", raw)
+    assert cert["payload"]["stage_tables"] == {"f": [2, 4, 4]}
+    assert verify_certificate(from_json(raw), cert) == (True, "")
+
+
 def test_the_round_trip_covers_every_converging_fixture():
     converging = set()
     for name in FIXTURE_NAMES:

@@ -10,12 +10,19 @@ from awfs_forge import certificates, cli
 from awfs_forge.cli import COMMANDS, build_parser, main
 from awfs_forge.arrows import ArrowObject, Square
 from awfs_forge.core import (
-    Presheaf, ValidationError, all_maps, canonical_dumps, pool_key, sha256_hex
+    Presheaf,
+    PresheafMap,
+    ValidationError,
+    all_maps,
+    canonical_dumps,
+    pool_key,
+    quotient_presheaf,
+    sha256_hex,
 )
 from awfs_forge.fixtures import FIXTURE_NAMES, fixture, fixture_raw
 from awfs_forge.instance import from_json
 from awfs_forge.lifting import oracle_lift
-from awfs_forge.soa import run_soa
+from awfs_forge.soa import GeneratedAwfs, run_soa
 from awfs_forge.verifier import verify_certificate
 
 
@@ -345,6 +352,106 @@ def test_verify_cert_rejects_a_cell_whose_top_edge_is_an_old_square(tmp_path):
     )
     assert verify_certificate(fixture("FIX-G"), cert) == (
         False, f"arrows.{fkey}: stage 2 cells do not match the new squares"
+    )
+
+
+def _retopped(maps: dict, entry: dict) -> None:
+    """A stage-1 cell's top edge sent to the other vertex of E^0 = edge."""
+    cell = next(c for c in entry["cells"] if c["stage"] == 1)
+    content = maps[cell["top"]]
+    (v,) = content["components"]["V"]
+    cell["top"] = _pool_map(maps, dict(content, components={"V": [1 - v], "E": []}))
+
+
+def _rebottomed(maps: dict, entry: dict) -> None:
+    """A cell's bottom edge sent to the other element of cod f = 2."""
+    cell = entry["cells"][0]
+    content = maps[cell["bottom"]]
+    (v,) = content["components"]["*"]
+    cell["bottom"] = _pool_map(maps, dict(content, components={"*": [1 - v]}))
+
+
+def _reswapped(maps: dict, entry: dict) -> None:
+    """r_1, the right factor, followed by the swap of cod f = 2."""
+    r = maps[entry["rmaps"][1]]
+    swap = _pool_map(maps, {"src": r["dst"], "dst": r["dst"], "components": {"*": [1, 0]}})
+    entry["rmaps"][1] = entry["right"] = _pool_then(maps, entry["rmaps"][1], swap)
+
+
+@pytest.mark.parametrize("name, arrow, damage, message", [
+    ("FIX-G", "f_ep", _retopped, "cell injection does not glue along the generator"),
+    ("FIX-M", "f32", _rebottomed, "cell injection incompatible with r"),
+    ("FIX-M", "f32", _reswapped, "r_1 does not restrict to r_0"),
+], ids=["glue", "r", "restriction"])
+def test_verify_cert_rejects_a_cell_or_right_map_that_breaks_its_square(
+    name, arrow, damage, message, tmp_path
+):
+    # each damage leaves an attaching square that does not commute, and the
+    # check named first is the one that sees it
+    out = tmp_path / "cert.json"
+    assert main(["soa", "--fixture", name, "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    payload = cert["payload"]
+    fkey = payload["named"][arrow]
+    damage(payload["maps"], payload["arrows"][fkey])
+    _drop_unreferenced(payload)
+    assert verify_certificate(fixture(name), cert) == (False, f"arrows.{fkey}: {message}")
+
+
+def _two_to_edge() -> dict:
+    """FIX-G with f2: two -> edge, both vertices sent to vertex 0: stage 1
+    attaches one edge out of each, and r sends both new target vertices to 1."""
+    raw = fixture_raw("FIX-G")
+    raw["presheaves"]["two"] = {"at": {"V": 2, "E": 0}, "act": {"s": [], "t": []}}
+    raw["maps"]["f2"] = {"src": "two", "dst": "edge", "components": {"V": [0, 0], "E": []}}
+    return raw
+
+
+def test_verify_cert_rejects_a_stage_that_identifies_new_elements(monkeypatch):
+    # an engine that quotients stage 1 by the vertices r sends to one: every
+    # map stays natural, the injections glue, reach every element and meet
+    # r, and the fills cohere, but stage 1 is smaller than its cells' colimit
+    instance = from_json(_two_to_edge())
+    options = {"arrows": "f2", "variant": "standard"}
+
+    def certify() -> dict:
+        payload = certificates.soa_certificate(instance, "J", "standard", 64, ["f2"])
+        envelope = certificates.envelope("soa", instance, options, payload)
+        return json.loads(canonical_dumps(envelope))
+
+    honest = certify()
+    assert honest["payload"]["stage_tables"] == {"f2": [2, 6]}
+    assert verify_certificate(instance, honest) == (True, "")
+    build = GeneratedAwfs._build_stage
+    vertex = instance.presheaves["vertex"]
+
+    def quotiented(self, stage, stages, rmaps, *args):
+        new, iota, injections, r = build(self, stage, stages, rmaps, *args)
+        if stage > 1:
+            return new, iota, injections, r
+        by_r = {}  # r-value -> the first new vertex that r sends there
+        relations = []
+        for x in range(stages[-1].sizes[0], new.sizes[0]):  # V is object 0
+            y = by_r.setdefault(r.tables[0][x], x)
+            if y != x:
+                pair = (PresheafMap(vertex, new, ((y,), ())), PresheafMap(vertex, new, ((x,), ())))
+                relations.append(pair)
+        q, proj = quotient_presheaf(new, relations)
+        rtables = [[0] * n for n in q.sizes]
+        for rt, pt, t in zip(rtables, proj.tables, r.tables):
+            for x, image in zip(pt, t):
+                rt[x] = image
+        r_q = PresheafMap(q, r.dst, tuple(map(tuple, rtables)))
+        return q, iota.then(proj), [inj.then(proj) for inj in injections], r_q
+
+    monkeypatch.setattr(GeneratedAwfs, "_build_stage", quotiented)
+    forged = certify()
+    payload = forged["payload"]
+    assert payload["stage_tables"] == {"f2": [2, 5]} and payload["law_report"] == []
+    fkey = payload["named"]["f2"]
+    assert "delta" not in payload["arrows"][fkey]
+    assert verify_certificate(instance, forged) == (
+        False, f"arrows.{fkey}: stage 1 identifies new elements at V that its cells keep apart"
     )
 
 

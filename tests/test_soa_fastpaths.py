@@ -155,14 +155,17 @@ def test_soa_glues_no_colimit_and_lists_new_squares_past_stage_1(fx, monkeypatch
         return enumerate_all(j, g)
 
     monkeypatch.setattr(soa, "enumerate_squares", in_loop)
+    # the verifier searches through `soa.new_squares` and its own binding
+    _log_calls(monkeypatch, soa, "enumerate_squares", verified_squares)
+    _log_calls(monkeypatch, soa, "enumerate_new_squares", verified_squares)
     _log_calls(monkeypatch, verifier, "enumerate_squares", verified_squares)
-    _log_calls(monkeypatch, verifier, "enumerate_new_squares", verified_squares)
     for variant in ("monic", "standard"):
         out = tmp_path / f"{variant}.json"
         assert main(["soa", "--fixture", fx, "--variant", variant, "--out", str(out)]) == 0
         assert kernel == {name: [] for name in kernel}
         # stage 1 only: the squares into r_0, which is the arrow itself
         assert loop_squares and all(f == g for f, g in loop_squares)
+        verified_squares.clear()
         # positive control: the verifier searches squares into every r_k
         # (past stage 1, the new ones alone)
         assert main(["verify-cert", "--fixture", fx, str(out)]) == 0
