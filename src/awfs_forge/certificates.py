@@ -8,6 +8,7 @@ the independent verifier can recheck every claim without engine state.
 from __future__ import annotations
 
 from functools import cache, partial
+from typing import Iterator
 
 from . import __version__
 from .arrows import LawReport
@@ -15,6 +16,7 @@ from .core import (
     FiniteCategory,
     Presheaf,
     PresheafMap,
+    canonical_dumps,
     eq_witness,
     pool_key,
 )
@@ -39,12 +41,14 @@ from .transport import (
 
 
 class CertPool:
-    """Content-addressed pools for presheaves and maps within one certificate."""
+    """Content-addressed pools for presheaves and maps within one certificate.
+    Each entry is held as its canonical JSON text, the text its key hashes,
+    and is written as that text (`certificate_pieces`)."""
 
     def __init__(self, bases: dict[str, FiniteCategory]):
         self.base_names = {cat: name for name, cat in bases.items()}
-        self.presheaves: dict[str, dict] = {}
-        self.maps: dict[str, dict] = {}
+        self.presheaves: dict[str, str] = {}
+        self.maps: dict[str, str] = {}
         self._pkeys: dict[Presheaf, str] = {}
         self._mkeys: dict[PresheafMap, str] = {}
 
@@ -54,25 +58,27 @@ class CertPool:
             return key
         if p.base not in self.base_names:
             raise KeyError("presheaf over a base not declared in the instance")
-        content = {"base": self.base_names[p.base], **p.to_json()}
-        key = pool_key("p", content)
-        self._pkeys[p] = key
-        self.presheaves[key] = content
+        text = canonical_dumps({"base": self.base_names[p.base], **p.to_json()})
+        key = self._pkeys[p] = pool_key("p", text)
+        self.presheaves[key] = text
         return key
 
     def add_map(self, m: PresheafMap) -> str:
         key = self._mkeys.get(m)
         if key is not None:
             return key
-        content = {
+        text = canonical_dumps({
             "src": self.add_presheaf(m.src),
             "dst": self.add_presheaf(m.dst),
             "components": m.table_json(),
-        }
-        key = pool_key("m", content)
-        self._mkeys[m] = key
-        self.maps[key] = content
+        })
+        key = self._mkeys[m] = pool_key("m", text)
+        self.maps[key] = text
         return key
+
+    def key(self, table) -> str:
+        """The pool key of a presheaf or map."""
+        return self.add_map(table) if type(table) is PresheafMap else self.add_presheaf(table)
 
     def add(self, block):
         """`block` with each presheaf and map in it replaced by its pool key."""
@@ -81,20 +87,17 @@ class CertPool:
             return {k: self.add(v) for k, v in block.items()}
         if kind is list:
             return [self.add(v) for v in block]
-        if kind is PresheafMap:
-            key = self._mkeys.get(block)
-            return self.add_map(block) if key is None else key
-        if kind is Presheaf:
-            return self.add_presheaf(block)
+        if kind is PresheafMap or kind is Presheaf:
+            return self.key(block)
         return block
 
 
 def _arrow_entries(pool: CertPool, gen: GeneratedAwfs, structure=None) -> dict:
     """Every record the engine made, by pooled arrow, with its δ and μ where
-    `structure` (by arrow) holds them."""
+    `structure` (by arrow) holds them, pooled as it is built."""
     structure = structure or {}
     return {
-        pool.add_map(rec.f.f): pool.add(record_block(gen.diagram, rec, structure.get(rec.f)))
+        pool.add_map(rec.f.f): record_block(gen.diagram, rec, structure.get(rec.f), pool.key)
         for rec in list(gen.records.values())
     }
 
@@ -110,10 +113,37 @@ def _sealed(payload: dict, pool: CertPool, report: LawReport | None = None) -> d
 
 ENGINE = f"awfs-forge {__version__}"  # every certificate's `engine` field
 ENVELOPE = ("engine", "command", "options", "input_hash", "payload")  # its fields
+POOLS = ("presheaves", "maps")  # the payload's pools, by `_sealed`
 
 
 def envelope(command: str, instance: InstanceFile, options: dict, payload: dict) -> dict:
     return dict(zip(ENVELOPE, (ENGINE, command, options, instance.input_hash(), payload)))
+
+
+def _object(fields) -> Iterator[str]:
+    """Canonical JSON of an object, piece by piece, from (key, pieces of the
+    value's canonical JSON) pairs in key order, each key plain ASCII that JSON
+    writes unescaped."""
+    sep = "{"
+    for key, pieces in fields:
+        yield f'{sep}"{key}":'
+        yield from pieces
+        sep = ","
+    yield "}" if sep == "," else "{}"
+
+
+def certificate_pieces(cert: dict) -> Iterator[str]:
+    """`canonical_dumps` of the envelope `cert`, piece by piece.  Its
+    payload's pools (`POOLS`) hold canonical text, and each goes in as
+    {"<key>":<text>,...}, the canonical JSON of its parsed entries, so no
+    entry is encoded twice or copied."""
+
+    def value(v, pooled: bool = False):
+        return _object((k, (v[k],)) for k in sorted(v)) if pooled else (canonical_dumps(v),)
+
+    payload = cert["payload"]
+    body = _object((k, value(payload[k], k in POOLS)) for k in sorted(payload))
+    return _object((k, body if k == "payload" else value(cert[k])) for k in sorted(cert))
 
 
 def soa_certificate(

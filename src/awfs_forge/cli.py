@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import certificates
-from .core import ValidationError, canonical_dumps
+from .core import ValidationError
 from .fixtures import FIXTURE_NAMES, fixture
 from .instance import InstanceFile, load
 from .soa import MonicityViolation, NonConvergence
@@ -124,12 +124,16 @@ def cmd_certify(args) -> int:
     payload = getattr(certificates, command.builder)(instance, **options, **selected)
     if args.arrows:
         options["arrows"] = args.arrows
-    text = canonical_dumps(certificates.envelope(args.command, instance, options, payload))
+    pieces = certificates.certificate_pieces(
+        certificates.envelope(args.command, instance, options, payload)
+    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.writelines(pieces)
+            handle.write("\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
     failed = any(e.get("status") != "pass" for e in payload.get("law_report", []))
     return EXIT_LAW_FAILURE if failed else EXIT_OK
 
@@ -291,6 +295,11 @@ def main(argv=None) -> int:
     args = parse_plain(argv)
     if args is None:  # usage, help and every parse error come from argparse
         args = build_parser().parse_args(argv)
+    # a command's young objects live until it ends, so collections during it
+    # free nothing: the collector is off until the command returns, and then
+    # back as the caller had it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except NonConvergence as exc:
@@ -308,6 +317,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a directory, or a file that cannot be read or written
         sys.stderr.write(f"cannot open: {exc}\n")
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -49,10 +49,10 @@ def sha256_hex(text: str) -> str:
 
 
 def pool_key(prefix: str, content) -> str:
-    """A certificate pool's key for a table's JSON `content`: `prefix` ("p"
-    for a presheaf, "m" for a map), then the first 16 hex digits of the
-    sha256 of its canonical JSON."""
-    return prefix + sha256_hex(canonical_dumps(content))[:16]
+    """A certificate pool's key for a table's JSON `content`, an object or its
+    canonical JSON text: `prefix` ("p" for a presheaf, "m" for a map), then
+    the first 16 hex digits of the sha256 of that text."""
+    return prefix + sha256_hex(content if type(content) is str else canonical_dumps(content))[:16]
 
 
 class ValidationError(Exception):
@@ -745,14 +745,9 @@ def coproduct(parts: list[Presheaf], base: FiniteCategory | None = None) -> Coli
         act[m] = FinFunction._trusted(at[b], at[a], tuple(table))
     apex = Presheaf(base, at, act)
     legs = tuple(
-        PresheafMap(
-            p,
-            apex,
-            tuple(
-                tuple(range(offsets[o][i], offsets[o][i] + n))
-                for o, n in zip(base.objects, p.sizes)
-            ),
-        )
+        PresheafMap(p, apex, tuple(
+            tuple(range(offsets[o][i], offsets[o][i] + n)) for o, n in zip(base.objects, p.sizes)
+        ))
         for i, p in enumerate(parts)
     )
     return ColimitRecord(apex, legs)
@@ -834,15 +829,20 @@ def coequalizer(f: PresheafMap, g: PresheafMap) -> ColimitRecord:
     return ColimitRecord(apex, (q,))
 
 
-def glue(target: Presheaf, dst: Presheaf, parts, where: str, problem: str) -> PresheafMap:
+def glue(
+    target: Presheaf, dst: Presheaf, parts, where: str, problem: str, start=None
+) -> PresheafMap:
     """The map target -> dst that is `value` along `leg` for each (leg, value)
-    in `parts`: a map out of a colimit, fixed by its legs.  Parts are read
+    in `parts`, and `start` (a map into dst) on the prefix of target that is
+    its source: a map out of a colimit, fixed by its legs.  Parts are read
     lazily and in order; two that disagree at base object o raise
     ValidationError(where, "<problem> at <o>"), and an element that no leg
     reaches, or a part whose leg does not land in `target` or whose value
     does not land in `dst`, raises a ValidationError at `where`."""
     objects = target.base.objects
     tables = [[-1] * n for n in target.sizes]
+    if start is not None:
+        tables = [list(t) + row[len(t):] for t, row in zip(start.tables, tables)]
     for leg, value in parts:
         lands = (leg.dst is target or leg.dst == target) and (value.dst is dst or value.dst == dst)
         if not lands:

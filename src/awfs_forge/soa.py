@@ -21,7 +21,6 @@ stage that merged old elements.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 
 from .arrows import (
     ArrowObject,
@@ -139,38 +138,40 @@ class ArrowRecord:
         return _minimal_fill(self.stages, self.cell_index, jname, sq)
 
 
-def record_block(diagram: GeneratorDiagram, rec, structure: dict | None = None) -> dict:
+def record_block(diagram: GeneratorDiagram, rec, structure: dict | None = None, leaf=None) -> dict:
     """A record's certificate entry: its arrow, stages, inclusions, right
     maps, cells and variant; what these determine, its factors, stage sizes
     and fill table (`lifting.fill_table`); and `structure` (its δ and μ, from
-    `soa_blocks`) when given."""
+    `soa_blocks`) when given.  Each presheaf and map of it is `leaf(it)`
+    when `leaf` is given: the writer passes its pool's keying."""
+    k = leaf or (lambda x: x)
     cells = [
         {
             "stage": c.stage,
             "j": c.jname,
-            "top": c.square.u,
-            "bottom": c.square.v,
-            "injection": c.injection,
+            "top": k(c.square.u),
+            "bottom": k(c.square.v),
+            "injection": k(c.injection),
         }
         for c in rec.cells
     ]
     fills = [
-        {"j": jname, "top": sq.u, "bottom": sq.v, "fill": fill}
+        {"j": jname, "top": k(sq.u), "bottom": k(sq.v), "fill": k(fill)}
         for jname, sq, fill in fill_table(diagram, rec)
     ]
     return {
-        "f": rec.f.f,
-        "stages": rec.stages,
-        "inclusions": rec.inclusions,
-        "rmaps": rec.rmaps,
+        "f": k(rec.f.f),
+        "stages": list(map(k, rec.stages)),
+        "inclusions": list(map(k, rec.inclusions)),
+        "rmaps": list(map(k, rec.rmaps)),
         "cells": cells,
-        "left": rec.left(),
-        "mid": rec.mid(),
-        "right": rec.right(),
+        "left": k(rec.left()),
+        "mid": k(rec.mid()),
+        "right": k(rec.right()),
         "trace": rec.trace,
         "variant": rec.variant,
         "fills": fills,
-        **(structure or {}),
+        **{name: k(m) for name, m in (structure or {}).items()},
     }
 
 
@@ -464,21 +465,18 @@ def walk_stages(
     rec, start: PresheafMap, dst: Presheaf, fill, where: str, problem: str
 ) -> PresheafMap:
     """Extend `start` (out of E^0) stage by stage to a map E^N -> dst: each
-    stage agrees with the previous map along the inclusion and with
-    `fill(cell, prev_map)` on every cell attached at that stage."""
+    stage starts from the previous map's tables, as the old elements are a
+    prefix, and glues `fill(cell, prev_map)` on every cell attached there."""
     current = start
     for stage in range(1, len(rec.stages)):
-        cells = rec.cells_by_stage[stage]
-        parts = chain(
-            [(rec.inclusions[stage - 1], current)], ((c.injection, fill(c, current)) for c in cells)
-        )
-        current = glue(rec.stages[stage], dst, parts, where, problem)
+        parts = ((c.injection, fill(c, current)) for c in rec.cells_by_stage[stage])
+        current = glue(rec.stages[stage], dst, parts, where, problem, current)
     return current
 
 
 # -- the cell rules: E, μ and δ as maps out of cellular objects, fixed by where
 # each cell goes.  A rule reads records through `record(arrow)`: anything with
-# `stages`, `inclusions`, `cells_by_stage` (lists of CellRecord), `left()`,
+# `stages`, `cells_by_stage` (lists of CellRecord), `left()`,
 # `right()`, `mid()` and `fill(jname, sq)`, the fill of a square into the
 # right factor.  The engine passes its ArrowRecords, the verifier certified
 # records; a gluing failure raises ValidationError at `where`.

@@ -16,10 +16,11 @@ the records (`lifting.generator_block`, `lift_blocks`, `soa.record_block`,
 `soa_blocks`, `model.model_blocks`, over `InstanceFile.requested_arrows`):
 the verifier recomputes every block over the certified records and requires the
 certificate's block whole, with the same keys and equal tables behind its
-pool keys.  Of a record entry it parses only the primary fields, `f`,
-`stages`, `inclusions`, `rmaps`, `cells` and `variant` (the options'
-variant where they name one); after `check_record`, and `soa_blocks` for δ
-and μ, the entry must be `soa.record_block` of its record, which recomputes
+pool keys (`_match`, which puts together the path of a difference only when
+it reports one).  Of a record entry it parses only the primary fields, `f`,
+`stages`, `inclusions`, `rmaps`, `cells` and `variant` (the options' variant
+where they name one); after `check_record`, and `soa_blocks` for δ and μ,
+the entry must be `soa.record_block` of its record, which recomputes
 `left`, `mid`, `right`, `trace`, the fill table and the named arrows' δ and
 μ, so no field can be added, dropped or changed.  Each generator block must
 describe the instance's generator diagram that its label names, and
@@ -31,22 +32,29 @@ as an instance's maps are, so a table that does not fit is rejected at
 `maps.<key>.components.<o>`; each record's structure, with every stage
 inclusion the prefix inclusion x ↦ x under both variants, as the engine writes
 it, and each cell's gluing equations, which with the restrictions of r make its
-attaching square commute; stage completeness (stage k's cells must be exactly
-`soa.new_squares`); covering of the new elements by the cells; convergence
-within `max_steps` stages; both triangles of every fill (a natural map that
-passes both is one of `lifting.oracle_lift`'s fillers by definition, so the
-oracle is not rerun); the fills' coherence along the generator shape; and the
-count of each stage's new elements, which must be the number of classes of its
-cell elements under the connecting squares' identifications that no top edge or
-older fill pins to an old element (counted here, not by the stage builder), so
-that each stage is the colimit of the one before and its cells.  With prefix
-inclusions a map into a stage keeps its tables in every later one, so
-`fill_rule` is the engine's own rule, `soa.ArrowRecord.fill`: one lookup in the
-record's cell index, keyed by each cell's own top edge.  Every pooled
-map must be read by some check, and every pooled presheaf too or be an
-endpoint of such a map; every envelope, and a `soa`, `lift` or `model`
-payload, must hold exactly the fields that `certificates` writes, with the
-envelope's `engine` its `ENGINE`; so one claim has one certificate.  Since
+attaching square commute; stage completeness (stage k's cells must be
+`soa.new_squares`, in its order, which is the order the engine writes them,
+and none of them empty, with the cells listed stage by stage);
+covering of the new elements by the cells; convergence within `max_steps`
+stages; the fills' coherence along the generator shape; and the count of each
+stage's new elements, which must be the number of classes of its cell elements
+under the connecting squares' identifications that no top edge or older fill
+pins to an old element (counted here, not by the stage builder), so that each
+stage is the colimit of the one before and its cells.  With prefix inclusions
+a map into a stage keeps its tables in every later one, so these checks
+compare tables where they would otherwise build composites: r_{b+1}
+restricts to r_b when r_b's tables are prefixes of its own, and a cell glues
+along its generator when j;injection has its top edge's tables.  For the
+same reason `fill_rule` is the engine's own rule, `soa.ArrowRecord.fill`: one
+lookup in the record's cell index, keyed by each cell's own top edge, which
+returns the cell's injection with the last stage as codomain.  So a fill's two
+triangles are its cell's glue and r checks, and need no check of their own (a
+natural map that passes both is one of `lifting.oracle_lift`'s fillers by
+definition, so the oracle is not rerun either).  Every pooled map must be
+read by some check, and every pooled presheaf too or be an endpoint of such a
+map; every envelope, and a `soa`, `lift` or `model` payload, must hold
+exactly the fields that `certificates` writes, with the envelope's `engine`
+its `ENGINE`; so one claim has one certificate.  Since
 every derived block is recomputed from these records, a lift certificate's
 fills must be the record's fills, ξ_f its cell replay (ξ's lifting problem can
 have several fillers) and χ the canonical two-route lift that the law suites
@@ -61,7 +69,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .arrows import ArrowObject, Square
-from .certificates import ENGINE, ENVELOPE
+from .certificates import ENGINE, ENVELOPE, POOLS
 from .core import (
     Presheaf,
     PresheafMap,
@@ -96,9 +104,18 @@ from .soa import (
 
 
 class CertificateError(Exception):
+    """A rejection: where in the certificate, and why."""
+
     def __init__(self, where: str, message: str):
-        self.where = where
-        super().__init__(f"{where}: {message}")
+        super().__init__(where, message)
+        self.where, self.message = where, message
+
+    def __str__(self) -> str:
+        return f"{self.where}: {self.message}"
+
+
+class _Malformed(CertificateError):
+    """A block node of the wrong JSON type, reported as a malformed certificate."""
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -247,12 +264,17 @@ class CertifiedEngine(RecordAwfs):
         _require(rec.stages[0] == rec.f.dom, w, "stage 0 is not the domain")
         _require(rec.rmaps[0] == rec.f.f, w, "r_0 is not the arrow")
         _require(len(rec.inclusions) == len(rec.stages) - 1, w, "inclusions length mismatch")
+        # with each inclusion the prefix one, a map composed with it keeps its
+        # tables, and r_{b+1} restricts to r_b when r_b's tables are prefixes
+        # of its own
         for b, incl in enumerate(rec.inclusions):
             _require(incl.src == rec.stages[b] and incl.dst == rec.stages[b + 1], w, "inclusion ill-typed")
             prefix = incl.tables == PresheafMap.identity(rec.stages[b]).tables
             _require(prefix, w, f"stage inclusion {b} is not the prefix inclusion")
+            r, r_b = rec.rmaps[b + 1], rec.rmaps[b]
+            _typed(incl, r)
             _require(
-                eq_witness(incl.then(rec.rmaps[b + 1]), rec.rmaps[b]) is None,
+                r.dst == r_b.dst and all(t[: len(s)] == s for t, s in zip(r.tables, r_b.tables)),
                 w,
                 f"r_{b + 1} does not restrict to r_{b}",
             )
@@ -260,9 +282,10 @@ class CertifiedEngine(RecordAwfs):
         # attaching square commute: j;v = j;inj;r_k = u;incl;r_k = u;r_{k-1}
         for c in rec.cells:  # stages are in range: the loader checked them
             stage, sq = c.stage, c.square
+            glued = sq.src.f.then(c.injection)
+            _typed(sq.u, rec.inclusions[stage - 1])
             _require(
-                eq_witness(sq.src.f.then(c.injection), sq.u.then(rec.inclusions[stage - 1]))
-                is None,
+                eq_witness(glued, sq.u.retarget(rec.stages[stage])) is None,
                 w,
                 "cell injection does not glue along the generator",
             )
@@ -274,13 +297,17 @@ class CertifiedEngine(RecordAwfs):
         attached = {(c.stage, c.jname, c.square.u.tables, c.square.v) for c in rec.cells}
         _require(len(attached) == len(rec.cells), w, "two cells share a square")
         # stage completeness: stage k's cells are the squares that the engine
-        # attaches there (`soa.new_squares`), so a cell whose top edge stays
-        # inside E^{k-2} is rejected here
+        # attaches there (`soa.new_squares`), in its order, so a cell whose
+        # top edge stays inside E^{k-2} is rejected here; the engine stops at
+        # the first stage that would attach none, and lists cells stage by stage
         for stage in range(1, len(rec.stages)):
             squares = new_squares(self.diagram, rec.stages[:stage], rec.rmaps[stage - 1])
-            expected = {(jname, sq.u, sq.v) for jname, sq in squares}
-            got = {(c.jname, c.square.u, c.square.v) for c in rec.cells_by_stage[stage]}
+            expected = [(jname, sq.u, sq.v) for jname, sq in squares]
+            got = [(c.jname, c.square.u, c.square.v) for c in rec.cells_by_stage[stage]]
             _require(expected == got, w, f"stage {stage} cells do not match the new squares")
+            _require(expected, w, f"stage {stage} attaches no cells")
+        in_order = [c.stage for c in rec.cells] == sorted(c.stage for c in rec.cells)
+        _require(in_order, w, "cells are not listed stage by stage")
         # covering: the prefix inclusion reaches the old elements, and the
         # cells every new one
         for stage in range(1, len(rec.stages)):
@@ -292,27 +319,19 @@ class CertifiedEngine(RecordAwfs):
             for o, hit, (n_old, n) in zip(rec.f.base.objects, seen, sizes):
                 reached = hit.issuperset(range(n_old, n))
                 _require(reached, w, f"stage {stage} has unreachable elements at {o}")
-        # convergence (with the stages complete, a top edge factors through the
-        # last stage exactly when it is a cell's), and each square's
-        # fill (`fill_rule`) by both triangles: a natural map passing both is
-        # one of the square's fillers
+        # convergence: with the stages complete, a top edge factors through
+        # the last stage exactly when it is a cell's.  A square's fill is its
+        # cell's injection into the last stage, so the cell's glue and r
+        # checks are the fill's two triangles
         r_last = ArrowObject(rec.rmaps[-1])
         for jname in self.diagram.objects():
-            j = self.diagram.arrow_of[jname]
-            for sq in enumerate_squares(j, r_last):
+            for sq in enumerate_squares(self.diagram.arrow_of[jname], r_last):
                 if len(rec.inclusions) == 0:
                     raise CertificateError(w, "unconverged: squares remain at stage 0")
                 _require(
                     (jname, sq.u.tables, sq.v) in rec.cell_index,
                     w,
                     "not converged: a square does not factor through the last stage",
-                )
-                fill = rec.fill(jname, sq)
-                _require(eq_witness(j.f.then(fill), sq.u) is None, w, "fill top triangle fails")
-                _require(
-                    eq_witness(fill.then(rec.rmaps[-1]), sq.v) is None,
-                    w,
-                    "fill bottom triangle fails",
                 )
         # coherence along the generator shape (`lifting.check_lifting_function`):
         # the fill of a square composed with a connecting square is the
@@ -422,6 +441,13 @@ def _map(f) -> PresheafMap:
     return f.f if isinstance(f, ArrowObject) else f
 
 
+def _typed(m: PresheafMap, n: PresheafMap) -> None:
+    """m;n is defined: m lands where n starts, as `PresheafMap.then` requires
+    of a composite that a table comparison stands in for."""
+    if m.dst != n.src:
+        raise ValidationError("map.then", "codomain/domain mismatch")
+
+
 _MISMATCH = {  # block -> what a differing entry of it means
     "named": "certified arrow differs from the instance map",
     "stage_tables": "trace does not match the certified stages",
@@ -433,31 +459,47 @@ _MISMATCH = {  # block -> what a differing entry of it means
 }
 
 
-def _match(pools: _Pools, got, want, where: str, message: str) -> None:
+def _match(pools: _Pools, got, want: dict, where: str, message: str) -> None:
     """`got`, a certificate block, is `want` whole: objects with the same
     keys, lists of the same length, a pool key of an equal table for each
-    presheaf and map, and every other value equal."""
-    if isinstance(want, dict):
+    presheaf and map, and every other value equal.  The first difference is
+    reported at its path, which is put together only then."""
+    try:
+        _match_below(pools, got, want, message)
+    except _Malformed as exc:
+        raise TypeError(f"{where}{exc.where}: {exc.message}") from None
+    except CertificateError as exc:
+        exc.where = where + exc.where
+        raise
+
+
+def _match_below(pools: _Pools, got, want, message: str) -> None:
+    """`_match` at an object or list `want` of a block: a difference fails
+    with its path below it, each step added as the failure passes up."""
+    if type(want) is dict:
         if not isinstance(got, dict):
-            raise TypeError(f"{where}: not a JSON object")
-        _require(got.keys() == want.keys(), where, "entries differ from the recomputed ones")
-        for key, value in want.items():
-            _match(pools, got[key], value, f"{where}.{key}", message)
-    elif isinstance(want, list):
-        if not isinstance(got, list):
-            raise TypeError(f"{where}: not a JSON list")
-        _require(len(got) == len(want), where, "entries differ from the recomputed ones")
-        for i, (item, value) in enumerate(zip(got, want)):
-            _match(pools, item, value, f"{where}[{i}]", message)
-    elif isinstance(want, Presheaf):
-        _require(pools.p(got, where) == want, where, message)
-    elif isinstance(want, PresheafMap):
-        _require(pools.m(got, where) == want, where, message)
+            raise _Malformed("", "not a JSON object")
+        _require(got.keys() == want.keys(), "", "entries differ from the recomputed ones")
+        children, step = [(key, got[key], value) for key, value in want.items()], ".{}"
     else:
-        _require(type(got) is type(want) and got == want, where, message)
-
-
-_POOLS = ("presheaves", "maps")
+        if not isinstance(got, list):
+            raise _Malformed("", "not a JSON list")
+        _require(len(got) == len(want), "", "entries differ from the recomputed ones")
+        children, step = zip(range(len(want)), got, want), "[{}]"
+    for at, item, value in children:
+        kind = type(value)
+        try:
+            if kind is dict or kind is list:
+                _match_below(pools, item, value, message)
+            elif kind is PresheafMap:
+                _require(pools.m(item, "") == value, "", message)
+            elif kind is Presheaf:
+                _require(pools.p(item, "") == value, "", message)
+            else:
+                _require(type(item) is kind and item == value, "", message)
+        except CertificateError as exc:
+            exc.where = step.format(at) + exc.where
+            raise
 
 
 def _require_fields(block: dict, fields, where: str) -> None:
@@ -546,7 +588,7 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) ->
     blocks, structure = soa_blocks(engine, named, variant)
     _match_records(pools, engine, payload["arrows"], structure)
     _match_blocks(pools, payload, blocks)
-    fields = ("generators", "variant", "max_steps", "arrows", *blocks, *_POOLS)
+    fields = ("generators", "variant", "max_steps", "arrows", *blocks, *POOLS)
     _require_fields(payload, fields, "payload")
     pools.check_referenced()
 
@@ -557,7 +599,7 @@ def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -
     _match_records(pools, engine, payload["arrows"])
     blocks = lift_blocks(engine, named)
     _match_blocks(pools, payload, blocks)
-    _require_fields(payload, ("generators", "arrows", *blocks, *_POOLS), "payload")
+    _require_fields(payload, ("generators", "arrows", *blocks, *POOLS), "payload")
     pools.check_referenced()
 
 
@@ -588,7 +630,7 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
     blocks = model_blocks(amstr, instance.requested_arrows(diagram_j.base), objects)
     _match_blocks(pools, payload, blocks)
     fields = ("generators_j", "generators_i", "replacement_skipped", "arrows_j", "arrows_i")
-    _require_fields(payload, (*fields, *blocks, *_POOLS), "payload")
+    _require_fields(payload, (*fields, *blocks, *POOLS), "payload")
     # a failure is reported only once the recomputed report confirms it
     for entry in payload["law_report"]:
         _require(

@@ -158,6 +158,28 @@ def test_a_stage_whose_cells_an_older_fill_pins_verifies(variant, tmp_path):
     assert verify_certificate(from_json(raw), cert) == (True, "")
 
 
+ROUND = [  # every certificate of a benchmark `fixtures` round
+    *(f"{command} --fixture {name}" for name in FIXTURES for command in (
+        "soa --variant monic", "soa --variant standard", "lift"
+    )),
+    "model --fixture FIX-M",
+    "model --fixture FIX-PROJ",
+    *(f"{command} --fixture {name} --adjunction {adjunction}"
+      for name, adjunction in (("FIX-M", "ident"), ("FIX-G", "ident"), ("FIX-PROJ", "ident"),
+                               ("FIX-PROJ", "lan"))
+      for command in ("transport", "quillen-check")),
+]
+
+
+def test_the_spliced_pools_write_canonical_json(tmp_path):
+    # the writer splices each pool's entries in as their canonical text; the
+    # certificate must be the canonical JSON of what it parses to
+    for argv in ROUND:
+        _certify(tmp_path, argv)
+        text = (tmp_path / "cert.json").read_text(encoding="utf-8")
+        assert text == canonical_dumps(json.loads(text)) + "\n", argv
+
+
 def test_the_round_trip_covers_every_converging_fixture():
     converging = set()
     for name in FIXTURE_NAMES:
@@ -443,6 +465,75 @@ def test_verify_cert_rejects_a_record_whose_own_fields_are_off(damage, where, me
     damage(cert["payload"]["arrows"][fkey])
     ok, msg = verify_certificate(instance, cert)
     assert not ok and msg.startswith(f"arrows.{fkey}{where}: {message}"), msg
+
+
+def test_verify_cert_reports_a_deep_difference_at_its_path(tmp_path):
+    # the path below a block is put together only for the difference reported
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, "soa --fixture FIX-M")
+    fkey, entry = next((k, e) for k, e in cert["payload"]["arrows"].items() if e["fills"])
+    where = f"arrows.{fkey}.fills[0]"
+    cases = [
+        (dict(entry["fills"][0], fill=entry["f"]), f"{where}.fill: {RECOMPUTED}"),
+        (dict(entry["fills"][0], fill="m0"), f"{where}.fill: dangling map reference m0"),
+        ([], f"malformed certificate: {where}: not a JSON object"),
+    ]
+    for damaged, message in cases:
+        bad = copy.deepcopy(cert)
+        bad["payload"]["arrows"][fkey]["fills"][0] = damaged
+        assert verify_certificate(instance, bad) == (False, message)
+    jname = next(iter(cert["payload"]["generators"]["objects"]))
+    cert["payload"]["generators"]["objects"][jname] = entry["f"]
+    assert verify_certificate(instance, cert) == (
+        False, f"generators.objects.{jname}: differs from the instance"
+    )
+
+
+def test_verify_cert_rejects_a_stage_with_its_cells_permuted(tmp_path):
+    # the cells of a stage are `soa.new_squares` in its order, the order the
+    # engine writes them: a permutation would be a second certificate
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, "soa --fixture FIX-M --generators J --variant standard")
+    fkey, entry = next(
+        (k, e) for k, e in cert["payload"]["arrows"].items()
+        if sum(c["stage"] == 1 for c in e["cells"]) >= 2
+    )
+    assert entry["cells"][0]["stage"] == entry["cells"][1]["stage"] == 1
+    entry["cells"][:2] = entry["cells"][1::-1]
+    assert verify_certificate(instance, cert) == (
+        False, f"arrows.{fkey}: stage 1 cells do not match the new squares"
+    )
+
+
+def test_verify_cert_rejects_cells_out_of_stage_order_or_an_empty_stage(tmp_path):
+    # the engine lists cells stage by stage and stops at the first stage that
+    # would attach none: either change would be a second certificate
+    instance = fixture("FIX-G")
+    cert = _certify(tmp_path, "soa --fixture FIX-G --variant standard")
+    fkey, entry = next(
+        (k, e) for k, e in cert["payload"]["arrows"].items()
+        if any(c["stage"] == 2 for c in e["cells"])
+    )
+    moved = copy.deepcopy(cert)
+    cells = moved["payload"]["arrows"][fkey]["cells"]
+    cells.insert(0, cells.pop(next(i for i, c in enumerate(cells) if c["stage"] == 2)))
+    assert verify_certificate(instance, moved) == (
+        False, f"arrows.{fkey}: cells are not listed stage by stage"
+    )
+    # the last stage once more, along its identity, with r unchanged
+    payload = cert["payload"]
+    last = entry["stages"][-1]
+    tables = {o: list(range(n)) for o, n in payload["presheaves"][last]["at"].items()}
+    entry["inclusions"].append(_pooled(payload, "maps", {"src": last, "dst": last, "components": tables}))
+    entry["stages"].append(last)
+    entry["rmaps"].append(entry["rmaps"][-1])
+    entry["trace"].append(entry["trace"][-1])
+    for name, key in payload["named"].items():
+        if key == fkey:
+            payload["stage_tables"][name].append(payload["stage_tables"][name][-1])
+    assert verify_certificate(instance, cert) == (
+        False, f"arrows.{fkey}: stage {len(entry['stages']) - 1} attaches no cells"
+    )
 
 
 def test_verify_cert_reads_the_named_arrows_and_variant_from_the_options(tmp_path):

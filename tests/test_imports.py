@@ -11,12 +11,13 @@ A reachability gate as well: every function, method and class the package
 defines must be reached by name from `cli.main`, from a module's top-level
 statements, from `scripts/`, from `perfbench/` or from
 `tests/test_acceptance.py`, directly or through definitions reached so.  A
-name is read as a `Name`, an attribute or a string constant, so the
-benchmark's tracer, which binds functions by their names as strings, reaches
-them too.  Other tests do not: code that only unit tests call is not code the
-system needs.  `ALLOWLIST` names the paper results that only unit tests
-exercise, each with its reason; an entry that no longer exists, or that is
-reached anyway, fails the gate.
+name is read as a `Name` or an attribute, and in those roots as a string
+constant too, so the benchmark's tracer, which binds functions by their names
+as strings, reaches them; a string in the package is data, such as a JSON
+key, and reaches nothing.  Other tests do not: code that only unit tests call
+is not code the system needs.  `ALLOWLIST` names the paper results that only
+unit tests exercise, each with its reason; an entry that no longer exists, or
+that is reached anyway, fails the gate.
 
 And a start-up guard: every CLI command is its own process, so importing the
 CLI or the kernel must not load `dataclasses`, `inspect` or `argparse`
@@ -89,12 +90,12 @@ ROOTS = ("scripts/**/*.py", "perfbench/**/*.py", "tests/test_acceptance.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _reference(node: ast.AST) -> str | None:
+def _reference(node: ast.AST, strings: bool = True) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+    if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
 
@@ -105,18 +106,20 @@ def references(source: str) -> set[str]:
     return {ref for node in ast.walk(ast.parse(source)) if (ref := _reference(node)) is not None}
 
 
-def _scope(nodes: list[ast.AST], units: list) -> set[str]:
-    """The references in `nodes` outside the definitions among them; each
-    definition but a dunder method is appended to `units` as (line, name,
-    its own references).  A dunder method belongs to its class."""
+def _scope(nodes: list[ast.AST], units: list, strings: bool) -> set[str]:
+    """The references in `nodes` outside the definitions among them, string
+    constants only with `strings`; each definition but a dunder method is
+    appended to `units` as (line, name, its own references).  A dunder method
+    belongs to its class."""
     refs: set[str] = set()
     stack = list(nodes)
     while stack:
         node = stack.pop()
         if isinstance(node, DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__")):
-            units.append((node.lineno, node.name, _scope(list(ast.iter_child_nodes(node)), units)))
+            inner = _scope(list(ast.iter_child_nodes(node)), units, strings)
+            units.append((node.lineno, node.name, inner))
             continue
-        if (ref := _reference(node)) is not None:
+        if (ref := _reference(node, strings)) is not None:
             refs.add(ref)
         stack.extend(ast.iter_child_nodes(node))
     return refs
@@ -131,16 +134,19 @@ def _unreached(units: list, live: set[str]) -> list:
     return units
 
 
-def unreached(modules: dict[str, str], roots: set[str], allowlist) -> tuple[list[str], list[str]]:
+def unreached(
+    modules: dict[str, str], roots: set[str], allowlist, strings: bool = True
+) -> tuple[list[str], list[str]]:
     """("module:line: name" of each definition in `modules` that no root
     reaches, stale allowlist entries).  Every module's top-level statements
     are roots.  An allowlist entry is stale unless it names a definition the
     roots leave unreached; the entries are then roots too, so what only they
-    reach is not flagged."""
+    reach is not flagged.  A string constant in `modules` names a definition
+    only with `strings`."""
     units, live = [], set(roots)
     for module, source in modules.items():
         found: list = []
-        live |= _scope(ast.parse(source).body, found)
+        live |= _scope(ast.parse(source).body, found, strings)
         units += [(module, line, name, refs) for line, name, refs in found]
     dead = _unreached(units, live)
     stale = sorted(set(allowlist) - {name for _, _, name, _ in dead})
@@ -149,14 +155,15 @@ def unreached(modules: dict[str, str], roots: set[str], allowlist) -> tuple[list
 
 
 def gate(root: Path, allowlist) -> tuple[list[str], list[str]]:
-    """`unreached` over the package under `root`, from `cli.main` and `ROOTS`."""
+    """`unreached` over the package under `root`, from `cli.main` and `ROOTS`;
+    the package's own string constants are data, and name nothing."""
     package = root / "src" / "awfs_forge"
     modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     roots = {"main"}
     for pattern in ROOTS:
         for path in root.glob(pattern):
             roots |= references(path.read_text(encoding="utf-8"))
-    return unreached(modules, roots, allowlist)
+    return unreached(modules, roots, allowlist, strings=False)
 
 
 def test_scanner_flags_an_unreferenced_definition():
@@ -180,7 +187,9 @@ def _write_tree(root, files):
 
 def test_gate_flags_what_only_dead_code_or_unit_tests_reach(tmp_path):
     files = {
-        "src/awfs_forge/cli.py": "def main(): helper()\ndef helper(): pass\n",
+        "src/awfs_forge/cli.py": (
+            "def main(): helper()\ndef helper(): pass\nKEYS = {'keyed': 1}\ndef keyed(): pass\n"
+        ),
         "src/awfs_forge/m.py": (
             "TABLE = [listed]\n"
             "def listed(): pass\n"
@@ -199,7 +208,8 @@ def test_gate_flags_what_only_dead_code_or_unit_tests_reach(tmp_path):
         "scripts/demo.py": "from awfs_forge.m import scripted\nscripted()\n",
     }
     _write_tree(tmp_path, files)
-    flagged = ["m.py:3: dead", "m.py:4: only_dead", "m.py:5: unit_tested"]
+    # a string constant in the package is data: it does not keep `keyed` live
+    flagged = ["cli.py:4: keyed", "m.py:3: dead", "m.py:4: only_dead", "m.py:5: unit_tested"]
     assert gate(tmp_path, {"result": "a paper result"}) == (flagged, [])
     assert gate(tmp_path, {}) == (sorted(flagged + ["m.py:7: result", "m.py:8: result_helper"]), [])
 

@@ -24,6 +24,7 @@ from awfs_forge.instance import from_json
 from awfs_forge.lifting import oracle_lift
 from awfs_forge.soa import GeneratedAwfs, run_soa
 from awfs_forge.verifier import verify_certificate
+from written import written
 
 
 def run_cli(argv, capsys=None):
@@ -407,6 +408,36 @@ def _two_to_edge() -> dict:
     return raw
 
 
+@pytest.mark.parametrize("name, arrow, damage, triangle, message", [
+    ("FIX-G", "f_ep", _retopped, "top", "cell injection does not glue along the generator"),
+    ("FIX-M", "f32", _rebottomed, "bottom", "cell injection incompatible with r"),
+], ids=["top", "bottom"])
+def test_verify_cert_rejects_a_fill_that_fails_a_triangle(
+    name, arrow, damage, triangle, message, tmp_path
+):
+    # a fill is its cell's injection into the last stage (`soa.ArrowRecord.fill`),
+    # so the damaged cell's fill fails a triangle of its square, and the
+    # cell's own glue or r check is what rejects it
+    out = tmp_path / "cert.json"
+    assert main(["soa", "--fixture", name, "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    payload = cert["payload"]
+    maps, fkey = payload["maps"], payload["named"][arrow]
+    entry = payload["arrows"][fkey]
+    damage(maps, entry)
+    cell = next(c for c in entry["cells"] if c["stage"] == 1)  # the damaged one
+    fill = maps[cell["injection"]]["components"]
+    if triangle == "top":  # j;fill against the top edge
+        j = fixture(name).generators["J"].arrow_of[cell["j"]].f
+        composite = {o: [fill[o][x] for x in j.table_at(o)] for o in fill}
+    else:  # fill;R against the bottom edge
+        right = maps[entry["right"]]["components"]
+        composite = {o: [right[o][y] for y in t] for o, t in fill.items()}
+    assert composite != maps[cell[triangle]]["components"]
+    _drop_unreferenced(payload)
+    assert verify_certificate(fixture(name), cert) == (False, f"arrows.{fkey}: {message}")
+
+
 def test_verify_cert_rejects_a_stage_that_identifies_new_elements(monkeypatch):
     # an engine that quotients stage 1 by the vertices r sends to one: every
     # map stays natural, the injections glue, reach every element and meet
@@ -416,8 +447,7 @@ def test_verify_cert_rejects_a_stage_that_identifies_new_elements(monkeypatch):
 
     def certify() -> dict:
         payload = certificates.soa_certificate(instance, "J", "standard", 64, ["f2"])
-        envelope = certificates.envelope("soa", instance, options, payload)
-        return json.loads(canonical_dumps(envelope))
+        return written("soa", instance, options, payload)
 
     honest = certify()
     assert honest["payload"]["stage_tables"] == {"f2": [2, 6]}
@@ -590,7 +620,7 @@ def test_verify_cert_rejects_a_cut_model_law_report(name, keep):
     # every entry left reads pass; the verifier reruns the law suites
     instance = fixture(name)
     payload = certificates.model_certificate(instance, "J", "I", "tau", "monic", 64)
-    cert = json.loads(canonical_dumps(certificates.envelope("model", instance, {"tau": "tau"}, payload)))
+    cert = written("model", instance, {"tau": "tau"}, payload)
     assert verify_certificate(instance, cert) == (True, "")
     assert len(cert["payload"]["law_report"]) > 80
     del cert["payload"]["law_report"][keep:]
@@ -604,7 +634,7 @@ def test_verify_cert_rechecks_a_model_law_failure_before_reporting_it():
     # test_model_command_reports_failed_axiom_graph) matches it and is reported
     instance = fixture("FIX-M")
     payload = certificates.model_certificate(instance, "J", "I", "tau", "monic", 64)
-    cert = json.loads(canonical_dumps(certificates.envelope("model", instance, {"tau": "tau"}, payload)))
+    cert = written("model", instance, {"tau": "tau"}, payload)
     cert["payload"]["law_report"][3]["status"] = "fail"
     assert verify_certificate(instance, cert) == (
         False, "law_report: embedded law report differs from the recomputed one"
@@ -616,7 +646,7 @@ def test_verify_cert_requires_injective_stage_inclusions_in_both_variants():
     # left factor (the same single inclusion) repointed: R∘L = f still holds
     instance = fixture("FIX-M")
     payload = certificates.soa_certificate(instance, "J", "standard", 64)
-    cert = json.loads(canonical_dumps(certificates.envelope("soa", instance, {}, payload)))
+    cert = written("soa", instance, {}, payload)
     payload = cert["payload"]
     fkey = payload["named"]["f21"]
     entry = payload["arrows"][fkey]

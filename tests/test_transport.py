@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 from functools import partial
 
@@ -7,7 +6,7 @@ import pytest
 from awfs_forge import certificates, transport, verifier
 from awfs_forge.arrows import ArrowObject
 from awfs_forge.core import FiniteCategory, PresheafMap, eq_witness
-from awfs_forge.certificates import envelope, quillen_certificate, soa_certificate
+from awfs_forge.certificates import quillen_certificate, soa_certificate
 from awfs_forge.fixtures import finmap, finset, fixture
 from awfs_forge.lifting import (
     GeneratorDiagram,
@@ -38,6 +37,7 @@ from awfs_forge.transport import (
 )
 from awfs_forge.verifier import verify_certificate
 from reference_comparison import reference_rho
+from written import written
 
 PT = FiniteCategory.point()
 E01 = ArrowObject(finmap(0, 1, []))
@@ -164,7 +164,7 @@ def test_verify_cert_runs_each_replay_once_per_square_or_arrow(monkeypatch):
     or per arrow (μ, δ)."""
     instance = fixture("FIX-PW")
     payload = soa_certificate(instance, "JA", "monic", 64)
-    cert = json.loads(json.dumps(envelope("soa", instance, {}, payload)))
+    cert = written("soa", instance, {}, payload)
     runs = Counter()
     for name in ("e_rule", "mu_rule", "delta_rule"):
         def counted(*args, body=getattr(verifier, name), name=name):
