@@ -6,7 +6,7 @@ acquires a unique minimal-stage cell and no coequalizer bookkeeping is
 needed.  Stages are enumerated and glued semi-naively: each stage touches
 only what the one before added.  Past stage 1, the squares searched for are
 those whose top edge reaches an element that the previous stage added
-(`new_squares`, as in the verifier), and the new stage object is the previous
+(`new_squares`, the engine's alone), and the new stage object is the previous
 one with the classes of the new cells' elements appended (a union-find that
 joins those elements alone).  Old elements keep their labels and no two of them
 merge, so stage inclusions are prefix inclusions x ↦ x and a map into a
@@ -202,8 +202,8 @@ class RecordAwfs:
     """The awfs read off per-arrow records: the factorization, the free
     (co)algebras and the awfs itself.  A subclass gives `record` (an arrow's
     record, with the interface the cell rules read), `e_on_square`, `mu` and
-    `delta`; the engine computes them, the verifier replays them over
-    certified records."""
+    `delta`, each once per square or arrow through `_once`; the engine
+    computes them, the verifier replays them over certified records."""
 
     def factor(self, f) -> Factored:
         rec = self.record(f)
@@ -220,6 +220,15 @@ class RecordAwfs:
 
     def as_awfs(self) -> Awfs:
         return Awfs(self.as_fact(), self.delta, self.mu)
+
+    @staticmethod
+    def _once(memo: dict, key, rule, *args, **kwargs):
+        """`memo[key]`, else `rule(*args, **kwargs)` stored there; a failure
+        raises and stores nothing."""
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = rule(*args, **kwargs)
+        return value
 
 
 class GeneratedAwfs(RecordAwfs):
@@ -421,11 +430,9 @@ class GeneratedAwfs(RecordAwfs):
 
     def free_lifting_function(self, f) -> LiftingFunction:
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        if farr not in self._lifts:
-            rec = self.record(farr)
-            rf = ArrowObject(rec.right())
-            self._lifts[farr] = LiftingFunction.tabulate(self.diagram, rf, rec.fill)
-        return self._lifts[farr]
+        rec = self.record(farr)
+        rf = ArrowObject(rec.right())
+        return self._once(self._lifts, farr, LiftingFunction.tabulate, self.diagram, rf, rec.fill)
 
     def lam(self, jname: str) -> CoalgebraStructure:
         """Unit functor: the free coalgebra structure of a generator (`lam_rule`)."""
@@ -433,26 +440,18 @@ class GeneratedAwfs(RecordAwfs):
 
     def e_on_square(self, sq: Square) -> PresheafMap:
         """E(u, v), once per square (`e_rule`)."""
-        e = self._esquares.get(sq)
-        if e is None:
-            e = self._esquares[sq] = e_rule(sq, self.record, "e_on_square")
-        return e
+        return self._once(self._esquares, sq, e_rule, sq, self.record, "e_on_square")
 
     def mu(self, f) -> PresheafMap:
         """Multiplication E(R f) -> E f, once per arrow (`mu_rule`)."""
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        mu = self._mus.get(farr)
-        if mu is None:
-            mu = self._mus[farr] = mu_rule(farr, self.record, "mu")
-        return mu
+        return self._once(self._mus, farr, mu_rule, farr, self.record, "mu")
 
     def delta(self, f) -> PresheafMap:
         """Comultiplication E f -> E L f, once per arrow (`delta_rule`)."""
         farr = f if isinstance(f, ArrowObject) else ArrowObject(f)
-        delta = self._deltas.get(farr)
-        if delta is None:
-            delta = self._deltas[farr] = delta_rule(farr, self.record, self.e_on_square, "delta")
-        return delta
+        args = farr, self.record, self.e_on_square, "delta"
+        return self._once(self._deltas, farr, delta_rule, *args)
 
 
 def run_soa(diagram: GeneratorDiagram, variant: str = "monic", max_steps: int = 64) -> GeneratedAwfs:

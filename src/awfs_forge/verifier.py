@@ -4,16 +4,15 @@ The verifier never runs the engine's small object argument: it rebuilds
 presheaf and map tables from the certificate pools and rechecks every claim
 over the certified records.
 
-It shares four things with the engine.  One is the cell rules, which fix a
+It shares three things with the engine.  One is the cell rules, which fix a
 map out of a cellular object by where each cell goes: E on squares, μ, δ and
 λ (`soa.e_rule`, `mu_rule`, `delta_rule`, `lam_rule`) and the comparison map
 ξ (`model.xi_rule`).  It runs them over certified records, whose fills are
-its own `CertifiedEngine.fill_rule`, once per square.  The second is the
-stage rule, `soa.new_squares`: the squares that each stage attaches.  The
-third is the law suites, rerun over the certified records.  The fourth is
-the functions that derive each block of a certificate from the instance and
-the records (`lifting.generator_block`, `lift_blocks`, `soa.record_block`,
-`soa_blocks`, `model.model_blocks`, over `InstanceFile.requested_arrows`):
+its own `CertifiedEngine.fill_rule`.  The second is the law suites, rerun
+over the certified records.  The third is the functions that derive each
+block of a certificate from the instance and the records
+(`lifting.generator_block`, `lift_blocks`, `soa.record_block`, `soa_blocks`,
+`model.model_blocks`, over `InstanceFile.requested_arrows`):
 the verifier recomputes every block over the certified records and requires the
 certificate's block whole, with the same keys and equal tables behind its
 pool keys (`_match`, which puts together the path of a difference only when
@@ -32,15 +31,17 @@ as an instance's maps are, so a table that does not fit is rejected at
 `maps.<key>.components.<o>`; each record's structure, with every stage
 inclusion the prefix inclusion x ↦ x under both variants, as the engine writes
 it, and each cell's gluing equations, which with the restrictions of r make its
-attaching square commute; stage completeness (stage k's cells must be
-`soa.new_squares`, in its order, which is the order the engine writes them,
-and none of them empty, with the cells listed stage by stage);
-covering of the new elements by the cells; convergence within `max_steps`
-stages; the fills' coherence along the generator shape; and the count of each
-stage's new elements, which must be the number of classes of its cell elements
-under the connecting squares' identifications that no top edge or older fill
-pins to an old element (counted here, not by the stage builder), so that each
-stage is the colimit of the one before and its cells.  With prefix inclusions
+attaching square commute; stage completeness (each square into the last r
+is filed under the stage after the first one that holds its top edge, and
+stage k's cells must be its file, in the order the engine writes them, none
+empty and listed stage by stage; `soa.new_squares` is the engine's stage rule
+alone); covering of the new elements by the cells; convergence within
+`max_steps` stages, with no square filed past the last; the fills' coherence
+along the generator shape; and the count of each stage's new elements, which
+must be the number of classes of its cell elements under the connecting
+squares' identifications that no top edge or older fill pins to an old element
+(counted here, not by the stage builder), so that each stage is the colimit of
+the one before and its cells.  With prefix inclusions
 a map into a stage keeps its tables in every later one, so these checks
 compare tables where they would otherwise build composites: r_{b+1}
 restricts to r_b when r_b's tables are prefixes of its own, and a cell glues
@@ -66,6 +67,7 @@ on.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable
 
 from .arrows import ArrowObject, Square
@@ -97,7 +99,6 @@ from .soa import (
     e_rule,
     lam_rule,
     mu_rule,
-    new_squares,
     record_block,
     soa_blocks,
 )
@@ -171,8 +172,7 @@ class _Pools:
 
 
 class _Record(ArrowRecord):
-    """A certified record, whose fills are `rule`, the verifier's `fill_rule`,
-    run once per square."""
+    """A certified record, whose fills are `rule`, the verifier's `fill_rule`."""
 
     def __init__(
         self, f, stages, inclusions, rmaps, cells, variant,
@@ -180,14 +180,9 @@ class _Record(ArrowRecord):
     ):
         super().__init__(f, stages, inclusions, rmaps, cells, variant)
         self.rule = rule
-        self._fills: dict[tuple, PresheafMap] = {}  # (j, top, bottom) -> fill
 
     def fill(self, jname: str, sq: Square) -> PresheafMap:
-        key = (jname, sq.u, sq.v)
-        fill = self._fills.get(key)
-        if fill is None:
-            fill = self._fills[key] = self.rule(self, jname, sq)
-        return fill
+        return self.rule(self, jname, sq)
 
 
 def _replayed(rule, *args, where: str) -> PresheafMap:
@@ -219,8 +214,7 @@ class CertifiedEngine(RecordAwfs):
         self.where = where
         self.records: dict[str, _Record] = {}
         self._by_arrow: dict[PresheafMap, _Record] = {}
-        # each replay runs once per square or arrow; a failure raises and
-        # stores nothing
+        # the replays' memos (`_once`)
         self._esquares: dict[Square, PresheafMap] = {}
         self._mus: dict[PresheafMap, PresheafMap] = {}
         self._deltas: dict[PresheafMap, PresheafMap] = {}
@@ -296,16 +290,23 @@ class CertifiedEngine(RecordAwfs):
             )
         attached = {(c.stage, c.jname, c.square.u.tables, c.square.v) for c in rec.cells}
         _require(len(attached) == len(rec.cells), w, "two cells share a square")
-        # stage completeness: stage k's cells are the squares that the engine
-        # attaches there (`soa.new_squares`), in its order, so a cell whose
-        # top edge stays inside E^{k-2} is rejected here; the engine stops at
-        # the first stage that would attach none, and lists cells stage by stage
+        # stage completeness, in one pass: with prefix inclusions, and each r
+        # restricting to the one before, stage k attaches the squares into the
+        # last r whose top edge first lands in E^{k-1}, generator by generator
+        # in `soa.new_squares`'s order; the engine stops at the first stage
+        # that would attach none, and lists cells stage by stage
+        r_last = ArrowObject(rec.rmaps[-1])
+        stage_sizes = list(zip(*(s.sizes for s in rec.stages)))  # per object, by stage
+        filed = [[] for _ in range(len(rec.stages) + 1)]  # the last: past the last stage
+        for jname in self.diagram.objects():
+            for sq in enumerate_squares(self.diagram.arrow_of[jname], r_last):
+                top = sq.u.tables
+                first = max(map(bisect_right, stage_sizes, (max(t, default=-1) for t in top)))
+                filed[first + 1].append((jname, top, sq.v))
         for stage in range(1, len(rec.stages)):
-            squares = new_squares(self.diagram, rec.stages[:stage], rec.rmaps[stage - 1])
-            expected = [(jname, sq.u, sq.v) for jname, sq in squares]
-            got = [(c.jname, c.square.u, c.square.v) for c in rec.cells_by_stage[stage]]
-            _require(expected == got, w, f"stage {stage} cells do not match the new squares")
-            _require(expected, w, f"stage {stage} attaches no cells")
+            got = [(c.jname, c.square.u.tables, c.square.v) for c in rec.cells_by_stage[stage]]
+            _require(filed[stage] == got, w, f"stage {stage} cells do not match the new squares")
+            _require(got, w, f"stage {stage} attaches no cells")
         in_order = [c.stage for c in rec.cells] == sorted(c.stage for c in rec.cells)
         _require(in_order, w, "cells are not listed stage by stage")
         # covering: the prefix inclusion reaches the old elements, and the
@@ -319,20 +320,12 @@ class CertifiedEngine(RecordAwfs):
             for o, hit, (n_old, n) in zip(rec.f.base.objects, seen, sizes):
                 reached = hit.issuperset(range(n_old, n))
                 _require(reached, w, f"stage {stage} has unreachable elements at {o}")
-        # convergence: with the stages complete, a top edge factors through
-        # the last stage exactly when it is a cell's.  A square's fill is its
-        # cell's injection into the last stage, so the cell's glue and r
+        # convergence: no square is filed past the last stage.  A square's fill
+        # is its cell's injection into the last stage, so the cell's glue and r
         # checks are the fill's two triangles
-        r_last = ArrowObject(rec.rmaps[-1])
-        for jname in self.diagram.objects():
-            for sq in enumerate_squares(self.diagram.arrow_of[jname], r_last):
-                if len(rec.inclusions) == 0:
-                    raise CertificateError(w, "unconverged: squares remain at stage 0")
-                _require(
-                    (jname, sq.u.tables, sq.v) in rec.cell_index,
-                    w,
-                    "not converged: a square does not factor through the last stage",
-                )
+        if filed[-1]:
+            _require(len(rec.inclusions) > 0, w, "unconverged: squares remain at stage 0")
+            raise CertificateError(w, "not converged: a square does not factor through the last stage")
         # coherence along the generator shape (`lifting.check_lifting_function`):
         # the fill of a square composed with a connecting square is the
         # connecting square's bottom edge followed by the fill
@@ -397,25 +390,17 @@ class CertifiedEngine(RecordAwfs):
 
     def e_walk(self, sq: Square) -> PresheafMap:
         """E on a square, replayed once per square."""
-        e = self._esquares.get(sq)
-        if e is None:
-            e = self._esquares[sq] = _replayed(e_rule, sq, self.record, where=self.where)
-        return e
+        return self._once(self._esquares, sq, _replayed, e_rule, sq, self.record, where=self.where)
 
     def mu_replay(self, f: PresheafMap) -> PresheafMap:
         """Algebra structure of R f, replayed once per arrow."""
-        mu = self._mus.get(f)
-        if mu is None:
-            mu = self._mus[f] = _replayed(mu_rule, ArrowObject(f), self.record, where=self.where)
-        return mu
+        args = mu_rule, ArrowObject(f), self.record
+        return self._once(self._mus, f, _replayed, *args, where=self.where)
 
     def delta_replay(self, f: PresheafMap) -> PresheafMap:
         """Coalgebra structure of L f, replayed once per arrow."""
-        delta = self._deltas.get(f)
-        if delta is None:
-            args = ArrowObject(f), self.record, self.e_walk
-            delta = self._deltas[f] = _replayed(delta_rule, *args, where=self.where)
-        return delta
+        args = delta_rule, ArrowObject(f), self.record, self.e_walk
+        return self._once(self._deltas, f, _replayed, *args, where=self.where)
 
     # -- the `RecordAwfs` hooks and λ, over the certified records ------------
 
@@ -639,9 +624,17 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
     pools.check_referenced()
 
 
-def _verify_report_only(instance: InstanceFile, payload: dict) -> None:
-    pools = _Pools(instance, payload)
-    for entry in payload.get("law_report", []):
+_REPORTED = {  # command -> the payload fields its builder writes beside the report
+    "transport": ("adjunction", "generators", "transported", "rho", "gamma"),
+    "quillen-check": ("adjunction", "xi_m", "xi_k", "gamma_t", "rho_t"),
+}
+
+
+def _verify_report_only(instance: InstanceFile, payload: dict, options: dict, command: str) -> None:
+    _Pools(instance, payload)
+    _require_fields(payload, (*_REPORTED[command], "law_report", *POOLS), "payload")
+    _require(payload["adjunction"] == options.get("adjunction"), "adjunction", "differs from the options")
+    for entry in payload["law_report"]:
         _require(
             entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
         )
@@ -666,8 +659,8 @@ def verify_certificate(instance: InstanceFile, cert: dict) -> tuple[bool, str]:
             _verify_lift_payload(instance, payload, options)
         elif command == "model":
             _verify_model_payload(instance, payload, options)
-        elif command in ("transport", "quillen-check"):
-            _verify_report_only(instance, payload)
+        elif command in _REPORTED:
+            _verify_report_only(instance, payload, options, command)
         else:
             raise CertificateError("command", f"unknown command {command!r}")
     except CertificateError as exc:

@@ -2,7 +2,8 @@
 `mu_rule`, `delta_rule`, `model.xi_rule`): μ and δ differential-tested
 against the tabulated lifting-function routes they replaced
 (`reference_structure.py`) on every record of the bundled fixtures under
-both variants, a guard that μ and δ tabulate nothing, a guard that every
+both variants, δ against its cellular fill on every instance map and on
+graph-soa, a guard that μ and δ tabulate nothing, a guard that every
 name the benchmark's tracer wraps is defined on the class or module it is
 looked up on, and a guard that the record-derived awfs surface is defined
 once, on the base class of the engine and the verifier."""
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 import awfs_forge
-from awfs_forge import lifting
+from awfs_forge import instance, lifting
 from awfs_forge.arrows import ArrowObject
 from awfs_forge.core import eq_witness
 from awfs_forge.fixtures import fixture
@@ -20,7 +21,7 @@ from awfs_forge.lifting import LiftingFunction
 from awfs_forge.soa import GeneratedAwfs, MonicityViolation, NonConvergence, RecordAwfs, run_soa
 from awfs_forge.verifier import CertifiedEngine
 import reference_structure
-from reference_structure import reference_delta, reference_mu
+from reference_structure import cellular_delta, reference_delta, reference_mu
 
 FIXTURES = ("FIX-M", "FIX-G", "FIX-PW", "FIX-PROJ")
 FAILURES = (NonConvergence, MonicityViolation)
@@ -53,6 +54,35 @@ def test_mu_and_delta_match_the_lifting_function_routes():
             assert eq_witness(gen.delta(f), reference_delta(gen, f)) is None, label
             checked += 1
     assert checked == 76
+
+
+def test_delta_is_its_cellular_fill(monkeypatch):
+    # δ_f fills the square (L(L f), 1) from L f to R(L f) cell by cell, on
+    # every instance map over each generator set's base, under both variants,
+    # and on graph-soa n=3 and n=5 under I; the engine's refusals are skipped
+    cases = []
+    for name in FIXTURES:
+        inst = fixture(name)
+        for gname, diagram in inst.generators.items():
+            for variant in ("monic", "standard"):
+                cases.append((f"{name}.{gname}.{variant}", inst, run_soa(diagram, variant=variant)))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    for n in (3, 5):
+        monkeypatch.setattr(inputs, "GRAPH_PATH", n)
+        inst = instance.from_json(inputs.graph_instance(seed=1))
+        cases.append((f"graph-soa.{n}", inst, run_soa(inst.generators["I"])))
+    checked = 0
+    for label, inst, gen in cases:
+        base = next(iter(gen.diagram.arrow_of.values())).base
+        for f in [ArrowObject(m) for m in inst.maps.values() if m.base == base]:
+            try:
+                delta = gen.delta(f)
+            except FAILURES:
+                continue
+            assert eq_witness(delta, cellular_delta(gen, f)) is None, label
+            checked += 1
+    assert checked == 76 + 2 * 5
 
 
 def test_mu_and_delta_tabulate_no_lifting_function(monkeypatch):

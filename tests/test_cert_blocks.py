@@ -4,9 +4,10 @@ each block whole: cut or replaced blocks, generator blocks that do not
 describe the instance's diagram, re-hashed single-entry flips of any pooled
 map, record entries with a key more or less or a derived field flipped,
 records with more stages than the certificate's `max_steps` allows or cut
-short of convergence, pool entries that no block references, and payload or
-envelope fields other than the writer's are all rejected, and every honest
-certificate verifies."""
+short of convergence, pool entries that no block references, payload or
+envelope fields other than the writer's, and a `transport` or `quillen-check`
+payload whose fields or adjunction are not its builder's are all rejected,
+and every honest certificate verifies."""
 
 import copy
 import json
@@ -447,6 +448,36 @@ def test_verify_cert_rejects_a_record_cut_before_its_last_stage(tmp_path):
     assert verify_certificate(instance, cert) == (
         False, f"arrows.{fkey}: not converged: a square does not factor through the last stage"
     )
+
+
+def test_verify_cert_rejects_a_record_cut_to_stage_0(tmp_path):
+    # a record of more than one stage, less all but stage 0: the squares into
+    # r_0 are left without cells
+    instance = fixture("FIX-M")
+    cert = _certify(tmp_path, "soa --fixture FIX-M --variant standard")
+    fkey, entry = next((k, e) for k, e in cert["payload"]["arrows"].items() if len(e["stages"]) > 1)
+    entry.update(stages=entry["stages"][:1], inclusions=[], rmaps=entry["rmaps"][:1], cells=[])
+    assert verify_certificate(instance, cert) == (
+        False, f"arrows.{fkey}: unconverged: squares remain at stage 0"
+    )
+
+
+TRANSPORT = "transport --fixture FIX-PROJ --adjunction ident"
+
+
+@pytest.mark.parametrize("argv, damage, rejection", [
+    (TRANSPORT, lambda p: p.update(extra=1), "payload.extra: unexpected field"),
+    (TRANSPORT, lambda p: p.pop("rho"), "payload.rho: missing field"),
+    (TRANSPORT, lambda p: p.update(adjunction="lan"), "adjunction: differs from the options"),
+    ("quillen-check --fixture FIX-PROJ --adjunction lan", lambda p: p.pop("xi_m"),
+     "payload.xi_m: missing field"),
+], ids=["transport-extra", "transport-no-rho", "transport-adjunction", "quillen-no-xi_m"])
+def test_verify_cert_holds_a_report_payload_to_its_builders_fields(argv, damage, rejection, tmp_path):
+    instance = fixture("FIX-PROJ")
+    cert = _certify(tmp_path, argv)
+    assert verify_certificate(instance, cert) == (True, "")
+    damage(cert["payload"])
+    assert verify_certificate(instance, cert) == (False, rejection)
 
 
 RECOMPUTED = "differs from the recomputed record entry"

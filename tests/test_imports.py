@@ -21,7 +21,9 @@ that is reached anyway, fails the gate.
 
 And a start-up guard: every CLI command is its own process, so importing the
 CLI or the kernel must not load `dataclasses`, `inspect` or `argparse`
-(argparse is imported only for the commands its plain parser declines).
+(argparse is imported only for the commands its plain parser declines).  And
+a guard that the verifier never runs the engine's small object argument: it
+names neither the engine nor its stage rule.
 """
 
 import ast
@@ -227,6 +229,11 @@ def test_gate_reports_a_stale_allowlist_entry(tmp_path):
 
 def test_every_package_definition_is_referenced():
     assert gate(ROOT, ALLOWLIST) == ([], [])
+
+
+def test_the_verifier_names_neither_the_engine_nor_its_stage_rule():
+    engine = {"run_soa", "GeneratedAwfs", "new_squares", "enumerate_new_squares"}
+    assert engine & references((PACKAGE / "verifier.py").read_text(encoding="utf-8")) == set()
 
 
 def test_scanner_flags_an_unused_name():

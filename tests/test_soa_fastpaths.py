@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awfs_forge import core, soa, verifier
+from awfs_forge import core, lifting, soa, verifier
 from awfs_forge.arrows import ArrowObject
 from awfs_forge.cli import main
 from awfs_forge.core import (
@@ -146,7 +146,7 @@ def test_soa_glues_no_colimit_and_lists_new_squares_past_stage_1(fx, monkeypatch
     kernel = {name: [] for name in ("coproduct", "quotient_presheaf")}
     for name, log in kernel.items():
         _log_kernel_calls(monkeypatch, name, log)
-    factoring, loop_squares, verified_squares = [], [], []
+    factoring, loop_squares, verified_squares, new_searches = [], [], [], []
     _log_calls(monkeypatch, GeneratedAwfs, "_compute_record", factoring)
     enumerate_all = soa.enumerate_squares
 
@@ -155,30 +155,32 @@ def test_soa_glues_no_colimit_and_lists_new_squares_past_stage_1(fx, monkeypatch
         return enumerate_all(j, g)
 
     monkeypatch.setattr(soa, "enumerate_squares", in_loop)
-    # the verifier searches through `soa.new_squares` and its own binding
-    _log_calls(monkeypatch, soa, "enumerate_squares", verified_squares)
-    _log_calls(monkeypatch, soa, "enumerate_new_squares", verified_squares)
+    # the verifier enumerates squares through its own binding; the engine's
+    # new-squares search runs through `soa.new_squares`
     _log_calls(monkeypatch, verifier, "enumerate_squares", verified_squares)
+    for module in (soa, lifting):
+        _log_calls(monkeypatch, module, "enumerate_new_squares", new_searches)
     for variant in ("monic", "standard"):
         out = tmp_path / f"{variant}.json"
         assert main(["soa", "--fixture", fx, "--variant", variant, "--out", str(out)]) == 0
         assert kernel == {name: [] for name in kernel}
         # stage 1 only: the squares into r_0, which is the arrow itself
         assert loop_squares and all(f == g for f, g in loop_squares)
+        assert new_searches  # positive control: the engine's search past stage 1 is logged
         verified_squares.clear()
-        # positive control: the verifier searches squares into every r_k
-        # (past stage 1, the new ones alone)
+        new_searches.clear()
+        # the verifier makes no new-squares search, and enumerates the
+        # squares into every record's last r
         assert main(["verify-cert", "--fixture", fx, str(out)]) == 0
         assert kernel == {name: [] for name in kernel}
+        assert new_searches == []
         payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
-        rmaps = {
-            _table_key(payload["maps"][key]["components"])
+        last = {
+            _table_key(payload["maps"][entry["rmaps"][-1]]["components"])
             for entry in payload["arrows"].values()
-            for key in entry["rmaps"]
         }
-        assert len(rmaps) > len(payload["arrows"])
-        assert rmaps <= {_table_key(args[1].f.table_json()) for args in verified_squares}
-        for log in (factoring, loop_squares, verified_squares):
+        assert last <= {_table_key(args[1].f.table_json()) for args in verified_squares}
+        for log in (factoring, loop_squares, verified_squares, new_searches):
             log.clear()
     # positive control: the kernel logs do record a colimit
     p = Presheaf.terminal(FiniteCategory.point())
