@@ -11,13 +11,11 @@ from functools import cache, partial
 from typing import Iterator
 
 from . import __version__
-from .arrows import LawReport
 from .core import (
     FiniteCategory,
     Presheaf,
     PresheafMap,
     canonical_dumps,
-    eq_witness,
     pool_key,
 )
 from .instance import InstanceFile
@@ -30,14 +28,7 @@ from .model import (
     replacement_candidates,
 )
 from .soa import GeneratedAwfs, NonConvergence, record_block, run_soa, soa_blocks
-from .transport import (
-    build_mates,
-    lift_T_coalg,
-    rho_from_mate,
-    transport_generators,
-    verify_algebraic_quillen,
-    verify_lax_colax,
-)
+from .transport import quillen_blocks, transport_blocks, transport_generators
 
 
 class CertPool:
@@ -81,10 +72,11 @@ class CertPool:
         return self.add_map(table) if type(table) is PresheafMap else self.add_presheaf(table)
 
     def add(self, block):
-        """`block` with each presheaf and map in it replaced by its pool key."""
+        """`block` with each presheaf and map in it, a dict key too, replaced
+        by its pool key."""
         kind = type(block)
         if kind is dict:
-            return {k: self.add(v) for k, v in block.items()}
+            return {self.add(k): self.add(v) for k, v in block.items()}
         if kind is list:
             return [self.add(v) for v in block]
         if kind is PresheafMap or kind is Presheaf:
@@ -102,12 +94,10 @@ def _arrow_entries(pool: CertPool, gen: GeneratedAwfs, structure=None) -> dict:
     }
 
 
-def _sealed(payload: dict, pool: CertPool, report: LawReport | None = None) -> dict:
-    """`payload` with the pooled tables it refers to, and its law report."""
+def _sealed(payload: dict, pool: CertPool) -> dict:
+    """`payload` with the pooled tables it refers to."""
     payload["presheaves"] = pool.presheaves
     payload["maps"] = pool.maps
-    if report is not None:
-        payload["law_report"] = report.to_json()
     return payload
 
 
@@ -242,38 +232,17 @@ def transport_certificate(
     # one engine per distinct generator diagram: equal diagrams share its records
     engine = cache(partial(run_soa, variant=variant, max_steps=max_steps))
     gen_m = engine(diagram)
-    tj = transport_generators(adj, diagram)
-    gen_k = engine(tj)
-    md = build_mates(adj, gen_m, gen_k)
-
+    gen_k = engine(transport_generators(adj, diagram))
     arrows_m = list(instance.requested_arrows(adj.m_base).values())
     arrows_k = list(instance.requested_arrows(adj.k_base).values())
-    report = verify_lax_colax(md, gen_m, gen_k, adj, arrows_k, arrows_m)
-
-    rho2 = rho_from_mate(adj, gen_m, gen_k, md.gamma)
-    for i, g in enumerate(arrows_k):
-        w = eq_witness(md.rho(g), rho2(g))
-        report.record("mate.roundtrip", f"k-arrow[{i}]", w is None, w)
-    for jname in diagram.objects():
-        lam_m = gen_m.lam(jname)
-        lifted = lift_T_coalg(md, gen_m, gen_k, adj, lam_m)
-        lam_k = gen_k.lam(jname)
-        w = eq_witness(lifted.s, lam_k.s)
-        report.record("natunit", jname, w is None, w)
-
     pool = CertPool(instance.bases)
     payload: dict = {
         "adjunction": adjunction,
-        "generators": pool.add(generator_block(gen_m.diagram, generators)),
+        "generators": pool.add(generator_block(diagram, generators)),
         "transported": pool.add(generator_block(gen_k.diagram, f"T{generators}")),
-        "rho": {},
-        "gamma": {},
+        **pool.add(transport_blocks(adj, gen_m, gen_k, arrows_m, arrows_k)),
     }
-    for i, g in enumerate(arrows_k):
-        payload["rho"][pool.add_map(g.f)] = pool.add_map(md.rho(g))
-    for i, f in enumerate(arrows_m):
-        payload["gamma"][pool.add_map(f.f)] = pool.add_map(md.gamma(f))
-    return _sealed(payload, pool, report)
+    return _sealed(payload, pool)
 
 
 def quillen_certificate(
@@ -306,29 +275,8 @@ def quillen_certificate(
     else:
         tau_k = TauData(tj, ti, dict(tau_data.on_objects), dict(tau_data.on_morphisms))
         amstr_k = build_model_structure(gen_t_k, gen_k, tau_k, instance.weq)
-    mates_t = build_mates(adj, gen_t_m, gen_t_k)
-    mates = build_mates(adj, gen_m, gen_k)
-
     arrows_m = list(instance.requested_arrows(adj.m_base).values())
     arrows_k = list(instance.requested_arrows(adj.k_base).values())
-    report = verify_algebraic_quillen(
-        amstr_m, amstr_k, adj, mates_t, mates, arrows_m, arrows_k
-    )
-    report.extend(verify_lax_colax(mates_t, gen_t_m, gen_t_k, adj, arrows_k, arrows_m))
-    report.extend(verify_lax_colax(mates, gen_m, gen_k, adj, arrows_k, arrows_m))
-
     pool = CertPool(instance.bases)
-    payload: dict = {
-        "adjunction": adjunction,
-        "xi_m": {},
-        "xi_k": {},
-        "gamma_t": {},
-        "rho_t": {},
-    }
-    for f in arrows_m:
-        payload["xi_m"][pool.add_map(f.f)] = pool.add_map(amstr_m.xi.at(f))
-        payload["gamma_t"][pool.add_map(f.f)] = pool.add_map(mates_t.gamma(f))
-    for g in arrows_k:
-        payload["xi_k"][pool.add_map(g.f)] = pool.add_map(amstr_k.xi.at(g))
-        payload["rho_t"][pool.add_map(g.f)] = pool.add_map(mates_t.rho(g))
-    return _sealed(payload, pool, report)
+    blocks = quillen_blocks(adj, amstr_m, amstr_k, arrows_m, arrows_k)
+    return _sealed({"adjunction": adjunction, **pool.add(blocks)}, pool)

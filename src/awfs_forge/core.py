@@ -85,12 +85,9 @@ class FinSet:
     __slots__ = ("size",)
 
     def __init__(self, size: int):
-        self.size = size
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.size < 0:
+        if size < 0:
             raise ValidationError("FinSet.size", "must be nonnegative")
+        self.size = size
 
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is FinSet and self.size == other.size)
@@ -180,24 +177,19 @@ class FiniteCategory:
         self, objects: tuple[str, ...], morphisms: dict[str, tuple[str, str]],
         compose_table: dict[tuple[str, str], str], identities: dict[str, str],
     ):
-        self.objects = objects
+        self.objects = tuple(objects)
         self.morphisms = morphisms  # name -> (src, dst)
-        self.compose_table = compose_table  # (g, f) -> g∘f
         self.identities = identities  # object -> identity morphism name
-        self.__post_init__()
-
-    def __post_init__(self):
-        self.objects = tuple(self.objects)
         homs: dict[tuple[str, str], list[str]] = {}
         for name, (a, b) in self.morphisms.items():
             homs.setdefault((a, b), []).append(name)
         self._homs = {k: tuple(v) for k, v in homs.items()}
         self._position = {o: i for i, o in enumerate(self.objects)}
-        full = dict(self.compose_table)
+        full = dict(compose_table)
         for name, (a, b) in self.morphisms.items():
             full.setdefault((self.identities[b], name), name)
             full.setdefault((name, self.identities[a]), name)
-        self.compose_table = full
+        self.compose_table = full  # (g, f) -> g∘f
         self._terminal = self._empty = None  # built by Presheaf.terminal / empty
         idset = set(self.identities.values())
         self._arrows = tuple(m for m in self.morphisms if m not in idset)
@@ -388,22 +380,13 @@ class Presheaf:
 
     def __init__(self, base: FiniteCategory, at: dict[str, FinSet], act: dict[str, FinFunction]):
         self.base = base
-        self.at = at
-        self.act = act
-        self.__post_init__()
-
-    def __post_init__(self):
-        at = {}
-        for o in self.base.objects:
-            s = self.at[o]
-            at[o] = s if isinstance(s, FinSet) else FinSet(int(s))
-        self.at = at
-        act = dict(self.act)
-        for o, i in self.base.identities.items():
+        self.at = {o: s if isinstance(s := at[o], FinSet) else FinSet(int(s)) for o in base.objects}
+        act = dict(act)
+        for o, i in base.identities.items():
             act.setdefault(i, FinFunction.identity(self.at[o]))
         self.act = act
-        sizes = tuple(self.at[o].size for o in self.base.objects)
-        self._id = (self.base, sizes, tuple(sorted((m, fn.table) for m, fn in act.items())))
+        sizes = tuple(self.at[o].size for o in base.objects)
+        self._id = (base, sizes, tuple(sorted((m, fn.table) for m, fn in act.items())))
         self._hash = hash(self._id)
         self._identity = None  # built by PresheafMap.identity
 

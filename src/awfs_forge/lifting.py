@@ -44,13 +44,9 @@ class GeneratorDiagram:
     ):
         self.shape = shape
         self.arrow_of = arrow_of
-        self.square_of = {} if square_of is None else square_of
-        self.__post_init__()
-
-    def __post_init__(self):
-        squares = dict(self.square_of)
-        for o, i in self.shape.identities.items():
-            arr = self.arrow_of[o]
+        squares = {} if square_of is None else dict(square_of)
+        for o, i in shape.identities.items():
+            arr = arrow_of[o]
             squares.setdefault(
                 i, Square(arr, arr, PresheafMap.identity(arr.dom), PresheafMap.identity(arr.cod))
             )

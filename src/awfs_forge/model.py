@@ -41,11 +41,8 @@ class TauData:
         self.dst = dst
         self.on_objects = on_objects
         self.on_morphisms = {} if on_morphisms is None else on_morphisms
-        self.__post_init__()
-
-    def __post_init__(self):
-        for o, i in self.src.shape.identities.items():
-            self.on_morphisms.setdefault(i, self.dst.shape.identities[self.on_objects[o]])
+        for o, i in src.shape.identities.items():
+            self.on_morphisms.setdefault(i, dst.shape.identities[on_objects[o]])
 
     def validate(self, path: str = "tau") -> None:
         values = list(self.on_objects.values())

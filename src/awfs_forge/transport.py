@@ -46,11 +46,8 @@ class FunctorData:
         self.dst = dst
         self.on_objects = on_objects
         self.on_morphisms = on_morphisms
-        self.__post_init__()
-
-    def __post_init__(self):
-        for o, i in self.src.identities.items():
-            self.on_morphisms.setdefault(i, self.dst.identities[self.on_objects[o]])
+        for o, i in src.identities.items():
+            on_morphisms.setdefault(i, dst.identities[on_objects[o]])
 
     def obj(self, o: str) -> str:
         return self.on_objects[o]
@@ -488,6 +485,30 @@ def lift_T_coalg(
     return out
 
 
+def transport_blocks(
+    adj: AdjunctionData, gen_m: GeneratedAwfs, gen_k: GeneratedAwfs,
+    arrows_m: list[ArrowObject], arrows_k: list[ArrowObject],
+) -> dict:
+    """A `transport` certificate's blocks (see `lifting.generator_block`): ρ
+    at each arrow of `arrows_k` and γ at each of `arrows_m`, keyed by the
+    arrow's map, and the law report of `verify_lax_colax`, the mate round
+    trip ρ_g = (ρ from γ)_g per K-arrow and the unit equality
+    T~(λ^M j) = λ^K (T j) per generator."""
+    md = build_mates(adj, gen_m, gen_k)
+    report = verify_lax_colax(md, gen_m, gen_k, adj, arrows_k, arrows_m)
+    rho2 = rho_from_mate(adj, gen_m, gen_k, md.gamma)
+    for i, g in enumerate(arrows_k):
+        report.check("mate.roundtrip", f"k-arrow[{i}]", md.rho(g), rho2(g))
+    for jname in gen_m.diagram.objects():
+        lifted = lift_T_coalg(md, gen_m, gen_k, adj, gen_m.lam(jname))
+        report.check("natunit", jname, lifted.s, gen_k.lam(jname).s)
+    return {
+        "rho": {g.f: md.rho(g) for g in arrows_k},
+        "gamma": {f.f: md.gamma(f) for f in arrows_m},
+        "law_report": report.to_json(),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Pointwise and projective generators on diagram categories
 
@@ -716,3 +737,25 @@ def verify_algebraic_quillen(
         lam_k = amstr_k.gen.lam(iname)
         report.check("natunit.I", iname, lifted, lam_k.s)
     return report
+
+
+def quillen_blocks(
+    adj: AdjunctionData, amstr_m: AlgebraicModelStructure, amstr_k: AlgebraicModelStructure,
+    arrows_m: list[ArrowObject], arrows_k: list[ArrowObject],
+) -> dict:
+    """A `quillen-check` certificate's blocks: ξ on both sides, and the
+    J-side mates γ_t and ρ_t, at each arrow of its side, keyed by the arrow's
+    map; and the law report of `verify_algebraic_quillen`, then
+    `verify_lax_colax` of the J-side mates and of the I-side mates."""
+    mates_t = build_mates(adj, amstr_m.gen_t, amstr_k.gen_t)
+    mates = build_mates(adj, amstr_m.gen, amstr_k.gen)
+    report = verify_algebraic_quillen(amstr_m, amstr_k, adj, mates_t, mates, arrows_m, arrows_k)
+    report.extend(verify_lax_colax(mates_t, amstr_m.gen_t, amstr_k.gen_t, adj, arrows_k, arrows_m))
+    report.extend(verify_lax_colax(mates, amstr_m.gen, amstr_k.gen, adj, arrows_k, arrows_m))
+    return {
+        "xi_m": {f.f: amstr_m.xi.at(f) for f in arrows_m},
+        "xi_k": {g.f: amstr_k.xi.at(g) for g in arrows_k},
+        "gamma_t": {f.f: mates_t.gamma(f) for f in arrows_m},
+        "rho_t": {g.f: mates_t.rho(g) for g in arrows_k},
+        "law_report": report.to_json(),
+    }

@@ -63,6 +63,16 @@ compute and check to fill its lifting problem.  The engine computes ξ and ρ
 cell by cell, so ξ factors only f on either side: a `model` certificate's
 `arrows_i` holds only the records that ξ, the replacement tables and χ rest
 on.
+
+A `transport` or `quillen-check` certificate is not yet recomputed
+(`transport.transport_blocks` and `quillen_blocks` build it).  Its payload
+must hold exactly its builder's fields, with `adjunction` the options' and an
+all-pass law report; a `transport` certificate's `generators` must describe
+the instance's diagram and `transported` be that diagram pushed through the
+left adjoint (`transport.transport_generators`, instance math, not the small
+object argument); each by-arrow table (ρ, γ, ξ) must be keyed by exactly the
+requested arrows of its side, K for `rho`, `xi_k` and `rho_t`, M for the
+rest, with pooled maps as values; and every pool entry must be read.
 """
 
 from __future__ import annotations
@@ -102,6 +112,7 @@ from .soa import (
     record_block,
     soa_blocks,
 )
+from .transport import transport_generators
 
 
 class CertificateError(Exception):
@@ -628,16 +639,44 @@ _REPORTED = {  # command -> the payload fields its builder writes beside the rep
     "transport": ("adjunction", "generators", "transported", "rho", "gamma"),
     "quillen-check": ("adjunction", "xi_m", "xi_k", "gamma_t", "rho_t"),
 }
+_SIDE = {  # by-arrow table -> the adjunction's base whose requested arrows key it
+    "rho": "k_base", "xi_k": "k_base", "rho_t": "k_base",
+    "gamma": "m_base", "xi_m": "m_base", "gamma_t": "m_base",
+}
+
+
+def _by_arrow(pools: _Pools, table, arrows, where: str) -> None:
+    """`table`'s keys are pool keys of exactly the maps of `arrows`, and each
+    of its values is a pooled map."""
+    keys = {pools.m(key, f"{where}.{key}") for key in expect_object(table, where)}
+    _require(
+        len(keys) == len(table) and keys == {f.f for f in arrows},
+        where,
+        "keys differ from the requested arrows",
+    )
+    for key, value in table.items():
+        pools.m(value, f"{where}.{key}")
 
 
 def _verify_report_only(instance: InstanceFile, payload: dict, options: dict, command: str) -> None:
-    _Pools(instance, payload)
+    pools = _Pools(instance, payload)
     _require_fields(payload, (*_REPORTED[command], "law_report", *POOLS), "payload")
     _require(payload["adjunction"] == options.get("adjunction"), "adjunction", "differs from the options")
+    adj = instance.adjunction(payload["adjunction"])
+    if command == "transport":
+        diagram = _load_diagram(instance, pools, payload, options, "generators")
+        label = "T" + payload["generators"]["label"]
+        want = generator_block(transport_generators(adj, diagram), label)
+        _match(pools, payload["transported"], want, "transported", "differs from the instance")
+    for name in _REPORTED[command]:
+        if name in _SIDE:
+            arrows = instance.requested_arrows(getattr(adj, _SIDE[name])).values()
+            _by_arrow(pools, payload[name], arrows, name)
     for entry in payload["law_report"]:
         _require(
             entry["status"] == "pass", f"law_report.{entry['law']}", "embedded law failure"
         )
+    pools.check_referenced()
 
 
 def verify_certificate(instance: InstanceFile, cert: dict) -> tuple[bool, str]:

@@ -6,8 +6,8 @@ map, record entries with a key more or less or a derived field flipped,
 records with more stages than the certificate's `max_steps` allows or cut
 short of convergence, pool entries that no block references, payload or
 envelope fields other than the writer's, and a `transport` or `quillen-check`
-payload whose fields or adjunction are not its builder's are all rejected,
-and every honest certificate verifies."""
+payload whose fields or adjunction are not its builder's, or with a block
+emptied, are all rejected, and every honest certificate verifies."""
 
 import copy
 import json
@@ -478,6 +478,25 @@ def test_verify_cert_holds_a_report_payload_to_its_builders_fields(argv, damage,
     assert verify_certificate(instance, cert) == (True, "")
     damage(cert["payload"])
     assert verify_certificate(instance, cert) == (False, rejection)
+
+
+@pytest.mark.parametrize("name, adjunction", [
+    ("FIX-M", "ident"), ("FIX-PROJ", "ident"), ("FIX-PROJ", "lan"),
+])
+def test_verify_cert_rejects_each_emptied_transport_or_quillen_block(name, adjunction, tmp_path):
+    # the blocks beside the law report are read too: the generator blocks
+    # match the instance, and the by-arrow tables hold the requested arrows
+    out = tmp_path / "emptied.json"
+    for command, blocks in [
+        ("transport", ("generators", "transported", "rho", "gamma")),
+        ("quillen-check", ("xi_m", "xi_k", "gamma_t", "rho_t")),
+    ]:
+        cert = _certify(tmp_path, f"{command} --fixture {name} --adjunction {adjunction}")
+        for block in blocks:
+            emptied = copy.deepcopy(cert)
+            emptied["payload"][block] = {}
+            out.write_text(json.dumps(emptied), encoding="utf-8")
+            assert main(["verify-cert", "--fixture", name, str(out)]) == 3, (command, block)
 
 
 RECOMPUTED = "differs from the recomputed record entry"

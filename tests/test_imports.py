@@ -23,7 +23,9 @@ And a start-up guard: every CLI command is its own process, so importing the
 CLI or the kernel must not load `dataclasses`, `inspect` or `argparse`
 (argparse is imported only for the commands its plain parser declines).  And
 a guard that the verifier never runs the engine's small object argument: it
-names neither the engine nor its stage rule.
+names neither the engine nor its stage rule.  And one that `certificates`
+names none of the transport math, which `transport_blocks` and
+`quillen_blocks` run beside it.
 """
 
 import ast
@@ -234,6 +236,15 @@ def test_every_package_definition_is_referenced():
 def test_the_verifier_names_neither_the_engine_nor_its_stage_rule():
     engine = {"run_soa", "GeneratedAwfs", "new_squares", "enumerate_new_squares"}
     assert engine & references((PACKAGE / "verifier.py").read_text(encoding="utf-8")) == set()
+
+
+def test_the_certificate_writer_builds_no_transport_block_of_its_own():
+    # `transport.transport_blocks` and `quillen_blocks` build these payloads
+    math = {
+        "verify_lax_colax", "verify_algebraic_quillen", "build_mates", "rho_from_mate",
+        "gamma_from_mate", "lift_T_coalg", "eq_witness",
+    }
+    assert math & references((PACKAGE / "certificates.py").read_text(encoding="utf-8")) == set()
 
 
 def test_scanner_flags_an_unused_name():

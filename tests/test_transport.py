@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from awfs_forge import certificates, transport, verifier
+from awfs_forge import transport, verifier
 from awfs_forge.arrows import ArrowObject
 from awfs_forge.core import FiniteCategory, PresheafMap, eq_witness
 from awfs_forge.certificates import quillen_certificate, soa_certificate
@@ -266,7 +266,7 @@ def test_mates_match_the_reference_route(name, adjunction, monkeypatch):
     # lifting function and its algebra (and γ built from that) on every arrow
     # that `quillen_certificate` asks either pair of mates for
     mates = []
-    build = certificates.build_mates
+    build = transport.build_mates
 
     def spy(adj, gen_m, gen_k):
         md = build(adj, gen_m, gen_k)
@@ -283,7 +283,7 @@ def test_mates_match_the_reference_route(name, adjunction, monkeypatch):
         mates.append((adj, gen_m, gen_k, md, asked))
         return MateData(rho, gamma)
 
-    monkeypatch.setattr(certificates, "build_mates", spy)
+    monkeypatch.setattr(transport, "build_mates", spy)
     quillen_certificate(fixture(name), adjunction, "J", "I", "tau", "monic", 64)
     assert len(mates) == 2
     for adj, gen_m, gen_k, md, (rho_probes, gamma_probes) in mates:
