@@ -8,13 +8,14 @@ the independent verifier can recheck every claim without engine state.
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
 from .core import (
     FiniteCategory,
     Presheaf,
     PresheafMap,
+    ValidationError,
     canonical_dumps,
     pool_key,
 )
@@ -280,3 +281,105 @@ def quillen_certificate(
     pool = CertPool(instance.bases)
     blocks = quillen_blocks(adj, amstr_m, amstr_k, arrows_m, arrows_k)
     return _sealed({"adjunction": adjunction, **pool.add(blocks)}, pool)
+
+
+class Certifying(NamedTuple):
+    """A certifying command: its help, its `certificates` builder, the option
+    keys of the named entries it resolves (in resolution order), and whether
+    `--arrows` selects the arrows it certifies."""
+
+    help: str
+    builder: Callable[..., dict]
+    names: tuple[str, ...]
+    arrows: bool = False
+
+
+# option key -> (instance registry, default name, help); a default of None
+# stands for the registry's first entry
+NAMED = {
+    "adjunction": ("adjunctions", None, "adjunction name"),
+    "generators": ("generators", None, "generator diagram name"),
+    "generators_j": ("generators", "J", "trivial-cofibration generators"),
+    "generators_i": ("generators", "I", "cofibration generators"),
+    "tau": ("taus", None, "inclusion functor name"),
+}
+
+CERTIFYING = {
+    "soa": Certifying(
+        "run the small object argument and certify", soa_certificate, ("generators",), True
+    ),
+    "lift": Certifying(
+        "emit free lifting-function certificates", lift_certificate, ("generators",), True
+    ),
+    "model": Certifying(
+        "build and verify an algebraic model structure",
+        model_certificate,
+        ("generators_j", "generators_i", "tau"),
+    ),
+    "transport": Certifying(
+        "transport generators across an adjunction",
+        transport_certificate,
+        ("adjunction", "generators"),
+    ),
+    "quillen-check": Certifying(
+        "verify an algebraic Quillen adjunction",
+        quillen_certificate,
+        ("adjunction", "generators_j", "generators_i", "tau"),
+    ),
+}
+
+
+class OptionError(ValidationError):
+    """An option that does not resolve; `key` is its key in the options block."""
+
+    def __init__(self, key: str, path: str, message: str):
+        super().__init__(path, message)
+        self.key = key
+
+
+def _entry(key: str, mapping: dict, name, path: str) -> str:
+    """`name` when the instance declares it; the first entry when no name is given."""
+    if name is None:
+        if not mapping:
+            raise OptionError(key, path, "the instance declares none")
+        return next(iter(mapping))
+    if type(name) is not str or name not in mapping:
+        raise OptionError(key, f"{path}.{name}", "unknown name")
+    return name
+
+
+def resolve_options(command: str, instance: InstanceFile, given: dict) -> tuple[dict, dict]:
+    """The options block of a `command` certificate and its builder's
+    arguments, from the CLI's flags or a certificate's options `given` (None
+    or missing: not given).  `variant` and `max_steps` default to the
+    instance's options, then monic and 64; a command that selects arrows
+    takes all of them when `arrows` is not given, and each name at most once.
+    An option that does not resolve raises `OptionError`."""
+    row = CERTIFYING[command]
+    options = {}
+    for key in row.names:
+        registry, default, _ = NAMED[key]
+        name = given.get(key) if default is None else given.get(key) or default
+        options[key] = _entry(key, getattr(instance, registry), name, registry)
+    for key, fallback in (("variant", "monic"), ("max_steps", 64)):
+        value = given.get(key)
+        options[key] = instance.options.get(key, fallback) if value is None else value
+    if options["variant"] not in ("monic", "standard"):
+        raise OptionError("variant", "--variant", "must be monic or standard")
+    if type(options["max_steps"]) is not int or options["max_steps"] < 0:
+        raise OptionError("max_steps", "--max-steps", "must be a nonnegative integer")
+    arrows = given.get("arrows") or ""
+    if type(arrows) is not str:
+        raise OptionError("arrows", "--arrows", "must be comma-separated names")
+    args = dict(options)
+    if arrows:
+        options["arrows"] = arrows
+    if row.arrows:
+        names = arrows.split(",") if arrows else []
+        for i, name in enumerate(names):
+            _entry("arrows", instance.maps, name, "arrows")
+            if name in names[:i]:
+                raise OptionError("arrows", f"arrows.{name}", "listed twice")
+        # the builder leaves out a named arrow whose map lives over another base
+        args["arrows"] = names or None
+    return options, args

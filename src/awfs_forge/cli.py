@@ -28,52 +28,6 @@ EXIT_LAW_FAILURE = 3
 EXIT_MONICITY = 4
 
 
-class Certifying(NamedTuple):
-    """A certifying command: its help, the name of its `certificates` builder,
-    the option keys of the named entries it resolves (in resolution order),
-    and whether `--arrows` selects the arrows it certifies."""
-
-    help: str
-    builder: str
-    names: tuple[str, ...]
-    arrows: bool = False
-
-
-# option key -> (instance registry, default name, help); a default of None
-# stands for the registry's first entry
-NAMED = {
-    "adjunction": ("adjunctions", None, "adjunction name"),
-    "generators": ("generators", None, "generator diagram name"),
-    "generators_j": ("generators", "J", "trivial-cofibration generators"),
-    "generators_i": ("generators", "I", "cofibration generators"),
-    "tau": ("taus", None, "inclusion functor name"),
-}
-
-CERTIFYING = {
-    "soa": Certifying(
-        "run the small object argument and certify", "soa_certificate", ("generators",), True
-    ),
-    "lift": Certifying(
-        "emit free lifting-function certificates", "lift_certificate", ("generators",), True
-    ),
-    "model": Certifying(
-        "build and verify an algebraic model structure",
-        "model_certificate",
-        ("generators_j", "generators_i", "tau"),
-    ),
-    "transport": Certifying(
-        "transport generators across an adjunction",
-        "transport_certificate",
-        ("adjunction", "generators"),
-    ),
-    "quillen-check": Certifying(
-        "verify an algebraic Quillen adjunction",
-        "quillen_certificate",
-        ("adjunction", "generators_j", "generators_i", "tau"),
-    ),
-}
-
-
 def _resolve_instance(args) -> InstanceFile:
     if args.fixture:
         if args.instance is not None:
@@ -84,17 +38,6 @@ def _resolve_instance(args) -> InstanceFile:
     return load(args.instance)
 
 
-def _entry(mapping: dict, name: str | None, path: str) -> str:
-    """`name` when the instance declares it; the first entry when no name is given."""
-    if name is None:
-        if not mapping:
-            raise ValidationError(path, "the instance declares none")
-        return next(iter(mapping))
-    if name not in mapping:
-        raise ValidationError(f"{path}.{name}", "unknown name")
-    return name
-
-
 def cmd_validate(args) -> int:
     instance = _resolve_instance(args)
     sys.stdout.write(f"ok {instance.input_hash()}\n")
@@ -102,28 +45,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    command = CERTIFYING[args.command]
     instance = _resolve_instance(args)
-    options = {}  # the builder's arguments, and the certificate's options block
-    for key in command.names:
-        registry, default, _ = NAMED[key]
-        name = getattr(args, key)
-        if default is not None:
-            name = name or default
-        options[key] = _entry(getattr(instance, registry), name, registry)
-    options["variant"] = instance.option("variant", args.variant, "monic")
-    if args.max_steps is not None and args.max_steps < 0:
-        raise ValidationError("--max-steps", "must be a nonnegative integer")
-    options["max_steps"] = instance.option("max_steps", args.max_steps, 64)
-    selected = {}
-    if command.arrows:
-        # the builder leaves out a named arrow whose map lives over another base
-        names = args.arrows.split(",") if args.arrows else ()
-        selected["arrows"] = [_entry(instance.maps, n, "arrows") for n in names] or None
+    options, arguments = certificates.resolve_options(args.command, instance, vars(args))
+    builder = certificates.CERTIFYING[args.command].builder
     # looked up when called, so that a rebound module attribute is the one run
-    payload = getattr(certificates, command.builder)(instance, **options, **selected)
-    if args.arrows:
-        options["arrows"] = args.arrows
+    payload = getattr(certificates, builder.__name__)(instance, **arguments)
     pieces = certificates.certificate_pieces(
         certificates.envelope(args.command, instance, options, payload)
     )
@@ -191,7 +117,7 @@ RUN = (
 
 
 def _named(key: str) -> Option:
-    _, default, text = NAMED[key]
+    _, default, text = certificates.NAMED[key]
     return Option("--" + key.replace("_", "-"), f"{text} (default: {default or 'first'})")
 
 
@@ -200,7 +126,7 @@ SPEC = {
     "validate": Command("parse and exhaustively validate an instance", cmd_validate, FIXTURE),
     **{
         name: Command(row.help, cmd_certify, FIXTURE + RUN + tuple(map(_named, row.names)))
-        for name, row in CERTIFYING.items()
+        for name, row in certificates.CERTIFYING.items()
     },
     "verify-cert": Command(
         "independently recheck a certificate", cmd_verify_cert, FIXTURE, certificate=True

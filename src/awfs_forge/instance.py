@@ -67,12 +67,6 @@ class InstanceFile:
             raise ValidationError(f"adjunctions.{name}", "unknown adjunction name")
         return self.adjunctions[name]()
 
-    def option(self, key: str, override, fallback):
-        """Command option resolution: explicit flag, else instance default."""
-        if override is not None:
-            return override
-        return self.options.get(key, fallback)
-
 
 def _category(data, path: str) -> FiniteCategory:
     """A base or shape category read from JSON, its shape checked at `path`."""

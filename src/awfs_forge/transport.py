@@ -470,7 +470,6 @@ def verify_lax_colax(
 
 def lift_T_coalg(
     md: MateData,
-    gen_m: GeneratedAwfs,
     gen_k: GeneratedAwfs,
     adj: AdjunctionData,
     c: CoalgebraStructure,
@@ -483,6 +482,18 @@ def lift_T_coalg(
         first = report.failures()[0]
         raise ValidationError("lift_T_coalg", f"{first.law} fails: {first.witness}")
     return out
+
+
+def check_unit_equality(
+    report: LawReport, law: str, md: MateData, adj: AdjunctionData,
+    gen_m: GeneratedAwfs, gen_k: GeneratedAwfs,
+) -> None:
+    """T~(λ^M j) = λ^K (T j) per generator j of `gen_m`, checked into
+    `report` as `law`: the lift (T j, γ_j ∘ T s) of j's unit coalgebra along
+    the mates `md` is `gen_k`'s unit coalgebra of T j."""
+    for jname in gen_m.diagram.objects():
+        lam = gen_m.lam(jname)
+        report.check(law, jname, adj.t_map(lam.s).then(md.gamma(lam.f)), gen_k.lam(jname).s)
 
 
 def transport_blocks(
@@ -499,9 +510,7 @@ def transport_blocks(
     rho2 = rho_from_mate(adj, gen_m, gen_k, md.gamma)
     for i, g in enumerate(arrows_k):
         report.check("mate.roundtrip", f"k-arrow[{i}]", md.rho(g), rho2(g))
-    for jname in gen_m.diagram.objects():
-        lifted = lift_T_coalg(md, gen_m, gen_k, adj, gen_m.lam(jname))
-        report.check("natunit", jname, lifted.s, gen_k.lam(jname).s)
+    check_unit_equality(report, "natunit", md, adj, gen_m, gen_k)
     return {
         "rho": {g.f: md.rho(g) for g in arrows_k},
         "gamma": {f.f: md.gamma(f) for f in arrows_m},
@@ -725,17 +734,8 @@ def verify_algebraic_quillen(
         pulled = amstr_k.xi.at(garr).then(alg.t)
         route2 = mates_t.rho(garr).then(adj.s_map(pulled))
         report.check("natlift.alg", name, route1, route2)
-    # unit equalities on generators: T~(λ^M j) = λ^K (T j)
-    for jname in amstr_m.gen_t.diagram.objects():
-        lam_m = amstr_m.gen_t.lam(jname)
-        lifted = adj.t_map(lam_m.s).then(mates_t.gamma(lam_m.f))
-        lam_k = amstr_k.gen_t.lam(jname)
-        report.check("natunit.J", jname, lifted, lam_k.s)
-    for iname in amstr_m.gen.diagram.objects():
-        lam_m = amstr_m.gen.lam(iname)
-        lifted = adj.t_map(lam_m.s).then(mates.gamma(lam_m.f))
-        lam_k = amstr_k.gen.lam(iname)
-        report.check("natunit.I", iname, lifted, lam_k.s)
+    check_unit_equality(report, "natunit.J", mates_t, adj, amstr_m.gen_t, amstr_k.gen_t)
+    check_unit_equality(report, "natunit.I", mates, adj, amstr_m.gen, amstr_k.gen)
     return report
 
 

@@ -17,13 +17,13 @@ the verifier recomputes every block over the certified records and requires the
 certificate's block whole, with the same keys and equal tables behind its
 pool keys (`_match`, which puts together the path of a difference only when
 it reports one).  Of a record entry it parses only the primary fields, `f`,
-`stages`, `inclusions`, `rmaps`, `cells` and `variant` (the options' variant
-where they name one); after `check_record`, and `soa_blocks` for δ and μ,
-the entry must be `soa.record_block` of its record, which recomputes
+`stages`, `inclusions`, `rmaps` and `cells`, and each record takes the
+options' variant; after `check_record`, and `soa_blocks` for δ and μ, the
+entry must be `soa.record_block` of its record, which recomputes `variant`,
 `left`, `mid`, `right`, `trace`, the fill table and the named arrows' δ and
-μ, so no field can be added, dropped or changed.  Each generator block must
-describe the instance's generator diagram that its label names, and
-everything runs over that diagram.
+μ, so no field can be added, dropped or changed.  The options must be what
+the command writes (`certificates.resolve_options`), every check runs under
+them, and each generator block must describe the diagram that they name.
 
 The records themselves it checks on its own: content addressing of every pool
 entry; each pooled map's tables and naturality, read by `PresheafMap.from_json`
@@ -81,7 +81,7 @@ from bisect import bisect_right
 from typing import Callable
 
 from .arrows import ArrowObject, Square
-from .certificates import ENGINE, ENVELOPE, POOLS
+from .certificates import CERTIFYING, ENGINE, ENVELOPE, POOLS, OptionError, resolve_options
 from .core import (
     Presheaf,
     PresheafMap,
@@ -208,9 +208,9 @@ def _replayed(rule, *args, where: str) -> PresheafMap:
 
 class CertifiedEngine(RecordAwfs):
     """The records of a certificate block, each checked as it is loaded, and
-    the deterministic extraction rules replayed over them.  `variant`, when
-    given, is the variant that every record must name, and `max_steps` bounds
-    every record's stage count as it bounds the engine's (see `_step_bound`)."""
+    the deterministic extraction rules replayed over them, under `variant`.
+    The engine runs at most `max_steps` passes, and a converged record's last
+    attaches nothing, so a record has at most `max_steps` stages."""
 
     def __init__(
         self,
@@ -218,8 +218,8 @@ class CertifiedEngine(RecordAwfs):
         diagram: GeneratorDiagram,
         block: dict,
         where: str,
-        variant: str | None,
-        max_steps: int | None,
+        variant: str,
+        max_steps: int,
     ):
         self.diagram = diagram
         self.where = where
@@ -237,7 +237,7 @@ class CertifiedEngine(RecordAwfs):
             inclusions = [pools.m(k, w) for k in entry["inclusions"]]
             rmaps = [pools.m(k, w) for k in entry["rmaps"]]
             _require(len(rmaps) == len(stages), w, "rmaps/stages length mismatch")
-            bounded = max_steps is None or len(stages) <= max_steps
+            bounded = len(stages) <= max_steps
             _require(bounded, w, f"more stages than max_steps {max_steps} allows")
             cells = []
             for c in entry["cells"]:
@@ -252,10 +252,8 @@ class CertifiedEngine(RecordAwfs):
                     pools.m(c["bottom"], w),
                 )
                 cells.append(CellRecord(stage, c["j"], sq, pools.m(c["injection"], w)))
-            # a given variant is the one that the entry must name
-            rec_variant = entry["variant"] if variant is None else variant
             self.records[fkey] = _Record(
-                ArrowObject(f), stages, inclusions, rmaps, cells, rec_variant, self.fill_rule
+                ArrowObject(f), stages, inclusions, rmaps, cells, variant, self.fill_rule
             )
             self._by_arrow.setdefault(f, self.records[fkey])
         for fkey in self.records:
@@ -523,43 +521,24 @@ def _match_blocks(pools: _Pools, payload: dict, blocks: dict) -> None:
 def _load_diagram(
     instance: InstanceFile, pools: _Pools, payload: dict, options: dict, key: str
 ) -> GeneratorDiagram:
-    """The instance's generator diagram that the generator block `key`
-    certifies: the one its label names, which must be `options[key]` when the
-    options give one."""
-    label = payload[key]["label"]
-    _require(options.get(key, label) == label, f"{key}.label", "differs from the options")
-    diagram = instance.generators.get(label)
-    _require(diagram is not None and diagram.arrow_of, f"{key}.label", "no such generators")
-    _match(pools, payload[key], generator_block(diagram, label), key, "differs from the instance")
+    """The instance's generator diagram `options[key]`, which the generator
+    block `key` must describe under that label."""
+    name = options[key]
+    _require(payload[key]["label"] == name, f"{key}.label", "differs from the options")
+    diagram = instance.generators[name]
+    _require(diagram.arrow_of, f"{key}.label", "no such generators")
+    _match(pools, payload[key], generator_block(diagram, name), key, "differs from the instance")
     return diagram
 
 
-def _step_bound(options: dict, soa_payload: dict | None = None) -> int | None:
-    """The bound on every record's stage count: `options.max_steps` where the
-    options give one, else a `soa` payload's `max_steps`, which must equal the
-    options' where both are given; None when neither is.  The engine runs at
-    most `max_steps` passes and a converged record's last pass attaches
-    nothing, so its stages are at most E^0..E^{max_steps - 1}."""
-    bound = None
-    for where, block in (("options.max_steps", options), ("max_steps", soa_payload or {})):
-        if "max_steps" in block:
-            steps = block["max_steps"]
-            if type(steps) is not int or steps < 0:
-                raise ValidationError(where, "must be a nonnegative integer")
-            _require(bound in (None, steps), where, "differs from the options")
-            bound = steps
-    return bound
-
-
-def _factored(instance: InstanceFile, payload: dict, options: dict, variant: str | None, bound):
+def _factored(instance: InstanceFile, payload: dict, options: dict):
     """A `soa` or `lift` certificate's pools, its checked records and the
     arrows it names."""
     pools = _Pools(instance, payload)
     diagram = _load_diagram(instance, pools, payload, options, "generators")
-    engine = CertifiedEngine(pools, diagram, payload["arrows"], "arrows", variant, bound)
-    names = options.get("arrows")
-    named = instance.requested_arrows(diagram.base, names.split(",") if names else None)
-    return pools, engine, named
+    limits = options["variant"], options["max_steps"]
+    engine = CertifiedEngine(pools, diagram, payload["arrows"], "arrows", *limits)
+    return pools, engine, instance.requested_arrows(diagram.base, options["arrows"])
 
 
 def _match_records(pools: _Pools, engine: CertifiedEngine, block: dict, structure=None) -> None:
@@ -573,15 +552,11 @@ def _match_records(pools: _Pools, engine: CertifiedEngine, block: dict, structur
 
 
 def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
-    variant = payload["variant"]
-    _require(
-        variant in ("monic", "standard") and options.get("variant", variant) == variant,
-        "variant",
-        "differs from the options",
-    )
-    bound = _step_bound(options, payload)
-    pools, engine, named = _factored(instance, payload, options, variant, bound)
-    blocks, structure = soa_blocks(engine, named, variant)
+    for key in ("variant", "max_steps"):
+        same = type(payload[key]) is type(options[key]) and payload[key] == options[key]
+        _require(same, key, "differs from the options")
+    pools, engine, named = _factored(instance, payload, options)
+    blocks, structure = soa_blocks(engine, named, options["variant"])
     _match_records(pools, engine, payload["arrows"], structure)
     _match_blocks(pools, payload, blocks)
     fields = ("generators", "variant", "max_steps", "arrows", *blocks, *POOLS)
@@ -590,8 +565,7 @@ def _verify_soa_payload(instance: InstanceFile, payload: dict, options: dict) ->
 
 
 def _verify_lift_payload(instance: InstanceFile, payload: dict, options: dict) -> None:
-    variant, bound = options.get("variant"), _step_bound(options)
-    pools, engine, named = _factored(instance, payload, options, variant, bound)
+    pools, engine, named = _factored(instance, payload, options)
     _match_records(pools, engine, payload["arrows"])
     blocks = lift_blocks(engine, named)
     _match_blocks(pools, payload, blocks)
@@ -603,14 +577,13 @@ def _verify_model_payload(instance: InstanceFile, payload: dict, options: dict) 
     pools = _Pools(instance, payload)
     diagram_j = _load_diagram(instance, pools, payload, options, "generators_j")
     diagram_i = _load_diagram(instance, pools, payload, options, "generators_i")
-    tau = instance.taus.get(options.get("tau"))
-    _require(tau is not None, "options.tau", "unknown tau")
+    tau = instance.taus[options["tau"]]
     _require(
         tau.src == diagram_j and tau.dst == diagram_i,
         "options.tau",
         "tau does not run between the certified generator diagrams",
     )
-    limits = options.get("variant"), _step_bound(options)
+    limits = options["variant"], options["max_steps"]
     engine_j = CertifiedEngine(pools, diagram_j, payload["arrows_j"], "arrows_j", *limits)
     engine_i = CertifiedEngine(pools, diagram_i, payload["arrows_i"], "arrows_i", *limits)
     _match_records(pools, engine_j, payload["arrows_j"])
@@ -661,12 +634,11 @@ def _by_arrow(pools: _Pools, table, arrows, where: str) -> None:
 def _verify_report_only(instance: InstanceFile, payload: dict, options: dict, command: str) -> None:
     pools = _Pools(instance, payload)
     _require_fields(payload, (*_REPORTED[command], "law_report", *POOLS), "payload")
-    _require(payload["adjunction"] == options.get("adjunction"), "adjunction", "differs from the options")
-    adj = instance.adjunction(payload["adjunction"])
+    _require(payload["adjunction"] == options["adjunction"], "adjunction", "differs from the options")
+    adj = instance.adjunction(options["adjunction"])
     if command == "transport":
         diagram = _load_diagram(instance, pools, payload, options, "generators")
-        label = "T" + payload["generators"]["label"]
-        want = generator_block(transport_generators(adj, diagram), label)
+        want = generator_block(transport_generators(adj, diagram), "T" + options["generators"])
         _match(pools, payload["transported"], want, "transported", "differs from the instance")
     for name in _REPORTED[command]:
         if name in _SIDE:
@@ -690,18 +662,25 @@ def verify_certificate(instance: InstanceFile, cert: dict) -> tuple[bool, str]:
             "certificate was produced from a different instance",
         )
         command = cert["command"]
+        _require(command in CERTIFYING, "command", f"unknown command {command!r}")
+        given = expect_object(cert["options"], "options")
+        try:
+            block, options = resolve_options(command, instance, given)
+        except OptionError as exc:
+            raise ValidationError(f"options.{exc.key}", exc.message) from None
+        # `block` is what the CLI writes, and `options` the builder's arguments
+        _require_fields(given, block, "options")
+        for key, value in block.items():
+            _require(given[key] == value, f"options.{key}", "differs from the resolved option")
         payload = cert["payload"]
-        options = cert["options"]
         if command == "soa":
             _verify_soa_payload(instance, payload, options)
         elif command == "lift":
             _verify_lift_payload(instance, payload, options)
         elif command == "model":
             _verify_model_payload(instance, payload, options)
-        elif command in _REPORTED:
-            _verify_report_only(instance, payload, options, command)
         else:
-            raise CertificateError("command", f"unknown command {command!r}")
+            _verify_report_only(instance, payload, options, command)
     except CertificateError as exc:
         return False, str(exc)
     except (

@@ -298,7 +298,7 @@ def test_criterion_8_transport_quillen_suite():
                 assert eq_witness(md.rho(g), rho_again(g)) is None
             for jname in gm.diagram.objects():
                 lam_m = gm.lam(jname)
-                lifted = lift_T_coalg(md, gm, gk, adj, lam_m)
+                lifted = lift_T_coalg(md, gk, adj, lam_m)
                 assert eq_witness(lifted.s, gk.lam(jname).s) is None
 
         quillen = verify_algebraic_quillen(

@@ -7,11 +7,13 @@ records with more stages than the certificate's `max_steps` allows or cut
 short of convergence, pool entries that no block references, payload or
 envelope fields other than the writer's, and a `transport` or `quillen-check`
 payload whose fields or adjunction are not its builder's, or with a block
-emptied, are all rejected, and every honest certificate verifies."""
+emptied, and an options block other than the one the command writes, are
+all rejected, and every honest certificate verifies."""
 
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -614,12 +616,12 @@ def _bounded(cert: dict, options, payload) -> dict:
 
 @pytest.mark.parametrize("argv, options, payload, where, message", [
     ("soa --fixture FIX-G", 1, 1, "arrows.", "more stages than max_steps 1 allows"),
-    ("soa --fixture FIX-G", None, 1, "arrows.", "more stages than max_steps 1 allows"),
+    ("soa --fixture FIX-G", None, 1, "options.max_steps", "missing field"),
     ("soa --fixture FIX-G", 1, 7, "max_steps", "differs from the options"),
     ("lift --fixture FIX-G", 1, None, "arrows.", "more stages than max_steps 1 allows"),
     ("model --fixture FIX-M", 0, None, "arrows_j.", "more stages than max_steps 0 allows"),
     ("soa --fixture FIX-G", True, 1, "malformed certificate: options.max_steps", "nonnegative"),
-    ("soa --fixture FIX-G", 3, -3, "malformed certificate: max_steps", "nonnegative"),
+    ("soa --fixture FIX-G", 3, -3, "max_steps", "differs from the options"),
     ("lift --fixture FIX-G", "3", None, "malformed certificate: options.max_steps", "nonnegative"),
     ("model --fixture FIX-M", 2.5, None, "malformed certificate: options.max_steps", "nonnegative"),
 ], ids=[
@@ -642,7 +644,66 @@ def test_verify_cert_accepts_max_steps_at_the_stage_count(tmp_path):
     cert = _certify(tmp_path, "soa --fixture FIX-G --max-steps 3")
     assert max(len(e["stages"]) for e in cert["payload"]["arrows"].values()) == 3
     assert verify_certificate(instance, cert) == (True, "")
-    assert verify_certificate(instance, _bounded(cert, None, None)) == (True, "")
+    # the options must name the bound that the CLI wrote
+    assert verify_certificate(instance, _bounded(cert, None, None)) == (
+        False, "options.max_steps: missing field"
+    )
+
+
+@pytest.fixture(scope="module")
+def certified(tmp_path_factory):
+    """A copy of the certificate that the CLI writes for an argv, each
+    written once."""
+    made = {}
+
+    def certify(argv: str) -> dict:
+        if argv not in made:
+            made[argv] = _certify(tmp_path_factory.mktemp("cert"), argv)
+        return copy.deepcopy(made[argv])
+
+    return certify
+
+
+def _forged_options():
+    """(argv, option key, the value it is set to, None to delete it): an
+    options block that the command does not write for its certificate."""
+    dropped = {
+        "soa --fixture FIX-M": ("generators", "variant", "max_steps"),
+        "model --fixture FIX-M": ("generators_j", "generators_i", "tau", "variant", "max_steps"),
+        "transport --fixture FIX-PROJ --adjunction lan": (
+            "adjunction", "generators", "variant", "max_steps"
+        ),
+    }
+    for argv, keys in dropped.items():
+        yield from ((argv, key, None) for key in keys)
+        yield argv, "extra", 1
+    quillen = "quillen-check --fixture FIX-PROJ --adjunction lan"
+    bad = {"tau": "bogus", "generators_j": "nope", "variant": "weird", "max_steps": -5}
+    yield from ((quillen, key, value) for key, value in bad.items())
+    # a name that the instance lacks, or one listed twice
+    yield from (("soa --fixture FIX-M --arrows f21", "arrows", v) for v in ("f21,nosuch", "f21,f21"))
+
+
+FORGED_OPTIONS = list(_forged_options())
+
+
+@pytest.mark.parametrize("argv, key, value", FORGED_OPTIONS, ids=[
+    f"{argv.split()[0]}-{key}-{'dropped' if value is None else value}"
+    for argv, key, value in FORGED_OPTIONS
+])
+def test_verify_cert_rejects_options_that_the_command_does_not_write(
+    argv, key, value, certified, tmp_path, capsys
+):
+    cert = certified(argv)
+    if value is None:
+        del cert["options"][key]
+    else:
+        cert["options"][key] = value
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    assert main(["verify-cert", "--fixture", argv.split()[2], str(path)]) == 3
+    out = capsys.readouterr().out
+    assert re.match(rf"certificate REJECTED: (malformed certificate: )?options\.{key}: ", out), out
 
 
 # -- pools: every entry is referenced ----------------------------------------

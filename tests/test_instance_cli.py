@@ -611,7 +611,9 @@ def test_verify_cert_rejects_another_filler_as_xi(tmp_path):
         False, "xi.f32: xi differs from the cell replay"
     )
     cert["options"]["tau"] = "nope"
-    assert verify_certificate(instance, cert) == (False, "options.tau: unknown tau")
+    assert verify_certificate(instance, cert) == (
+        False, "malformed certificate: options.tau: unknown name"
+    )
 
 
 @pytest.mark.parametrize("name", ["FIX-M", "FIX-PROJ"])
@@ -646,7 +648,7 @@ def test_verify_cert_requires_injective_stage_inclusions_in_both_variants():
     # left factor (the same single inclusion) repointed: R∘L = f still holds
     instance = fixture("FIX-M")
     payload = certificates.soa_certificate(instance, "J", "standard", 64)
-    cert = written("soa", instance, {}, payload)
+    cert = written("soa", instance, {"variant": "standard"}, payload)
     payload = cert["payload"]
     fkey = payload["named"]["f21"]
     entry = payload["arrows"][fkey]
@@ -684,6 +686,7 @@ def test_model_command_reports_failed_axiom_graph(tmp_path, capsys):
         ("soa --fixture FIX-M --arrows nope,f21", "arrows.nope"),
         ("lift --fixture FIX-M --arrows f21,nope", "arrows.nope"),
         ("lift --fixture FIX-M --arrows f21,", "arrows."),
+        ("lift --fixture FIX-M --arrows f21,f21", "arrows.f21"),
     ],
 )
 def test_unresolvable_names_are_validation_errors(argv, path, capsys):

@@ -345,7 +345,7 @@ def test_lift_T_coalg_identity_adjunction(fixm, fixm_gen):
     gen_k = run_soa(transport_generators(adj, fixm_gen.diagram))
     mates = build_mates(adj, fixm_gen, gen_k)
     lam = fixm_gen.lam("j")
-    lifted = lift_T_coalg(mates, fixm_gen, gen_k, adj, lam)
+    lifted = lift_T_coalg(mates, gen_k, adj, lam)
     assert lifted.s == lam.s
 
 
@@ -353,7 +353,7 @@ def test_natunitcor_over_lan(lan_setup):
     proj, adj, J, gen_m, tj, gen_k, mates = lan_setup
     for jname in J.objects():
         lam_m = gen_m.lam(jname)
-        lifted = lift_T_coalg(mates, gen_m, gen_k, adj, lam_m)
+        lifted = lift_T_coalg(mates, gen_k, adj, lam_m)
         lam_k = gen_k.lam(jname)
         assert eq_witness(lifted.s, lam_k.s) is None
 
@@ -362,7 +362,7 @@ def test_lifted_free_coalgebra_valid_over_lan(lan_setup):
     proj, adj, J, gen_m, tj, gen_k, mates = lan_setup
     f = m_arrows(proj)[0]
     co = gen_m.free_coalgebra(f)
-    lifted = lift_T_coalg(mates, gen_m, gen_k, adj, co)
+    lifted = lift_T_coalg(mates, gen_k, adj, co)
     assert check_coalgebra_laws(lifted, gen_k.as_awfs()).passed
 
 

@@ -10,8 +10,10 @@ import json
 from awfs_forge import certificates
 
 
-def written(command: str, instance, options: dict, payload: dict) -> dict:
-    """The certificate of `certificates.envelope(command, instance, options,
-    payload)` as the CLI writes it, parsed."""
+def written(command: str, instance, given: dict, payload: dict) -> dict:
+    """The certificate that the CLI writes for `payload`, parsed: its options
+    block is what `certificates.resolve_options` makes of the options
+    `given`, as for the CLI's flags."""
+    options, _ = certificates.resolve_options(command, instance, given)
     cert = certificates.envelope(command, instance, options, payload)
     return json.loads("".join(certificates.certificate_pieces(cert)))
